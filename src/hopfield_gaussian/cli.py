@@ -2,13 +2,14 @@
 
 Subcommands: diagonalize, point, sweep, dynamics, verify.  Numeric output
 uses fixed 12-significant-digit formatting so repeated runs are
-byte-identical.  A JSON config file can pre-set any flag; explicit flags
-win.
+byte-identical.  A JSON config file can pre-set any model or environment
+flag, for every subcommand that takes it; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -21,24 +22,29 @@ from .dynamics import (
 )
 from .model import InstabilityError, ModelParams
 from .scenarios import Axis, SweepSpec, resolve_scenario, scenario_names
-from .states import Environment, format_covariance
+from .states import Environment, format_covariance, format_value
 from .sweep import (
     CSV_HEADER,
     diagonalize_params,
+    point_state,
+    resolve_params,
+    result_row,
     run_point,
-    state_covariance,
     sweep_csv,
 )
 
-_MODEL_DEFAULTS = {
-    "wa": 1.0,
-    "wb": 1.0,
-    "lambda": None,
-    "lambda1": None,
-    "lambda2": None,
-    "diamag": "auto",
+# config-file key -> the flag (argparse dest) it pre-sets
+_CONFIG_FLAGS = {
+    "wa": "wa",
+    "wb": "wb",
+    "lambda": "lam",
+    "lambda1": "lambda1",
+    "lambda2": "lambda2",
+    "diamag": "diamag",
+    "temp": "temp",
+    "gamma-a": "gamma_a",
+    "gamma-b": "gamma_b",
 }
-_ENV_DEFAULTS = {"temp": 0.0, "gamma-a": 0.01, "gamma-b": 0.01}
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -71,56 +77,35 @@ def _add_output_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
 
 
-def _load_config(path: str | None) -> dict:
+def _apply_config(args) -> None:
+    """Set every config-file value whose flag was not given on the command line."""
+    path = getattr(args, "config", None)
     if not path:
-        return {}
+        return
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    # accept both dashed and underscored keys
-    return {str(k).replace("_", "-"): v for k, v in cfg.items()}
+    for key, value in cfg.items():
+        # accept both dashed and underscored keys
+        dest = _CONFIG_FLAGS.get(str(key).replace("_", "-"))
+        if dest is not None and hasattr(args, dest) and getattr(args, dest) is None:
+            setattr(args, dest, value)
 
 
-def _effective(cli_value, cfg: dict, key: str, default):
-    if cli_value is not None:
-        return cli_value
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _resolve_params(args, cfg: dict) -> ModelParams:
-    wa = float(_effective(args.wa, cfg, "wa", _MODEL_DEFAULTS["wa"]))
-    wb = float(_effective(args.wb, cfg, "wb", _MODEL_DEFAULTS["wb"]))
-    lam = _effective(args.lam, cfg, "lambda", None)
-    l1 = _effective(args.lambda1, cfg, "lambda1", None)
-    l2 = _effective(args.lambda2, cfg, "lambda2", None)
-    if lam is not None and (l1 is not None or l2 is not None):
-        raise ValueError("give either --lambda or --lambda1/--lambda2, not both")
-    if lam is not None:
-        l1 = l2 = float(lam)
-    else:
-        l1 = float(l1) if l1 is not None else 0.0
-        l2 = float(l2) if l2 is not None else 0.0
-    diamag = _effective(args.diamag, cfg, "diamag", _MODEL_DEFAULTS["diamag"])
-    if diamag == "auto":
-        if l1 != l2:
-            raise ValueError("--diamag auto needs equal mixing and squeezing couplings")
-        dval = l1 * l1 / wb
-    elif diamag == "zero":
-        dval = 0.0
-    else:
-        dval = float(diamag)
-    return ModelParams(wa, wb, l1, l2, dval)
-
-
-def _resolve_env(args, cfg: dict) -> Environment:
-    return Environment(
-        temperature=float(_effective(args.temp, cfg, "temp", _ENV_DEFAULTS["temp"])),
-        gamma_a=float(_effective(args.gamma_a, cfg, "gamma-a", _ENV_DEFAULTS["gamma-a"])),
-        gamma_b=float(_effective(args.gamma_b, cfg, "gamma-b", _ENV_DEFAULTS["gamma-b"])),
+def _model_params(args) -> ModelParams:
+    return resolve_params(
+        args.wa, args.wb, args.lam, args.lambda1, args.lambda2, diamag=args.diamag
     )
+
+
+def _environment(args) -> Environment:
+    slopes = {
+        name: float(value)
+        for name, value in (("gamma_a", args.gamma_a), ("gamma_b", args.gamma_b))
+        if value is not None
+    }
+    return Environment(float(args.temp or 0.0), **slopes)
 
 
 def _write(text: str, path: str) -> None:
@@ -131,55 +116,46 @@ def _write(text: str, path: str) -> None:
             fh.write(text)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def cmd_diagonalize(args) -> int:
-    cfg = _load_config(args.config)
-    params = _resolve_params(args, cfg)
+    params = _model_params(args)
     try:
         basis = diagonalize_params(params)
     except InstabilityError as exc:
         print(f"unstable: {exc}", file=sys.stderr)
         return 2
     lines = [
-        f"omega_U = {_fmt(basis.omega_upper)}",
-        f"omega_L = {_fmt(basis.omega_lower)}",
-        f"theta = {_fmt(basis.theta) if basis.theta is not None else 'n/a'}",
+        f"omega_U = {format_value(basis.omega_upper)}",
+        f"omega_L = {format_value(basis.omega_lower)}",
+        f"theta = {format_value(basis.theta) if basis.theta is not None else 'n/a'}",
     ]
     for label, coeffs in (("U", basis.coeffs_upper), ("L", basis.coeffs_lower)):
-        w, x, y, z = coeffs
-        lines.append(
-            f"branch {label}: w={_fmt(w)} x={_fmt(x)} y={_fmt(y)} z={_fmt(z)}"
-        )
+        cells = " ".join(f"{k}={format_value(v)}" for k, v in zip("wxyz", coeffs))
+        lines.append(f"branch {label}: {cells}")
     nu, nl = basis.bogoliubov_norms()
-    lines.append(f"norm_residuals = {_fmt(abs(nu - 1))} {_fmt(abs(nl - 1))}")
-    lines.append(f"orthogonality_residual = {_fmt(basis.orthogonality_residual())}")
+    residuals = f"{format_value(abs(nu - 1))} {format_value(abs(nl - 1))}"
+    lines.append(f"norm_residuals = {residuals}")
+    lines.append(
+        f"orthogonality_residual = {format_value(basis.orthogonality_residual())}"
+    )
     _write("\n".join(lines) + "\n", args.output)
     return 0
 
 
 def cmd_point(args) -> int:
-    cfg = _load_config(args.config)
-    params = _resolve_params(args, cfg)
-    env = _resolve_env(args, cfg)
-    if args.dump_cov is not None:
+    params = _model_params(args)
+    env = _environment(args)
+    if args.dump_cov is None:
+        row = run_point(params, env, args.state)
+    else:
         try:
-            gamma = state_covariance(params, env, args.state)
+            state = point_state(params, env, args.state)
         except InstabilityError as exc:
             print(f"unstable: {exc}", file=sys.stderr)
             return 2
-        text = format_covariance(gamma)
+        _write(format_covariance(state[1]), args.dump_cov)
         if args.dump_cov == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.dump_cov, "w", newline="\n") as fh:
-                fh.write(text)
-            row = run_point(params, env, args.state)
-            _write(CSV_HEADER + "\n" + row.to_csv() + "\n", args.output)
-        return 0
-    row = run_point(params, env, args.state)
+            return 0
+        row = result_row(params, env, args.state, state)
     _write(CSV_HEADER + "\n" + row.to_csv() + "\n", args.output)
     return 0
 
@@ -193,62 +169,31 @@ def _parse_axis(text: str) -> Axis:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    env = _resolve_env(args, cfg)
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
     axes = tuple(_parse_axis(a) for a in args.axis or ())
     if args.scenario and args.scenario != "custom":
-        spec = resolve_scenario(args.scenario)
-        fixed = dict(spec.fixed)
-        for key, value in (
-            ("wa", args.wa),
-            ("wb", args.wb),
-            ("lambda", args.lam),
-            ("T", args.temp),
-        ):
-            if value is not None:
-                fixed[key] = float(value)
-        spec = SweepSpec(
-            scenario=spec.scenario,
-            axes=axes or spec.axes,
-            fixed=fixed,
-            diamag_mode=_override_diamag(spec.diamag_mode, args.diamag),
-            state=args.state or spec.state,
-            coupling=args.coupling or spec.coupling,
-            description=spec.description,
-        )
+        base = resolve_scenario(args.scenario)
+    elif axes:
+        base = SweepSpec(scenario="custom", axes=axes)
     else:
-        if not axes:
-            raise ValueError("a custom sweep needs at least one --axis")
-        fixed = {
-            "wa": float(_effective(args.wa, cfg, "wa", 1.0)),
-            "wb": float(_effective(args.wb, cfg, "wb", 1.0)),
-            "lambda": float(_effective(args.lam, cfg, "lambda", 0.0) or 0.0),
-            "T": env.temperature,
-        }
-        spec = SweepSpec(
-            scenario="custom",
-            axes=axes,
-            fixed=fixed,
-            diamag_mode=_override_diamag("auto", args.diamag),
-            state=args.state or "thermal",
-            coupling=args.coupling or "full",
-        )
-    _write(sweep_csv(spec, env, workers=args.workers), args.output)
+        raise ValueError("a custom sweep needs at least one --axis")
+    given = {"wa": args.wa, "wb": args.wb, "lambda": args.lam, "T": args.temp}
+    spec = dataclasses.replace(
+        base,
+        axes=axes or base.axes,
+        fixed={**base.fixed, **{k: float(v) for k, v in given.items() if v is not None}},
+        diamag_mode=base.diamag_mode if args.diamag is None else args.diamag,
+        state=args.state or base.state,
+        coupling=args.coupling or base.coupling,
+    )
+    _write(sweep_csv(spec, _environment(args), workers=args.workers), args.output)
     return 0
 
 
-def _override_diamag(base, flag):
-    if flag is None:
-        return base
-    if flag in ("auto", "zero"):
-        return flag
-    return float(flag)
-
-
 def cmd_dynamics(args) -> int:
-    cfg = _load_config(args.config)
-    params = _resolve_params(args, cfg)
-    env = _resolve_env(args, cfg)
+    params = _model_params(args)
+    env = _environment(args)
     try:
         basis = diagonalize_params(params)
     except InstabilityError as exc:
@@ -350,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _apply_config(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

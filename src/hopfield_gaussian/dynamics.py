@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PolaritonBasis
-from .states import Environment, thermal_occupation
+from .states import Environment, format_value, thermal_occupation
 
 __all__ = [
     "NoSteadyStateError",
@@ -257,23 +257,20 @@ TRAJECTORY_HEADER = "t,occ_U,occ_L,re_sq_U,im_sq_U,re_sq_L,im_sq_L,re_cross,im_c
 
 
 def trajectory_rows(points: list[tuple[float, SecondMoments]]) -> list[str]:
-    def fmt(x: float) -> str:
-        return f"{x:.12g}"
-
     rows = []
     for t, m in points:
         rows.append(
             ",".join(
                 [
-                    fmt(t),
-                    fmt(m.occ_upper),
-                    fmt(m.occ_lower),
-                    fmt(m.sq_upper.real),
-                    fmt(m.sq_upper.imag),
-                    fmt(m.sq_lower.real),
-                    fmt(m.sq_lower.imag),
-                    fmt(m.cross.real),
-                    fmt(m.cross.imag),
+                    format_value(t),
+                    format_value(m.occ_upper),
+                    format_value(m.occ_lower),
+                    format_value(m.sq_upper.real),
+                    format_value(m.sq_upper.imag),
+                    format_value(m.sq_lower.real),
+                    format_value(m.sq_lower.imag),
+                    format_value(m.cross.real),
+                    format_value(m.cross.imag),
                 ]
             )
         )

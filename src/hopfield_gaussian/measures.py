@@ -28,7 +28,6 @@ __all__ = [
     "symplectic_invariants",
     "ppt_symplectic_eigenvalues",
     "log_negativity",
-    "log_negativity_raw",
     "gaussian_steering",
     "gaussian_steering_raw",
     "purities",
@@ -58,12 +57,30 @@ class SteeringClass(str, Enum):
 
 @dataclass(frozen=True)
 class SymplecticInvariants:
+    """Block determinants and partial-transpose pair; every measure follows."""
+
     i_a: float
     i_b: float
     i_c: float
     i_ab: float
     d_minus: float
     d_plus: float
+
+    def log_negativity(self) -> float:
+        return max(0.0, -math.log(2.0 * self.d_minus))
+
+    def steering_raw(self) -> tuple[float, float]:
+        return (
+            0.5 * math.log(self.i_a / (4.0 * self.i_ab)),
+            0.5 * math.log(self.i_b / (4.0 * self.i_ab)),
+        )
+
+    def steering(self) -> tuple[float, float]:
+        raw_ab, raw_ba = self.steering_raw()
+        return max(0.0, raw_ab), max(0.0, raw_ba)
+
+    def purities(self) -> tuple[float, float, float]:
+        return 1.0 / (4.0 * self.i_a), 1.0 / (4.0 * self.i_b), 1.0 / (16.0 * self.i_ab)
 
 
 @dataclass(frozen=True)
@@ -116,33 +133,23 @@ def ppt_symplectic_eigenvalues(gamma: CovarianceMatrix) -> np.ndarray:
     return np.sort(np.abs(ev))[::2]
 
 
-def log_negativity_raw(gamma: CovarianceMatrix) -> float:
-    return -math.log(2.0 * symplectic_invariants(gamma).d_minus)
-
-
 def log_negativity(gamma: CovarianceMatrix) -> float:
     """Entanglement monotone max(0, -ln 2 d~_-)."""
-    return max(0.0, log_negativity_raw(gamma))
+    return symplectic_invariants(gamma).log_negativity()
 
 
 def gaussian_steering_raw(gamma: CovarianceMatrix) -> tuple[float, float]:
-    inv = symplectic_invariants(gamma)
-    return (
-        0.5 * math.log(inv.i_a / (4.0 * inv.i_ab)),
-        0.5 * math.log(inv.i_b / (4.0 * inv.i_ab)),
-    )
+    return symplectic_invariants(gamma).steering_raw()
 
 
 def gaussian_steering(gamma: CovarianceMatrix) -> tuple[float, float]:
     """(G_{a->b}, G_{b->a}), each clipped at zero."""
-    raw_ab, raw_ba = gaussian_steering_raw(gamma)
-    return max(0.0, raw_ab), max(0.0, raw_ba)
+    return symplectic_invariants(gamma).steering()
 
 
 def purities(gamma: CovarianceMatrix) -> tuple[float, float, float]:
     """Marginal and global purities 1/(4 I_a), 1/(4 I_b), 1/(16 I_ab)."""
-    inv = symplectic_invariants(gamma)
-    return 1.0 / (4.0 * inv.i_a), 1.0 / (4.0 * inv.i_b), 1.0 / (16.0 * inv.i_ab)
+    return symplectic_invariants(gamma).purities()
 
 
 def classify_steering(g_ab: float, g_ba: float) -> SteeringClass:
@@ -162,11 +169,11 @@ def classify_steering(g_ab: float, g_ba: float) -> SteeringClass:
 def average_occupations(gamma: CovarianceMatrix) -> tuple[float, float]:
     """Mode occupations from the quadrature variances, (x^2 + p^2 - 1)/2."""
     _require_physical(gamma)
-    g = gamma.entries
-    return (
-        0.5 * (g[0, 0] + g[1, 1] - 1.0),
-        0.5 * (g[2, 2] + g[3, 3] - 1.0),
-    )
+    return _occupations(gamma.entries)
+
+
+def _occupations(g: np.ndarray) -> tuple[float, float]:
+    return 0.5 * (g[0, 0] + g[1, 1] - 1.0), 0.5 * (g[2, 2] + g[3, 3] - 1.0)
 
 
 _MOMENT_KEYS = (
@@ -253,13 +260,17 @@ def ground_state_steering_closed(params: ModelParams) -> float:
 
 
 def correlation_report(gamma: CovarianceMatrix) -> CorrelationReport:
-    """Every correlation measure of one bare-basis state."""
-    e_n = log_negativity(gamma)
-    g_ab, g_ba = gaussian_steering(gamma)
-    mu_a, mu_b, mu_ab = purities(gamma)
-    n_a, n_b = average_occupations(gamma)
+    """Every correlation measure of one bare-basis state.
+
+    One physicality check and one set of block determinants serve every
+    field, through the same formulas as the scalar functions.
+    """
+    inv = symplectic_invariants(gamma)
+    g_ab, g_ba = inv.steering()
+    mu_a, mu_b, mu_ab = inv.purities()
+    n_a, n_b = _occupations(gamma.entries)
     return CorrelationReport(
-        e_n=e_n,
+        e_n=inv.log_negativity(),
         g_ab=g_ab,
         g_ba=g_ba,
         mu_a=mu_a,

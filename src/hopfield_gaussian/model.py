@@ -64,6 +64,9 @@ class ModelParams:
     diamag: float
 
     def __post_init__(self):
+        values = (self.omega_a, self.omega_b, self.lambda1, self.lambda2, self.diamag)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"model parameters must be finite, got {self}")
         if self.omega_a <= 0 or self.omega_b <= 0:
             raise ValueError("mode frequencies must be positive")
         if self.lambda1 < 0 or self.lambda2 < 0:

@@ -9,6 +9,7 @@ and are documented per preset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ class Axis:
             raise ValueError(f"cannot sweep {self.name!r}; one of {SWEEPABLE}")
         if len(self.values) < 2:
             raise ValueError("an axis needs at least two points")
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError(f"axis {self.name!r} values must be finite")
 
     @classmethod
     def linspace(cls, name: str, start: float, stop: float, count: int) -> "Axis":
@@ -64,11 +67,12 @@ class SweepSpec:
             raise ValueError("state must be 'ground' or 'thermal'")
         if self.coupling not in (FULL, SQUEEZE_ONLY, MIX_ONLY):
             raise ValueError(f"unknown coupling structure {self.coupling!r}")
-        if isinstance(self.diamag_mode, str) and self.diamag_mode not in (
-            "auto",
-            "zero",
-        ):
-            raise ValueError("diamag_mode must be 'auto', 'zero' or a number")
+        if self.diamag_mode not in ("auto", "zero"):
+            try:
+                float(self.diamag_mode)
+            except (TypeError, ValueError):
+                msg = "diamag_mode must be 'auto', 'zero' or a number"
+                raise ValueError(msg) from None
 
     def grid(self):
         """Row-major iteration over the axes, yielding parameter updates."""

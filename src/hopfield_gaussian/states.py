@@ -42,6 +42,7 @@ __all__ = [
     "no_a2_covariance_closed",
     "steady_state_covariance",
     "format_covariance",
+    "format_value",
     "parse_covariance",
 ]
 
@@ -125,6 +126,8 @@ class Environment:
     gamma_b: float = 0.01
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.temperature, self.gamma_a, self.gamma_b))):
+            raise ValueError(f"environment values must be finite, got {self}")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
         if self.gamma_a <= 0 or self.gamma_b <= 0:
@@ -325,6 +328,11 @@ def steady_state_covariance(basis: PolaritonBasis, temperature: float) -> Covari
     """
     gamma_p = polariton_thermal_covariance(basis, temperature)
     return to_bare_basis(gamma_p, quadrature_transform(basis))
+
+
+def format_value(x: float) -> str:
+    """12 significant digits: the one number format of every CSV and report."""
+    return f"{x:.12g}"
 
 
 def format_covariance(gamma: CovarianceMatrix) -> str:

@@ -20,12 +20,14 @@ from .model import (
     PolaritonBasis,
     bogoliubov_diagonalize,
     build_dynamical_matrix,
+    hopfield,
     hopfield_basis,
 )
 from .scenarios import FULL, MIX_ONLY, SQUEEZE_ONLY, SweepSpec
 from .states import (
     CovarianceMatrix,
     Environment,
+    format_value,
     ground_state_covariance_generic,
     steady_state_covariance,
 )
@@ -34,10 +36,12 @@ __all__ = [
     "CSV_HEADER",
     "ResultRow",
     "diagonalize_params",
-    "state_covariance",
+    "point_state",
+    "result_row",
     "run_point",
     "run_sweep",
     "sweep_csv",
+    "resolve_params",
     "spec_to_params",
 ]
 
@@ -45,10 +49,6 @@ CSV_HEADER = (
     "lambda,wa,wb,T,omega_U,omega_L,E_N,G_ab,G_ba,"
     "mu_a,mu_b,mu_ab,N_a,N_b,class,stable"
 )
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class ResultRow:
     stable: bool = True
 
     def to_csv(self) -> str:
-        cells = [_fmt(self.lam), _fmt(self.wa), _fmt(self.wb), _fmt(self.temperature)]
+        cells = [format_value(v) for v in (self.lam, self.wa, self.wb, self.temperature)]
         for v in (
             self.omega_upper,
             self.omega_lower,
@@ -86,7 +86,7 @@ class ResultRow:
             self.n_a,
             self.n_b,
         ):
-            cells.append("" if v is None else _fmt(v))
+            cells.append("" if v is None else format_value(v))
         cells.append(self.classification or "")
         cells.append("true" if self.stable else "false")
         return ",".join(cells)
@@ -104,45 +104,35 @@ def diagonalize_params(params: ModelParams) -> PolaritonBasis:
     )
 
 
-def state_covariance(
+def point_state(
     params: ModelParams, env: Environment | None, state_kind: str
-) -> CovarianceMatrix:
-    """Bare-basis covariance of the requested state at one parameter point."""
+) -> tuple[PolaritonBasis, CovarianceMatrix]:
+    """Polariton basis and bare-basis covariance of the requested state."""
+    if state_kind not in ("ground", "thermal"):
+        raise ValueError("state_kind must be 'ground' or 'thermal'")
     basis = diagonalize_params(params)
     if state_kind == "ground":
-        return ground_state_covariance_generic(basis)
-    if state_kind == "thermal":
-        temperature = env.temperature if env is not None else 0.0
-        return steady_state_covariance(basis, temperature)
-    raise ValueError("state_kind must be 'ground' or 'thermal'")
+        return basis, ground_state_covariance_generic(basis)
+    return basis, steady_state_covariance(basis, env.temperature if env else 0.0)
 
 
-def run_point(
-    params: ModelParams, env: Environment | None, state_kind: str
+def result_row(
+    params: ModelParams,
+    env: Environment | None,
+    state_kind: str,
+    state: tuple[PolaritonBasis, CovarianceMatrix] | None,
 ) -> ResultRow:
-    """Full pipeline for one point; instability becomes a flagged row."""
-    swept_lam = max(params.lambda1, params.lambda2)
+    """Row of one point from its ``point_state``; None flags an unstable point."""
+    lam = max(params.lambda1, params.lambda2)
     temperature = env.temperature if (env and state_kind == "thermal") else 0.0
-    try:
-        basis = diagonalize_params(params)
-        gamma = (
-            ground_state_covariance_generic(basis)
-            if state_kind == "ground"
-            else steady_state_covariance(basis, temperature)
-        )
-    except InstabilityError:
+    if state is None:
         return ResultRow(
-            lam=swept_lam,
-            wa=params.omega_a,
-            wb=params.omega_b,
-            temperature=temperature,
-            omega_upper=None,
-            omega_lower=None,
-            stable=False,
+            lam, params.omega_a, params.omega_b, temperature, None, None, stable=False
         )
+    basis, gamma = state
     report = correlation_report(gamma)
     return ResultRow(
-        lam=swept_lam,
+        lam=lam,
         wa=params.omega_a,
         wb=params.omega_b,
         temperature=temperature,
@@ -161,33 +151,72 @@ def run_point(
     )
 
 
+def run_point(
+    params: ModelParams, env: Environment | None, state_kind: str
+) -> ResultRow:
+    """Full pipeline for one point; instability becomes a flagged row."""
+    try:
+        state = point_state(params, env, state_kind)
+    except InstabilityError:
+        state = None
+    return result_row(params, env, state_kind, state)
+
+
+def resolve_params(
+    wa: float | None = None,
+    wb: float | None = None,
+    lam: float | None = None,
+    lambda1: float | None = None,
+    lambda2: float | None = None,
+    coupling: str = FULL,
+    diamag: str | float | None = None,
+) -> ModelParams:
+    """Model parameters from user-level inputs.
+
+    ``lam`` drives the interaction terms that ``coupling`` selects;
+    ``lambda1``/``lambda2`` set the mixing and squeezing terms directly
+    instead.  ``diamag`` is 'auto' (lambda^2/wb, which needs equal
+    couplings), 'zero' or a value.  Unset frequencies default to 1,
+    unset couplings to 0 and an unset diamag to 'auto'.
+    """
+    if lam is not None and (lambda1 is not None or lambda2 is not None):
+        raise ValueError("give either lambda or lambda1/lambda2, not both")
+    if lam is None:
+        l1, l2 = float(lambda1 or 0.0), float(lambda2 or 0.0)
+    elif coupling == FULL:
+        l1 = l2 = float(lam)
+    elif coupling == SQUEEZE_ONLY:
+        l1, l2 = 0.0, float(lam)
+    elif coupling == MIX_ONLY:
+        l1, l2 = float(lam), 0.0
+    else:
+        raise ValueError(f"unknown coupling structure {coupling!r}")
+    wa = 1.0 if wa is None else float(wa)
+    wb = 1.0 if wb is None else float(wb)
+    diamag = "auto" if diamag is None else diamag
+    # validated before the 'auto' rule reads the couplings, so bad input is
+    # reported as such, not as unequal couplings or a division by zero
+    value = 0.0 if diamag in ("auto", "zero") else float(diamag)
+    params = ModelParams(wa, wb, l1, l2, value)
+    if diamag != "auto":
+        return params
+    if l1 != l2:
+        raise ValueError("diamag 'auto' needs equal mixing and squeezing couplings")
+    return hopfield(wa, wb, l1)
+
+
 def spec_to_params(spec: SweepSpec, point: dict) -> tuple[ModelParams, float]:
     """Materialize one grid point of a sweep into model parameters."""
     values = dict(spec.fixed)
     values.update(point)
-    wa = float(values.get("wa", 1.0))
-    wb = float(values.get("wb", 1.0))
-    lam = float(values.get("lambda", 0.0))
-    temperature = float(values.get("T", 0.0))
-    if spec.coupling == FULL:
-        l1 = l2 = lam
-    elif spec.coupling == SQUEEZE_ONLY:
-        l1, l2 = 0.0, lam
-    elif spec.coupling == MIX_ONLY:
-        l1, l2 = lam, 0.0
-    else:
-        raise ValueError(f"unknown coupling structure {spec.coupling!r}")
-    if spec.diamag_mode == "auto":
-        if l1 != l2:
-            raise ValueError(
-                "diamag 'auto' is defined only for the full (lambda1 = lambda2) coupling"
-            )
-        diamag = lam * lam / wb
-    elif spec.diamag_mode == "zero":
-        diamag = 0.0
-    else:
-        diamag = float(spec.diamag_mode)
-    return ModelParams(wa, wb, l1, l2, diamag), temperature
+    params = resolve_params(
+        values.get("wa"),
+        values.get("wb"),
+        values.get("lambda", 0.0),
+        coupling=spec.coupling,
+        diamag=spec.diamag_mode,
+    )
+    return params, float(values.get("T", 0.0))
 
 
 def _eval_task(task) -> str:
@@ -203,9 +232,8 @@ def run_sweep(
     workers: int = 1,
 ) -> list[str]:
     """Evaluate the whole grid; returns CSV rows in deterministic order."""
-    gamma_a = env.gamma_a if env else 0.01
-    gamma_b = env.gamma_b if env else 0.01
-    tasks = [(spec, point, gamma_a, gamma_b) for point in spec.grid()]
+    env = env or Environment(0.0)
+    tasks = [(spec, point, env.gamma_a, env.gamma_b) for point in spec.grid()]
     if workers <= 1:
         return [_eval_task(t) for t in tasks]
     with multiprocessing.Pool(processes=workers) as pool:

@@ -229,6 +229,37 @@ class TestClassification:
             assert rep.e_n > 0
 
 
+class TestCorrelationReport:
+    @given(
+        st.one_of(
+            st.just(VACUUM),
+            st.integers(0, 2**32 - 1).map(
+                lambda seed: random_physical_covariance(np.random.default_rng(seed))
+            ),
+        )
+    )
+    def test_fields_equal_the_scalar_functions(self, gamma):
+        rep = correlation_report(gamma)
+        assert rep.e_n == log_negativity(gamma)
+        assert (rep.g_ab, rep.g_ba) == gaussian_steering(gamma)
+        assert (rep.mu_a, rep.mu_b, rep.mu_ab) == purities(gamma)
+        assert (rep.n_a, rep.n_b) == average_occupations(gamma)
+        assert rep.classification is classify_steering(rep.g_ab, rep.g_ba)
+
+    def test_one_physicality_check_per_call(self, monkeypatch):
+        calls = []
+        is_physical = CovarianceMatrix.is_physical
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return is_physical(self, *args, **kwargs)
+
+        monkeypatch.setattr(CovarianceMatrix, "is_physical", counted)
+        gamma = thermal_covariance_closed(hopfield(1, 1, 0.8), 0.25)
+        correlation_report(gamma)
+        assert calls == [gamma]
+
+
 class TestOccupations:
     def test_vacuum(self):
         assert average_occupations(VACUUM) == (0.0, 0.0)

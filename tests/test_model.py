@@ -52,6 +52,10 @@ class TestModelParams:
             dict(omega_a=1, omega_b=-1, lambda1=0, lambda2=0, diamag=0),
             dict(omega_a=1, omega_b=1, lambda1=-0.1, lambda2=0, diamag=0),
             dict(omega_a=1, omega_b=1, lambda1=0, lambda2=0, diamag=-1),
+            dict(omega_a=math.nan, omega_b=1, lambda1=0, lambda2=0, diamag=0),
+            dict(omega_a=1, omega_b=math.inf, lambda1=0, lambda2=0, diamag=0),
+            dict(omega_a=1, omega_b=1, lambda1=math.nan, lambda2=math.nan, diamag=0),
+            dict(omega_a=1, omega_b=1, lambda1=0, lambda2=0, diamag=math.inf),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

@@ -79,6 +79,12 @@ class TestEnvironment:
             Environment(-0.1)
         with pytest.raises(ValueError):
             Environment(0.1, gamma_a=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            Environment(math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            Environment(0.1, gamma_b=math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            Environment(math.inf)
 
 
 class TestPolaritonThermalState:

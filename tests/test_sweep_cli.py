@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from hopfield_gaussian import cli
 from hopfield_gaussian.dynamics import resonant_balance_frequency
 from hopfield_gaussian.measures import SteeringClass
 from hopfield_gaussian.model import hopfield, no_a2
@@ -61,6 +63,10 @@ class TestRunPoint:
         text = row.to_csv()
         assert text == "0.6,1,1,0.25,,,,,,,,,,,,false"
 
+    def test_unknown_state_kind_rejected(self):
+        with pytest.raises(ValueError, match="state_kind"):
+            run_point(hopfield(1, 1, 0.5), Environment(0.25), "squeezed")
+
 
 class TestScenarioRegistry:
     def test_all_presets_exist(self):
@@ -103,6 +109,10 @@ class TestScenarioRegistry:
             Axis("nope", (1.0, 2.0))
         with pytest.raises(ValueError):
             Axis("lambda", (1.0,))
+        with pytest.raises(ValueError, match="finite"):
+            Axis("lambda", (0.1, math.nan))
+        with pytest.raises(ValueError, match="finite"):
+            Axis("T", (0.1, math.inf))
         with pytest.raises(ValueError):
             SweepSpec(
                 scenario="custom",
@@ -273,6 +283,49 @@ class TestCli:
         )
         cells = proc.stdout.splitlines()[1].split(",")
         assert cells[0] == "0.5" and cells[1] == "1" and cells[3] == "0.25"
+
+    def test_dump_cov_file_and_row_share_one_state(self, tmp_path, capsys):
+        path = tmp_path / "cov.txt"
+        argv = ["point", "--lambda", "0.7", "--state", "thermal", "--temp", "0.3"]
+        assert cli.main([*argv, "--dump-cov", str(path)]) == 0
+        g = parse_covariance(path.read_text()).entries
+        cells = capsys.readouterr().out.splitlines()[1].split(",")
+        assert cells[12] == f"{(g[0, 0] + g[1, 1] - 1.0) / 2:.12g}"
+
+    def test_config_applies_to_preset_sweep(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"temp": 0.5, "wa": 2.0}))
+        from_config, from_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
+        base = ["sweep", "--scenario", "fig5"]
+        assert cli.main([*base, "--config", str(cfg), "--output", str(from_config)]) == 0
+        assert cli.main([*base, "--temp", "0.5", "--wa", "2", "--output", str(from_flags)]) == 0
+        assert from_config.read_text() == from_flags.read_text()
+        cells = from_config.read_text().splitlines()[1].split(",")
+        assert cells[1] == "2" and cells[3] == "0.5"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["point", "--lambda", "nan"], "must be finite"),
+            (["point", "--state", "thermal", "--temp", "nan"], "must be finite"),
+            (["sweep", "--scenario", "custom", "--axis", "lambda:0.1:nan:3"], "must be finite"),
+            (["point", "--wb", "0"], "frequencies must be positive"),
+        ],
+    )
+    def test_bad_input_rejected_up_front(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_rejects_fewer_than_one_worker(self, workers, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli, "sweep_csv", no_sweep)
+        assert cli.main(["sweep", "--scenario", "fig8", "--workers", workers]) == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
 
     def test_conflicting_coupling_flags_rejected(self):
         proc = run_cli(
