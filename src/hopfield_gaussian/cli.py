@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .dynamics import (
@@ -171,6 +172,11 @@ def _parse_axis(text: str) -> Axis:
 def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
+    if args.lambda1 is not None or args.lambda2 is not None:
+        raise ValueError(
+            "sweep does not take --lambda1/--lambda2; set the coupling with "
+            "--lambda (or a lambda axis) and the driven terms with --coupling"
+        )
     axes = tuple(_parse_axis(a) for a in args.axis or ())
     if args.scenario and args.scenario != "custom":
         base = resolve_scenario(args.scenario)
@@ -192,6 +198,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
+    for flag, value in (("--t-final", args.t_final), ("--dt", args.dt)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be a positive finite number, got {value}")
     params = _model_params(args)
     env = _environment(args)
     try:

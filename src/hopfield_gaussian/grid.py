@@ -1,0 +1,330 @@
+"""Batched grid kernel: a whole sweep grid as one array pass.
+
+``evaluate_grid`` takes resolved parameters as arrays (one entry per grid
+point) and returns every CSV column as an array.  It follows the scalar
+route of ``sweep.run_point`` step by step, with the same formulas:
+
+- closed-form frequencies, mixing angles and Bogoliubov coefficients
+  elementwise for the single-coupling family; points past the stability
+  edge become unstable rows,
+- the scalar numeric solver, one point at a time, for general couplings,
+  the uncoupled model and closed-form points with a degenerate spectrum,
+- every covariance T diag(coth weights) T^T with one batched matrix
+  product, bit for bit the product of the scalar route,
+- one stacked eigenvalue check of i Omega Gamma for physicality,
+- the four block determinants per point, and every measure from them.
+
+Each point's result depends on that point alone, so any contiguous split
+of a grid yields the same rows; the worker pool relies on this.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, fields
+from itertools import repeat
+
+import numpy as np
+
+from .measures import STEERING_THRESHOLD, SteeringClass, UnphysicalStateError
+from .model import (
+    DEGENERACY_TOL,
+    InstabilityError,
+    ModelParams,
+    bogoliubov_diagonalize,
+    build_dynamical_matrix,
+)
+from .states import PHYSICALITY_TOL, VALUE_FORMAT, symplectic_form
+
+__all__ = ["GridPoints", "GridResult", "evaluate_grid"]
+
+_I_OMEGA = 1j * symplectic_form()
+# class label by (G_ab above threshold) + 2 * (G_ba above threshold)
+_CLASS_LABELS = np.array(
+    [
+        SteeringClass.NO_WAY.value,
+        SteeringClass.ONE_WAY_A_TO_B.value,
+        SteeringClass.ONE_WAY_B_TO_A.value,
+        SteeringClass.TWO_WAY.value,
+    ],
+    dtype=object,
+)
+_MEASURES = (
+    "omega_upper",
+    "omega_lower",
+    "e_n",
+    "g_ab",
+    "g_ba",
+    "mu_a",
+    "mu_b",
+    "mu_ab",
+    "n_a",
+    "n_b",
+)
+# measure cells, class and stable flag of an unstable row
+_UNSTABLE_TAIL = "," * (len(_MEASURES) + 2) + "false"
+
+
+@dataclass(frozen=True)
+class GridPoints:
+    """Model parameters and temperature of each grid point, as float arrays."""
+
+    omega_a: np.ndarray
+    omega_b: np.ndarray
+    lambda1: np.ndarray
+    lambda2: np.ndarray
+    diamag: np.ndarray
+    temperature: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.omega_a)
+
+    def chunk(self, start: int, stop: int) -> GridPoints:
+        """The contiguous run of points [start, stop)."""
+        return GridPoints(*(getattr(self, f.name)[start:stop] for f in fields(self)))
+
+    def params(self, i: int) -> ModelParams:
+        return ModelParams(
+            float(self.omega_a[i]),
+            float(self.omega_b[i]),
+            float(self.lambda1[i]),
+            float(self.lambda2[i]),
+            float(self.diamag[i]),
+        )
+
+
+@dataclass(frozen=True)
+class GridResult:
+    """Every CSV column of a grid; measures are NaN and class None when unstable."""
+
+    lam: np.ndarray
+    wa: np.ndarray
+    wb: np.ndarray
+    temperature: np.ndarray
+    stable: np.ndarray
+    omega_upper: np.ndarray
+    omega_lower: np.ndarray
+    e_n: np.ndarray
+    g_ab: np.ndarray
+    g_ba: np.ndarray
+    mu_a: np.ndarray
+    mu_b: np.ndarray
+    mu_ab: np.ndarray
+    n_a: np.ndarray
+    n_b: np.ndarray
+    classification: np.ndarray
+
+    def csv_rows(self) -> list[str]:
+        """One row per point, in the format of ``ResultRow.to_csv``."""
+
+        def cells(values: np.ndarray) -> list[str]:
+            # grids repeat many values (axes, zero measures): format each
+            # distinct bit pattern once, which also keeps -0.0 apart from 0.0
+            bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+            distinct = bits.view(np.float64).tolist()
+            text = np.array(list(map(format, distinct, repeat(VALUE_FORMAT))), object)
+            return text[inverse].tolist()
+
+        head = map(
+            ",".join,
+            zip(*(cells(c) for c in (self.lam, self.wa, self.wb, self.temperature))),
+        )
+        ok = self.stable
+        measures = [cells(getattr(self, name)[ok]) for name in _MEASURES]
+        tails = iter(
+            map(",".join, zip(*measures, self.classification[ok], repeat("true")))
+        )
+        return [
+            f"{h},{next(tails)}" if s else h + _UNSTABLE_TAIL
+            for h, s in zip(head, ok.tolist())
+        ]
+
+
+def _by_math(fn, *arrays: np.ndarray) -> np.ndarray:
+    """A ``math`` function per element.
+
+    numpy's hypot, arctan2 and expm1 can differ from ``math`` in the last
+    bit, and the determinant formula for E_N magnifies a last-bit change of
+    a covariance entry to about 1e-8 near a separable pure state; with
+    ``math`` the covariances equal those of the scalar route exactly.
+    """
+    values = map(fn, *(a.tolist() for a in arrays))
+    return np.fromiter(values, float, len(arrays[0]))
+
+
+def _bose(omega: np.ndarray, temperature: np.ndarray) -> np.ndarray:
+    """``states.thermal_occupation`` elementwise: 0 at T = 0 and past exp underflow."""
+    occupation = np.zeros_like(omega)
+    hot = np.flatnonzero(temperature > 0.0)
+    with np.errstate(over="ignore"):  # inf, as Python's float division gives
+        x = omega[hot] / temperature[hot]
+    live = x <= 700.0
+    occupation[hot[live]] = 1.0 / _by_math(math.expm1, x[live])
+    return occupation
+
+
+def _f_plus(x: np.ndarray) -> np.ndarray:
+    r = np.sqrt(x)
+    return 0.5 * (r + 1.0 / r)
+
+
+def _f_minus(x: np.ndarray) -> np.ndarray:
+    r = np.sqrt(x)
+    return 0.5 * (r - 1.0 / r)
+
+
+def _closed_form(wa, wb, lam, dd):
+    """``model.hopfield_basis`` elementwise.
+
+    Returns (stable, degenerate, omega_U, omega_L, upper (4, n), lower (4, n));
+    frequencies and coefficients are meaningful where stable and not degenerate.
+    """
+    aa = wa * wa + 4.0 * dd * wa
+    bb = wb * wb
+    half_sum = 0.5 * (aa + bb)
+    half_gap = _by_math(math.hypot, 0.5 * (aa - bb), 2.0 * lam * np.sqrt(wa * wb))
+    product = aa * bb - 4.0 * lam * lam * wa * wb
+    stable = product > 0.0
+    wu_sq = half_sum + half_gap
+    wu = np.sqrt(wu_sq)
+    wl = np.sqrt(np.where(stable, product, 1.0) / wu_sq)
+    degenerate = wu - wl < DEGENERACY_TOL * wb
+    gap_sq = np.where(degenerate, 1.0, wu * wu - wl * wl)
+    cos2t = (wa * wa + 4.0 * dd * wa - wb * wb) / gap_sq
+    sin2t = -4.0 * lam * np.sqrt(wa * wb) / gap_sq
+    theta = 0.5 * _by_math(math.atan2, sin2t, cos2t)
+    ct, st = np.cos(theta), np.sin(theta)
+    upper = (
+        ct * _f_plus(wu / wa),
+        -st * _f_plus(wu / wb),
+        ct * _f_minus(wu / wa),
+        -st * _f_minus(wu / wb),
+    )
+    lower = (
+        st * _f_plus(wl / wa),
+        ct * _f_plus(wl / wb),
+        st * _f_minus(wl / wa),
+        ct * _f_minus(wl / wb),
+    )
+    return stable, degenerate & stable, wu, wl, np.array(upper), np.array(lower)
+
+
+def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
+    """Rows of every grid point, each equal to ``run_point`` on that point.
+
+    ``state_kind`` is 'ground' (polariton vacuum) or 'thermal' (common-bath
+    steady state at each point's temperature).  Raises UnphysicalStateError
+    when a stable point's covariance violates the uncertainty bound, and
+    ValueError when a stable point's measures are not finite.
+    """
+    if state_kind not in ("ground", "thermal"):
+        raise ValueError("state_kind must be 'ground' or 'thermal'")
+    n = len(points)
+    wa, wb, l1, l2 = points.omega_a, points.omega_b, points.lambda1, points.lambda2
+    temperature = points.temperature if state_kind == "thermal" else np.zeros(n)
+    stable = np.ones(n, dtype=bool)
+    freqs = np.empty((2, n))  # omega_U, omega_L
+    coeffs = np.empty((2, 4, n))  # (w, x, y, z) of the upper and lower branch
+
+    closed = np.flatnonzero((l1 == l2) & (l1 > 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok, degenerate, wu, wl, upper, lower = _closed_form(
+            wa[closed], wb[closed], l1[closed], points.diamag[closed]
+        )
+    stable[closed[~ok]] = False
+    keep = ok & ~degenerate
+    done = closed[keep]
+    freqs[:, done] = wu[keep], wl[keep]
+    coeffs[0][:, done] = upper[:, keep]
+    coeffs[1][:, done] = lower[:, keep]
+
+    numeric = np.ones(n, dtype=bool)
+    numeric[closed] = False
+    numeric[closed[degenerate]] = True
+    for i in np.flatnonzero(numeric).tolist():
+        try:
+            basis = bogoliubov_diagonalize(
+                build_dynamical_matrix(points.params(i)), allow_degenerate=True
+            )
+        except InstabilityError:
+            stable[i] = False
+            continue
+        freqs[:, i] = basis.omega_upper, basis.omega_lower
+        coeffs[0][:, i] = basis.coeffs_upper
+        coeffs[1][:, i] = basis.coeffs_lower
+
+    live = np.flatnonzero(stable)
+    (w_u, x_u, y_u, z_u), (w_l, x_l, y_l, z_l) = coeffs[:, :, live]
+    t = np.zeros((live.size, 4, 4))
+    t[:, 0, 0], t[:, 0, 2] = w_u - y_u, w_l - y_l
+    t[:, 1, 1], t[:, 1, 3] = w_u + y_u, w_l + y_l
+    t[:, 2, 0], t[:, 2, 2] = x_u - z_u, x_l - z_l
+    t[:, 3, 1], t[:, 3, 3] = x_u + z_u, x_l + z_l
+    omega_u, omega_l = freqs[:, live]
+    t_live = temperature[live]
+    a1 = 0.5 * (1.0 + 2.0 * _bose(omega_u, t_live))
+    b1 = 0.5 * (1.0 + 2.0 * _bose(omega_l, t_live))
+    weights = np.stack([a1, a1, b1, b1], axis=1)
+    gamma = (t * weights[:, None, :]) @ t.transpose(0, 2, 1)
+    gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))
+
+    # the matrices and the LAPACK routine of CovarianceMatrix.is_physical, so
+    # the two routes take the same decision at every point
+    nu = np.abs(np.linalg.eigvals(_I_OMEGA @ gamma))
+    if not np.all(nu.min(axis=1) >= 0.5 - PHYSICALITY_TOL):
+        raise UnphysicalStateError(
+            "covariance matrix violates the symplectic uncertainty bound"
+        )
+
+    i_a = np.linalg.det(gamma[:, :2, :2])
+    i_b = np.linalg.det(gamma[:, 2:, 2:])
+    i_c = np.linalg.det(gamma[:, 2:, :2])
+    i_ab = np.linalg.det(gamma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = i_a + i_b - 2.0 * i_c
+        disc_sq = delta * delta - 4.0 * i_ab
+        disc = np.sqrt(np.where(disc_sq < 0.0, 0.0, disc_sq))
+        half = 0.5 * (delta - disc)
+        d_minus = np.sqrt(np.where(half < 0.0, 0.0, half))
+        e_n = -np.log(2.0 * d_minus)
+        raw_ab = 0.5 * np.log(i_a / (4.0 * i_ab))
+        raw_ba = 0.5 * np.log(i_b / (4.0 * i_ab))
+        purities = 1.0 / (4.0 * i_a), 1.0 / (4.0 * i_b), 1.0 / (16.0 * i_ab)
+    # a zero or negative determinant here means the covariance is singular to
+    # rounding (a point at the stability edge), where the scalar route fails
+    finite = np.isfinite([e_n, raw_ab, raw_ba, *purities]).all(axis=0)
+    if not finite.all():
+        params = points.params(int(live[np.argmin(finite)]))
+        raise ValueError(
+            f"correlation measures are not finite at {params}: its covariance "
+            "is singular to rounding, at the stability edge"
+        )
+    # where(v > 0, v, 0) is max(0.0, v) of the scalar route, -0.0 included
+    e_n = np.where(e_n > 0.0, e_n, 0.0)
+    g_ab = np.where(raw_ab > 0.0, raw_ab, 0.0)
+    g_ba = np.where(raw_ba > 0.0, raw_ba, 0.0)
+    label = (g_ab > STEERING_THRESHOLD) + 2 * (g_ba > STEERING_THRESHOLD)
+
+    def column(values: np.ndarray, fill=np.nan, dtype=float) -> np.ndarray:
+        out = np.full(n, fill, dtype=dtype)
+        out[live] = values
+        return out
+
+    return GridResult(
+        lam=np.where(l2 > l1, l2, l1),
+        wa=wa,
+        wb=wb,
+        temperature=temperature,
+        stable=stable,
+        omega_upper=column(omega_u),
+        omega_lower=column(omega_l),
+        e_n=column(e_n),
+        g_ab=column(g_ab),
+        g_ba=column(g_ba),
+        mu_a=column(purities[0]),
+        mu_b=column(purities[1]),
+        mu_ab=column(purities[2]),
+        n_a=column(0.5 * (gamma[:, 0, 0] + gamma[:, 1, 1] - 1.0)),
+        n_b=column(0.5 * (gamma[:, 2, 2] + gamma[:, 3, 3] - 1.0)),
+        classification=column(_CLASS_LABELS[label], None, object),
+    )

@@ -26,6 +26,7 @@ __all__ = [
     "DynamicalMatrix",
     "PolaritonBasis",
     "hopfield",
+    "natural_diamag",
     "no_a2",
     "general",
     "critical_coupling",
@@ -86,9 +87,14 @@ class ModelParams:
         return self.lambda1
 
 
+def natural_diamag(lam, omega_b):
+    """Diamagnetic weight lambda^2/omega_b of light coupled to natural matter."""
+    return lam * lam / omega_b
+
+
 def hopfield(omega_a: float, omega_b: float, lam: float) -> ModelParams:
     """Light-matter parameters with the natural diamagnetic weight lambda^2/omega_b."""
-    return ModelParams(omega_a, omega_b, lam, lam, lam * lam / omega_b)
+    return ModelParams(omega_a, omega_b, lam, lam, natural_diamag(lam, omega_b))
 
 
 def no_a2(omega_a: float, omega_b: float, lam: float) -> ModelParams:

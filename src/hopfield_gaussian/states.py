@@ -43,6 +43,7 @@ __all__ = [
     "steady_state_covariance",
     "format_covariance",
     "format_value",
+    "VALUE_FORMAT",
     "parse_covariance",
 ]
 
@@ -330,9 +331,12 @@ def steady_state_covariance(basis: PolaritonBasis, temperature: float) -> Covari
     return to_bare_basis(gamma_p, quadrature_transform(basis))
 
 
+# 12 significant digits: the one number format of every CSV and report
+VALUE_FORMAT = ".12g"
+
+
 def format_value(x: float) -> str:
-    """12 significant digits: the one number format of every CSV and report."""
-    return f"{x:.12g}"
+    return format(x, VALUE_FORMAT)
 
 
 def format_covariance(gamma: CovarianceMatrix) -> str:

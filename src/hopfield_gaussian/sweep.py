@@ -1,17 +1,23 @@
 """Point evaluation and deterministic grid sweeps emitting CSV rows.
 
-A sweep walks its grid in row-major axis order, evaluates every point
-independently (optionally on a worker pool) and prints rows in grid
-order with a fixed 12-significant-digit float format, so the byte output
-is reproducible across runs and worker counts.  Dynamically unstable
-points become rows with empty measure fields and stable=false.
+A sweep resolves its grid in row-major axis order to parameter arrays and
+evaluates the whole grid as one array pass (``grid.evaluate_grid``),
+optionally in contiguous chunks on a worker pool.  Rows use a fixed
+12-significant-digit float format, so the byte output is reproducible
+across runs and worker counts.  Dynamically unstable points become rows
+with empty measure fields and stable=false.  ``run_point`` is the scalar
+route for one point and the reference the grid kernel is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 from dataclasses import dataclass
 
+import numpy as np
+
+from .grid import GridPoints, evaluate_grid
 from .measures import correlation_report
 from .model import (
     DegenerateSpectrumError,
@@ -22,6 +28,7 @@ from .model import (
     build_dynamical_matrix,
     hopfield,
     hopfield_basis,
+    natural_diamag,
 )
 from .scenarios import FULL, MIX_ONLY, SQUEEZE_ONLY, SweepSpec
 from .states import (
@@ -36,6 +43,7 @@ __all__ = [
     "CSV_HEADER",
     "ResultRow",
     "diagonalize_params",
+    "grid_points",
     "point_state",
     "result_row",
     "run_point",
@@ -162,6 +170,19 @@ def run_point(
     return result_row(params, env, state_kind, state)
 
 
+# (mixing lambda1, squeezing lambda2) terms that each coupling structure drives
+_DRIVES = {FULL: (True, True), SQUEEZE_ONLY: (False, True), MIX_ONLY: (True, False)}
+
+
+def _driven_terms(lam, coupling: str):
+    """(lambda1, lambda2) set by a coupling strength; elementwise on arrays."""
+    try:
+        mixing, squeezing = _DRIVES[coupling]
+    except KeyError:
+        raise ValueError(f"unknown coupling structure {coupling!r}") from None
+    return (lam if mixing else 0.0), (lam if squeezing else 0.0)
+
+
 def resolve_params(
     wa: float | None = None,
     wb: float | None = None,
@@ -183,14 +204,8 @@ def resolve_params(
         raise ValueError("give either lambda or lambda1/lambda2, not both")
     if lam is None:
         l1, l2 = float(lambda1 or 0.0), float(lambda2 or 0.0)
-    elif coupling == FULL:
-        l1 = l2 = float(lam)
-    elif coupling == SQUEEZE_ONLY:
-        l1, l2 = 0.0, float(lam)
-    elif coupling == MIX_ONLY:
-        l1, l2 = float(lam), 0.0
     else:
-        raise ValueError(f"unknown coupling structure {coupling!r}")
+        l1, l2 = _driven_terms(float(lam), coupling)
     wa = 1.0 if wa is None else float(wa)
     wb = 1.0 if wb is None else float(wb)
     diamag = "auto" if diamag is None else diamag
@@ -219,11 +234,59 @@ def spec_to_params(spec: SweepSpec, point: dict) -> tuple[ModelParams, float]:
     return params, float(values.get("T", 0.0))
 
 
-def _eval_task(task) -> str:
-    spec, point, gamma_a, gamma_b = task
-    params, temperature = spec_to_params(spec, point)
-    env = Environment(temperature, gamma_a, gamma_b)
-    return run_point(params, env, spec.state).to_csv()
+def grid_points(spec: SweepSpec, env: Environment) -> GridPoints:
+    """Resolved parameters of every grid point, in row-major order.
+
+    Applies the rules of ``resolve_params`` elementwise.  A point that
+    ``spec_to_params`` or ``Environment`` rejects is reported with their
+    message before any point is computed.
+    """
+    values = [np.asarray(axis.values, dtype=float) for axis in spec.axes]
+    names = [axis.name for axis in spec.axes]
+    swept = dict(zip(names, np.meshgrid(*values, indexing="ij")))
+    size = int(np.prod([len(v) for v in values]))
+
+    def column(name: str, default: float) -> np.ndarray:
+        if name in swept:
+            return swept[name].ravel()
+        value = spec.fixed.get(name)
+        return np.full(size, default if value is None else float(value))
+
+    wa, wb, temperature = column("wa", 1.0), column("wb", 1.0), column("T", 0.0)
+    l1, l2 = (
+        np.broadcast_to(v, (size,)).copy()
+        for v in _driven_terms(column("lambda", 0.0), spec.coupling)
+    )
+    valid = (wa > 0) & (wb > 0) & (l1 >= 0) & (l2 >= 0) & (temperature >= 0)
+    if spec.diamag_mode == "auto":
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            diamag = natural_diamag(l1, wb)
+        valid &= l1 == l2
+    else:
+        value = 0.0 if spec.diamag_mode == "zero" else float(spec.diamag_mode)
+        diamag = np.full(size, value)
+    valid &= (diamag >= 0) & np.isfinite([wa, wb, l1, l2, diamag, temperature]).all(0)
+    bad = np.flatnonzero(~valid)
+    if bad.size:
+        point = next(itertools.islice(spec.grid(), int(bad[0]), None))
+        _, temp = spec_to_params(spec, point)
+        Environment(temp, env.gamma_a, env.gamma_b)
+        raise ValueError(f"invalid grid point {point}")
+    return GridPoints(wa, wb, l1, l2, diamag, temperature)
+
+
+# points per kernel call: bounds the kernel's temporary arrays and cell
+# strings, a few hundred bytes per point, at no measurable cost in speed
+_BLOCK_POINTS = 1024
+
+
+def _chunk_rows(task: tuple[GridPoints, str]) -> list[str]:
+    points, state_kind = task
+    rows = []
+    for start in range(0, len(points), _BLOCK_POINTS):
+        block = points.chunk(start, start + _BLOCK_POINTS)
+        rows += evaluate_grid(block, state_kind).csv_rows()
+    return rows
 
 
 def run_sweep(
@@ -231,13 +294,23 @@ def run_sweep(
     env: Environment | None = None,
     workers: int = 1,
 ) -> list[str]:
-    """Evaluate the whole grid; returns CSV rows in deterministic order."""
+    """Evaluate the whole grid; returns CSV rows in deterministic order.
+
+    With several workers the grid goes to the pool in contiguous chunks
+    through the same kernel, so the rows are the same for any worker count.
+    """
     env = env or Environment(0.0)
-    tasks = [(spec, point, env.gamma_a, env.gamma_b) for point in spec.grid()]
+    points = grid_points(spec, env)
     if workers <= 1:
-        return [_eval_task(t) for t in tasks]
+        return _chunk_rows((points, spec.state))
+    bounds = np.linspace(0, len(points), 4 * workers + 1).astype(int).tolist()
+    tasks = [
+        (points.chunk(start, stop), spec.state)
+        for start, stop in zip(bounds, bounds[1:])
+        if stop > start
+    ]
     with multiprocessing.Pool(processes=workers) as pool:
-        return pool.map(_eval_task, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+        return [row for rows in pool.map(_chunk_rows, tasks) for row in rows]
 
 
 def sweep_csv(spec: SweepSpec, env: Environment | None = None, workers: int = 1) -> str:

@@ -51,7 +51,8 @@ from .states import (
     thermal_occupation,
     to_bare_basis,
 )
-from .sweep import run_point, spec_to_params, sweep_csv
+from .grid import GridResult, evaluate_grid
+from .sweep import grid_points, run_point, sweep_csv
 
 __all__ = ["CheckResult", "CHECKS", "run_checks", "run_verification"]
 
@@ -226,23 +227,19 @@ def check_purity_balance_frequency() -> CheckResult:
     )
 
 
-def _scenario_reports(spec: SweepSpec, env: Environment):
-    for point in spec.grid():
-        params, temperature = spec_to_params(spec, point)
-        point_env = Environment(temperature, env.gamma_a, env.gamma_b)
-        yield point, run_point(params, point_env, spec.state)
+def _scenario_grid(spec: SweepSpec, env: Environment) -> GridResult:
+    """Columns of a preset grid, through the kernel that writes its CSV."""
+    return evaluate_grid(grid_points(spec, env), spec.state)
 
 
 def check_qualitative_trends() -> CheckResult:
     notes = []
 
     # (a) ground-state entanglement grows with coupling along every trace
-    fig2a = resolve_scenario("fig2a")
+    rows_2a = _scenario_grid(resolve_scenario("fig2a"), Environment(0.0))
     traces: dict[float, list[float]] = {}
-    rows_2a = []
-    for point, row in _scenario_reports(fig2a, Environment(0.0)):
-        traces.setdefault(point["wa"], []).append(row.e_n)
-        rows_2a.append(row)
+    for wa, e_n in zip(rows_2a.wa.tolist(), rows_2a.e_n.tolist()):
+        traces.setdefault(wa, []).append(e_n)
     monotone = all(
         all(b - a > 0 for a, b in zip(vals, vals[1:])) for vals in traces.values()
     )
@@ -250,10 +247,10 @@ def check_qualitative_trends() -> CheckResult:
         notes.append("(a) entanglement not monotone in coupling")
 
     # (b) thermal entanglement never grows with temperature
-    fig3b = resolve_scenario("fig3b")
+    rows_3b = _scenario_grid(resolve_scenario("fig3b"), Environment(0.0))
     series: dict[float, list[float]] = {}
-    for point, row in _scenario_reports(fig3b, Environment(0.0)):
-        series.setdefault(point["lambda"], []).append(row.e_n)
+    for lam, e_n in zip(rows_3b.lam.tolist(), rows_3b.e_n.tolist()):
+        series.setdefault(lam, []).append(e_n)
     cooling = all(
         all(b - a <= 1e-12 for a, b in zip(vals, vals[1:]))
         for vals in series.values()
@@ -280,21 +277,21 @@ def check_qualitative_trends() -> CheckResult:
         state=fig5.state,
         coupling=fig5.coupling,
     )
+    rows_5 = _scenario_grid(fig5_zero, Environment(0.25))
     no_way = all(
-        row.classification == SteeringClass.NO_WAY.value
-        for _, row in _scenario_reports(fig5_zero, Environment(0.25))
-        if row.stable
+        label == SteeringClass.NO_WAY.value
+        for label in rows_5.classification[rows_5.stable]
     )
     if not no_way:
         notes.append("(d) steering appeared in the no-diamagnetic resonant model")
 
     # (e) steerable ground states always steer both ways, symmetrically
-    sym_dev = 0.0
-    two_way = True
-    for row in rows_2a:
-        sym_dev = max(sym_dev, abs(row.g_ab - row.g_ba))
-        if max(row.g_ab, row.g_ba) > 1e-12:
-            two_way = two_way and row.classification == SteeringClass.TWO_WAY.value
+    sym_dev = float(np.max(np.abs(rows_2a.g_ab - rows_2a.g_ba)))
+    steers = np.maximum(rows_2a.g_ab, rows_2a.g_ba) > 1e-12
+    two_way = all(
+        label == SteeringClass.TWO_WAY.value
+        for label in rows_2a.classification[steers]
+    )
     if not (two_way and sym_dev < 1e-10):
         notes.append("(e) ground-state steering asymmetric or one-way")
 

@@ -1,0 +1,225 @@
+"""The batched grid kernel against the scalar route, point by point."""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hopfield_gaussian import grid, sweep
+from hopfield_gaussian.grid import evaluate_grid
+from hopfield_gaussian.measures import STEERING_THRESHOLD
+from hopfield_gaussian.scenarios import FULL, MIX_ONLY, SQUEEZE_ONLY, Axis, SweepSpec
+from hopfield_gaussian.states import Environment
+from hopfield_gaussian.sweep import grid_points, run_point, spec_to_params
+
+# fixed before the kernel was written, from the measured deviations of a
+# prototype: the determinant formula for E_N loses about half its digits
+# when the two partial-transpose symplectic eigenvalues nearly coincide
+TOL = 1e-12
+E_N_TOL = 1e-9
+CLASS_BAND = 1e-10
+MEASURES = ("omega_upper", "omega_lower", "g_ab", "g_ba", "mu_a", "mu_b", "mu_ab",
+            "n_a", "n_b")
+
+# lambda runs past every stability edge of the three coupling structures;
+# 1e-12 at resonance splits the closed-form branches by less than the
+# labelling tolerance, which sends the point to the numeric solver
+AXIS_RANGES = {
+    "lambda": st.one_of(st.just(1e-12), st.floats(0.0, 1.6)),
+    "wa": st.floats(0.2, 3.0),
+    "wb": st.floats(0.2, 3.0),
+    "T": st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+}
+
+
+@st.composite
+def grid_specs(draw):
+    names = draw(st.lists(st.sampled_from(sorted(AXIS_RANGES)), min_size=1,
+                          max_size=2, unique=True))
+    axes = tuple(
+        Axis(name, tuple(draw(st.lists(AXIS_RANGES[name], min_size=2, max_size=6))))
+        for name in names
+    )
+    coupling = draw(st.sampled_from((FULL, SQUEEZE_ONLY, MIX_ONLY)))
+    modes = ["zero", "value"] + (["auto"] if coupling == FULL else [])
+    diamag = draw(st.sampled_from(modes))
+    if diamag == "value":
+        diamag = draw(st.floats(0.0, 0.5))
+    fixed = {"wa": 1.0, "wb": 1.0, "lambda": draw(st.floats(0.0, 1.2)),
+             "T": draw(st.floats(0.0, 1.0))}
+    return SweepSpec(
+        scenario="custom",
+        axes=axes,
+        fixed=fixed,
+        diamag_mode=diamag,
+        state=draw(st.sampled_from(("ground", "thermal"))),
+        coupling=coupling,
+    )
+
+
+ENV = Environment(0.0, 0.02, 0.03)
+RESONANT_DEGENERATE = SweepSpec(
+    scenario="custom",
+    axes=(Axis("lambda", (1e-12, 0.3, 0.45)), Axis("T", (0.0, 0.4))),
+    fixed={"wa": 1.0, "wb": 1.0},
+    diamag_mode="zero",
+)
+
+# lambda2 = 1 lies within 1e-8 of the stability edge here: the numeric basis
+# is so squeezed that the covariance fails the uncertainty check in both routes
+SQUEEZED_TO_THE_EDGE = SweepSpec(
+    scenario="custom",
+    axes=(Axis("lambda", (0.5, 1.0)),),
+    fixed={"wa": 1.0, "wb": 1.0},
+    diamag_mode=0.25,
+    state="ground",
+    coupling=SQUEEZE_ONLY,
+)
+
+# lambda1 = 1 leaves omega_L at 3e-9 here: det Gamma rounds to zero, the scalar
+# route divides by it and the kernel reports the point instead of writing inf
+SINGULAR_AT_THE_EDGE = SweepSpec(
+    scenario="custom",
+    axes=(Axis("lambda", (0.5, 1.0)),),
+    fixed={"wa": 1.0, "wb": 1.0, "T": 0.705482318654789},
+    diamag_mode=0.2551133598784275,
+    coupling=MIX_ONLY,
+)
+
+
+def _close(x, ref, tol):
+    return abs(x - ref) <= tol * max(1.0, abs(ref))
+
+
+class TestKernelAgainstScalarRoute:
+    @settings(max_examples=150)
+    @given(grid_specs())
+    @example(RESONANT_DEGENERATE)
+    @example(SQUEEZED_TO_THE_EDGE)
+    @example(SINGULAR_AT_THE_EDGE)
+    def test_every_point_matches_run_point(self, spec):
+        refs = []
+        for point in spec.grid():
+            params, temperature = spec_to_params(spec, point)
+            env = Environment(temperature, ENV.gamma_a, ENV.gamma_b)
+            try:
+                refs.append(run_point(params, env, spec.state))
+            except (ValueError, ArithmeticError):
+                # the kernel checks physicality of the whole grid first, so it
+                # may name another point; it must fail all the same
+                with pytest.raises(ValueError):
+                    evaluate_grid(grid_points(spec, ENV), spec.state)
+                return
+        result = evaluate_grid(grid_points(spec, ENV), spec.state)
+        for i, (point, ref) in enumerate(zip(spec.grid(), refs)):
+            where = f"point {point}"
+            assert bool(result.stable[i]) == ref.stable, where
+            for name, value in (("lam", ref.lam), ("wa", ref.wa), ("wb", ref.wb),
+                                ("temperature", ref.temperature)):
+                assert getattr(result, name)[i] == value, where
+            if not ref.stable:
+                assert all(math.isnan(getattr(result, m)[i]) for m in MEASURES)
+                assert result.classification[i] is None
+                continue
+            for name in MEASURES:
+                assert _close(getattr(result, name)[i], getattr(ref, name), TOL), (
+                    where, name)
+            assert _close(result.e_n[i], ref.e_n, E_N_TOL), where
+            near = any(abs(g - STEERING_THRESHOLD) < CLASS_BAND
+                       for g in (ref.g_ab, ref.g_ba))
+            if not near:
+                assert result.classification[i] == ref.classification, where
+
+    def test_resonant_near_zero_coupling_takes_the_numeric_solver(self, monkeypatch):
+        calls = []
+        solver = grid.bogoliubov_diagonalize
+
+        def counted(matrix, **kwargs):
+            calls.append(matrix.params)
+            return solver(matrix, **kwargs)
+
+        monkeypatch.setattr(grid, "bogoliubov_diagonalize", counted)
+        result = evaluate_grid(grid_points(RESONANT_DEGENERATE, ENV), "thermal")
+        assert [p.lambda1 for p in calls] == [1e-12, 1e-12]
+        assert result.stable.all()
+
+    def test_csv_rows_follow_the_row_format(self):
+        spec = SweepSpec("custom", (Axis("lambda", (0.2, 0.45, 0.6)),),
+                         {"wa": 1.0, "wb": 1.0, "T": 0.25}, diamag_mode="zero")
+        rows = evaluate_grid(grid_points(spec, ENV), "thermal").csv_rows()
+        for row, point in zip(rows, spec.grid()):
+            params, _ = spec_to_params(spec, point)
+            ref = run_point(params, Environment(0.25), "thermal").to_csv().split(",")
+            cells = row.split(",")
+            assert len(cells) == len(ref) == 16
+            assert cells[:4] == ref[:4] and cells[14:] == ref[14:]
+            for x, y in zip(cells[4:14], ref[4:14]):
+                assert (x == y == "") or _close(float(x), float(y), E_N_TOL)
+        assert rows[2] == "0.6,1,1,0.25,,,,,,,,,,,,false"
+
+
+class TestChunks:
+    @given(grid_specs(), st.lists(st.floats(0.0, 1.0), max_size=4))
+    def test_rows_equal_concatenated_rows_of_any_contiguous_split(self, spec, cuts):
+        points = grid_points(spec, ENV)
+        bounds = [0, *sorted(round(c * len(points)) for c in cuts), len(points)]
+
+        def rows(chunks):
+            try:
+                return [r for c in chunks for r in evaluate_grid(c, spec.state).csv_rows()]
+            except ValueError:
+                return None
+
+        split = [points.chunk(start, stop) for start, stop in zip(bounds, bounds[1:])]
+        assert rows(split) == rows([points])
+
+    def test_single_point_chunks(self):
+        axes = (Axis("wa", (0.5, 1.0, 2.0)), Axis("lambda", (0.3, 0.9)))
+        spec = SweepSpec("custom", axes, {"wb": 1.0, "T": 0.2},
+                         coupling=SQUEEZE_ONLY, diamag_mode=0.1)
+        points = grid_points(spec, ENV)
+        singles = [evaluate_grid(points.chunk(i, i + 1), "thermal").csv_rows()[0]
+                   for i in range(len(points))]
+        assert singles == evaluate_grid(points, "thermal").csv_rows()
+
+
+class TestGridPoints:
+    def test_row_major_arrays(self):
+        axes = (Axis("wa", (0.5, 2.0)), Axis("lambda", (0.1, 0.2, 0.3)))
+        spec = SweepSpec("custom", axes, {"wb": 1.5, "T": 0.1},
+                         coupling=SQUEEZE_ONLY, diamag_mode="0.05")
+        points = grid_points(spec, ENV)
+        for i, point in enumerate(spec.grid()):
+            params, temperature = spec_to_params(spec, point)
+            assert points.params(i) == params
+            assert points.temperature[i] == temperature
+
+    @pytest.mark.parametrize(
+        "fixed, axis, coupling, diamag, message",
+        [
+            ({"T": 0.1}, Axis("wb", (1.0, 0.0)), FULL, "auto", "frequencies must be"),
+            ({}, Axis("T", (0.1, -0.2)), FULL, "auto", "temperature must be"),
+            ({}, Axis("lambda", (0.0, 0.2)), SQUEEZE_ONLY, "auto", "needs equal mixing"),
+            ({}, Axis("lambda", (0.1, -0.2)), MIX_ONLY, "zero", "strengths must be"),
+            ({"wa": math.nan}, Axis("T", (0.1, 0.2)), FULL, "zero", "must be finite"),
+            ({}, Axis("T", (0.1, 0.2)), FULL, "-0.1", "diamagnetic coefficient"),
+        ],
+    )
+    def test_bad_points_rejected_with_the_scalar_message(
+        self, fixed, axis, coupling, diamag, message, monkeypatch
+    ):
+        spec = SweepSpec("custom", (axis,), fixed, diamag_mode=diamag, coupling=coupling)
+        with pytest.raises(ValueError) as scalar:
+            for point in spec.grid():
+                _, temperature = spec_to_params(spec, point)
+                Environment(temperature, ENV.gamma_a, ENV.gamma_b)
+        assert message in str(scalar.value)
+
+        def no_kernel(*args):
+            raise AssertionError("no point may be computed")
+
+        monkeypatch.setattr(sweep, "evaluate_grid", no_kernel)
+        with pytest.raises(ValueError) as batched:
+            sweep.run_sweep(spec, ENV)
+        assert str(batched.value) == str(scalar.value)

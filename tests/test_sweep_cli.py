@@ -310,6 +310,16 @@ class TestCli:
             (["point", "--state", "thermal", "--temp", "nan"], "must be finite"),
             (["sweep", "--scenario", "custom", "--axis", "lambda:0.1:nan:3"], "must be finite"),
             (["point", "--wb", "0"], "frequencies must be positive"),
+            (
+                ["sweep", "--scenario", "custom", "--axis", "wa:1:2:2", "--lambda1",
+                 "0.3", "--lambda2", "0.1", "--diamag", "zero"],
+                "sweep does not take --lambda1/--lambda2",
+            ),
+            (["sweep", "--scenario", "fig8", "--lambda2", "0.1"], "--coupling"),
+            (["dynamics", "--lambda", "0.5", "--t-final", "nan"], "--t-final must be"),
+            (["dynamics", "--lambda", "0.5", "--t-final", "-2"], "--t-final must be"),
+            (["dynamics", "--lambda", "0.5", "--dt", "nan"], "--dt must be"),
+            (["dynamics", "--lambda", "0.5", "--dt", "0"], "--dt must be"),
         ],
     )
     def test_bad_input_rejected_up_front(self, argv, message, capsys):
