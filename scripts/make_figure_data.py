@@ -7,9 +7,10 @@ can consume the CSVs; the column schema is the sweep CLI's.
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
-from hopfield_gaussian.scenarios import SCENARIOS, SweepSpec
+from hopfield_gaussian.scenarios import SCENARIOS
 from hopfield_gaussian.states import Environment
 from hopfield_gaussian.sweep import sweep_csv
 
@@ -24,16 +25,7 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     jobs = {name: spec for name, spec in SCENARIOS.items()}
-    fig5 = SCENARIOS["fig5"]
-    jobs["fig5_no_diamag"] = SweepSpec(
-        scenario="fig5",
-        axes=fig5.axes,
-        fixed=fig5.fixed,
-        diamag_mode="zero",
-        state=fig5.state,
-        coupling=fig5.coupling,
-        description=fig5.description,
-    )
+    jobs["fig5_no_diamag"] = replace(SCENARIOS["fig5"], diamag_mode="zero")
 
     for name, spec in sorted(jobs.items()):
         env = Environment(float(spec.fixed.get("T", 0.0)) or 0.0)

@@ -151,17 +151,6 @@ def _moment_generator(
     return drift, inhom
 
 
-def _dynamics_scale(rates: RateSet, basis: PolaritonBasis) -> float:
-    return max(
-        basis.omega_upper,
-        basis.omega_lower,
-        rates.down_upper,
-        rates.down_lower,
-        rates.up_upper,
-        rates.up_lower,
-    )
-
-
 def _pack(m: SecondMoments) -> np.ndarray:
     return np.array(
         [m.occ_upper, m.occ_lower, m.sq_upper, m.sq_lower, m.cross], dtype=complex
@@ -192,13 +181,45 @@ def _rk4_update(dt: float, drift: np.ndarray, inhom: np.ndarray):
     """Per-step affine map of the classical 4th-order scheme.
 
     For the diagonal system y' = a y + b one RK4 step is exactly
-    y -> R(a dt) y + dt P(a dt) b with R the degree-4 stability polynomial
-    and P its integrated companion, so the step reduces to one fused
-    multiply-add.
+    y -> g y + kick, with g = R(a dt) = 1 + z P(z) the degree-4 stability
+    polynomial and kick = dt P(a dt) b, P being its integrated companion.
+    Returns (g - 1, kick); g - 1 = z P is formed directly, since 1 + z P
+    rounded and minus 1 would lose the digits of a slow decay.
     """
     z = dt * drift
     p = 1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))
-    return 1.0 + z * p, dt * p * inhom
+    return z * p, dt * p * inhom
+
+
+def _rk4_iterates(initial, rates, basis, t_final, dt, stride=None):
+    """Closed-form RK4 solve: the step size, the recorded step counts k
+    (every ``stride``-th step and the last; only the last without a
+    stride) and the moment vector after each.
+
+    k steps of y -> g y + kick give y_k = g^k y0 + kick (g^k - 1)/(g - 1),
+    with g^k - 1 = expm1(k log1p(g - 1)) and the sum k where g = 1.  The
+    fixed point -b/a is not used: it is 0/0 on a dark branch, where the
+    iteration holds its value.
+    """
+    wu, wl = basis.omega_upper, basis.omega_lower
+    top_rate = max(rates.up_upper, rates.down_upper, rates.up_lower, rates.down_lower)
+    scale = max(wu, wl, top_rate)
+    if dt is None:
+        dt = 0.05 / scale
+    _check_step(dt, scale)
+    if stride is not None and stride < 1:
+        raise ValueError("stride must be at least 1")
+    steps = max(1, int(round(t_final / dt)))
+    recorded = [steps] if stride is None else [*range(stride, steps, stride), steps]
+    gain_m1, kick = _rk4_update(dt, *_moment_generator(rates, wu, wl))
+    # numpy's complex log1p takes the log of |g| and loses the digits of g - 1
+    u, v = gain_m1.real, gain_m1.imag
+    log_gain = 0.5 * np.log1p(u * (2.0 + u) + v * v) + 1j * np.arctan2(v, 1.0 + u)
+    k = np.array(recorded, dtype=float)[:, None]
+    k_log_gain = k * log_gain
+    with np.errstate(invalid="ignore"):  # 0/0 where g = 1
+        sums = np.where(gain_m1 == 0, k, np.expm1(k_log_gain) / gain_m1)
+    return dt, recorded, np.exp(k_log_gain) * _pack(initial) + kick * sums
 
 
 def evolve_second_moments(
@@ -210,20 +231,11 @@ def evolve_second_moments(
 ) -> SecondMoments:
     """Fixed-step 4th-order integration of the moment equations.
 
-    Runs round(t_final / dt) steps of size dt (the integrated time is the
-    nearest multiple of dt).
+    Gives the iterate after round(t_final / dt) steps of size dt (the
+    integrated time is the nearest multiple of dt), in closed form.
     """
-    scale = _dynamics_scale(rates, basis)
-    if dt is None:
-        dt = 0.05 / scale
-    _check_step(dt, scale)
-    steps = max(1, int(round(t_final / dt)))
-    drift, inhom = _moment_generator(rates, basis.omega_upper, basis.omega_lower)
-    gain, kick = _rk4_update(dt, drift, inhom)
-    y = _pack(initial)
-    for _ in range(steps):
-        y = gain * y + kick
-    return _unpack(y)
+    _, _, moments = _rk4_iterates(initial, rates, basis, t_final, dt)
+    return _unpack(moments[0])
 
 
 def evolve_trajectory(
@@ -235,22 +247,8 @@ def evolve_trajectory(
     stride: int = 1,
 ) -> list[tuple[float, SecondMoments]]:
     """Like evolve_second_moments but records every ``stride``-th step."""
-    scale = _dynamics_scale(rates, basis)
-    if dt is None:
-        dt = 0.05 / scale
-    _check_step(dt, scale)
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
-    steps = max(1, int(round(t_final / dt)))
-    drift, inhom = _moment_generator(rates, basis.omega_upper, basis.omega_lower)
-    gain, kick = _rk4_update(dt, drift, inhom)
-    y = _pack(initial)
-    out = [(0.0, initial)]
-    for k in range(1, steps + 1):
-        y = gain * y + kick
-        if k % stride == 0 or k == steps:
-            out.append((k * dt, _unpack(y)))
-    return out
+    dt, recorded, moments = _rk4_iterates(initial, rates, basis, t_final, dt, stride)
+    return [(0.0, initial)] + [(k * dt, _unpack(y)) for k, y in zip(recorded, moments)]
 
 
 TRAJECTORY_HEADER = "t,occ_U,occ_L,re_sq_U,im_sq_U,re_sq_L,im_sq_L,re_cross,im_cross"

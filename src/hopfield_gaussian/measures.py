@@ -117,6 +117,11 @@ def symplectic_invariants(gamma: CovarianceMatrix) -> SymplecticInvariants:
     i_b = float(np.linalg.det(gamma.block_b()))
     i_c = float(np.linalg.det(gamma.block_c()))
     i_ab = float(np.linalg.det(gamma.entries))
+    if min(i_a, i_b, i_ab) <= 0.0:
+        raise ValueError(
+            "a block determinant of the covariance is not positive: it is "
+            "singular to rounding, at the stability edge"
+        )
     delta = i_a + i_b - 2.0 * i_c
     disc = math.sqrt(max(delta * delta - 4.0 * i_ab, 0.0))
     d_minus = math.sqrt(max(0.5 * (delta - disc), 0.0))

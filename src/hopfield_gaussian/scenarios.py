@@ -10,7 +10,7 @@ and are documented per preset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -165,15 +165,9 @@ def _build_scenarios() -> dict[str, SweepSpec]:
         "at resonance; also carries the steering columns of the "
         "matching (T, lambda) steering panels.",
     )
-    scenarios["fig4"] = SweepSpec(
+    scenarios["fig4"] = replace(
+        scenarios["fig3a"],
         scenario="fig4",
-        axes=(
-            Axis.linspace("wa", 0.1, 2.0, 39),
-            Axis.linspace("lambda", 0.02, 1.5, 75),
-        ),
-        fixed={"wb": 1.0, "T": 0.15},
-        diamag_mode="auto",
-        state="thermal",
         description="Both steering directions over (cavity frequency, "
         "coupling) at T = 0.15; the temperature panels of the same "
         "study live on the fig3b grid.",

@@ -9,7 +9,7 @@ passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -268,15 +268,7 @@ def check_qualitative_trends() -> CheckResult:
         notes.append("(c) one-way point misclassified")
 
     # (d) without the diamagnetic term the resonant model never steers
-    fig5 = resolve_scenario("fig5")
-    fig5_zero = SweepSpec(
-        scenario="fig5",
-        axes=fig5.axes,
-        fixed=fig5.fixed,
-        diamag_mode="zero",
-        state=fig5.state,
-        coupling=fig5.coupling,
-    )
+    fig5_zero = replace(resolve_scenario("fig5"), diamag_mode="zero")
     rows_5 = _scenario_grid(fig5_zero, Environment(0.25))
     no_way = all(
         label == SteeringClass.NO_WAY.value

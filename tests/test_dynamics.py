@@ -2,20 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hopfield_gaussian.model import (
+    InstabilityError,
     build_dynamical_matrix,
+    general,
     hopfield,
     hopfield_basis,
     no_a2,
     no_a2_basis,
 )
+from hopfield_gaussian.sweep import diagonalize_params
 from hopfield_gaussian.states import Environment, thermal_occupation, thermal_covariance_closed
 from hopfield_gaussian.measures import purities
 from hopfield_gaussian.dynamics import (
     LOCAL_GENERATOR_LABELS,
+    MAX_STEP_FRACTION,
     NoSteadyStateError,
     RateSet,
     SecondMoments,
@@ -31,6 +35,8 @@ from hopfield_gaussian.dynamics import (
     steady_state_second_moments,
     trajectory_rows,
     TRAJECTORY_HEADER,
+    _moment_generator,
+    _rk4_update,
 )
 
 stable_hopfield = st.builds(
@@ -203,6 +209,160 @@ class TestEvolution:
         assert TRAJECTORY_HEADER.count(",") == 8
         assert all(row.count(",") == 8 for row in rows)
         assert rows[0].startswith("0,0,0,")
+
+
+def moment_vector(m: SecondMoments) -> np.ndarray:
+    return np.array([m.occ_upper, m.occ_lower, m.sq_upper, m.sq_lower, m.cross])
+
+
+def stepped(initial, rates, basis, dt, steps, stride):
+    """Oracle: the RK4 map y -> g y + kick applied one step at a time.
+
+    Returns (step index, moment vector) at every stride-th step and the last.
+    """
+    gain_m1, kick = _rk4_update(
+        dt, *_moment_generator(rates, basis.omega_upper, basis.omega_lower)
+    )
+    gain = 1.0 + gain_m1
+    y = moment_vector(initial)
+    out = [(0, y)]
+    for k in range(1, steps + 1):
+        y = gain * y + kick
+        if k % stride == 0 or k == steps:
+            out.append((k, y))
+    return out
+
+
+def fastest_scale(rates, basis):
+    return max(
+        basis.omega_upper,
+        basis.omega_lower,
+        rates.up_upper,
+        rates.down_upper,
+        rates.up_lower,
+        rates.down_lower,
+    )
+
+
+def assert_close(got: np.ndarray, want: np.ndarray):
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+complex_moments = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def solves(draw):
+    """A stable point of either coupling family, a bath, a step size within
+    the guard, a step count, a stride and arbitrary initial moments."""
+    wa = draw(st.floats(0.3, 3.0))
+    if draw(st.booleans()):
+        params = hopfield(wa, 1.0, draw(st.floats(0.01, 1.5)))
+    else:
+        params = general(
+            wa,
+            1.0,
+            draw(st.floats(0.0, 0.5)),
+            draw(st.floats(0.0, 0.5)),
+            draw(st.floats(0.0, 0.5)),
+        )
+    try:
+        basis = diagonalize_params(params)
+    except InstabilityError:
+        assume(False)
+    env = Environment(
+        draw(st.floats(0.0, 1.0)), draw(st.floats(1e-4, 0.2)), draw(st.floats(1e-4, 0.2))
+    )
+    rates = collective_rates(basis, env)
+    dt = draw(st.floats(0.05, 0.99)) * MAX_STEP_FRACTION / fastest_scale(rates, basis)
+    initial = SecondMoments(
+        draw(st.floats(0.0, 3.0)),
+        draw(st.floats(0.0, 3.0)),
+        draw(complex_moments),
+        draw(complex_moments),
+        draw(complex_moments),
+    )
+    steps = draw(st.integers(1, 3000))
+    return basis, rates, initial, dt, steps, draw(st.integers(1, 400))
+
+
+class TestClosedFormPropagator:
+    @given(solves())
+    def test_both_functions_match_the_stepped_map(self, solve):
+        basis, rates, initial, dt, steps, stride = solve
+        reference = stepped(initial, rates, basis, dt, steps, stride)
+        points = evolve_trajectory(initial, rates, basis, steps * dt, dt, stride)
+        assert [t for t, _ in points] == [k * dt for k, _ in reference]
+        for (_, m), (_, want) in zip(points, reference):
+            assert_close(moment_vector(m), want)
+        final = evolve_second_moments(initial, rates, basis, steps * dt, dt)
+        assert_close(moment_vector(final), reference[-1][1])
+        assert final == points[-1][1]
+
+    @pytest.mark.parametrize(
+        "stride, recorded",
+        [
+            (1, list(range(13))),
+            (4, [0, 4, 8, 12]),  # divides the step count
+            (5, [0, 5, 10, 12]),  # does not: the last step is added
+            (12, [0, 12]),
+            (20, [0, 12]),  # exceeds the step count
+        ],
+    )
+    def test_stride_records_every_stride_th_step_and_the_last(self, stride, recorded):
+        b = hopfield_basis(hopfield(1, 1, 0.5))
+        r = collective_rates(b, bright_env())
+        dt = 0.01
+        points = evolve_trajectory(SecondMoments.vacuum(), r, b, 12 * dt, dt, stride)
+        assert [t for t, _ in points] == [k * dt for k in recorded]
+
+    def test_default_step_is_0_05_over_the_fastest_rate_or_frequency(self):
+        b = hopfield_basis(hopfield(1, 1, 0.5))
+        r = collective_rates(b, bright_env())
+        points = evolve_trajectory(SecondMoments.vacuum(), r, b, 1.0, stride=1)
+        assert points[1][0] == 0.05 / fastest_scale(r, b)
+
+    def test_zero_rate_branch_holds_its_value(self):
+        b = hopfield_basis(hopfield(1, 1, 0.5))
+        rates = RateSet(0.01, 0.03, 0.0, 0.0)  # lower branch cut off from the bath
+        start = SecondMoments(0.2, 0.7, sq_upper=0.1 + 0.2j, cross=0.3j)
+        dt, steps = 0.01, 3000
+        points = evolve_trajectory(start, rates, b, steps * dt, dt, stride=300)
+        assert all(m.occ_lower == 0.7 for _, m in points)
+        reference = stepped(start, rates, b, dt, steps, 300)
+        for (_, m), (_, want) in zip(points, reference):
+            assert_close(moment_vector(m), want)
+
+    def test_dark_branch_matches_the_stepped_map(self):
+        # resonant D = 0 with equal slopes: the lower branch decouples
+        b = no_a2_basis(no_a2(1, 1, 0.3))
+        rates = collective_rates(b, Environment(0.25, 0.01, 0.01))
+        start = SecondMoments(0.4, 0.9, 0.2 - 0.1j, 0.5j, 0.3)
+        dt, steps = 0.02, 3000
+        final = evolve_second_moments(start, rates, b, steps * dt, dt)
+        reference = stepped(start, rates, b, dt, steps, steps)
+        assert_close(moment_vector(final), reference[-1][1])
+        assert final.occ_lower == pytest.approx(0.9, abs=1e-12)
+
+    @given(solves())
+    def test_squeezing_and_cross_moments_from_vacuum_stay_exactly_zero(self, solve):
+        basis, rates, _, dt, steps, stride = solve
+        vacuum = SecondMoments.vacuum()
+        points = evolve_trajectory(vacuum, rates, basis, steps * dt, dt, stride)
+        final = evolve_second_moments(vacuum, rates, basis, steps * dt, dt)
+        for row in trajectory_rows(points + [(0.0, final)]):
+            assert row.split(",")[3:] == ["0"] * 6  # "-0" would fail too
+
+    def test_ten_million_steps_reach_the_fixed_point(self):
+        b = hopfield_basis(hopfield(1, 1, 0.5))
+        r = collective_rates(b, bright_env())
+        start = SecondMoments(1.0, 2.0, 0.5j, 0.5, 0.1 + 0.1j)
+        # 10**7 steps of 5e-3 cover 170 lifetimes of the slower branch
+        out = evolve_second_moments(start, r, b, 5e4, dt=5e-3)
+        ss = steady_state_second_moments(r)
+        assert out.occ_upper == pytest.approx(ss.occ_upper, rel=1e-10)
+        assert out.occ_lower == pytest.approx(ss.occ_lower, rel=1e-10)
+        assert max(abs(out.sq_upper), abs(out.sq_lower), abs(out.cross)) < 1e-15
 
 
 class TestLocalRepresentation:

@@ -320,6 +320,11 @@ class TestCli:
             (["dynamics", "--lambda", "0.5", "--t-final", "-2"], "--t-final must be"),
             (["dynamics", "--lambda", "0.5", "--dt", "nan"], "--dt must be"),
             (["dynamics", "--lambda", "0.5", "--dt", "0"], "--dt must be"),
+            (
+                ["point", "--lambda1", "1", "--lambda2", "0", "--diamag",
+                 "0.2551133598784275", "--temp", "0.705", "--state", "thermal"],
+                "singular to rounding, at the stability edge",
+            ),
         ],
     )
     def test_bad_input_rejected_up_front(self, argv, message, capsys):
