@@ -24,13 +24,20 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = {name: spec for name, spec in SCENARIOS.items()}
+    jobs = dict(SCENARIOS)
     jobs["fig5_no_diamag"] = replace(SCENARIOS["fig5"], diamag_mode="zero")
 
+    # presets that differ only in name and description (fig4 and fig3a, fig2b
+    # and fig2a) share one grid, which is rendered once; the repr stands in
+    # for the spec as a key because its `fixed` dict is not hashable
+    rendered: dict[str, str] = {}
     for name, spec in sorted(jobs.items()):
-        env = Environment(float(spec.fixed.get("T", 0.0)) or 0.0)
+        grid = repr(replace(spec, scenario="", description=""))
+        if grid not in rendered:
+            env = Environment(float(spec.fixed.get("T", 0.0)) or 0.0)
+            rendered[grid] = sweep_csv(spec, env, workers=args.workers)
         path = out / f"{name}.csv"
-        path.write_text(sweep_csv(spec, env, workers=args.workers), newline="\n")
+        path.write_text(rendered[grid], newline="\n")
         print(f"wrote {path} ({len(spec.axes)} axis sweep)")
 
 

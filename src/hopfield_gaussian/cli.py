@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from .dynamics import (
@@ -172,6 +173,9 @@ def _parse_axis(text: str) -> Axis:
 def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
+    cpus = os.cpu_count() or 1
+    if args.workers > cpus:
+        raise ValueError(f"--workers must be at most the CPU count, {cpus}")
     if args.lambda1 is not None or args.lambda2 is not None:
         raise ValueError(
             "sweep does not take --lambda1/--lambda2; set the coupling with "
@@ -276,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="which interaction terms the swept coupling drives",
     )
-    p.add_argument("--workers", type=int, default=1, help="worker processes")
+    p.add_argument(
+        "--workers", type=int, default=1, help="worker processes (1 to the CPU count)"
+    )
     _add_output_flag(p)
     p.set_defaults(func=cmd_sweep)
 

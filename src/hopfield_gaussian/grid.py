@@ -7,8 +7,10 @@ route of ``sweep.run_point`` step by step, with the same formulas:
 - closed-form frequencies, mixing angles and Bogoliubov coefficients
   elementwise for the single-coupling family; points past the stability
   edge become unstable rows,
-- the scalar numeric solver, one point at a time, for general couplings,
-  the uncoupled model and closed-form points with a degenerate spectrum,
+- one stacked eigendecomposition of the dynamical matrices for general
+  couplings, the uncoupled model and closed-form points with a degenerate
+  spectrum, followed by every rule of the scalar numeric solver as array
+  operations (bit for bit its frequencies and coefficients),
 - every covariance T diag(coth weights) T^T with one batched matrix
   product, bit for bit the product of the scalar route,
 - one stacked eigenvalue check of i Omega Gamma for physicality,
@@ -21,6 +23,7 @@ of a grid yields the same rows; the worker pool relies on this.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -29,10 +32,11 @@ import numpy as np
 from .measures import STEERING_THRESHOLD, SteeringClass, UnphysicalStateError
 from .model import (
     DEGENERACY_TOL,
-    InstabilityError,
+    DEGENERATE_MIX_TOL,
+    IMAG_TOL,
+    PHASE_TOL,
+    SIGN_TOL,
     ModelParams,
-    bogoliubov_diagonalize,
-    build_dynamical_matrix,
 )
 from .states import PHYSICALITY_TOL, VALUE_FORMAT, symplectic_form
 
@@ -61,6 +65,8 @@ _MEASURES = (
     "n_a",
     "n_b",
 )
+# (w, x, y, z) of a right eigenvector (a, b, a', b'), and the Bogoliubov metric
+_FLIP = np.array([1.0, 1.0, -1.0, -1.0])
 # measure cells, class and stable flag of an unstable row
 _UNSTABLE_TAIL = "," * (len(_MEASURES) + 2) + "false"
 
@@ -140,16 +146,17 @@ class GridResult:
         ]
 
 
-def _by_math(fn, *arrays: np.ndarray) -> np.ndarray:
-    """A ``math`` function per element.
+def _by_math(fn, *arrays: np.ndarray, dtype=float) -> np.ndarray:
+    """A scalar Python function (``math``, Python's complex division) per element.
 
     numpy's hypot, arctan2 and expm1 can differ from ``math`` in the last
-    bit, and the determinant formula for E_N magnifies a last-bit change of
-    a covariance entry to about 1e-8 near a separable pure state; with
-    ``math`` the covariances equal those of the scalar route exactly.
+    bit, and its complex division from Python's, and the determinant formula
+    for E_N magnifies a last-bit change of a covariance entry to about 1e-8
+    near a separable pure state; with Python's arithmetic the covariances
+    equal those of the scalar route exactly.
     """
     values = map(fn, *(a.tolist() for a in arrays))
-    return np.fromiter(values, float, len(arrays[0]))
+    return np.fromiter(values, dtype, len(arrays[0]))
 
 
 def _bose(omega: np.ndarray, temperature: np.ndarray) -> np.ndarray:
@@ -209,6 +216,96 @@ def _closed_form(wa, wb, lam, dd):
     return stable, degenerate & stable, wu, wl, np.array(upper), np.array(lower)
 
 
+def _bogoliubov_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``model._bogoliubov_inner`` of each row pair.
+
+    A stacked matmul reproduces the scalar route's dot product bit for bit,
+    where an ``einsum`` changed the last bit at about 1 point in 10.
+    """
+    return (np.conj(u)[:, None, :] @ (_FLIP * v)[:, :, None])[:, 0, 0]
+
+
+def _fix_phase(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``model._fix_phase`` of each row.
+
+    Returns the real coefficient rows and whether each row was real up to a
+    phase (where it was not, the scalar route raises InstabilityError).
+    """
+    lead = c[np.arange(len(c)), np.abs(c).argmax(axis=1)]
+    phase = lead / np.abs(lead)
+    # numpy's scalar abs and division, which the scalar route takes, differ
+    # from its array loops in the last bit on a complex lead (not a real one)
+    for i in np.flatnonzero(lead.imag).tolist():
+        phase[i] = lead[i] / abs(lead[i])
+    c = c * np.conj(phase)[:, None]
+    real = ~(np.abs(c.imag).max(axis=1) > PHASE_TOL * np.abs(c).max(axis=1))
+    c = c.real
+    head = SIGN_TOL * np.abs(c).max(axis=1)
+    negate = (c[:, 0] < -head) | ((np.abs(c[:, 0]) <= head) & (c[:, 1] < 0))
+    return np.where(negate[:, None], -c, c), real
+
+
+def _numeric_form(wa, wb, l1, l2, dd):
+    """``model.bogoliubov_diagonalize(..., allow_degenerate=True)`` on a stack.
+
+    Builds the dynamical matrices with the entries of
+    ``model.build_dynamical_matrix``, takes one ``eig`` over the stack and
+    applies every rule of the scalar solver row by row.  Returns (stable,
+    omega_U, omega_L, upper (4, n), lower (4, n)); a point is unstable
+    exactly where the scalar solver raises InstabilityError, and its
+    frequencies and coefficients are then meaningless.
+    """
+    n = len(wa)
+    zero = np.zeros(n)
+    d2 = 2 * dd
+    cavity = wa + d2
+    m = np.array(
+        [
+            (cavity, l1, d2, l2),
+            (l1, wb, l2, zero),
+            (-d2, -l2, -cavity, -l1),
+            (-l2, zero, -l1, -wb),
+        ]
+    ).transpose(2, 0, 1)
+    evals, evecs = np.linalg.eig(m)
+    stable = ~(np.abs(evals.imag).max(axis=1) > IMAG_TOL * wb)
+    freqs = evals.real
+    positive = freqs > (IMAG_TOL * wb)[:, None]
+    stable &= positive.sum(axis=1) == 2
+    # the two positive frequencies in index order; the larger is the upper
+    # branch, and on a tie the later one (the scalar route's stable argsort,
+    # reversed)
+    rows = np.arange(n)
+    first, second = np.argsort(~positive, axis=1, kind="stable")[:, :2].T
+    first_is_upper = freqs[rows, first] > freqs[rows, second]
+    i_u = np.where(first_is_upper, first, second)
+    i_l = np.where(first_is_upper, second, first)
+    wu, wl = freqs[rows, i_u], freqs[rows, i_l]
+
+    c_u = _FLIP * evecs[rows, :, i_u].astype(complex)
+    c_l = _FLIP * evecs[rows, :, i_l].astype(complex)
+    mix = stable & (wu - wl < DEGENERATE_MIX_TOL * wb)
+    if mix.any():
+        u, v = c_u[mix], c_l[mix]
+        ratio = _by_math(
+            operator.truediv,
+            _bogoliubov_inner(u, v),
+            _bogoliubov_inner(u, u),
+            dtype=complex,
+        )
+        c_l[mix] = v - ratio[:, None] * u
+
+    coeffs = []
+    for c in (c_u, c_l):
+        norm_sq = _bogoliubov_inner(c, c).real
+        stable &= ~(norm_sq <= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # on unstable rows
+            fixed, real = _fix_phase(c / np.sqrt(norm_sq)[:, None])
+        stable &= real
+        coeffs.append(fixed.T)
+    return stable, wu, wl, coeffs[0], coeffs[1]
+
+
 def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     """Rows of every grid point, each equal to ``run_point`` on that point.
 
@@ -238,20 +335,17 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     coeffs[0][:, done] = upper[:, keep]
     coeffs[1][:, done] = lower[:, keep]
 
-    numeric = np.ones(n, dtype=bool)
-    numeric[closed] = False
-    numeric[closed[degenerate]] = True
-    for i in np.flatnonzero(numeric).tolist():
-        try:
-            basis = bogoliubov_diagonalize(
-                build_dynamical_matrix(points.params(i)), allow_degenerate=True
-            )
-        except InstabilityError:
-            stable[i] = False
-            continue
-        freqs[:, i] = basis.omega_upper, basis.omega_lower
-        coeffs[0][:, i] = basis.coeffs_upper
-        coeffs[1][:, i] = basis.coeffs_lower
+    is_numeric = np.ones(n, dtype=bool)
+    is_numeric[closed[~degenerate]] = False
+    numeric = np.flatnonzero(is_numeric)
+    ok, wu, wl, upper, lower = _numeric_form(
+        wa[numeric], wb[numeric], l1[numeric], l2[numeric], points.diamag[numeric]
+    )
+    stable[numeric[~ok]] = False
+    done = numeric[ok]
+    freqs[:, done] = wu[ok], wl[ok]
+    coeffs[0][:, done] = upper[:, ok]
+    coeffs[1][:, done] = lower[:, ok]
 
     live = np.flatnonzero(stable)
     (w_u, x_u, y_u, z_u), (w_l, x_l, y_l, z_l) = coeffs[:, :, live]

@@ -44,6 +44,11 @@ DEGENERACY_TOL = 1e-10
 # Gap below which the degenerate-capable numeric path re-orthogonalizes
 # the two positive-frequency eigenvectors instead of trusting LAPACK.
 DEGENERATE_MIX_TOL = 1e-6
+# Phase fixing: largest imaginary part left after removing the phase, and the
+# size below which the leading coefficient's sign is read from the next one,
+# both relative to the largest coefficient.
+PHASE_TOL = 1e-8
+SIGN_TOL = 1e-12
 
 
 class InstabilityError(ValueError):
@@ -344,10 +349,10 @@ def _fix_phase(c: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(c)))
     phase = c[k] / abs(c[k])
     c = c * np.conj(phase)
-    if np.max(np.abs(c.imag)) > 1e-8 * np.max(np.abs(c)):
+    if np.max(np.abs(c.imag)) > PHASE_TOL * np.max(np.abs(c)):
         raise InstabilityError("eigenvector is not real up to a phase")
     c = c.real.copy()
-    head = 1e-12 * np.max(np.abs(c))
+    head = SIGN_TOL * np.max(np.abs(c))
     if c[0] < -head or (abs(c[0]) <= head and c[1] < 0):
         c = -c
     return c

@@ -2,13 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfield_gaussian import grid, sweep
+from hopfield_gaussian import grid, model, sweep
 from hopfield_gaussian.grid import evaluate_grid
 from hopfield_gaussian.measures import STEERING_THRESHOLD
+from hopfield_gaussian.model import (
+    DEGENERATE_MIX_TOL,
+    InstabilityError,
+    ModelParams,
+    bogoliubov_diagonalize,
+    build_dynamical_matrix,
+)
 from hopfield_gaussian.scenarios import FULL, MIX_ONLY, SQUEEZE_ONLY, Axis, SweepSpec
 from hopfield_gaussian.states import Environment
 from hopfield_gaussian.sweep import grid_points, run_point, spec_to_params
@@ -133,15 +141,16 @@ class TestKernelAgainstScalarRoute:
 
     def test_resonant_near_zero_coupling_takes_the_numeric_solver(self, monkeypatch):
         calls = []
-        solver = grid.bogoliubov_diagonalize
+        solver = grid._numeric_form
 
-        def counted(matrix, **kwargs):
-            calls.append(matrix.params)
-            return solver(matrix, **kwargs)
+        def counted(wa, wb, l1, l2, dd):
+            out = solver(wa, wb, l1, l2, dd)
+            calls.append((l1.tolist(), l2.tolist(), out[0].tolist()))
+            return out
 
-        monkeypatch.setattr(grid, "bogoliubov_diagonalize", counted)
+        monkeypatch.setattr(grid, "_numeric_form", counted)
         result = evaluate_grid(grid_points(RESONANT_DEGENERATE, ENV), "thermal")
-        assert [p.lambda1 for p in calls] == [1e-12, 1e-12]
+        assert calls == [([1e-12, 1e-12], [1e-12, 1e-12], [True, True])]
         assert result.stable.all()
 
     def test_csv_rows_follow_the_row_format(self):
@@ -157,6 +166,102 @@ class TestKernelAgainstScalarRoute:
             for x, y in zip(cells[4:14], ref[4:14]):
                 assert (x == y == "") or _close(float(x), float(y), E_N_TOL)
         assert rows[2] == "0.6,1,1,0.25,,,,,,,,,,,,false"
+
+
+FREQUENCY = st.floats(0.2, 3.0)
+# up to 1.6 crosses the stability edge of every coupling structure; 1e-12
+# splits a resonant pair by less than DEGENERATE_MIX_TOL (Gram-Schmidt)
+COUPLING = st.one_of(st.just(0.0), st.just(1e-12), st.floats(0.0, 1.6))
+
+
+@st.composite
+def numeric_points(draw):
+    wa = draw(FREQUENCY)
+    wb = draw(st.one_of(st.just(wa), FREQUENCY))
+    diamag = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+    return wa, wb, draw(COUPLING), draw(COUPLING), diamag
+
+
+# mix-only at resonance without D: the branches are omega_b +- lambda1
+HALF_MIX_TOL = 0.5 * DEGENERATE_MIX_TOL
+
+
+class TestStackedSolverAgainstScalarSolver:
+    """``grid._numeric_form`` equals the scalar solver bit for bit, point by point."""
+
+    @settings(max_examples=300)
+    @given(st.lists(numeric_points(), min_size=1, max_size=12))
+    @example([(1.0, 1.0, 0.0, 0.0, 0.0)])  # uncoupled resonant: an exact tie
+    @example([(1.0, 1.0, 1e-12, 0.0, 0.0)])  # mix-only: Gram-Schmidt
+    @example([(1.0, 1.0, HALF_MIX_TOL * 1.0001, 0.0, 0.0)])  # gap just above
+    @example([(1.0, 1.0, HALF_MIX_TOL * 0.9999, 0.0, 0.0)])  # gap just below
+    @example([(1.0, 1.0, 0.0, 1.5, 0.0)])  # squeeze-only far past the edge
+    # resonant squeeze-only: a degenerate pair with strong squeezing, where
+    # numpy's complex division in Gram-Schmidt changed the last bit
+    @example([(1.0851397779997347, 1.0851397779997347, 0.0, 0.24208253631007376, 0.0)])
+    @example([(1.0, 1.0, 0.0, 1.5, 0.0), (1.0, 1.0, 1e-12, 0.0, 0.0),
+              (1.3, 0.7, 0.4, 0.1, 0.2), (1.0, 1.0, 0.0, 0.0, 0.0),
+              (0.8, 1.2, 0.9, 1.4, 0.0)])  # stable and unstable in one block
+    def test_stable_flags_frequencies_and_coefficients(self, points):
+        wa, wb, l1, l2, dd = map(np.array, zip(*points))
+        stable, wu, wl, upper, lower = grid._numeric_form(wa, wb, l1, l2, dd)
+        for i, values in enumerate(points):
+            params = ModelParams(*values)
+            try:
+                basis = bogoliubov_diagonalize(
+                    build_dynamical_matrix(params), allow_degenerate=True
+                )
+            except InstabilityError:
+                assert not stable[i], params
+                continue
+            assert stable[i], params
+            assert (wu[i], wl[i]) == (basis.omega_upper, basis.omega_lower), params
+            assert tuple(upper[:, i]) == basis.coeffs_upper, params
+            assert tuple(lower[:, i]) == basis.coeffs_lower, params
+
+    def test_examples_reach_the_rules_they_name(self):
+        def gap(l1):
+            one, zero = np.ones(1), np.zeros(1)
+            _, wu, wl, _, _ = grid._numeric_form(one, one, l1 * one, zero, zero)
+            return wu[0] - wl[0]
+
+        assert gap(HALF_MIX_TOL * 1.0001) > DEGENERATE_MIX_TOL
+        assert gap(HALF_MIX_TOL * 0.9999) < DEGENERATE_MIX_TOL
+        assert gap(0.0) == 0.0
+        eigenvalues = np.linalg.eigvals(
+            build_dynamical_matrix(ModelParams(1.0, 1.0, 0.0, 1.5, 0.0)).entries
+        )
+        assert np.abs(eigenvalues.imag).max() > 0.1
+
+
+@st.composite
+def phased_vectors(draw):
+    """A real 4-vector times a phase, with an optional imaginary remainder."""
+    real = draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)
+                .filter(lambda r: max(map(abs, r)) > 1e-3))
+    rest = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    size = draw(st.sampled_from((0.0, 1e-12, 1e-6)))
+    angle = draw(st.floats(-math.pi, math.pi))
+    return np.exp(1j * angle) * (np.array(real) + 1j * size * np.array(rest))
+
+
+class TestPhaseFixing:
+    """``grid._fix_phase`` of each row equals ``model._fix_phase``."""
+
+    @given(st.lists(phased_vectors(), min_size=1, max_size=6))
+    @example([np.array([0.0, -0.5, 1.0, 0.0], complex)])  # sign read from x
+    @example([np.array([1e-13, -0.5, 1.0, 0.0], complex)])  # w below the head
+    @example([np.array([1.0, 1j, 0.5, 0.0])])  # not real up to a phase
+    def test_rows_match_the_scalar_rule(self, vectors):
+        fixed, real = grid._fix_phase(np.array(vectors))
+        for i, c in enumerate(vectors):
+            try:
+                ref = model._fix_phase(c)
+            except InstabilityError:
+                assert not real[i], c
+                continue
+            assert real[i], c
+            assert tuple(fixed[i]) == tuple(ref), c
 
 
 class TestChunks:

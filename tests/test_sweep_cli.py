@@ -1,7 +1,10 @@
+import dataclasses
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +172,30 @@ class TestSweep:
         serial = run_sweep(spec, Environment(0.25), workers=1)
         pooled = run_sweep(spec, Environment(0.25), workers=2)
         assert serial == pooled
+
+    def test_figure_script_renders_each_distinct_grid_once(self, tmp_path, monkeypatch):
+        path = Path(__file__).parents[1] / "scripts" / "make_figure_data.py"
+        loader = importlib.util.spec_from_file_location("make_figure_data", path)
+        script = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(script)
+        rendered = []
+
+        def stub_sweep(spec, env, workers):
+            rendered.append(spec.scenario)
+            return repr(dataclasses.replace(spec, scenario="", description=""))
+
+        monkeypatch.setattr(script, "sweep_csv", stub_sweep)
+        monkeypatch.setattr(sys, "argv", ["make_figure_data.py", "--out", str(tmp_path)])
+        script.main()
+        names = sorted([*SCENARIOS, "fig5_no_diamag"])
+        assert sorted(p.stem for p in tmp_path.iterdir()) == names
+        # fig2b repeats fig2a's grid and fig4 fig3a's; fig5_no_diamag keeps
+        # the scenario name fig5
+        assert len(rendered) == len(names) - 2
+        assert "fig2b" not in rendered and "fig4" not in rendered
+        for copy, source in (("fig2b", "fig2a"), ("fig4", "fig3a")):
+            text = (tmp_path / f"{copy}.csv").read_text()
+            assert text == (tmp_path / f"{source}.csv").read_text()
 
     def test_repeated_runs_byte_identical(self):
         spec = resolve_scenario("fig6")
@@ -341,6 +368,21 @@ class TestCli:
         monkeypatch.setattr(cli, "sweep_csv", no_sweep)
         assert cli.main(["sweep", "--scenario", "fig8", "--workers", workers]) == 2
         assert "--workers must be at least 1" in capsys.readouterr().err
+
+    def test_sweep_workers_bounded_by_cpu_count(self, capsys, monkeypatch):
+        calls = []
+
+        def stub_sweep(spec, env, workers):
+            calls.append(workers)
+            return ""
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "sweep_csv", stub_sweep)
+        assert cli.main(["sweep", "--scenario", "fig8", "--workers", "4"]) == 2
+        assert "--workers must be at most the CPU count, 3" in capsys.readouterr().err
+        assert calls == []
+        assert cli.main(["sweep", "--scenario", "fig8", "--workers", "3"]) == 0
+        assert calls == [3]
 
     def test_conflicting_coupling_flags_rejected(self):
         proc = run_cli(
