@@ -11,14 +11,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from hopfield_gaussian.scenarios import SCENARIOS
-from hopfield_gaussian.states import Environment
 from hopfield_gaussian.sweep import sweep_csv
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="figure_data", help="output directory")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     out = Path(args.out)
@@ -34,8 +32,7 @@ def main() -> None:
     for name, spec in sorted(jobs.items()):
         grid = repr(replace(spec, scenario="", description=""))
         if grid not in rendered:
-            env = Environment(float(spec.fixed.get("T", 0.0)) or 0.0)
-            rendered[grid] = sweep_csv(spec, env, workers=args.workers)
+            rendered[grid] = sweep_csv(spec)
         path = out / f"{name}.csv"
         path.write_text(rendered[grid], newline="\n")
         print(f"wrote {path} ({len(spec.axes)} axis sweep)")

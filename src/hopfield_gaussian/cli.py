@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 from .dynamics import (
@@ -171,11 +170,6 @@ def _parse_axis(text: str) -> Axis:
 
 
 def cmd_sweep(args) -> int:
-    if args.workers < 1:
-        raise ValueError("--workers must be at least 1")
-    cpus = os.cpu_count() or 1
-    if args.workers > cpus:
-        raise ValueError(f"--workers must be at most the CPU count, {cpus}")
     if args.lambda1 is not None or args.lambda2 is not None:
         raise ValueError(
             "sweep does not take --lambda1/--lambda2; set the coupling with "
@@ -197,7 +191,7 @@ def cmd_sweep(args) -> int:
         state=args.state or base.state,
         coupling=args.coupling or base.coupling,
     )
-    _write(sweep_csv(spec, _environment(args), workers=args.workers), args.output)
+    _write(sweep_csv(spec, _environment(args)), args.output)
     return 0
 
 
@@ -279,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("full", "squeeze-only", "mix-only"),
         default=None,
         help="which interaction terms the swept coupling drives",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1, help="worker processes (1 to the CPU count)"
     )
     _add_output_flag(p)
     p.set_defaults(func=cmd_sweep)

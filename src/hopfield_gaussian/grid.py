@@ -17,7 +17,7 @@ route of ``sweep.run_point`` step by step, with the same formulas:
 - the four block determinants per point, and every measure from them.
 
 Each point's result depends on that point alone, so any contiguous split
-of a grid yields the same rows; the worker pool relies on this.
+of a grid yields the same rows; ``sweep.run_sweep``'s blocks rely on this.
 """
 
 from __future__ import annotations
@@ -338,14 +338,15 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     is_numeric = np.ones(n, dtype=bool)
     is_numeric[closed[~degenerate]] = False
     numeric = np.flatnonzero(is_numeric)
-    ok, wu, wl, upper, lower = _numeric_form(
-        wa[numeric], wb[numeric], l1[numeric], l2[numeric], points.diamag[numeric]
-    )
-    stable[numeric[~ok]] = False
-    done = numeric[ok]
-    freqs[:, done] = wu[ok], wl[ok]
-    coeffs[0][:, done] = upper[:, ok]
-    coeffs[1][:, done] = lower[:, ok]
+    if numeric.size:
+        ok, wu, wl, upper, lower = _numeric_form(
+            wa[numeric], wb[numeric], l1[numeric], l2[numeric], points.diamag[numeric]
+        )
+        stable[numeric[~ok]] = False
+        done = numeric[ok]
+        freqs[:, done] = wu[ok], wl[ok]
+        coeffs[0][:, done] = upper[:, ok]
+        coeffs[1][:, done] = lower[:, ok]
 
     live = np.flatnonzero(stable)
     (w_u, x_u, y_u, z_u), (w_l, x_l, y_l, z_l) = coeffs[:, :, live]

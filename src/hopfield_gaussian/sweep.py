@@ -1,18 +1,17 @@
 """Point evaluation and deterministic grid sweeps emitting CSV rows.
 
 A sweep resolves its grid in row-major axis order to parameter arrays and
-evaluates the whole grid as one array pass (``grid.evaluate_grid``),
-optionally in contiguous chunks on a worker pool.  Rows use a fixed
-12-significant-digit float format, so the byte output is reproducible
-across runs and worker counts.  Dynamically unstable points become rows
-with empty measure fields and stable=false.  ``run_point`` is the scalar
-route for one point and the reference the grid kernel is tested against.
+evaluates it with the array kernel (``grid.evaluate_grid``), one block of
+points at a time.  Rows use a fixed 12-significant-digit float format, so
+the byte output is reproducible across runs.  Dynamically unstable points
+become rows with empty measure fields and stable=false.  ``run_point`` is
+the scalar route for one point and the reference the grid kernel is
+tested against.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,40 +279,21 @@ def grid_points(spec: SweepSpec, env: Environment) -> GridPoints:
 _BLOCK_POINTS = 1024
 
 
-def _chunk_rows(task: tuple[GridPoints, str]) -> list[str]:
-    points, state_kind = task
+def run_sweep(spec: SweepSpec, env: Environment | None = None) -> list[str]:
+    """Evaluate the whole grid; returns CSV rows in deterministic order.
+
+    The kernel runs on contiguous blocks of ``_BLOCK_POINTS`` points, and
+    every point's row depends on that point alone.
+    """
+    points = grid_points(spec, env or Environment(0.0))
     rows = []
     for start in range(0, len(points), _BLOCK_POINTS):
         block = points.chunk(start, start + _BLOCK_POINTS)
-        rows += evaluate_grid(block, state_kind).csv_rows()
+        rows += evaluate_grid(block, spec.state).csv_rows()
     return rows
 
 
-def run_sweep(
-    spec: SweepSpec,
-    env: Environment | None = None,
-    workers: int = 1,
-) -> list[str]:
-    """Evaluate the whole grid; returns CSV rows in deterministic order.
-
-    With several workers the grid goes to the pool in contiguous chunks
-    through the same kernel, so the rows are the same for any worker count.
-    """
-    env = env or Environment(0.0)
-    points = grid_points(spec, env)
-    if workers <= 1:
-        return _chunk_rows((points, spec.state))
-    bounds = np.linspace(0, len(points), 4 * workers + 1).astype(int).tolist()
-    tasks = [
-        (points.chunk(start, stop), spec.state)
-        for start, stop in zip(bounds, bounds[1:])
-        if stop > start
-    ]
-    with multiprocessing.Pool(processes=workers) as pool:
-        return [row for rows in pool.map(_chunk_rows, tasks) for row in rows]
-
-
-def sweep_csv(spec: SweepSpec, env: Environment | None = None, workers: int = 1) -> str:
+def sweep_csv(spec: SweepSpec, env: Environment | None = None) -> str:
     """Header plus rows, every line newline-terminated."""
-    rows = run_sweep(spec, env, workers)
+    rows = run_sweep(spec, env)
     return "\n".join([CSV_HEADER, *rows]) + "\n"

@@ -17,7 +17,14 @@ from hopfield_gaussian.model import (
     bogoliubov_diagonalize,
     build_dynamical_matrix,
 )
-from hopfield_gaussian.scenarios import FULL, MIX_ONLY, SQUEEZE_ONLY, Axis, SweepSpec
+from hopfield_gaussian.scenarios import (
+    FULL,
+    MIX_ONLY,
+    SCENARIOS,
+    SQUEEZE_ONLY,
+    Axis,
+    SweepSpec,
+)
 from hopfield_gaussian.states import Environment
 from hopfield_gaussian.sweep import grid_points, run_point, spec_to_params
 
@@ -152,6 +159,15 @@ class TestKernelAgainstScalarRoute:
         result = evaluate_grid(grid_points(RESONANT_DEGENERATE, ENV), "thermal")
         assert calls == [([1e-12, 1e-12], [1e-12, 1e-12], [True, True])]
         assert result.stable.all()
+
+    def test_closed_form_block_skips_the_numeric_solver(self, monkeypatch):
+        def no_call(*args):
+            raise AssertionError("no point of this block needs the numeric solver")
+
+        monkeypatch.setattr(grid, "_numeric_form", no_call)
+        points = grid_points(SCENARIOS["fig3a"], ENV).chunk(0, sweep._BLOCK_POINTS)
+        result = evaluate_grid(points, "thermal")
+        assert len(result.stable) == sweep._BLOCK_POINTS and result.stable.any()
 
     def test_csv_rows_follow_the_row_format(self):
         spec = SweepSpec("custom", (Axis("lambda", (0.2, 0.45, 0.6)),),

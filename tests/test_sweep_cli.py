@@ -167,12 +167,6 @@ class TestSweep:
             lam = float(row.split(",", 1)[0])
             assert (row.endswith("true")) == (lam < 0.5)
 
-    def test_worker_pool_reproduces_serial_result(self):
-        spec = resolve_scenario("fig8")
-        serial = run_sweep(spec, Environment(0.25), workers=1)
-        pooled = run_sweep(spec, Environment(0.25), workers=2)
-        assert serial == pooled
-
     def test_figure_script_renders_each_distinct_grid_once(self, tmp_path, monkeypatch):
         path = Path(__file__).parents[1] / "scripts" / "make_figure_data.py"
         loader = importlib.util.spec_from_file_location("make_figure_data", path)
@@ -180,7 +174,7 @@ class TestSweep:
         loader.loader.exec_module(script)
         rendered = []
 
-        def stub_sweep(spec, env, workers):
+        def stub_sweep(spec):
             rendered.append(spec.scenario)
             return repr(dataclasses.replace(spec, scenario="", description=""))
 
@@ -359,30 +353,6 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert message in err
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_sweep_rejects_fewer_than_one_worker(self, workers, capsys, monkeypatch):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep must not start")
-
-        monkeypatch.setattr(cli, "sweep_csv", no_sweep)
-        assert cli.main(["sweep", "--scenario", "fig8", "--workers", workers]) == 2
-        assert "--workers must be at least 1" in capsys.readouterr().err
-
-    def test_sweep_workers_bounded_by_cpu_count(self, capsys, monkeypatch):
-        calls = []
-
-        def stub_sweep(spec, env, workers):
-            calls.append(workers)
-            return ""
-
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(cli, "sweep_csv", stub_sweep)
-        assert cli.main(["sweep", "--scenario", "fig8", "--workers", "4"]) == 2
-        assert "--workers must be at most the CPU count, 3" in capsys.readouterr().err
-        assert calls == []
-        assert cli.main(["sweep", "--scenario", "fig8", "--workers", "3"]) == 0
-        assert calls == [3]
 
     def test_conflicting_coupling_flags_rejected(self):
         proc = run_cli(
