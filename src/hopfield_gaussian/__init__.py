@@ -9,7 +9,6 @@ dissipative second-moment dynamics behind the steady state.
 
 from .model import (
     DegenerateSpectrumError,
-    DynamicalMatrix,
     InstabilityError,
     ModelParams,
     PolaritonBasis,
@@ -24,21 +23,16 @@ from .model import (
     polariton_frequencies,
 )
 from .states import (
-    BARE,
-    POLARITON,
-    BasisTransform,
     CovarianceMatrix,
     Environment,
     ground_state_covariance_closed,
     ground_state_covariance_generic,
     no_a2_covariance_closed,
-    polariton_thermal_covariance,
     polariton_to_bare_transform,
     quadrature_transform,
     steady_state_covariance,
     thermal_covariance_closed,
     thermal_occupation,
-    to_bare_basis,
 )
 from .measures import (
     CorrelationReport,

@@ -246,7 +246,7 @@ def _fix_phase(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _numeric_form(wa, wb, l1, l2, dd):
-    """``model.bogoliubov_diagonalize(..., allow_degenerate=True)`` on a stack.
+    """``model.bogoliubov_diagonalize`` on a stack.
 
     Builds the dynamical matrices with the entries of
     ``model.build_dynamical_matrix``, takes one ``eig`` over the stack and

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams, PolaritonBasis, polariton_frequencies
-from .states import BARE, CovarianceMatrix, symplectic_form
+from .states import CovarianceMatrix, symplectic_form
 
 __all__ = [
     "UnphysicalStateError",
@@ -97,8 +97,6 @@ class CorrelationReport:
 
 
 def _require_physical(gamma: CovarianceMatrix) -> None:
-    if gamma.basis != BARE:
-        raise UnphysicalStateError("correlation measures act on bare-basis states")
     if not gamma.is_physical():
         raise UnphysicalStateError(
             "covariance matrix violates the symplectic uncertainty bound"
@@ -236,7 +234,7 @@ def covariance_from_correlators(moments: dict[str, float]) -> CovarianceMatrix:
     g[3, 3] = 0.5 * (m["b_bdag"] + m["bdag_b"] - m["b_b"] - m["bdag_bdag"])
     g[0, 2] = g[2, 0] = 0.5 * (m["a_b"] + m["a_bdag"] + m["adag_b"] + m["bdag_adag"])
     g[1, 3] = g[3, 1] = 0.5 * (m["a_bdag"] + m["adag_b"] - m["a_b"] - m["bdag_adag"])
-    return CovarianceMatrix(g, BARE)
+    return CovarianceMatrix(g)
 
 
 def _zeta(params: ModelParams, wu: float, wl: float) -> float:

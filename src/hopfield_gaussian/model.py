@@ -8,8 +8,8 @@ lambda1 = lambda2 = lambda and D = lambda^2 / omega_b.
 
 Diagonalization is offered twice on purpose: closed forms for the
 lambda1 = lambda2 family, and a numeric eigensolver of the 4x4 dynamical
-matrix that covers the general bilinear family and serves as an oracle
-for the closed forms.
+matrix (a plain array) that covers the general bilinear family, including
+degenerate spectra, and serves as an oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "InstabilityError",
     "DegenerateSpectrumError",
     "ModelParams",
-    "DynamicalMatrix",
     "PolaritonBasis",
     "hopfield",
     "natural_diamag",
@@ -41,8 +40,8 @@ __all__ = [
 # Relative tolerances, in units of omega_b.
 IMAG_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
-# Gap below which the degenerate-capable numeric path re-orthogonalizes
-# the two positive-frequency eigenvectors instead of trusting LAPACK.
+# Gap below which the numeric path re-orthogonalizes the two
+# positive-frequency eigenvectors instead of trusting LAPACK.
 DEGENERATE_MIX_TOL = 1e-6
 # Phase fixing: largest imaginary part left after removing the phase, and the
 # size below which the leading coefficient's sign is read from the next one,
@@ -124,26 +123,7 @@ def critical_coupling(omega_a: float, omega_b: float) -> float:
     return math.sqrt(omega_a * omega_b) / 2.0
 
 
-@dataclass(frozen=True)
-class DynamicalMatrix:
-    """4x4 commutator matrix on the operator vector (a, b, a', b')."""
-
-    entries: np.ndarray
-    params: ModelParams
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-    def bogoliubov_symmetry_residual(self) -> float:
-        """Max deviation from M = -K M K with K swapping the dagger block."""
-        m = self.entries
-        k = np.zeros((4, 4))
-        k[:2, 2:] = np.eye(2)
-        k[2:, :2] = np.eye(2)
-        return float(np.max(np.abs(m + k @ m @ k)))
-
-
-def build_dynamical_matrix(params: ModelParams) -> DynamicalMatrix:
+def build_dynamical_matrix(params: ModelParams) -> np.ndarray:
     """Matrix M with [v_i, H] = sum_j M_ij v_j for v = (a, b, a', b').
 
     Mixing entries (a <-> b) carry lambda1, squeezing entries (a <-> b')
@@ -152,7 +132,7 @@ def build_dynamical_matrix(params: ModelParams) -> DynamicalMatrix:
     """
     wa, wb = params.omega_a, params.omega_b
     l1, l2, dd = params.lambda1, params.lambda2, params.diamag
-    m = np.array(
+    return np.array(
         [
             [wa + 2 * dd, l1, 2 * dd, l2],
             [l1, wb, l2, 0.0],
@@ -160,7 +140,6 @@ def build_dynamical_matrix(params: ModelParams) -> DynamicalMatrix:
             [-l2, 0.0, -l1, -wb],
         ]
     )
-    return DynamicalMatrix(m, params)
 
 
 def _freq_invariants(params: ModelParams) -> tuple[float, float, float]:
@@ -358,28 +337,23 @@ def _fix_phase(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def bogoliubov_diagonalize(
-    matrix: DynamicalMatrix, *, allow_degenerate: bool = False
-) -> PolaritonBasis:
+def bogoliubov_diagonalize(params: ModelParams) -> PolaritonBasis:
     """Numeric Bogoliubov diagonalization of the 4x4 dynamical matrix.
 
-    Eigen-decomposes M, keeps the two positive-frequency eigenvalues and
-    maps each right eigenvector u to the coefficient vector (u1, u2, -u3,
-    -u4), which is normalized to Bogoliubov norm +1 and phase-fixed so the
-    leading coefficient is real and positive.  The larger frequency is
-    labelled upper.
+    Eigen-decomposes M of ``build_dynamical_matrix``, keeps the two
+    positive-frequency eigenvalues and maps each right eigenvector u to the
+    coefficient vector (u1, u2, -u3, -u4), which is normalized to
+    Bogoliubov norm +1 and phase-fixed so the leading coefficient is real
+    and positive.  The larger frequency is labelled upper.
 
     Raises InstabilityError if any eigenvalue has an imaginary part above
-    tolerance or fewer than two positive frequencies survive, and
-    DegenerateSpectrumError when the two branches are closer than the
-    labelling tolerance.  With ``allow_degenerate=True`` a (near-)
+    tolerance or fewer than two positive frequencies survive.  A (near-)
     degenerate pair is accepted and re-orthogonalized in the Bogoliubov
     metric; any orthonormal choice spans the same normal-mode subspace, so
     downstream covariances are unaffected.
     """
-    m = np.asarray(matrix.entries, dtype=float)
-    scale = matrix.params.omega_b
-    evals, evecs = np.linalg.eig(m)
+    scale = params.omega_b
+    evals, evecs = np.linalg.eig(build_dynamical_matrix(params))
     if np.max(np.abs(evals.imag)) > IMAG_TOL * scale:
         raise InstabilityError("complex normal-mode frequency: dynamically unstable")
     real_evals = evals.real
@@ -388,15 +362,11 @@ def bogoliubov_diagonalize(
         raise InstabilityError("fewer than two positive normal-mode frequencies")
     order = positive[np.argsort(real_evals[positive])[::-1]]
     wu, wl = float(real_evals[order[0]]), float(real_evals[order[1]])
-    if wu - wl < DEGENERACY_TOL * scale and not allow_degenerate:
-        raise DegenerateSpectrumError(
-            f"branch gap {wu - wl:.3e} below labelling tolerance"
-        )
 
     flip = np.array([1.0, 1.0, -1.0, -1.0])
     c_u = flip * evecs[:, order[0]].astype(complex)
     c_l = flip * evecs[:, order[1]].astype(complex)
-    if allow_degenerate and wu - wl < DEGENERATE_MIX_TOL * scale:
+    if wu - wl < DEGENERATE_MIX_TOL * scale:
         c_l = c_l - (_bogoliubov_inner(c_u, c_l) / _bogoliubov_inner(c_u, c_u)) * c_u
 
     coeffs = []

@@ -1,12 +1,14 @@
-"""Covariance matrices of the coupled modes and their basis transforms.
+"""Bare-basis covariance matrices of the coupled modes.
 
 Quadratures are ordered canonically, (x_a, p_a, x_b, p_b) in the bare
 basis and (x_U, p_U, x_L, p_L) in the polariton basis, with the vacuum at
-variance 1/2.  The steady state of the common-bath master equation is
-diagonal in the polariton basis with coth weights; everything in the bare
-basis follows from the symplectic quadrature map of the Bogoliubov
-coefficients.  Closed-form bare-basis matrices are provided alongside and
-are pinned against that generic route in the tests.
+variance 1/2.  Every covariance here is a bare-basis 4x4 matrix.  The
+steady state of the common-bath master equation is diagonal in the
+polariton basis with coth weights, so with T the symplectic quadrature map
+of the Bogoliubov coefficients it is T diag(n + 1/2) T^T, one product for
+the ground state (n = 0) and the thermal state alike.  Closed-form
+matrices are provided alongside as oracles and are pinned against that
+generic route in ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -24,18 +26,12 @@ from .model import (
 )
 
 __all__ = [
-    "BARE",
-    "POLARITON",
-    "BasisMismatchError",
     "CovarianceMatrix",
-    "BasisTransform",
     "Environment",
     "symplectic_form",
     "thermal_occupation",
-    "polariton_thermal_covariance",
     "quadrature_transform",
     "polariton_to_bare_transform",
-    "to_bare_basis",
     "ground_state_covariance_closed",
     "ground_state_covariance_generic",
     "thermal_covariance_closed",
@@ -47,14 +43,7 @@ __all__ = [
     "parse_covariance",
 ]
 
-BARE = "bare"
-POLARITON = "polariton"
-
 PHYSICALITY_TOL = 1e-10
-
-
-class BasisMismatchError(ValueError):
-    """A covariance matrix arrived in the wrong quadrature basis."""
 
 
 def symplectic_form() -> np.ndarray:
@@ -68,17 +57,16 @@ _OMEGA.setflags(write=False)
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Symmetric 4x4 second-moment matrix tagged with its quadrature basis."""
+    """Symmetric 4x4 second-moment matrix of the bare quadratures."""
 
     entries: np.ndarray
-    basis: str
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
         if m.shape != (4, 4):
             raise ValueError("covariance matrix must be 4x4")
-        if self.basis not in (BARE, POLARITON):
-            raise ValueError(f"unknown basis tag {self.basis!r}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("covariance matrix entries must be finite")
         m = 0.5 * (m + m.T)  # store an exactly symmetric matrix
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -98,24 +86,8 @@ class CovarianceMatrix:
         ev = np.linalg.eigvals(1j * _OMEGA @ self.entries)
         return np.sort(np.abs(ev))[::2]
 
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        return bool(np.all(self.symplectic_eigenvalues() >= 0.5 - tol))
-
-
-@dataclass(frozen=True)
-class BasisTransform:
-    """Symplectic map taking polariton quadratures to bare quadratures."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    def symplectic_residual(self) -> float:
-        u = self.entries
-        return float(np.max(np.abs(u @ _OMEGA @ u.T - _OMEGA)))
+    def is_physical(self) -> bool:
+        return bool(np.all(self.symplectic_eigenvalues() >= 0.5 - PHYSICALITY_TOL))
 
 
 @dataclass(frozen=True)
@@ -154,16 +126,7 @@ def _coth_weight(omega: float, temperature: float) -> float:
     return 1.0 + 2.0 * thermal_occupation(omega, temperature)
 
 
-def polariton_thermal_covariance(
-    basis: PolaritonBasis, temperature: float
-) -> CovarianceMatrix:
-    """Steady-state covariance in the polariton basis: diag(a1, a1, b1, b1)."""
-    a1 = 0.5 * _coth_weight(basis.omega_upper, temperature)
-    b1 = 0.5 * _coth_weight(basis.omega_lower, temperature)
-    return CovarianceMatrix(np.diag([a1, a1, b1, b1]), POLARITON)
-
-
-def quadrature_transform(basis: PolaritonBasis) -> BasisTransform:
+def quadrature_transform(basis: PolaritonBasis) -> np.ndarray:
     """Quadrature-space map assembled directly from the Bogoliubov coefficients.
 
     x_a picks up (w - y) of each branch, p_a picks up (w + y), and the
@@ -172,7 +135,7 @@ def quadrature_transform(basis: PolaritonBasis) -> BasisTransform:
     """
     wu_, xu, yu, zu = basis.coeffs_upper
     wl_, xl, yl, zl = basis.coeffs_lower
-    u = np.array(
+    return np.array(
         [
             [wu_ - yu, 0.0, wl_ - yl, 0.0],
             [0.0, wu_ + yu, 0.0, wl_ + yl],
@@ -180,7 +143,6 @@ def quadrature_transform(basis: PolaritonBasis) -> BasisTransform:
             [0.0, xu + zu, 0.0, xl + zl],
         ]
     )
-    return BasisTransform(u)
 
 
 def _g_plus(x: float) -> float:
@@ -193,7 +155,7 @@ def _g_minus(x: float) -> float:
 
 def polariton_to_bare_transform(
     params: ModelParams, basis: PolaritonBasis
-) -> BasisTransform:
+) -> np.ndarray:
     """Closed-form transform for the single-coupling family.
 
     Written with g+(x) = sqrt(x) and g-(x) = 1/sqrt(x): position rows scale
@@ -205,7 +167,7 @@ def polariton_to_bare_transform(
     wa, wb = params.omega_a, params.omega_b
     wu, wl = basis.omega_upper, basis.omega_lower
     ct, st = math.cos(basis.theta), math.sin(basis.theta)
-    u = np.array(
+    return np.array(
         [
             [ct * _g_minus(wu / wa), 0.0, st * _g_minus(wl / wa), 0.0],
             [0.0, ct * _g_plus(wu / wa), 0.0, st * _g_plus(wl / wa)],
@@ -213,15 +175,14 @@ def polariton_to_bare_transform(
             [0.0, -st * _g_plus(wu / wb), 0.0, ct * _g_plus(wl / wb)],
         ]
     )
-    return BasisTransform(u)
 
 
-def to_bare_basis(gamma: CovarianceMatrix, transform: BasisTransform) -> CovarianceMatrix:
-    """Congruence U Gamma U^T from polariton to bare quadratures."""
-    if gamma.basis != POLARITON:
-        raise BasisMismatchError("expected a polariton-basis covariance")
-    u = transform.entries
-    return CovarianceMatrix(u @ gamma.entries @ u.T, BARE)
+def _polariton_diagonal_state(
+    basis: PolaritonBasis, a1: float, b1: float
+) -> CovarianceMatrix:
+    """T diag(a1, a1, b1, b1) T^T: the grid kernel's product, for one point."""
+    t = quadrature_transform(basis)
+    return CovarianceMatrix((t * np.array([a1, a1, b1, b1])) @ t.T)
 
 
 def ground_state_covariance_closed(params: ModelParams) -> CovarianceMatrix:
@@ -242,13 +203,12 @@ def ground_state_covariance_closed(params: ModelParams) -> CovarianceMatrix:
     g[3, 3] = (wb * wb + prod) / (2.0 * wb * s)
     g[0, 2] = g[2, 0] = -lam * wa * wb / (prod * s)
     g[1, 3] = g[3, 1] = lam / s
-    return CovarianceMatrix(g, BARE)
+    return CovarianceMatrix(g)
 
 
 def ground_state_covariance_generic(basis: PolaritonBasis) -> CovarianceMatrix:
     """Polariton vacuum pushed through the quadrature map: (1/2) T T^T."""
-    t = quadrature_transform(basis).entries
-    return CovarianceMatrix(0.5 * t @ t.T, BARE)
+    return _polariton_diagonal_state(basis, 0.5, 0.5)
 
 
 def thermal_covariance_closed(params: ModelParams, temperature: float) -> CovarianceMatrix:
@@ -276,7 +236,7 @@ def thermal_covariance_closed(params: ModelParams, temperature: float) -> Covari
     g[3, 3] = (cu * wu * (wl2 - wb2) - cl * wl * (wu2 - wb2)) / (2.0 * wb * gap)
     g[0, 2] = g[2, 0] = lam * wa * wb * (cl * wu - cu * wl) / (wl * wu * gap)
     g[1, 3] = g[3, 1] = lam * (cl * wl - cu * wu) / gap
-    return CovarianceMatrix(g, BARE)
+    return CovarianceMatrix(g)
 
 
 def no_a2_covariance_closed(params: ModelParams, temperature: float) -> CovarianceMatrix:
@@ -318,17 +278,20 @@ def no_a2_covariance_closed(params: ModelParams, temperature: float) -> Covarian
         g[0, 2] += cj * wb * (wb + wj) / (n_sq * lam * (wj - wb))
         g[1, 3] += cj * wj * wj * (wb + wj) / (n_sq * lam * wa * (wj - wb))
     g[2, 0], g[3, 1] = g[0, 2], g[1, 3]
-    return CovarianceMatrix(g, BARE)
+    return CovarianceMatrix(g)
 
 
 def steady_state_covariance(basis: PolaritonBasis, temperature: float) -> CovarianceMatrix:
-    """Generic bare-basis steady state: thermal polariton state, mapped back.
+    """Generic bare-basis steady state: T diag(coth weights / 2) T^T.
 
     Works for every stable basis, including the general bilinear family
     where no closed form is available.
     """
-    gamma_p = polariton_thermal_covariance(basis, temperature)
-    return to_bare_basis(gamma_p, quadrature_transform(basis))
+    return _polariton_diagonal_state(
+        basis,
+        0.5 * _coth_weight(basis.omega_upper, temperature),
+        0.5 * _coth_weight(basis.omega_lower, temperature),
+    )
 
 
 # 12 significant digits: the one number format of every CSV and report
@@ -339,9 +302,12 @@ def format_value(x: float) -> str:
     return format(x, VALUE_FORMAT)
 
 
+_HEADER = "basis: bare"
+
+
 def format_covariance(gamma: CovarianceMatrix) -> str:
     """Plain-text serialization: one basis-tag line, then 4 row-major rows."""
-    lines = [f"basis: {gamma.basis}"]
+    lines = [_HEADER]
     for row in gamma.entries:
         lines.append(" ".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
@@ -351,6 +317,7 @@ def parse_covariance(text: str) -> CovarianceMatrix:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) != 5 or not lines[0].startswith("basis:"):
         raise ValueError("expected a basis line followed by four matrix rows")
-    basis = lines[0].split(":", 1)[1].strip()
+    if lines[0].split(":", 1)[1].strip() != "bare":
+        raise ValueError(f"expected the header {_HEADER!r}, got {lines[0].strip()!r}")
     rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
-    return CovarianceMatrix(np.array(rows), basis)
+    return CovarianceMatrix(np.array(rows))

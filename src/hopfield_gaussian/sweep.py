@@ -24,7 +24,6 @@ from .model import (
     ModelParams,
     PolaritonBasis,
     bogoliubov_diagonalize,
-    build_dynamical_matrix,
     hopfield,
     hopfield_basis,
     natural_diamag,
@@ -106,9 +105,7 @@ def diagonalize_params(params: ModelParams) -> PolaritonBasis:
             return hopfield_basis(params)
         except DegenerateSpectrumError:
             pass
-    return bogoliubov_diagonalize(
-        build_dynamical_matrix(params), allow_degenerate=True
-    )
+    return bogoliubov_diagonalize(params)
 
 
 def point_state(

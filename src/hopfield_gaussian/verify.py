@@ -32,7 +32,6 @@ from .measures import (
 from .model import (
     InstabilityError,
     bogoliubov_diagonalize,
-    build_dynamical_matrix,
     critical_coupling,
     hopfield,
     hopfield_basis,
@@ -41,15 +40,12 @@ from .model import (
 )
 from .scenarios import Axis, SweepSpec, resolve_scenario
 from .states import (
-    BARE,
     CovarianceMatrix,
     Environment,
     ground_state_covariance_closed,
-    polariton_thermal_covariance,
-    quadrature_transform,
+    steady_state_covariance,
     thermal_covariance_closed,
     thermal_occupation,
-    to_bare_basis,
 )
 from .grid import GridResult, evaluate_grid
 from .sweep import grid_points, run_point, sweep_csv
@@ -100,7 +96,7 @@ def check_diagonalization_oracle() -> CheckResult:
     for _ in range(1000):
         p = _random_hopfield(rng)
         analytic = hopfield_basis(p)
-        numeric = bogoliubov_diagonalize(build_dynamical_matrix(p))
+        numeric = bogoliubov_diagonalize(p)
         freq_dev = max(
             freq_dev,
             abs(numeric.omega_upper - analytic.omega_upper) / analytic.omega_upper,
@@ -152,12 +148,9 @@ def check_covariance_two_route() -> CheckResult:
         for wa in np.linspace(0.1, 3.0, 20):
             p = hopfield(float(wa), 1.0, float(lam))
             basis = hopfield_basis(p)
-            u = quadrature_transform(basis)
             for temperature in (0.0, 0.1, 0.25, 0.5, 1.0):
                 closed = thermal_covariance_closed(p, temperature).entries
-                routed = to_bare_basis(
-                    polariton_thermal_covariance(basis, temperature), u
-                ).entries
+                routed = steady_state_covariance(basis, temperature).entries
                 dev = max(dev, float(np.max(np.abs(closed - routed))))
     return CheckResult(4, "covariance-two-route", "1e-9", f"{dev:.2e}", dev < 1e-9)
 
@@ -327,7 +320,7 @@ def random_physical_covariance(rng: np.random.Generator) -> CovarianceMatrix:
         @ local(*rng.uniform(0, 2 * math.pi, 2))
     )
     nu = rng.uniform(0.5, 2.5, 2)
-    return CovarianceMatrix(s @ np.diag([nu[0], nu[0], nu[1], nu[1]]) @ s.T, BARE)
+    return CovarianceMatrix(s @ np.diag([nu[0], nu[0], nu[1], nu[1]]) @ s.T)
 
 
 def check_ppt_oracle() -> CheckResult:

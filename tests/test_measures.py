@@ -30,7 +30,6 @@ from hopfield_gaussian.measures import (
     symplectic_invariants,
 )
 from hopfield_gaussian.states import (
-    BARE,
     CovarianceMatrix,
     ground_state_covariance_closed,
     no_a2_covariance_closed,
@@ -39,7 +38,7 @@ from hopfield_gaussian.states import (
     thermal_occupation,
 )
 
-VACUUM = CovarianceMatrix(0.5 * np.eye(4), BARE)
+VACUUM = CovarianceMatrix(0.5 * np.eye(4))
 
 stable_hopfield = st.builds(
     hopfield, st.floats(0.1, 4.0), st.just(1.0), st.floats(0.01, 2.5)
@@ -78,7 +77,7 @@ def random_physical_covariance(rng: np.random.Generator) -> CovarianceMatrix:
         @ local(*rng.uniform(0, 2 * math.pi, 2))
     )
     nu = rng.uniform(0.5, 2.5, 2)
-    return CovarianceMatrix(s @ np.diag([nu[0], nu[0], nu[1], nu[1]]) @ s.T, BARE)
+    return CovarianceMatrix(s @ np.diag([nu[0], nu[0], nu[1], nu[1]]) @ s.T)
 
 
 class TestSymplecticInvariants:
@@ -93,7 +92,7 @@ class TestSymplecticInvariants:
         assert inv.d_minus < 0.5
 
     def test_unphysical_rejected(self):
-        squeezed_too_far = CovarianceMatrix(np.diag([0.1, 0.1, 0.5, 0.5]), BARE)
+        squeezed_too_far = CovarianceMatrix(np.diag([0.1, 0.1, 0.5, 0.5]))
         with pytest.raises(UnphysicalStateError):
             symplectic_invariants(squeezed_too_far)
 

@@ -65,20 +65,20 @@ class TestModelParams:
 
 class TestDynamicalMatrix:
     def test_decoupled_is_diagonal(self):
-        m = build_dynamical_matrix(hopfield(1, 1, 0)).entries
+        m = build_dynamical_matrix(hopfield(1, 1, 0))
         assert np.array_equal(m, np.diag([1.0, 1.0, -1.0, -1.0]))
 
     def test_full_coupling_entries(self):
         # D = 0.25, so the cavity diagonal is shifted to 1.5 and the
         # counter-rotating cavity entry is 0.5
-        m = build_dynamical_matrix(hopfield(1, 1, 0.5)).entries
+        m = build_dynamical_matrix(hopfield(1, 1, 0.5))
         assert m[0, 0] == 1.5
         assert m[0, 2] == 0.5
         assert m[0, 1] == m[0, 3] == 0.5
         assert m[2, 2] == -1.5
 
     def test_mixing_only_squeezing_entries_vanish(self):
-        m = build_dynamical_matrix(general(1, 1, 0.3, 0.0, 0.0)).entries
+        m = build_dynamical_matrix(general(1, 1, 0.3, 0.0, 0.0))
         assert m[0, 3] == m[1, 2] == m[2, 1] == m[3, 0] == 0.0
         assert m[0, 1] == m[1, 0] == 0.3
         assert m[2, 3] == m[3, 2] == -0.3
@@ -86,7 +86,7 @@ class TestDynamicalMatrix:
     def test_coefficient_vector_is_left_eigenvector(self):
         # the closed-form coefficients must satisfy c M = omega c
         p = hopfield(1.3, 1, 0.4)
-        m = build_dynamical_matrix(p).entries
+        m = build_dynamical_matrix(p)
         basis = hopfield_basis(p)
         for coeffs, w in [
             (basis.coeffs_upper, basis.omega_upper),
@@ -97,7 +97,12 @@ class TestDynamicalMatrix:
 
     @given(stable_hopfield)
     def test_bogoliubov_symmetry(self, p):
-        assert build_dynamical_matrix(p).bogoliubov_symmetry_residual() == 0.0
+        # M = -K M K with K swapping the dagger block
+        m = build_dynamical_matrix(p)
+        k = np.zeros((4, 4))
+        k[:2, 2:] = np.eye(2)
+        k[2:, :2] = np.eye(2)
+        assert np.max(np.abs(m + k @ m @ k)) == 0.0
 
 
 class TestFrequencies:
@@ -165,7 +170,7 @@ class TestHopfieldBasis:
     @given(stable_hopfield)
     def test_matches_numeric_oracle(self, p):
         analytic = hopfield_basis(p)
-        numeric = bogoliubov_diagonalize(build_dynamical_matrix(p))
+        numeric = bogoliubov_diagonalize(p)
         assert numeric.omega_upper == pytest.approx(analytic.omega_upper, rel=1e-10)
         assert numeric.omega_lower == pytest.approx(analytic.omega_lower, rel=1e-10)
         for a, n in [
@@ -177,30 +182,27 @@ class TestHopfieldBasis:
 
 class TestNumericDiagonalization:
     def test_decoupling_limit(self):
-        b = bogoliubov_diagonalize(build_dynamical_matrix(hopfield(5, 1, 0.01)))
+        b = bogoliubov_diagonalize(hopfield(5, 1, 0.01))
         assert b.omega_upper == pytest.approx(5, abs=1e-3)
         assert b.omega_lower == pytest.approx(1, abs=1e-3)
 
     def test_instability_detected(self):
         with pytest.raises(InstabilityError):
-            bogoliubov_diagonalize(build_dynamical_matrix(no_a2(1, 1, 0.6)))
+            bogoliubov_diagonalize(no_a2(1, 1, 0.6))
 
     def test_leading_coefficient_positive(self):
-        b = bogoliubov_diagonalize(build_dynamical_matrix(hopfield(1, 1, 0.5)))
+        b = bogoliubov_diagonalize(hopfield(1, 1, 0.5))
         assert b.coeffs_upper[0] > 0 and b.coeffs_lower[0] > 0
 
-    def test_degenerate_squeezing_only_needs_opt_in(self):
-        m = build_dynamical_matrix(general(1, 1, 0.0, 0.3, 0.0))
-        with pytest.raises(DegenerateSpectrumError):
-            bogoliubov_diagonalize(m)
-        b = bogoliubov_diagonalize(m, allow_degenerate=True)
+    def test_degenerate_squeezing_only_is_accepted(self):
+        b = bogoliubov_diagonalize(general(1, 1, 0.0, 0.3, 0.0))
         nu, nl = b.bogoliubov_norms()
         assert abs(nu - 1) < 1e-10 and abs(nl - 1) < 1e-10
         assert b.orthogonality_residual() < 1e-10
         assert b.omega_upper == pytest.approx(math.sqrt(1 - 0.3**2), abs=1e-12)
 
     def test_mixing_only_frequencies(self):
-        b = bogoliubov_diagonalize(build_dynamical_matrix(general(1, 1, 0.3, 0.0, 0.0)))
+        b = bogoliubov_diagonalize(general(1, 1, 0.3, 0.0, 0.0))
         assert b.omega_upper == pytest.approx(1.3, abs=1e-12)
         assert b.omega_lower == pytest.approx(0.7, abs=1e-12)
 
@@ -209,7 +211,7 @@ class TestNoA2Basis:
     @given(stable_no_a2)
     def test_matches_numeric_oracle(self, p):
         closed = no_a2_basis(p)
-        numeric = bogoliubov_diagonalize(build_dynamical_matrix(p))
+        numeric = bogoliubov_diagonalize(p)
         assert numeric.omega_upper == pytest.approx(closed.omega_upper, rel=1e-10)
         for a, n in [
             (closed.coeffs_upper, numeric.coeffs_upper),

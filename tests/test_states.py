@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hopfield_gaussian.model import (
     DegenerateSpectrumError,
     bogoliubov_diagonalize,
-    build_dynamical_matrix,
     critical_coupling,
     general,
     hopfield,
@@ -17,9 +16,6 @@ from hopfield_gaussian.model import (
     no_a2_basis,
 )
 from hopfield_gaussian.states import (
-    BARE,
-    POLARITON,
-    BasisMismatchError,
     CovarianceMatrix,
     Environment,
     format_covariance,
@@ -27,13 +23,12 @@ from hopfield_gaussian.states import (
     ground_state_covariance_generic,
     no_a2_covariance_closed,
     parse_covariance,
-    polariton_thermal_covariance,
     polariton_to_bare_transform,
     quadrature_transform,
     steady_state_covariance,
+    symplectic_form,
     thermal_covariance_closed,
     thermal_occupation,
-    to_bare_basis,
 )
 
 stable_hopfield = st.builds(
@@ -43,6 +38,18 @@ stable_no_a2 = st.tuples(st.floats(0.2, 4.0), st.floats(0.02, 0.98)).map(
     lambda t: no_a2(t[0], 1.0, t[1] * critical_coupling(t[0], 1.0))
 )
 temperatures = st.floats(0.0, 1.0)
+
+
+def symplectic_residual(u):
+    """Max deviation from U Omega U^T = Omega."""
+    omega = symplectic_form()
+    return float(np.max(np.abs(u @ omega @ u.T - omega)))
+
+
+def polariton_covariance(basis, gamma):
+    """A bare-basis covariance pulled back to the polariton quadratures."""
+    t_inv = np.linalg.inv(quadrature_transform(basis))
+    return t_inv @ gamma.entries @ t_inv.T
 
 
 class TestThermalOccupation:
@@ -88,60 +95,53 @@ class TestEnvironment:
 
 
 class TestPolaritonThermalState:
+    """The steady state is diagonal in the polariton basis with coth weights."""
+
     def test_vacuum_at_zero_temperature(self):
         b = hopfield_basis(hopfield(1, 1, 0.5))
-        g = polariton_thermal_covariance(b, 0.0)
-        assert np.array_equal(g.entries, 0.5 * np.eye(4))
-        assert g.basis == POLARITON
+        g = steady_state_covariance(b, 0.0)
+        assert np.array_equal(g.entries, ground_state_covariance_generic(b).entries)
+        assert np.max(np.abs(polariton_covariance(b, g) - 0.5 * np.eye(4))) < 1e-14
 
     def test_branch_weights(self):
         b = hopfield_basis(hopfield(1, 1, 0.5))
-        g = polariton_thermal_covariance(b, 0.15)
-        assert g.entries[0, 0] == pytest.approx(
-            0.5 + thermal_occupation(b.omega_upper, 0.15), rel=1e-14
-        )
-        assert g.entries[2, 2] == pytest.approx(
-            0.5 + thermal_occupation(b.omega_lower, 0.15), rel=1e-14
-        )
+        g = polariton_covariance(b, steady_state_covariance(b, 0.15))
+        a1 = 0.5 + thermal_occupation(b.omega_upper, 0.15)
+        b1 = 0.5 + thermal_occupation(b.omega_lower, 0.15)
+        assert np.max(np.abs(g - np.diag([a1, a1, b1, b1]))) < 1e-14
 
     @given(stable_hopfield, st.floats(0.01, 2.0))
     def test_lower_branch_is_hotter(self, p, temperature):
-        g = polariton_thermal_covariance(hopfield_basis(p), temperature)
-        assert g.entries[2, 2] >= g.entries[0, 0]
+        b = hopfield_basis(p)
+        g = polariton_covariance(b, steady_state_covariance(b, temperature))
+        assert g[2, 2] >= g[0, 0] - 1e-12 * g[2, 2]
 
 
 class TestTransforms:
     @given(stable_hopfield)
     def test_symplectic(self, p):
         b = hopfield_basis(p)
-        assert quadrature_transform(b).symplectic_residual() < 1e-10
-        assert polariton_to_bare_transform(p, b).symplectic_residual() < 1e-10
+        assert symplectic_residual(quadrature_transform(b)) < 1e-10
+        assert symplectic_residual(polariton_to_bare_transform(p, b)) < 1e-10
 
     @given(stable_hopfield)
     def test_closed_form_matches_coefficient_assembly(self, p):
         b = hopfield_basis(p)
-        u1 = quadrature_transform(b).entries
-        u2 = polariton_to_bare_transform(p, b).entries
+        u1 = quadrature_transform(b)
+        u2 = polariton_to_bare_transform(p, b)
         assert np.max(np.abs(u1 - u2)) < 1e-9
 
     def test_decoupling_limit_is_identity_off_resonance(self):
         b = hopfield_basis(hopfield(1.5, 1, 1e-9))
-        u = quadrature_transform(b).entries
+        u = quadrature_transform(b)
         assert np.allclose(u, np.eye(4), atol=1e-6)
 
     def test_decoupling_limit_at_resonance_is_passive(self):
         # the branches degenerate at resonance, so the limit is only an
         # orthogonal (vacuum-preserving) rotation of the two modes
         b = hopfield_basis(hopfield(1, 1, 1e-9))
-        u = quadrature_transform(b).entries
+        u = quadrature_transform(b)
         assert np.allclose(u @ u.T, np.eye(4), atol=1e-6)
-
-    def test_basis_mismatch_rejected(self):
-        p = hopfield(1, 1, 0.5)
-        b = hopfield_basis(p)
-        bare = ground_state_covariance_closed(p)
-        with pytest.raises(BasisMismatchError):
-            to_bare_basis(bare, quadrature_transform(b))
 
 
 class TestGroundState:
@@ -167,8 +167,7 @@ class TestGroundState:
         assert np.max(np.abs(closed - generic)) < 1e-10
 
     def test_squeezing_only_has_cross_correlations(self):
-        m = build_dynamical_matrix(general(1, 1, 0.0, 0.3, 0.0))
-        b = bogoliubov_diagonalize(m, allow_degenerate=True)
+        b = bogoliubov_diagonalize(general(1, 1, 0.0, 0.3, 0.0))
         g = ground_state_covariance_generic(b)
         # independent route: (a +- b)/sqrt(2) are two decoupled squeezed modes
         vxp = 0.5 * math.sqrt(0.7 / 1.3)
@@ -178,8 +177,9 @@ class TestGroundState:
         assert g.entries[0, 0] == pytest.approx((vxp + vxm) / 2, abs=1e-12)
 
     def test_mixing_only_keeps_vacuum(self):
-        m = build_dynamical_matrix(general(1, 1, 0.3, 0.0, 0.0))
-        g = ground_state_covariance_generic(bogoliubov_diagonalize(m))
+        g = ground_state_covariance_generic(
+            bogoliubov_diagonalize(general(1, 1, 0.3, 0.0, 0.0))
+        )
         assert np.max(np.abs(g.entries - 0.5 * np.eye(4))) < 1e-13
 
 
@@ -194,9 +194,7 @@ class TestThermalClosedForm:
     def test_two_route_equivalence(self, p, temperature):
         b = hopfield_basis(p)
         closed = thermal_covariance_closed(p, temperature).entries
-        routed = to_bare_basis(
-            polariton_thermal_covariance(b, temperature), quadrature_transform(b)
-        ).entries
+        routed = steady_state_covariance(b, temperature).entries
         assert np.max(np.abs(closed - routed)) < 1e-9
 
     @given(stable_hopfield, temperatures)
@@ -240,22 +238,33 @@ class TestCovarianceContainer:
     def test_symmetrized_on_construction(self):
         m = np.eye(4)
         m[0, 2] = 0.2
-        g = CovarianceMatrix(m, BARE)
+        g = CovarianceMatrix(m)
         assert np.array_equal(g.entries, g.entries.T)
         assert g.entries[2, 0] == 0.1
 
-    def test_rejects_bad_shape_and_tag(self):
-        with pytest.raises(ValueError):
-            CovarianceMatrix(np.eye(3), BARE)
-        with pytest.raises(ValueError):
-            CovarianceMatrix(np.eye(4), "weird")
+    def test_rejects_bad_shape_and_non_finite(self):
+        with pytest.raises(ValueError, match="4x4"):
+            CovarianceMatrix(np.eye(3))
+        for bad in (math.nan, math.inf, -math.inf):
+            m = 0.5 * np.eye(4)
+            m[1, 3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                CovarianceMatrix(m)
 
     def test_serialization_roundtrip(self):
         g = thermal_covariance_closed(hopfield(1.2, 1, 0.4), 0.3)
-        back = parse_covariance(format_covariance(g))
-        assert back.basis == BARE
-        assert np.array_equal(back.entries, g.entries)
+        text = format_covariance(g)
+        assert text.startswith("basis: bare\n")
+        assert np.array_equal(parse_covariance(text).entries, g.entries)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_covariance("not a covariance")
+        text = format_covariance(CovarianceMatrix(0.5 * np.eye(4)))
+        with pytest.raises(ValueError, match="finite"):
+            parse_covariance(text.replace("0.5", "nan", 1))
+
+    def test_parse_accepts_only_the_bare_basis(self):
+        text = format_covariance(CovarianceMatrix(0.5 * np.eye(4)))
+        with pytest.raises(ValueError, match="basis: bare"):
+            parse_covariance(text.replace("bare", "polariton"))

@@ -40,6 +40,15 @@ def run_cli(*argv, check=True):
     return proc
 
 
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` as a module."""
+    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    loader = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    return script
+
+
 class TestRunPoint:
     def test_ground_state_point(self):
         row = run_point(hopfield(1, 1, 0.5), None, "ground")
@@ -168,10 +177,7 @@ class TestSweep:
             assert (row.endswith("true")) == (lam < 0.5)
 
     def test_figure_script_renders_each_distinct_grid_once(self, tmp_path, monkeypatch):
-        path = Path(__file__).parents[1] / "scripts" / "make_figure_data.py"
-        loader = importlib.util.spec_from_file_location("make_figure_data", path)
-        script = importlib.util.module_from_spec(loader)
-        loader.loader.exec_module(script)
+        script = load_script("make_figure_data")
         rendered = []
 
         def stub_sweep(spec):
@@ -190,6 +196,17 @@ class TestSweep:
         for copy, source in (("fig2b", "fig2a"), ("fig4", "fig3a")):
             text = (tmp_path / f"{copy}.csv").read_text()
             assert text == (tmp_path / f"{source}.csv").read_text()
+
+    def test_relaxation_demo_reaches_the_closed_form(self, monkeypatch, capsys):
+        script = load_script("relaxation_demo")
+        monkeypatch.setattr(sys, "argv", ["relaxation_demo.py"])
+        script.main()
+        lines = capsys.readouterr().out.splitlines()
+        relaxed, reference = lines[-2], lines[-1]
+        assert relaxed.startswith("max |relaxed - closed| = ")
+        assert reference.startswith("(two-route reference ")
+        assert float(relaxed.split("=")[1]) < 1e-12
+        assert float(reference.split()[-1].rstrip(")")) < 1e-12
 
     def test_repeated_runs_byte_identical(self):
         spec = resolve_scenario("fig6")
@@ -261,8 +278,9 @@ class TestCli:
         run_cli(
             "point", "--lambda", "0.5", "--dump-cov", str(path), "--output", "-"
         )
-        gamma = parse_covariance(path.read_text())
-        assert gamma.basis == "bare"
+        text = path.read_text()
+        assert text.startswith("basis: bare\n")
+        gamma = parse_covariance(text)
         assert gamma.entries[0, 0] == pytest.approx(1 / np.sqrt(5), abs=1e-12)
 
     def test_dump_cov_to_stdout(self):
