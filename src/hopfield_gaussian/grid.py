@@ -13,8 +13,9 @@ route of ``sweep.run_point`` step by step, with the same formulas:
   operations (bit for bit its frequencies and coefficients),
 - every covariance T diag(coth weights) T^T with one batched matrix
   product, bit for bit the product of the scalar route,
-- one stacked eigenvalue check of i Omega Gamma for physicality,
-- the four block determinants per point, and every measure from them.
+- the four block determinants per point, the closed-form symplectic
+  spectrum of ``states.symplectic_spectrum`` for physicality (the scalar
+  route's formula, no eigensolver), and every measure from them.
 
 Each point's result depends on that point alone, so any contiguous split
 of a grid yields the same rows; ``sweep.run_sweep``'s blocks rely on this.
@@ -38,11 +39,10 @@ from .model import (
     SIGN_TOL,
     ModelParams,
 )
-from .states import PHYSICALITY_TOL, VALUE_FORMAT, symplectic_form
+from .states import PHYSICALITY_TOL, VALUE_FORMAT, symplectic_spectrum
 
 __all__ = ["GridPoints", "GridResult", "evaluate_grid"]
 
-_I_OMEGA = 1j * symplectic_form()
 # class label by (G_ab above threshold) + 2 * (G_ba above threshold)
 _CLASS_LABELS = np.array(
     [
@@ -81,6 +81,11 @@ class GridPoints:
     lambda2: np.ndarray
     diamag: np.ndarray
     temperature: np.ndarray
+
+    def __post_init__(self):
+        # csv_rows reads each column's float64 bits
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), float))
 
     def __len__(self) -> int:
         return len(self.omega_a)
@@ -310,9 +315,10 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     """Rows of every grid point, each equal to ``run_point`` on that point.
 
     ``state_kind`` is 'ground' (polariton vacuum) or 'thermal' (common-bath
-    steady state at each point's temperature).  Raises UnphysicalStateError
-    when a stable point's covariance violates the uncertainty bound, and
-    ValueError when a stable point's measures are not finite.
+    steady state at each point's temperature).  Raises ValueError when a
+    stable point's covariance is singular to rounding or its measures are
+    not finite, and UnphysicalStateError when it violates the uncertainty
+    bound; the message names the first such point.
     """
     if state_kind not in ("ground", "thermal"):
         raise ValueError("state_kind must be 'ground' or 'thermal'")
@@ -363,18 +369,29 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     gamma = (t * weights[:, None, :]) @ t.transpose(0, 2, 1)
     gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))
 
-    # the matrices and the LAPACK routine of CovarianceMatrix.is_physical, so
-    # the two routes take the same decision at every point
-    nu = np.abs(np.linalg.eigvals(_I_OMEGA @ gamma))
-    if not np.all(nu.min(axis=1) >= 0.5 - PHYSICALITY_TOL):
-        raise UnphysicalStateError(
-            "covariance matrix violates the symplectic uncertainty bound"
-        )
-
     i_a = np.linalg.det(gamma[:, :2, :2])
     i_b = np.linalg.det(gamma[:, 2:, 2:])
     i_c = np.linalg.det(gamma[:, 2:, :2])
     i_ab = np.linalg.det(gamma)
+    # the checks of measures.symplectic_invariants in its order, on the same
+    # closed-form spectrum as CovarianceMatrix.is_physical, so both routes
+    # take the same decision at every point; the first point failing one is
+    # named
+    singular = ~((i_a > 0.0) & (i_b > 0.0) & (i_ab > 0.0))
+    nu_minus, _ = symplectic_spectrum(np.ascontiguousarray(gamma.transpose(1, 2, 0)))
+    rejected = singular | ~(nu_minus >= 0.5 - PHYSICALITY_TOL)
+    if rejected.any():
+        first = int(np.argmax(rejected))
+        params = points.params(int(live[first]))
+        if singular[first]:
+            raise ValueError(
+                f"a block determinant of the covariance at {params} is not "
+                "positive: it is singular to rounding, at the stability edge"
+            )
+        raise UnphysicalStateError(
+            f"the covariance at {params} violates the symplectic uncertainty bound"
+        )
+
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = i_a + i_b - 2.0 * i_c
         disc_sq = delta * delta - 4.0 * i_ab
@@ -385,14 +402,14 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
         raw_ab = 0.5 * np.log(i_a / (4.0 * i_ab))
         raw_ba = 0.5 * np.log(i_b / (4.0 * i_ab))
         purities = 1.0 / (4.0 * i_a), 1.0 / (4.0 * i_b), 1.0 / (16.0 * i_ab)
-    # a zero or negative determinant here means the covariance is singular to
-    # rounding (a point at the stability edge), where the scalar route fails
+    # a partial-transpose eigenvalue rounded to zero, where the scalar
+    # route's SymplecticInvariants.log_negativity raises
     finite = np.isfinite([e_n, raw_ab, raw_ba, *purities]).all(axis=0)
     if not finite.all():
         params = points.params(int(live[np.argmin(finite)]))
         raise ValueError(
-            f"correlation measures are not finite at {params}: its covariance "
-            "is singular to rounding, at the stability edge"
+            f"correlation measures are not finite at {params}: its partial "
+            "transpose is singular to rounding, at the stability edge"
         )
     # where(v > 0, v, 0) is max(0.0, v) of the scalar route, -0.0 included
     e_n = np.where(e_n > 0.0, e_n, 0.0)

@@ -67,6 +67,11 @@ class SymplecticInvariants:
     d_plus: float
 
     def log_negativity(self) -> float:
+        if not self.d_minus > 0.0:
+            raise ValueError(
+                "the partial transpose of the covariance is singular to "
+                "rounding, at the stability edge"
+            )
         return max(0.0, -math.log(2.0 * self.d_minus))
 
     def steering_raw(self) -> tuple[float, float]:
@@ -110,16 +115,18 @@ def symplectic_invariants(gamma: CovarianceMatrix) -> SymplecticInvariants:
     delta = det A + det B - 2 det C, the sign flip of det C implementing
     the momentum reversal of the second mode.
     """
-    _require_physical(gamma)
     i_a = float(np.linalg.det(gamma.block_a()))
     i_b = float(np.linalg.det(gamma.block_b()))
     i_c = float(np.linalg.det(gamma.block_c()))
     i_ab = float(np.linalg.det(gamma.entries))
-    if min(i_a, i_b, i_ab) <= 0.0:
+    # checked before physicality, which such a matrix fails too, so that a
+    # point at the stability edge is reported as what it is
+    if not min(i_a, i_b, i_ab) > 0.0:
         raise ValueError(
             "a block determinant of the covariance is not positive: it is "
             "singular to rounding, at the stability edge"
         )
+    _require_physical(gamma)
     delta = i_a + i_b - 2.0 * i_c
     disc = math.sqrt(max(delta * delta - 4.0 * i_ab, 0.0))
     d_minus = math.sqrt(max(0.5 * (delta - disc), 0.0))

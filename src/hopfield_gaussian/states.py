@@ -29,6 +29,7 @@ __all__ = [
     "CovarianceMatrix",
     "Environment",
     "symplectic_form",
+    "symplectic_spectrum",
     "thermal_occupation",
     "quadrature_transform",
     "polariton_to_bare_transform",
@@ -49,10 +50,6 @@ PHYSICALITY_TOL = 1e-10
 def symplectic_form() -> np.ndarray:
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return np.block([[j, np.zeros((2, 2))], [np.zeros((2, 2)), j]])
-
-
-_OMEGA = symplectic_form()
-_OMEGA.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -82,12 +79,61 @@ class CovarianceMatrix:
         return self.entries[2:, :2]
 
     def symplectic_eigenvalues(self) -> np.ndarray:
-        # spectrum of i Omega Gamma comes in +/- pairs; keep one of each
-        ev = np.linalg.eigvals(1j * _OMEGA @ self.entries)
-        return np.sort(np.abs(ev))[::2]
+        """(nu_-, nu_+); both NaN when the matrix is not positive definite."""
+        return np.array(symplectic_spectrum(self.entries.tolist()))
 
     def is_physical(self) -> bool:
-        return bool(np.all(self.symplectic_eigenvalues() >= 0.5 - PHYSICALITY_TOL))
+        return symplectic_spectrum(self.entries.tolist())[0] >= 0.5 - PHYSICALITY_TOL
+
+
+def _root(x: float) -> float:
+    return math.sqrt(x) if x > 0.0 else math.nan
+
+
+def _stacked_root(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.where(x > 0.0, x, np.nan))
+
+
+def symplectic_spectrum(g):
+    """Symplectic eigenvalues (nu_-, nu_+) of two-mode covariances, in closed form.
+
+    ``g`` is one matrix as a nested list of floats, or a (4, 4, n) array
+    holding n matrices with the point index last; only the lower triangle
+    g[i][j], i >= j, is read.  Both inputs take the same floating-point
+    operations, so a matrix gets the same bits either way.
+
+    With Gamma = L L^T (Cholesky), K = L^T Omega L is antisymmetric with
+    eigenvalues +-i nu_+-.  Its self-dual and anti-self-dual parts have
+    norms u = nu_+ + nu_- and v = nu_+ - nu_-, and Pf K = det L = nu_+ nu_-,
+    so nu_+ = (u + v)/2 and nu_- = det L / nu_+ with no difference of two
+    nearly equal numbers.  A pivot that is not positive (Gamma not positive
+    definite, hence not a state) makes both values NaN, and so does a u
+    that underflows to zero.  Squares of K's entries overflow for entries
+    above about 1e150.
+    """
+    stacked = isinstance(g, np.ndarray)
+    root, sqrt = (_stacked_root, np.sqrt) if stacked else (_root, math.sqrt)
+    l00 = root(g[0][0])
+    l10, l20, l30 = g[1][0] / l00, g[2][0] / l00, g[3][0] / l00
+    l11 = root(g[1][1] - l10 * l10)
+    l21 = (g[2][1] - l20 * l10) / l11
+    l31 = (g[3][1] - l30 * l10) / l11
+    l22 = root(g[2][2] - l20 * l20 - l21 * l21)
+    l32 = (g[3][2] - l30 * l20 - l31 * l21) / l22
+    l33 = root(g[3][3] - l30 * l30 - l31 * l31 - l32 * l32)
+    k01 = l00 * l11 + l20 * l31 - l30 * l21
+    k02 = l20 * l32 - l30 * l22
+    k03 = l20 * l33
+    k12 = l21 * l32 - l31 * l22
+    k13 = l21 * l33
+    k23 = l22 * l33
+    s1, s2, s3 = k01 + k23, k02 - k13, k03 + k12
+    d1, d2, d3 = k01 - k23, k02 + k13, k03 - k12
+    # v is zero for a degenerate pair, so only u takes the NaN guard
+    u = root(s1 * s1 + s2 * s2 + s3 * s3)
+    v = sqrt(d1 * d1 + d2 * d2 + d3 * d3)
+    nu_plus = 0.5 * (u + v)
+    return l00 * l11 * l22 * l33 / nu_plus, nu_plus
 
 
 @dataclass(frozen=True)

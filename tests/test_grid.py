@@ -1,6 +1,7 @@
 """The batched grid kernel against the scalar route, point by point."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfield_gaussian import grid, model, sweep
-from hopfield_gaussian.grid import evaluate_grid
-from hopfield_gaussian.measures import STEERING_THRESHOLD
+from hopfield_gaussian.grid import GridPoints, evaluate_grid
+from hopfield_gaussian.measures import STEERING_THRESHOLD, UnphysicalStateError
 from hopfield_gaussian.model import (
     DEGENERATE_MIX_TOL,
     InstabilityError,
@@ -82,7 +83,8 @@ RESONANT_DEGENERATE = SweepSpec(
 )
 
 # lambda2 = 1 lies within 1e-8 of the stability edge here: the numeric basis
-# is so squeezed that the covariance fails the uncertainty check in both routes
+# is so squeezed that the partial-transpose eigenvalue of the covariance
+# rounds to zero in both routes
 SQUEEZED_TO_THE_EDGE = SweepSpec(
     scenario="custom",
     axes=(Axis("lambda", (0.5, 1.0)),),
@@ -168,6 +170,33 @@ class TestKernelAgainstScalarRoute:
         points = grid_points(SCENARIOS["fig3a"], ENV).chunk(0, sweep._BLOCK_POINTS)
         result = evaluate_grid(points, "thermal")
         assert len(result.stable) == sweep._BLOCK_POINTS and result.stable.any()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (SINGULAR_AT_THE_EDGE, "singular to rounding, at the stability edge"),
+            (SQUEEZED_TO_THE_EDGE, "singular to rounding, at the stability edge"),
+        ],
+    )
+    def test_stability_edge_errors_name_the_point(self, spec, message):
+        edge, _ = spec_to_params(spec, list(spec.grid())[1])
+        with pytest.raises(ValueError, match=message) as scalar:
+            run_point(edge, Environment(spec.fixed.get("T", 0.0)), spec.state)
+        assert type(scalar.value) is ValueError
+        with pytest.raises(ValueError, match=message) as batched:
+            evaluate_grid(grid_points(spec, ENV), spec.state)
+        assert type(batched.value) is ValueError
+        assert repr(edge) in str(batched.value)
+
+    def test_uncertainty_error_names_the_first_offending_point(self, monkeypatch):
+        # a bound of 3/2 rejects every state here; the first point is unstable
+        monkeypatch.setattr(grid, "PHYSICALITY_TOL", -1.0)
+        spec = SweepSpec("custom", (Axis("lambda", (1.5, 0.3, 0.4)),),
+                         {"wa": 1.0, "wb": 1.0}, diamag_mode="zero", state="ground")
+        with pytest.raises(UnphysicalStateError) as err:
+            evaluate_grid(grid_points(spec, ENV), "ground")
+        second, _ = spec_to_params(spec, list(spec.grid())[1])
+        assert f"at {second!r} violates" in str(err.value)
 
     def test_csv_rows_follow_the_row_format(self):
         spec = SweepSpec("custom", (Axis("lambda", (0.2, 0.45, 0.6)),),
@@ -304,6 +333,14 @@ class TestChunks:
 
 
 class TestGridPoints:
+    def test_integer_arrays_are_read_as_floats(self):
+        points = GridPoints(*map(np.array, ([1.2], [1], [0.3], [0.3], [0], [1])))
+        assert all(getattr(points, f.name).dtype == np.float64 for f in fields(points))
+        row = evaluate_grid(points, "thermal").csv_rows()[0]
+        ref = run_point(ModelParams(1.2, 1, 0.3, 0.3, 0), Environment(1), "thermal")
+        assert row == ref.to_csv()
+        assert row.startswith("0.3,1.2,1,1,")
+
     def test_row_major_arrays(self):
         axes = (Axis("wa", (0.5, 2.0)), Axis("lambda", (0.1, 0.2, 0.3)))
         spec = SweepSpec("custom", axes, {"wb": 1.5, "T": 0.1},

@@ -1,8 +1,10 @@
 import math
+import struct
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hopfield_gaussian.model import (
@@ -10,6 +12,7 @@ from hopfield_gaussian.model import (
     hopfield,
     hopfield_basis,
     no_a2,
+    no_a2_basis,
 )
 from hopfield_gaussian.measures import (
     STEERING_THRESHOLD,
@@ -34,6 +37,8 @@ from hopfield_gaussian.states import (
     ground_state_covariance_closed,
     no_a2_covariance_closed,
     steady_state_covariance,
+    symplectic_form,
+    symplectic_spectrum,
     thermal_covariance_closed,
     thermal_occupation,
 )
@@ -48,8 +53,13 @@ stable_no_a2 = st.tuples(st.floats(0.2, 4.0), st.floats(0.02, 0.98)).map(
 )
 
 
-def random_physical_covariance(rng: np.random.Generator) -> CovarianceMatrix:
-    """Random two-mode Gaussian state from elementary symplectic blocks."""
+def random_physical_covariance(
+    rng: np.random.Generator, squeezing: float = 1.0
+) -> CovarianceMatrix:
+    """Random two-mode Gaussian state from elementary symplectic blocks.
+
+    ``squeezing`` scales the range of the local and two-mode squeezing.
+    """
 
     def rot(phi):
         c, s = math.cos(phi), math.sin(phi)
@@ -72,12 +82,115 @@ def random_physical_covariance(rng: np.random.Generator) -> CovarianceMatrix:
 
     s = (
         local(*rng.uniform(0, 2 * math.pi, 2))
-        @ squeeze(*rng.uniform(-0.7, 0.7, 2))
-        @ two_mode_squeeze(rng.uniform(-0.8, 0.8))
+        @ squeeze(*rng.uniform(-0.7 * squeezing, 0.7 * squeezing, 2))
+        @ two_mode_squeeze(rng.uniform(-0.8 * squeezing, 0.8 * squeezing))
         @ local(*rng.uniform(0, 2 * math.pi, 2))
     )
     nu = rng.uniform(0.5, 2.5, 2)
     return CovarianceMatrix(s @ np.diag([nu[0], nu[0], nu[1], nu[1]]) @ s.T)
+
+
+EPS = np.finfo(float).eps
+
+
+def two_mode_squeezed_thermal(r: float, nu: float) -> CovarianceMatrix:
+    """Symmetric thermal state (a degenerate pair nu, nu) squeezed by S(r)."""
+    ch, sh = math.cosh(2 * r), math.sinh(2 * r)
+    return CovarianceMatrix(
+        nu * np.array([[ch, 0, sh, 0], [0, ch, 0, -sh], [sh, 0, ch, 0], [0, -sh, 0, ch]])
+    )
+
+
+def eigvals_spectrum(g: np.ndarray) -> np.ndarray:
+    """Oracle: one of each +-nu pair of the spectrum of i Omega Gamma, ascending."""
+    return np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form() @ g)))[::2]
+
+
+def mpmath_spectrum(g: np.ndarray) -> np.ndarray:
+    """(nu_-, nu_+) of the floating-point matrix g, from its invariants at 50 digits.
+
+    nu_+-^2 = (Delta +- sqrt(Delta^2 - 4 det Gamma)) / 2 with
+    Delta = det A + det B + 2 det C.
+    """
+    with mpmath.workdps(50):
+        m = mpmath.matrix(g.tolist())
+        delta = (
+            mpmath.det(m[0:2, 0:2]) + mpmath.det(m[2:4, 2:4]) + 2 * mpmath.det(m[2:4, 0:2])
+        )
+        disc = mpmath.sqrt(delta * delta - 4 * mpmath.det(m))
+        return np.array([float(mpmath.sqrt((delta + sign * disc) / 2)) for sign in (-1, 1)])
+
+
+def bits(values) -> list:
+    return [None if math.isnan(v) else struct.pack("<d", v) for v in values]
+
+
+NOT_POSITIVE = [
+    np.diag([-0.5, -0.5, -0.5, -0.5]),
+    np.diag([-0.5, -0.5, 0.5, 0.5]),
+]
+states = st.one_of(
+    st.just(VACUUM),
+    st.floats(0.5, 5.0).map(lambda nu: CovarianceMatrix(nu * np.eye(4))),
+    st.builds(two_mode_squeezed_thermal, st.floats(0.0, 3.0), st.floats(0.5, 5.0)),
+    st.builds(
+        lambda seed, squeezing: random_physical_covariance(
+            np.random.default_rng(seed), squeezing
+        ),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((1.0, 4.0)),
+    ),
+)
+
+
+class TestSymplecticSpectrum:
+    @given(states)
+    # degenerate pairs: v = nu_+ - nu_- is zero and must not read as a bad pivot
+    @example(VACUUM)
+    @example(two_mode_squeezed_thermal(3.0, 0.5))
+    def test_matches_the_eigenvalue_oracle(self, gamma):
+        nu = gamma.symplectic_eigenvalues()
+        ref = eigvals_spectrum(gamma.entries)
+        # both routes are accurate to about cond(Gamma) eps; 2,000 random
+        # states (squeezing scale 1 and 4) gave at most 4.3 of that
+        tol = 16.0 * np.linalg.cond(gamma.entries) * EPS
+        assert np.all(np.abs(nu - ref) <= tol * ref), (nu, ref)
+        assert gamma.is_physical()
+
+    @given(st.lists(st.one_of(states.map(lambda g: g.entries), st.sampled_from(NOT_POSITIVE)),
+                    min_size=1, max_size=8))
+    def test_float_and_stacked_inputs_agree_bit_for_bit(self, matrices):
+        stacked = symplectic_spectrum(np.stack(matrices, axis=-1))
+        for i, g in enumerate(matrices):
+            single = symplectic_spectrum(CovarianceMatrix(g).entries.tolist())
+            assert bits(single) == bits([stacked[0][i], stacked[1][i]])
+
+    @pytest.mark.parametrize("g", NOT_POSITIVE)
+    def test_matrices_not_positive_definite_are_not_states(self, g):
+        # the moduli of i Omega Gamma are all 1/2 here; positive definiteness
+        # is what rules these matrices out
+        gamma = CovarianceMatrix(g)
+        assert not gamma.is_physical()
+        assert np.isnan(gamma.symplectic_eigenvalues()).all()
+        assert np.isnan(symplectic_spectrum(np.stack([g, 0.5 * np.eye(4)], axis=-1))[0][0])
+        with pytest.raises(UnphysicalStateError):
+            correlation_report(gamma)
+
+    def test_near_the_stability_edge_against_mpmath(self):
+        # lambda = lambda_C (1 - eps): the covariance entries grow like
+        # eps^-1/2, and the spectrum of the floating-point matrix is only
+        # defined to about cond(Gamma) eps; 200 such points gave at most 0.19
+        # of that bound
+        rng = np.random.default_rng(11)
+        for i in range(24):
+            wa = rng.uniform(0.5, 2.0)
+            eps = 10.0 ** rng.uniform(-12.0, -3.0)
+            p = no_a2(wa, 1.0, critical_coupling(wa, 1.0) * (1.0 - eps))
+            g = steady_state_covariance(no_a2_basis(p), rng.uniform(0.0, 1.0) * (i % 2))
+            nu = g.symplectic_eigenvalues()
+            ref = mpmath_spectrum(g.entries)
+            bound = np.linalg.cond(g.entries) * EPS * ref
+            assert np.all(np.abs(nu - ref) <= bound), (p, nu, ref)
 
 
 class TestSymplecticInvariants:
