@@ -40,17 +40,17 @@ def main() -> None:
 
     decay = min(rates.decay_upper(), rates.decay_lower())
     t_final = 30.0 / decay
-    points = evolve_trajectory(
+    times, moments = evolve_trajectory(
         SecondMoments.vacuum(), rates, basis, t_final, stride=2000
     )
+    occ_u, occ_l = moments[:, :2].real.T
     print("      t        occ_U        occ_L")
-    for t, m in points[-5:]:
-        print(f"{t:9.1f}  {m.occ_upper:.9f}  {m.occ_lower:.9f}")
+    for t, n_u, n_l in zip(times[-5:], occ_u[-5:], occ_l[-5:]):
+        print(f"{t:9.1f}  {n_u:.9f}  {n_l:.9f}")
 
-    final = points[-1][1]
     # the steady-state product T diag(n + 1/2) T^T with the relaxed occupations
     u = quadrature_transform(basis)
-    occ = np.array([final.occ_upper, final.occ_upper, final.occ_lower, final.occ_lower])
+    occ = np.array([occ_u[-1], occ_u[-1], occ_l[-1], occ_l[-1]])
     relaxed = (u * (occ + 0.5)) @ u.T
     closed = thermal_covariance_closed(params, args.temp).entries
     steady = steady_state_covariance(basis, args.temp).entries

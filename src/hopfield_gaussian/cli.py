@@ -207,7 +207,7 @@ def cmd_dynamics(args) -> int:
         print(f"unstable: {exc}", file=sys.stderr)
         return 2
     rates = collective_rates(basis, env)
-    points = evolve_trajectory(
+    trajectory = evolve_trajectory(
         SecondMoments.vacuum(),
         rates,
         basis,
@@ -215,7 +215,7 @@ def cmd_dynamics(args) -> int:
         dt=args.dt,
         stride=args.stride,
     )
-    _write("\n".join([TRAJECTORY_HEADER, *trajectory_rows(points)]) + "\n", args.output)
+    _write("\n".join([TRAJECTORY_HEADER, *trajectory_rows(trajectory)]) + "\n", args.output)
     return 0
 
 

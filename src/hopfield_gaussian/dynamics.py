@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import PolaritonBasis
-from .states import Environment, format_value, thermal_occupation
+from .states import VALUE_FORMAT, Environment, thermal_occupation
 
 __all__ = [
     "NoSteadyStateError",
@@ -32,6 +33,7 @@ __all__ = [
     "collective_rates",
     "steady_state_second_moments",
     "evolve_second_moments",
+    "Trajectory",
     "evolve_trajectory",
     "TRAJECTORY_HEADER",
     "trajectory_rows",
@@ -238,6 +240,14 @@ def evolve_second_moments(
     return _unpack(moments[0])
 
 
+class Trajectory(NamedTuple):
+    """Recorded times, shape (n,), and moment vectors, shape (n, 5) complex,
+    in the order (occ_U, occ_L, sq_U, sq_L, cross)."""
+
+    times: np.ndarray
+    moments: np.ndarray
+
+
 def evolve_trajectory(
     initial: SecondMoments,
     rates: RateSet,
@@ -245,34 +255,33 @@ def evolve_trajectory(
     t_final: float,
     dt: float | None = None,
     stride: int = 1,
-) -> list[tuple[float, SecondMoments]]:
-    """Like evolve_second_moments but records every ``stride``-th step."""
+) -> Trajectory:
+    """Like evolve_second_moments but records every ``stride``-th step.
+
+    Row 0 is the initial state at t = 0; row i > 0 is the iterate after
+    k_i steps, at t = k_i * dt.
+    """
     dt, recorded, moments = _rk4_iterates(initial, rates, basis, t_final, dt, stride)
-    return [(0.0, initial)] + [(k * dt, _unpack(y)) for k, y in zip(recorded, moments)]
+    if np.any(moments[:, :2].real < 0):
+        raise ValueError("occupations must be non-negative")
+    times = np.array([0, *recorded], dtype=float) * dt
+    return Trajectory(times, np.vstack([_pack(initial), moments]))
 
 
 TRAJECTORY_HEADER = "t,occ_U,occ_L,re_sq_U,im_sq_U,re_sq_L,im_sq_L,re_cross,im_cross"
+_TRAJECTORY_ROW = ",".join(["%" + VALUE_FORMAT] * 9)
 
 
-def trajectory_rows(points: list[tuple[float, SecondMoments]]) -> list[str]:
-    rows = []
-    for t, m in points:
-        rows.append(
-            ",".join(
-                [
-                    format_value(t),
-                    format_value(m.occ_upper),
-                    format_value(m.occ_lower),
-                    format_value(m.sq_upper.real),
-                    format_value(m.sq_upper.imag),
-                    format_value(m.sq_lower.real),
-                    format_value(m.sq_lower.imag),
-                    format_value(m.cross.real),
-                    format_value(m.cross.imag),
-                ]
-            )
-        )
-    return rows
+def trajectory_rows(trajectory: Trajectory) -> list[str]:
+    """One CSV row per recorded time, in the columns of TRAJECTORY_HEADER."""
+    times, moments = trajectory
+    table = np.empty((len(times), 9))
+    table[:, 0] = times
+    table[:, 1:3] = moments[:, :2].real
+    table[:, 3::2] = moments[:, 2:].real
+    table[:, 4::2] = moments[:, 2:].imag
+    # '%.12g' % x is format(x, '.12g') for every float, -0.0, inf and nan included
+    return [_TRAJECTORY_ROW % row for row in map(tuple, table.tolist())]
 
 
 # ---------------------------------------------------------------------------

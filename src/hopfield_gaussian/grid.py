@@ -369,14 +369,24 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     gamma = (t * weights[:, None, :]) @ t.transpose(0, 2, 1)
     gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))
 
-    i_a = np.linalg.det(gamma[:, :2, :2])
-    i_b = np.linalg.det(gamma[:, 2:, 2:])
-    i_c = np.linalg.det(gamma[:, 2:, :2])
-    i_ab = np.linalg.det(gamma)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        i_a = np.linalg.det(gamma[:, :2, :2])
+        i_b = np.linalg.det(gamma[:, 2:, 2:])
+        i_c = np.linalg.det(gamma[:, 2:, :2])
+        i_ab = np.linalg.det(gamma)
+        delta = i_a + i_b - 2.0 * i_c
+        disc_sq = delta * delta - 4.0 * i_ab
     # the checks of measures.symplectic_invariants in its order, on the same
     # closed-form spectrum as CovarianceMatrix.is_physical, so both routes
     # take the same decision at every point; the first point failing one is
     # named
+    overflow = ~np.isfinite([i_a, i_b, i_c, i_ab, disc_sq]).all(axis=0)
+    if overflow.any():
+        params = points.params(int(live[np.argmax(overflow)]))
+        raise ValueError(
+            f"the covariance at {params} overflows: its determinants are not "
+            "finite, because the reservoir temperature is too high"
+        )
     singular = ~((i_a > 0.0) & (i_b > 0.0) & (i_ab > 0.0))
     nu_minus, _ = symplectic_spectrum(np.ascontiguousarray(gamma.transpose(1, 2, 0)))
     rejected = singular | ~(nu_minus >= 0.5 - PHYSICALITY_TOL)
@@ -393,8 +403,6 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
         )
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta = i_a + i_b - 2.0 * i_c
-        disc_sq = delta * delta - 4.0 * i_ab
         disc = np.sqrt(np.where(disc_sq < 0.0, 0.0, disc_sq))
         half = 0.5 * (delta - disc)
         d_minus = np.sqrt(np.where(half < 0.0, 0.0, half))

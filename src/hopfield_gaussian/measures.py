@@ -115,10 +115,20 @@ def symplectic_invariants(gamma: CovarianceMatrix) -> SymplecticInvariants:
     delta = det A + det B - 2 det C, the sign flip of det C implementing
     the momentum reversal of the second mode.
     """
-    i_a = float(np.linalg.det(gamma.block_a()))
-    i_b = float(np.linalg.det(gamma.block_b()))
-    i_c = float(np.linalg.det(gamma.block_c()))
-    i_ab = float(np.linalg.det(gamma.entries))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        # one call for the 2x2 blocks [[A, C^T], [C, B]], the same bits as
+        # one call per block
+        (i_a, _), (i_c, i_b) = np.linalg.det(
+            gamma.entries.reshape(2, 2, 2, 2).swapaxes(1, 2)
+        ).tolist()
+        i_ab = float(np.linalg.det(gamma.entries))
+    delta = i_a + i_b - 2.0 * i_c
+    disc_sq = delta * delta - 4.0 * i_ab
+    if not all(map(math.isfinite, (i_a, i_b, i_c, i_ab, disc_sq))):
+        raise ValueError(
+            "the covariance overflows: its determinants are not finite, "
+            "because the reservoir temperature is too high"
+        )
     # checked before physicality, which such a matrix fails too, so that a
     # point at the stability edge is reported as what it is
     if not min(i_a, i_b, i_ab) > 0.0:
@@ -127,8 +137,7 @@ def symplectic_invariants(gamma: CovarianceMatrix) -> SymplecticInvariants:
             "singular to rounding, at the stability edge"
         )
     _require_physical(gamma)
-    delta = i_a + i_b - 2.0 * i_c
-    disc = math.sqrt(max(delta * delta - 4.0 * i_ab, 0.0))
+    disc = math.sqrt(max(disc_sq, 0.0))
     d_minus = math.sqrt(max(0.5 * (delta - disc), 0.0))
     d_plus = math.sqrt(0.5 * (delta + disc))
     return SymplecticInvariants(i_a, i_b, i_c, i_ab, d_minus, d_plus)

@@ -15,7 +15,13 @@ from hopfield_gaussian.model import (
     no_a2_basis,
 )
 from hopfield_gaussian.sweep import diagonalize_params
-from hopfield_gaussian.states import Environment, thermal_occupation, thermal_covariance_closed
+from hopfield_gaussian import dynamics
+from hopfield_gaussian.states import (
+    VALUE_FORMAT,
+    Environment,
+    thermal_occupation,
+    thermal_covariance_closed,
+)
 from hopfield_gaussian.measures import purities
 from hopfield_gaussian.dynamics import (
     LOCAL_GENERATOR_LABELS,
@@ -23,6 +29,7 @@ from hopfield_gaussian.dynamics import (
     NoSteadyStateError,
     RateSet,
     SecondMoments,
+    Trajectory,
     asymmetry_diagnostic,
     collective_rates,
     evolve_second_moments,
@@ -37,6 +44,7 @@ from hopfield_gaussian.dynamics import (
     TRAJECTORY_HEADER,
     _moment_generator,
     _rk4_update,
+    _unpack,
 )
 
 stable_hopfield = st.builds(
@@ -288,13 +296,13 @@ class TestClosedFormPropagator:
     def test_both_functions_match_the_stepped_map(self, solve):
         basis, rates, initial, dt, steps, stride = solve
         reference = stepped(initial, rates, basis, dt, steps, stride)
-        points = evolve_trajectory(initial, rates, basis, steps * dt, dt, stride)
-        assert [t for t, _ in points] == [k * dt for k, _ in reference]
-        for (_, m), (_, want) in zip(points, reference):
-            assert_close(moment_vector(m), want)
+        times, moments = evolve_trajectory(initial, rates, basis, steps * dt, dt, stride)
+        assert times.tolist() == [k * dt for k, _ in reference]
+        for got, (_, want) in zip(moments, reference):
+            assert_close(got, want)
         final = evolve_second_moments(initial, rates, basis, steps * dt, dt)
         assert_close(moment_vector(final), reference[-1][1])
-        assert final == points[-1][1]
+        assert final == _unpack(moments[-1])
 
     @pytest.mark.parametrize(
         "stride, recorded",
@@ -310,25 +318,27 @@ class TestClosedFormPropagator:
         b = hopfield_basis(hopfield(1, 1, 0.5))
         r = collective_rates(b, bright_env())
         dt = 0.01
-        points = evolve_trajectory(SecondMoments.vacuum(), r, b, 12 * dt, dt, stride)
-        assert [t for t, _ in points] == [k * dt for k in recorded]
+        trajectory = evolve_trajectory(SecondMoments.vacuum(), r, b, 12 * dt, dt, stride)
+        assert trajectory.times.tolist() == [k * dt for k in recorded]
+        assert trajectory.moments.shape == (len(recorded), 5)
 
     def test_default_step_is_0_05_over_the_fastest_rate_or_frequency(self):
         b = hopfield_basis(hopfield(1, 1, 0.5))
         r = collective_rates(b, bright_env())
-        points = evolve_trajectory(SecondMoments.vacuum(), r, b, 1.0, stride=1)
-        assert points[1][0] == 0.05 / fastest_scale(r, b)
+        trajectory = evolve_trajectory(SecondMoments.vacuum(), r, b, 1.0, stride=1)
+        assert trajectory.times[1] == 0.05 / fastest_scale(r, b)
 
     def test_zero_rate_branch_holds_its_value(self):
         b = hopfield_basis(hopfield(1, 1, 0.5))
         rates = RateSet(0.01, 0.03, 0.0, 0.0)  # lower branch cut off from the bath
         start = SecondMoments(0.2, 0.7, sq_upper=0.1 + 0.2j, cross=0.3j)
         dt, steps = 0.01, 3000
-        points = evolve_trajectory(start, rates, b, steps * dt, dt, stride=300)
-        assert all(m.occ_lower == 0.7 for _, m in points)
+        _, moments = evolve_trajectory(start, rates, b, steps * dt, dt, stride=300)
+        assert np.all(moments[:, 1].real == 0.7)
         reference = stepped(start, rates, b, dt, steps, 300)
-        for (_, m), (_, want) in zip(points, reference):
-            assert_close(moment_vector(m), want)
+        assert len(moments) == len(reference)
+        for got, (_, want) in zip(moments, reference):
+            assert_close(got, want)
 
     def test_dark_branch_matches_the_stepped_map(self):
         # resonant D = 0 with equal slopes: the lower branch decouples
@@ -345,9 +355,12 @@ class TestClosedFormPropagator:
     def test_squeezing_and_cross_moments_from_vacuum_stay_exactly_zero(self, solve):
         basis, rates, _, dt, steps, stride = solve
         vacuum = SecondMoments.vacuum()
-        points = evolve_trajectory(vacuum, rates, basis, steps * dt, dt, stride)
+        times, moments = evolve_trajectory(vacuum, rates, basis, steps * dt, dt, stride)
         final = evolve_second_moments(vacuum, rates, basis, steps * dt, dt)
-        for row in trajectory_rows(points + [(0.0, final)]):
+        with_final = Trajectory(
+            np.append(times, 0.0), np.vstack([moments, moment_vector(final)])
+        )
+        for row in trajectory_rows(with_final):
             assert row.split(",")[3:] == ["0"] * 6  # "-0" would fail too
 
     def test_ten_million_steps_reach_the_fixed_point(self):
@@ -360,6 +373,74 @@ class TestClosedFormPropagator:
         assert out.occ_upper == pytest.approx(ss.occ_upper, rel=1e-10)
         assert out.occ_lower == pytest.approx(ss.occ_lower, rel=1e-10)
         assert max(abs(out.sq_upper), abs(out.sq_lower), abs(out.cross)) < 1e-15
+
+
+def reference_rows(trajectory: Trajectory) -> list[str]:
+    """Each cell formatted on its own, the way ``format_value`` does."""
+    rows = []
+    for t, (occ_u, occ_l, sq_u, sq_l, cross) in zip(
+        trajectory.times.tolist(), trajectory.moments.tolist()
+    ):
+        cells = (t, occ_u.real, occ_l.real, sq_u.real, sq_u.imag, sq_l.real, sq_l.imag,
+                 cross.real, cross.imag)
+        rows.append(",".join(format(v, VALUE_FORMAT) for v in cells))
+    return rows
+
+
+SPECIAL_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,  # smallest subnormal
+    -2.5e-310,
+    2.2250738585072014e-308,  # smallest normal
+    1e16,
+    -1e16,
+    123456789012.5,
+    1e-5,
+    0.1 + 0.2,
+    1.7976931348623157e308,
+    math.inf,
+    -math.inf,
+    math.nan,
+]
+
+
+class TestTrajectoryRows:
+    @given(solves())
+    def test_rows_equal_the_per_cell_format(self, solve):
+        basis, rates, initial, dt, steps, stride = solve
+        trajectory = evolve_trajectory(initial, rates, basis, steps * dt, dt, stride)
+        assert trajectory_rows(trajectory) == reference_rows(trajectory)
+
+    @pytest.mark.parametrize("x", SPECIAL_FLOATS, ids=repr)
+    def test_special_floats_format_as_one_cell_would(self, x):
+        moments = np.empty((2, 5), dtype=complex)
+        moments.real, moments.imag = x, -x
+        moments[1] = [x, 1.0, complex(-1.5, x), complex(x, 2.0), -x]
+        trajectory = Trajectory(np.array([x, 0.5]), moments)
+        rows = trajectory_rows(trajectory)
+        assert rows == reference_rows(trajectory)
+        assert rows[0].split(",")[:3] == [format(x, VALUE_FORMAT)] * 3
+
+    def test_trajectory_is_arrays_from_the_initial_state(self):
+        b = hopfield_basis(hopfield(1, 1, 0.5))
+        r = collective_rates(b, bright_env())
+        start = SecondMoments(0.3, 0.1, -0.2 + 0.4j, 0.5, -0.1j)
+        trajectory = evolve_trajectory(start, r, b, 1.0, dt=0.01, stride=25)
+        assert trajectory.times.shape == (5,) and trajectory.moments.shape == (5, 5)
+        assert trajectory.moments.dtype == complex
+        assert trajectory.times[0] == 0.0
+        assert trajectory.moments[0].tolist() == moment_vector(start).tolist()
+
+    def test_negative_occupation_is_rejected(self, monkeypatch):
+        b = hopfield_basis(hopfield(1, 1, 0.5))
+        r = collective_rates(b, bright_env())
+        negative = np.array([[0.1, -1e-300, 0.0, 0.0, 0.0]], dtype=complex)
+        monkeypatch.setattr(
+            dynamics, "_rk4_iterates", lambda *args: (0.01, [1], negative)
+        )
+        with pytest.raises(ValueError, match="occupations must be non-negative"):
+            evolve_trajectory(SecondMoments.vacuum(), r, b, 0.01, dt=0.01)
 
 
 class TestLocalRepresentation:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -372,6 +373,40 @@ class TestCli:
         assert out == ""
         assert message in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("temp", ["1e100", "1e160"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["point", "--lambda", "0.5", "--state", "thermal"],
+            ["sweep", "--scenario", "custom", "--axis", "lambda:0.1:0.4:4", "--state", "thermal"],
+        ],
+        ids=["point", "sweep"],
+    )
+    def test_overflowing_temperature_is_one_clear_error(self, command, temp, capsys):
+        # det Gamma ~ T^4 overflows; any RuntimeWarning fails the test
+        assert cli.main([*command, "--temp", temp]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "overflows" in err and "reservoir temperature is too high" in err
+        if command[0] == "sweep":
+            assert "lambda1=0.1," in err  # the first point is named
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_temperature_rows_are_unchanged(self, capsys):
+        assert cli.main(["point", "--lambda", "0.5", "--state", "thermal", "--temp", "1e30"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "0.5,1,1,1e+30,1.61803398875,0.61803398875,0,0,0,"
+            "2.5e-61,1.25e-61,6.25e-122,1e+30,1.5e+30,no-way,true"
+        )
+        argv = ["sweep", "--scenario", "custom", "--axis", "lambda:0.1:0.4:4"]
+        assert cli.main([*argv, "--state", "thermal", "--temp", "1e30"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "0.1,1,1,1e+30,1.10498756211,0.904987562112,0,0,0,"
+            "2.5e-61,2.40384615385e-61,6.25e-122,1e+30,1.02e+30,no-way,true"
+        )
+
     def test_conflicting_coupling_flags_rejected(self):
         proc = run_cli(
             "point", "--lambda", "0.5", "--lambda1", "0.2", check=False
@@ -407,6 +442,18 @@ class TestCli:
         )
         assert proc.stdout.splitlines()[0] == (
             "t,occ_U,occ_L,re_sq_U,im_sq_U,re_sq_L,im_sq_L,re_cross,im_cross"
+        )
+
+    def test_dynamics_readme_example_bytes(self, capsys):
+        # sha256 of the output of the README example, pinned so that no digit
+        # of the trajectory can move unnoticed
+        argv = ["dynamics", "--lambda", "0.5", "--temp", "0.25", "--t-final", "200",
+                "--stride", "50"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 132
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bb546fceabe39a6b00cbea2a692fca26dda6cdf43f175ee6f0ab6308487f4475"
         )
 
     def test_verify_single_check(self):
