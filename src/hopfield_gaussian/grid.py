@@ -2,20 +2,25 @@
 
 ``evaluate_grid`` takes resolved parameters as arrays (one entry per grid
 point) and returns every CSV column as an array.  It follows the scalar
-route of ``sweep.run_point`` step by step, with the same formulas:
+route of ``sweep.run_point`` step by step.  Where a formula is shared, the
+kernel calls the scalar route's own function on arrays, which runs the
+same floating-point operations as on floats:
 
-- closed-form frequencies, mixing angles and Bogoliubov coefficients
-  elementwise for the single-coupling family; points past the stability
-  edge become unstable rows,
+- closed-form frequencies, mixing angles and Bogoliubov coefficients of
+  the single-coupling family from ``model._closed_frequencies`` and
+  ``model._closed_coefficients``, as ``model.hopfield_basis`` does;
+  points past the stability edge become unstable rows,
 - one stacked eigendecomposition of the dynamical matrices for general
   couplings, the uncoupled model and closed-form points with a degenerate
-  spectrum, followed by every rule of the scalar numeric solver as array
-  operations (bit for bit its frequencies and coefficients),
+  spectrum, followed by every rule of ``model.bogoliubov_diagonalize`` as
+  array operations (bit for bit its frequencies and coefficients; the
+  scalar solver stays separate as the test reference),
 - every covariance T diag(coth weights) T^T with one batched matrix
-  product, bit for bit the product of the scalar route,
-- the four block determinants per point, the closed-form symplectic
-  spectrum of ``states.symplectic_spectrum`` for physicality (the scalar
-  route's formula, no eigensolver), and every measure from them.
+  product, bit for bit the product of ``states.steady_state_covariance``,
+- the four block determinants per point, then the partial-transpose pair
+  of ``measures._partial_transpose_pair``, the physicality check of
+  ``states.symplectic_spectrum``, every measure, and the steering class
+  from ``measures._steering_class_index``.
 
 Each point's result depends on that point alone, so any contiguous split
 of a grid yields the same rows; ``sweep.run_sweep``'s blocks rely on this.
@@ -30,7 +35,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .measures import STEERING_THRESHOLD, SteeringClass, UnphysicalStateError
+from .measures import (
+    _STEERING_CLASSES,
+    UnphysicalStateError,
+    _partial_transpose_pair,
+    _steering_class_index,
+)
 from .model import (
     DEGENERACY_TOL,
     DEGENERATE_MIX_TOL,
@@ -38,21 +48,19 @@ from .model import (
     PHASE_TOL,
     SIGN_TOL,
     ModelParams,
+    _by_math,
+    _closed_coefficients,
+    _closed_frequencies,
 )
-from .states import PHYSICALITY_TOL, VALUE_FORMAT, symplectic_spectrum
+from .states import (
+    PHYSICALITY_TOL,
+    VALUE_FORMAT,
+    covariance_overflow,
+    symplectic_spectrum,
+)
 
 __all__ = ["GridPoints", "GridResult", "evaluate_grid"]
 
-# class label by (G_ab above threshold) + 2 * (G_ba above threshold)
-_CLASS_LABELS = np.array(
-    [
-        SteeringClass.NO_WAY.value,
-        SteeringClass.ONE_WAY_A_TO_B.value,
-        SteeringClass.ONE_WAY_B_TO_A.value,
-        SteeringClass.TWO_WAY.value,
-    ],
-    dtype=object,
-)
 _MEASURES = (
     "omega_upper",
     "omega_lower",
@@ -151,19 +159,6 @@ class GridResult:
         ]
 
 
-def _by_math(fn, *arrays: np.ndarray, dtype=float) -> np.ndarray:
-    """A scalar Python function (``math``, Python's complex division) per element.
-
-    numpy's hypot, arctan2 and expm1 can differ from ``math`` in the last
-    bit, and its complex division from Python's, and the determinant formula
-    for E_N magnifies a last-bit change of a covariance entry to about 1e-8
-    near a separable pure state; with Python's arithmetic the covariances
-    equal those of the scalar route exactly.
-    """
-    values = map(fn, *(a.tolist() for a in arrays))
-    return np.fromiter(values, dtype, len(arrays[0]))
-
-
 def _bose(omega: np.ndarray, temperature: np.ndarray) -> np.ndarray:
     """``states.thermal_occupation`` elementwise: 0 at T = 0 and past exp underflow."""
     occupation = np.zeros_like(omega)
@@ -173,52 +168,6 @@ def _bose(omega: np.ndarray, temperature: np.ndarray) -> np.ndarray:
     live = x <= 700.0
     occupation[hot[live]] = 1.0 / _by_math(math.expm1, x[live])
     return occupation
-
-
-def _f_plus(x: np.ndarray) -> np.ndarray:
-    r = np.sqrt(x)
-    return 0.5 * (r + 1.0 / r)
-
-
-def _f_minus(x: np.ndarray) -> np.ndarray:
-    r = np.sqrt(x)
-    return 0.5 * (r - 1.0 / r)
-
-
-def _closed_form(wa, wb, lam, dd):
-    """``model.hopfield_basis`` elementwise.
-
-    Returns (stable, degenerate, omega_U, omega_L, upper (4, n), lower (4, n));
-    frequencies and coefficients are meaningful where stable and not degenerate.
-    """
-    aa = wa * wa + 4.0 * dd * wa
-    bb = wb * wb
-    half_sum = 0.5 * (aa + bb)
-    half_gap = _by_math(math.hypot, 0.5 * (aa - bb), 2.0 * lam * np.sqrt(wa * wb))
-    product = aa * bb - 4.0 * lam * lam * wa * wb
-    stable = product > 0.0
-    wu_sq = half_sum + half_gap
-    wu = np.sqrt(wu_sq)
-    wl = np.sqrt(np.where(stable, product, 1.0) / wu_sq)
-    degenerate = wu - wl < DEGENERACY_TOL * wb
-    gap_sq = np.where(degenerate, 1.0, wu * wu - wl * wl)
-    cos2t = (wa * wa + 4.0 * dd * wa - wb * wb) / gap_sq
-    sin2t = -4.0 * lam * np.sqrt(wa * wb) / gap_sq
-    theta = 0.5 * _by_math(math.atan2, sin2t, cos2t)
-    ct, st = np.cos(theta), np.sin(theta)
-    upper = (
-        ct * _f_plus(wu / wa),
-        -st * _f_plus(wu / wb),
-        ct * _f_minus(wu / wa),
-        -st * _f_minus(wu / wb),
-    )
-    lower = (
-        st * _f_plus(wl / wa),
-        ct * _f_plus(wl / wb),
-        st * _f_minus(wl / wa),
-        ct * _f_minus(wl / wb),
-    )
-    return stable, degenerate & stable, wu, wl, np.array(upper), np.array(lower)
 
 
 def _bogoliubov_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -330,16 +279,18 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     coeffs = np.empty((2, 4, n))  # (w, x, y, z) of the upper and lower branch
 
     closed = np.flatnonzero((l1 == l2) & (l1 > 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok, degenerate, wu, wl, upper, lower = _closed_form(
-            wa[closed], wb[closed], l1[closed], points.diamag[closed]
-        )
+    args = wa[closed], wb[closed], l1[closed], points.diamag[closed]
+    product, wu, wl = _closed_frequencies(*args)
+    ok = product > 0.0
+    degenerate = ok & (wu - wl < DEGENERACY_TOL * wb[closed])
+    with np.errstate(divide="ignore", invalid="ignore"):  # on degenerate points
+        _, upper, lower = _closed_coefficients(*args, wu, wl)
     stable[closed[~ok]] = False
     keep = ok & ~degenerate
     done = closed[keep]
     freqs[:, done] = wu[keep], wl[keep]
-    coeffs[0][:, done] = upper[:, keep]
-    coeffs[1][:, done] = lower[:, keep]
+    coeffs[0][:, done] = np.array(upper)[:, keep]
+    coeffs[1][:, done] = np.array(lower)[:, keep]
 
     is_numeric = np.ones(n, dtype=bool)
     is_numeric[closed[~degenerate]] = False
@@ -363,19 +314,17 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     t[:, 3, 1], t[:, 3, 3] = x_u + z_u, x_l + z_l
     omega_u, omega_l = freqs[:, live]
     t_live = temperature[live]
-    a1 = 0.5 * (1.0 + 2.0 * _bose(omega_u, t_live))
-    b1 = 0.5 * (1.0 + 2.0 * _bose(omega_l, t_live))
-    weights = np.stack([a1, a1, b1, b1], axis=1)
-    gamma = (t * weights[:, None, :]) @ t.transpose(0, 2, 1)
-    gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))
-
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        a1 = 0.5 * (1.0 + 2.0 * _bose(omega_u, t_live))
+        b1 = 0.5 * (1.0 + 2.0 * _bose(omega_l, t_live))
+        weights = np.stack([a1, a1, b1, b1], axis=1)
+        gamma = (t * weights[:, None, :]) @ t.transpose(0, 2, 1)
+        gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))
         i_a = np.linalg.det(gamma[:, :2, :2])
         i_b = np.linalg.det(gamma[:, 2:, 2:])
         i_c = np.linalg.det(gamma[:, 2:, :2])
         i_ab = np.linalg.det(gamma)
-        delta = i_a + i_b - 2.0 * i_c
-        disc_sq = delta * delta - 4.0 * i_ab
+        disc_sq, d_minus, _ = _partial_transpose_pair(i_a, i_b, i_c, i_ab)
     # the checks of measures.symplectic_invariants in its order, on the same
     # closed-form spectrum as CovarianceMatrix.is_physical, so both routes
     # take the same decision at every point; the first point failing one is
@@ -383,10 +332,7 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     overflow = ~np.isfinite([i_a, i_b, i_c, i_ab, disc_sq]).all(axis=0)
     if overflow.any():
         params = points.params(int(live[np.argmax(overflow)]))
-        raise ValueError(
-            f"the covariance at {params} overflows: its determinants are not "
-            "finite, because the reservoir temperature is too high"
-        )
+        raise covariance_overflow(f" at {params}")
     singular = ~((i_a > 0.0) & (i_b > 0.0) & (i_ab > 0.0))
     nu_minus, _ = symplectic_spectrum(np.ascontiguousarray(gamma.transpose(1, 2, 0)))
     rejected = singular | ~(nu_minus >= 0.5 - PHYSICALITY_TOL)
@@ -403,9 +349,6 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
         )
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        disc = np.sqrt(np.where(disc_sq < 0.0, 0.0, disc_sq))
-        half = 0.5 * (delta - disc)
-        d_minus = np.sqrt(np.where(half < 0.0, 0.0, half))
         e_n = -np.log(2.0 * d_minus)
         raw_ab = 0.5 * np.log(i_a / (4.0 * i_ab))
         raw_ba = 0.5 * np.log(i_b / (4.0 * i_ab))
@@ -423,7 +366,8 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     e_n = np.where(e_n > 0.0, e_n, 0.0)
     g_ab = np.where(raw_ab > 0.0, raw_ab, 0.0)
     g_ba = np.where(raw_ba > 0.0, raw_ba, 0.0)
-    label = (g_ab > STEERING_THRESHOLD) + 2 * (g_ba > STEERING_THRESHOLD)
+    index = _steering_class_index(g_ab, g_ba)
+    labels = np.array([c.value for c in _STEERING_CLASSES], dtype=object)[index]
 
     def column(values: np.ndarray, fill=np.nan, dtype=float) -> np.ndarray:
         out = np.full(n, fill, dtype=dtype)
@@ -446,5 +390,5 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
         mu_ab=column(purities[2]),
         n_a=column(0.5 * (gamma[:, 0, 0] + gamma[:, 1, 1] - 1.0)),
         n_b=column(0.5 * (gamma[:, 2, 2] + gamma[:, 3, 3] - 1.0)),
-        classification=column(_CLASS_LABELS[label], None, object),
+        classification=column(labels, None, object),
     )

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams, PolaritonBasis, polariton_frequencies
-from .states import CovarianceMatrix, symplectic_form
+from .states import CovarianceMatrix, covariance_overflow, symplectic_form
 
 __all__ = [
     "UnphysicalStateError",
@@ -53,6 +53,20 @@ class SteeringClass(str, Enum):
     ONE_WAY_A_TO_B = "one-way-a-to-b"
     ONE_WAY_B_TO_A = "one-way-b-to-a"
     TWO_WAY = "two-way"
+
+
+# the class of (G_ab above threshold) + 2 * (G_ba above threshold)
+_STEERING_CLASSES = (
+    SteeringClass.NO_WAY,
+    SteeringClass.ONE_WAY_A_TO_B,
+    SteeringClass.ONE_WAY_B_TO_A,
+    SteeringClass.TWO_WAY,
+)
+
+
+def _steering_class_index(g_ab, g_ba):
+    """Index into ``_STEERING_CLASSES``; floats or equal-length arrays."""
+    return (g_ab > STEERING_THRESHOLD) + 2 * (g_ba > STEERING_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -108,13 +122,31 @@ def _require_physical(gamma: CovarianceMatrix) -> None:
         )
 
 
-def symplectic_invariants(gamma: CovarianceMatrix) -> SymplecticInvariants:
-    """Block determinants and the partial-transpose symplectic pair.
+def _clipped_root(x):
+    """sqrt(max(x, 0.0)) of a float or elementwise; -0.0 and NaN pass as they are."""
+    if isinstance(x, np.ndarray):
+        return np.sqrt(np.where(x < 0.0, 0.0, x))
+    return math.sqrt(max(x, 0.0))
 
-    d~_{+-}^2 are the roots of s^2 - delta s + det(Gamma) with
-    delta = det A + det B - 2 det C, the sign flip of det C implementing
-    the momentum reversal of the second mode.
+
+def _partial_transpose_pair(i_a, i_b, i_c, i_ab):
+    """(delta~^2 - 4 det Gamma, d~_-, d~_+) from the four block determinants.
+
+    d~_{+-}^2 are the roots of s^2 - delta~ s + det(Gamma) with
+    delta~ = det A + det B - 2 det C, the sign flip of det C implementing
+    the momentum reversal of the second mode.  Takes floats or equal-length
+    arrays and runs the same floating-point operations on both; negative
+    radicands are clipped to zero, so no input raises.
     """
+    delta = i_a + i_b - 2.0 * i_c
+    disc_sq = delta * delta - 4.0 * i_ab
+    disc = _clipped_root(disc_sq)
+    d_minus = _clipped_root(0.5 * (delta - disc))
+    return disc_sq, d_minus, _clipped_root(0.5 * (delta + disc))
+
+
+def symplectic_invariants(gamma: CovarianceMatrix) -> SymplecticInvariants:
+    """Block determinants and the partial-transpose symplectic pair."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         # one call for the 2x2 blocks [[A, C^T], [C, B]], the same bits as
         # one call per block
@@ -122,13 +154,9 @@ def symplectic_invariants(gamma: CovarianceMatrix) -> SymplecticInvariants:
             gamma.entries.reshape(2, 2, 2, 2).swapaxes(1, 2)
         ).tolist()
         i_ab = float(np.linalg.det(gamma.entries))
-    delta = i_a + i_b - 2.0 * i_c
-    disc_sq = delta * delta - 4.0 * i_ab
+    disc_sq, d_minus, d_plus = _partial_transpose_pair(i_a, i_b, i_c, i_ab)
     if not all(map(math.isfinite, (i_a, i_b, i_c, i_ab, disc_sq))):
-        raise ValueError(
-            "the covariance overflows: its determinants are not finite, "
-            "because the reservoir temperature is too high"
-        )
+        raise covariance_overflow()
     # checked before physicality, which such a matrix fails too, so that a
     # point at the stability edge is reported as what it is
     if not min(i_a, i_b, i_ab) > 0.0:
@@ -137,9 +165,6 @@ def symplectic_invariants(gamma: CovarianceMatrix) -> SymplecticInvariants:
             "singular to rounding, at the stability edge"
         )
     _require_physical(gamma)
-    disc = math.sqrt(max(disc_sq, 0.0))
-    d_minus = math.sqrt(max(0.5 * (delta - disc), 0.0))
-    d_plus = math.sqrt(0.5 * (delta + disc))
     return SymplecticInvariants(i_a, i_b, i_c, i_ab, d_minus, d_plus)
 
 
@@ -174,15 +199,7 @@ def purities(gamma: CovarianceMatrix) -> tuple[float, float, float]:
 def classify_steering(g_ab: float, g_ba: float) -> SteeringClass:
     if g_ab < 0 or g_ba < 0:
         raise ValueError("steering values are clipped at zero by definition")
-    ab = g_ab > STEERING_THRESHOLD
-    ba = g_ba > STEERING_THRESHOLD
-    if ab and ba:
-        return SteeringClass.TWO_WAY
-    if ab:
-        return SteeringClass.ONE_WAY_A_TO_B
-    if ba:
-        return SteeringClass.ONE_WAY_B_TO_A
-    return SteeringClass.NO_WAY
+    return _STEERING_CLASSES[_steering_class_index(g_ab, g_ba)]
 
 
 def average_occupations(gamma: CovarianceMatrix) -> tuple[float, float]:

@@ -142,35 +142,60 @@ def build_dynamical_matrix(params: ModelParams) -> np.ndarray:
     )
 
 
-def _freq_invariants(params: ModelParams) -> tuple[float, float, float]:
-    """(half-sum, half-gap, determinant-like product) of the squared spectrum."""
-    wa, wb, lam = params.omega_a, params.omega_b, params.coupling
-    aa = wa * wa + 4.0 * params.diamag * wa
+def _by_math(fn, *args, dtype=float):
+    """A scalar Python function (``math``, Python's complex division) per element.
+
+    Floats go to ``fn`` as they are.  numpy's hypot, arctan2 and expm1 can
+    differ from ``math`` in the last bit, and its complex division from
+    Python's, and the determinant formula for E_N magnifies a last-bit
+    change of a covariance entry to about 1e-8 near a separable pure state;
+    with Python's arithmetic on every element the grid kernel's covariances
+    equal those of the scalar route exactly.
+    """
+    if not isinstance(args[0], np.ndarray):
+        return fn(*args)
+    values = map(fn, *(a.tolist() for a in args))
+    return np.fromiter(values, dtype, len(args[0]))
+
+
+def _closed_frequencies(wa, wb, lam, dd):
+    """(product invariant, omega_U, omega_L) of the lambda1 = lambda2 family.
+
+    Takes floats or equal-length arrays and runs the same floating-point
+    operations on both.  omega_L^2 is the product invariant divided by
+    omega_U^2 rather than a difference of nearly equal terms, so the
+    product rule omega_U * omega_L = omega_a * omega_b (diamag =
+    lambda^2/omega_b case) holds to machine precision at any coupling.
+    omega_L is NaN where the product is not positive, past the stability
+    edge.
+    """
+    stacked = isinstance(wa, np.ndarray)
+    xp = np if stacked else math
+    aa = wa * wa + 4.0 * dd * wa
     bb = wb * wb
     half_sum = 0.5 * (aa + bb)
     # hypot keeps the discriminant accurate deep in the strong-coupling regime
-    half_gap = math.hypot(0.5 * (aa - bb), 2.0 * lam * math.sqrt(wa * wb))
+    half_gap = _by_math(math.hypot, 0.5 * (aa - bb), 2.0 * lam * xp.sqrt(wa * wb))
     product = aa * bb - 4.0 * lam * lam * wa * wb
-    return half_sum, half_gap, product
+    wu_sq = half_sum + half_gap
+    if stacked:
+        wl = np.sqrt(np.where(product > 0.0, product, np.nan) / wu_sq)
+    else:
+        wl = math.sqrt(product / wu_sq) if product > 0.0 else math.nan
+    return product, xp.sqrt(wu_sq), wl
 
 
 def polariton_frequencies(params: ModelParams) -> tuple[float, float]:
-    """Closed-form normal-mode frequencies (omega_U, omega_L), lambda1 = lambda2.
-
-    omega_L^2 is evaluated as the product invariant divided by omega_U^2
-    rather than as a difference of nearly equal terms, so the product rule
-    omega_U * omega_L = omega_a * omega_b (diamag = lambda^2/omega_b case)
-    holds to machine precision at any coupling.
-    """
-    half_sum, half_gap, product = _freq_invariants(params)
+    """Closed-form normal-mode frequencies (omega_U, omega_L), lambda1 = lambda2."""
+    product, wu, wl = _closed_frequencies(
+        params.omega_a, params.omega_b, params.coupling, params.diamag
+    )
     if product <= 0.0:
         raise InstabilityError(
             f"lower branch unstable: lambda={params.coupling:g} exceeds the "
             f"critical coupling for diamag={params.diamag:g}"
         )
-    wu_sq = half_sum + half_gap
-    wl_sq = product / wu_sq
-    return math.sqrt(wu_sq), math.sqrt(wl_sq)
+    return wu, wl
 
 
 @dataclass(frozen=True)
@@ -212,52 +237,53 @@ class PolaritonBasis:
         return abs(wu * wl + xu * xl - yu * yl - zu * zl)
 
 
-def _f_plus(x: float) -> float:
-    r = math.sqrt(x)
-    return 0.5 * (r + 1.0 / r)
+def _mixing_angle(wa, wb, lam, dd, wu, wl):
+    """Angle theta in [-pi/2, 0] from its double-angle sine and cosine.
 
-
-def _f_minus(x: float) -> float:
-    r = math.sqrt(x)
-    return 0.5 * (r - 1.0 / r)
-
-
-def _mixing_angle(params: ModelParams, wu: float, wl: float) -> float:
-    """Angle theta in [-pi/2, 0] from its double-angle sine and cosine."""
-    wa, wb, lam = params.omega_a, params.omega_b, params.coupling
+    Floats or equal-length arrays, as in ``_closed_frequencies``.
+    """
+    xp = np if isinstance(wa, np.ndarray) else math
     gap_sq = wu * wu - wl * wl
-    cos2t = (wa * wa + 4.0 * params.diamag * wa - wb * wb) / gap_sq
-    sin2t = -4.0 * lam * math.sqrt(wa * wb) / gap_sq
-    return 0.5 * math.atan2(sin2t, cos2t)
+    cos2t = (wa * wa + 4.0 * dd * wa - wb * wb) / gap_sq
+    sin2t = -4.0 * lam * xp.sqrt(wa * wb) / gap_sq
+    return 0.5 * _by_math(math.atan2, sin2t, cos2t)
 
 
-def hopfield_basis(params: ModelParams) -> PolaritonBasis:
-    """Closed-form Bogoliubov coefficients for the lambda1 = lambda2 family.
+def _closed_coefficients(wa, wb, lam, dd, wu, wl):
+    """(theta, upper, lower) of the lambda1 = lambda2 family.
 
     Upper branch: (cos t * f+(wU/wa), -sin t * f+(wU/wb),
                    cos t * f-(wU/wa), -sin t * f-(wU/wb)),
     lower branch the same with sin and cos swapped (no sign flip) and
     omega_L in place of omega_U, where f+-(x) = (sqrt(x) +- 1/sqrt(x))/2.
+    Floats or equal-length arrays, as in ``_closed_frequencies``; the
+    branch split must not be degenerate.
     """
+    xp = np if isinstance(wa, np.ndarray) else math
+    theta = _mixing_angle(wa, wb, lam, dd, wu, wl)
+    ct, st = xp.cos(theta), xp.sin(theta)
+
+    def branch(wj, c_a, c_b):
+        r_a, r_b = xp.sqrt(wj / wa), xp.sqrt(wj / wb)
+        return (
+            c_a * (0.5 * (r_a + 1.0 / r_a)),
+            c_b * (0.5 * (r_b + 1.0 / r_b)),
+            c_a * (0.5 * (r_a - 1.0 / r_a)),
+            c_b * (0.5 * (r_b - 1.0 / r_b)),
+        )
+
+    return theta, branch(wu, ct, -st), branch(wl, st, ct)
+
+
+def hopfield_basis(params: ModelParams) -> PolaritonBasis:
+    """Closed-form Bogoliubov coefficients for the lambda1 = lambda2 family."""
     wu, wl = polariton_frequencies(params)
     if wu - wl < DEGENERACY_TOL * params.omega_b:
         raise DegenerateSpectrumError(
             "polariton branches coincide; coefficients are not defined"
         )
-    theta = _mixing_angle(params, wu, wl)
-    ct, st = math.cos(theta), math.sin(theta)
-    wa, wb = params.omega_a, params.omega_b
-    upper = (
-        ct * _f_plus(wu / wa),
-        -st * _f_plus(wu / wb),
-        ct * _f_minus(wu / wa),
-        -st * _f_minus(wu / wb),
-    )
-    lower = (
-        st * _f_plus(wl / wa),
-        ct * _f_plus(wl / wb),
-        st * _f_minus(wl / wa),
-        ct * _f_minus(wl / wb),
+    theta, upper, lower = _closed_coefficients(
+        params.omega_a, params.omega_b, params.coupling, params.diamag, wu, wl
     )
     return PolaritonBasis(wu, wl, upper, lower, theta)
 
@@ -288,7 +314,7 @@ def no_a2_basis(params: ModelParams) -> PolaritonBasis:
         norm = math.sqrt(w * w + x * x - y * y - z * z)
         return (w / norm, x / norm, y / norm, z / norm)
 
-    theta = _mixing_angle(params, wu, wl)
+    theta = _mixing_angle(wa, wb, lam, params.diamag, wu, wl)
     return PolaritonBasis(wu, wl, branch(wu), branch(wl), theta)
 
 

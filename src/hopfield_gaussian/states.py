@@ -47,6 +47,14 @@ __all__ = [
 PHYSICALITY_TOL = 1e-10
 
 
+def covariance_overflow(where: str = "") -> ValueError:
+    """The error of a state whose covariance does not fit in a float."""
+    return ValueError(
+        f"the covariance{where} overflows: its determinants are not finite, "
+        "because the reservoir temperature is too high"
+    )
+
+
 def symplectic_form() -> np.ndarray:
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return np.block([[j, np.zeros((2, 2))], [np.zeros((2, 2)), j]])
@@ -165,6 +173,12 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     if x > 700.0:  # below double-precision underflow of exp(-x)
         return 0.0
     return 1.0 / math.expm1(x)
+
+
+# a1 and b1 of T diag(a1, a1, b1, b1) T^T are the symplectic eigenvalues of
+# the state, so det Gamma = (a1 b1)^2 overflows past a1 b1 = 1.3e154; past
+# this bound the product itself could overflow, and inf * 0 give NaN entries
+_MAX_WEIGHT_PRODUCT = 1e200
 
 
 def _coth_weight(omega: float, temperature: float) -> float:
@@ -333,11 +347,11 @@ def steady_state_covariance(basis: PolaritonBasis, temperature: float) -> Covari
     Works for every stable basis, including the general bilinear family
     where no closed form is available.
     """
-    return _polariton_diagonal_state(
-        basis,
-        0.5 * _coth_weight(basis.omega_upper, temperature),
-        0.5 * _coth_weight(basis.omega_lower, temperature),
-    )
+    a1 = 0.5 * _coth_weight(basis.omega_upper, temperature)
+    b1 = 0.5 * _coth_weight(basis.omega_lower, temperature)
+    if not a1 * b1 < _MAX_WEIGHT_PRODUCT:
+        raise covariance_overflow()
+    return _polariton_diagonal_state(basis, a1, b1)
 
 
 # 12 significant digits: the one number format of every CSV and report

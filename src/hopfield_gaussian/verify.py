@@ -21,10 +21,8 @@ from .dynamics import (
 )
 from .measures import (
     SteeringClass,
-    gaussian_steering,
     ground_state_log_negativity_closed,
     ground_state_steering_closed,
-    log_negativity,
     ppt_symplectic_eigenvalues,
     purities,
     symplectic_invariants,
@@ -188,9 +186,9 @@ def check_closed_form_correlations() -> CheckResult:
     dev = 0.0
     for _ in range(500):
         p = _random_hopfield(rng)
-        gamma = ground_state_covariance_closed(p)
-        e_n = log_negativity(gamma)
-        g_ab, g_ba = gaussian_steering(gamma)
+        inv = symplectic_invariants(ground_state_covariance_closed(p))
+        e_n = inv.log_negativity()
+        g_ab, g_ba = inv.steering()
         dev = max(
             dev,
             abs(ground_state_log_negativity_closed(p) - e_n),

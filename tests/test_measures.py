@@ -18,6 +18,7 @@ from hopfield_gaussian.measures import (
     STEERING_THRESHOLD,
     SteeringClass,
     UnphysicalStateError,
+    _partial_transpose_pair,
     average_occupations,
     classify_steering,
     correlation_report,
@@ -219,6 +220,28 @@ class TestSymplecticInvariants:
             assert abs(inv.d_plus - nu[1]) < 1e-10
             assert abs(inv.d_plus * inv.d_minus - math.sqrt(inv.i_ab)) < 1e-10
             assert inv.d_plus >= 0.5 - 1e-10
+
+
+determinants = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestPartialTransposePair:
+    """One formula for both routes: floats and arrays take the same bits."""
+
+    @given(st.lists(st.tuples(determinants, determinants, determinants, determinants),
+                    min_size=1, max_size=8))
+    # the vacuum, negative radicands, overflow, and a radicand of -0.0
+    @example([(0.25, 0.25, 0.0, 0.0625), (-1.0, -1.0, 2.0, 1.0),
+              (1e200, 1e200, 0.0, 1e300), (-0.0, -0.0, 0.0, 0.0)])
+    def test_float_and_stacked_inputs_agree_bit_for_bit(self, rows):
+        with np.errstate(all="ignore"):  # the kernel checks what overflows
+            stacked = _partial_transpose_pair(*(np.array(c) for c in zip(*rows)))
+        for i, row in enumerate(rows):
+            single = _partial_transpose_pair(*row)  # never raises
+            assert bits(single) == bits([column[i] for column in stacked])
+
+    def test_vacuum(self):
+        assert _partial_transpose_pair(0.25, 0.25, 0.0, 0.0625) == (0.0, 0.5, 0.5)
 
 
 class TestLogNegativity:

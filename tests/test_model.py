@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from hopfield_gaussian.model import (
     DegenerateSpectrumError,
     InstabilityError,
+    _closed_coefficients,
+    _closed_frequencies,
     bogoliubov_diagonalize,
     build_dynamical_matrix,
     critical_coupling,
@@ -178,6 +180,43 @@ class TestHopfieldBasis:
             (analytic.coeffs_lower, numeric.coeffs_lower),
         ]:
             assert np.allclose(np.abs(a), np.abs(n), atol=1e-9)
+
+
+closed_form_inputs = st.lists(
+    st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0), st.floats(1e-3, 2.5),
+              st.floats(0.0, 1.0)),
+    min_size=1, max_size=8,
+)
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    """The bit pattern of each value, -0.0 apart from 0.0 and every NaN alike."""
+    return np.where(np.isnan(values), np.nan, values).view(np.int64)
+
+
+class TestClosedFormOnArrays:
+    """The kernel's arrays and the scalar route's floats take the same bits."""
+
+    @given(closed_form_inputs)
+    def test_float_and_stacked_inputs_agree_bit_for_bit(self, rows):
+        # past the stability edge too, where omega_L and the coefficients
+        # are NaN on both inputs
+        columns = [np.array(c) for c in zip(*rows)]
+        _, wu, wl = _closed_frequencies(*columns)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta, upper, lower = _closed_coefficients(*columns, wu, wl)
+        stacked = np.vstack([wu, wl, theta, upper, lower])
+        for i, row in enumerate(rows):
+            _, wu_i, wl_i = _closed_frequencies(*row)
+            theta_i, upper_i, lower_i = _closed_coefficients(*row, wu_i, wl_i)
+            single = np.array([wu_i, wl_i, theta_i, *upper_i, *lower_i])
+            assert (bits(single) == bits(stacked[:, i])).all(), row
+
+    def test_past_the_edge_omega_lower_is_nan(self):
+        product, _, wl = _closed_frequencies(1.0, 1.0, 0.6, 0.0)
+        assert product < 0.0 and math.isnan(wl)
+        with pytest.raises(InstabilityError):
+            polariton_frequencies(no_a2(1.0, 1.0, 0.6))
 
 
 class TestNumericDiagonalization:

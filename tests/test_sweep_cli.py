@@ -374,7 +374,7 @@ class TestCli:
         assert message in err
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("temp", ["1e100", "1e160"])
+    @pytest.mark.parametrize("temp", ["1e100", "1e160", "1e308"])
     @pytest.mark.parametrize(
         "command",
         [
