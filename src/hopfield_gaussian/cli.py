@@ -153,7 +153,7 @@ def cmd_point(args) -> int:
         except InstabilityError as exc:
             print(f"unstable: {exc}", file=sys.stderr)
             return 2
-        _write(format_covariance(state[1]), args.dump_cov)
+        _write(format_covariance(state.covariance), args.dump_cov)
         if args.dump_cov == "-":
             return 0
         row = result_row(params, env, args.state, state)

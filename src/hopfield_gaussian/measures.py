@@ -145,6 +145,18 @@ def _partial_transpose_pair(i_a, i_b, i_c, i_ab):
     return disc_sq, d_minus, _clipped_root(0.5 * (delta + disc))
 
 
+def _check_determinants(i_a, i_b, i_c, i_ab, disc_sq) -> None:
+    if not all(map(math.isfinite, (i_a, i_b, i_c, i_ab, disc_sq))):
+        raise covariance_overflow()
+    # checked before physicality, which such a matrix fails too, so that a
+    # point at the stability edge is reported as what it is
+    if not min(i_a, i_b, i_ab) > 0.0:
+        raise ValueError(
+            "a block determinant of the covariance is not positive: it is "
+            "singular to rounding, at the stability edge"
+        )
+
+
 def symplectic_invariants(gamma: CovarianceMatrix) -> SymplecticInvariants:
     """Block determinants and the partial-transpose symplectic pair."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
@@ -155,17 +167,29 @@ def symplectic_invariants(gamma: CovarianceMatrix) -> SymplecticInvariants:
         ).tolist()
         i_ab = float(np.linalg.det(gamma.entries))
     disc_sq, d_minus, d_plus = _partial_transpose_pair(i_a, i_b, i_c, i_ab)
-    if not all(map(math.isfinite, (i_a, i_b, i_c, i_ab, disc_sq))):
-        raise covariance_overflow()
-    # checked before physicality, which such a matrix fails too, so that a
-    # point at the stability edge is reported as what it is
-    if not min(i_a, i_b, i_ab) > 0.0:
-        raise ValueError(
-            "a block determinant of the covariance is not positive: it is "
-            "singular to rounding, at the stability edge"
-        )
+    _check_determinants(i_a, i_b, i_c, i_ab, disc_sq)
     _require_physical(gamma)
     return SymplecticInvariants(i_a, i_b, i_c, i_ab, d_minus, d_plus)
+
+
+def _sector_invariants(gxx, gpp, c_u, c_l, det_xx):
+    """(det A, det B, det C, det Gamma, discriminant, d~_-, d~_+) of Gamma_xx ⊕ Gamma_pp.
+
+    det A = Gxx_aa Gpp_aa, det C = Gxx_ab Gpp_ab, det Gamma = (c_U c_L)^2;
+    d~_+- are the singular values of F^T G, Gamma_xx = F F^T, P Gamma_pp P =
+    G G^T (Cholesky), free of differences of nearly equal terms.
+    """
+    sqrt = np.sqrt if isinstance(c_u, np.ndarray) else math.sqrt
+    nu, root_det = c_u * c_l, sqrt(det_xx)
+    i_a, i_b, i_c = gxx[0] * gpp[0], gxx[2] * gpp[2], gxx[1] * gpp[1]
+    # F^T G times sqrt(det A)
+    k11, k12, k21, k22 = i_a - i_c, gxx[1] * nu / root_det, -gpp[1] * root_det, nu
+    q = sqrt((k11 + k22) * (k11 + k22) + (k12 - k21) * (k12 - k21))
+    r = sqrt((k11 - k22) * (k11 - k22) + (k12 + k21) * (k12 + k21))
+    d_plus = 0.5 * (q + r) / sqrt(i_a)
+    # (q r / det A)^2 = (d~_+^2 - d~_-^2)^2 = delta~^2 - 4 det Gamma
+    disc = q * r / i_a
+    return i_a, i_b, i_c, nu * nu, disc * disc, nu / d_plus, d_plus
 
 
 def ppt_symplectic_eigenvalues(gamma: CovarianceMatrix) -> np.ndarray:
@@ -205,11 +229,13 @@ def classify_steering(g_ab: float, g_ba: float) -> SteeringClass:
 def average_occupations(gamma: CovarianceMatrix) -> tuple[float, float]:
     """Mode occupations from the quadrature variances, (x^2 + p^2 - 1)/2."""
     _require_physical(gamma)
-    return _occupations(gamma.entries)
+    g = gamma.entries
+    return _occupations(g[0, 0], g[1, 1], g[2, 2], g[3, 3])
 
 
-def _occupations(g: np.ndarray) -> tuple[float, float]:
-    return 0.5 * (g[0, 0] + g[1, 1] - 1.0), 0.5 * (g[2, 2] + g[3, 3] - 1.0)
+def _occupations(xa, pa, xb, pb):
+    """(N_a, N_b) from the four quadrature variances; floats or arrays."""
+    return 0.5 * (xa + pa - 1.0), 0.5 * (xb + pb - 1.0)
 
 
 _MOMENT_KEYS = (
@@ -295,16 +321,24 @@ def ground_state_steering_closed(params: ModelParams) -> float:
     return max(0.0, 0.5 * math.log(ratio))
 
 
-def correlation_report(gamma: CovarianceMatrix) -> CorrelationReport:
+def correlation_report(gamma: CovarianceMatrix, sectors=None) -> CorrelationReport:
     """Every correlation measure of one bare-basis state.
 
     One physicality check and one set of block determinants serve every
-    field, through the same formulas as the scalar functions.
+    field, through the same formulas as the scalar functions.  The x-p
+    sector route passes its ``states._sector_covariance``; its symplectic
+    eigenvalues c_U, c_L >= 1/2 need no physicality check.
     """
-    inv = symplectic_invariants(gamma)
+    if sectors is None:
+        inv = symplectic_invariants(gamma)
+    else:
+        *dets, disc_sq, d_minus, d_plus = _sector_invariants(*sectors)
+        _check_determinants(*dets, disc_sq)
+        inv = SymplecticInvariants(*dets, d_minus, d_plus)
     g_ab, g_ba = inv.steering()
     mu_a, mu_b, mu_ab = inv.purities()
-    n_a, n_b = _occupations(gamma.entries)
+    g = gamma.entries
+    n_a, n_b = _occupations(g[0, 0], g[1, 1], g[2, 2], g[3, 3])
     return CorrelationReport(
         e_n=inv.log_negativity(),
         g_ab=g_ab,

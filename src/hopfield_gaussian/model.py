@@ -6,10 +6,11 @@ term lambda1 (a'b + ab'), a mode-squeezing term lambda2 (a'b' + ab) and a
 diamagnetic term D (a + a')^2.  For light coupled to natural matter
 lambda1 = lambda2 = lambda and D = lambda^2 / omega_b.
 
-Diagonalization is offered twice on purpose: closed forms for the
-lambda1 = lambda2 family, and a numeric eigensolver of the 4x4 dynamical
-matrix (a plain array) that covers the general bilinear family, including
-degenerate spectra, and serves as an oracle for the closed forms.
+Diagonalization is offered three ways on purpose: closed forms for the
+lambda1 = lambda2 family; 2x2 forms of any point in the x-p sectors of
+H = x^T V x / 2 + p^T T p / 2, V = [[omega_a + 4D, lambda1 + lambda2],
+[lambda1 + lambda2, omega_b]], T = V with lambda1 - lambda2 and no D; and a
+numeric eigensolver of the 4x4 dynamical matrix, an oracle for both.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ DEGENERATE_MIX_TOL = 1e-6
 # both relative to the largest coefficient.
 PHASE_TOL = 1e-8
 SIGN_TOL = 1e-12
+# a float a*b - c*c within this multiple of a*b + c*c of zero may be of either sign
+_DET_FILTER = 1e-15
 
 
 class InstabilityError(ValueError):
@@ -273,6 +276,68 @@ def _closed_coefficients(wa, wb, lam, dd, wu, wl):
         )
 
     return theta, branch(wu, ct, -st), branch(wl, st, ct)
+
+
+def _stability_determinants(wa, wb, l1, l2, dd):
+    """(det V, det T), stable iff both are positive; floats or arrays.
+
+    Within rounding of zero both come from the exact inputs: an exact decision.
+    """
+    t12 = l1 - l2
+    pv, qv, pt, qt = (wa + 4.0 * dd) * wb, (l1 + l2) * (l1 + l2), wa * wb, t12 * t12
+    near = (abs(pv - qv) <= _DET_FILTER * (pv + qv)) | (abs(pt - qt) <= _DET_FILTER * (pt + qt))
+    if isinstance(wa, np.ndarray):
+        det_v, det_t = pv - qv, pt - qt
+        for i in np.flatnonzero(near).tolist():
+            det_v[i], det_t[i] = _stability_determinants(wa[i], wb[i], l1[i], l2[i], dd[i])
+        return det_v, det_t
+    if not near:
+        return pv - qv, pt - qt
+    from fractions import Fraction  # 8 ms to import, and needed only here
+    wa, wb, l1, l2, dd = map(Fraction, (wa, wb, l1, l2, dd))
+    return float((wa + 4 * dd) * wb - (l1 + l2) ** 2), float(wa * wb - (l1 - l2) ** 2)
+
+
+def _where(cond, a, b):
+    """``np.where`` of arrays, a conditional expression of floats."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _sector_frame(a, b, det_a, det_ab):
+    """(omega_U, omega_L, u_U, A^1/2, det A) of the sector pair (A, B), as (11, 12, 22).
+
+    A^1/2 B A^1/2 = R diag(omega_U^2, omega_L^2) R^T, omega_L^2 = det A det B /
+    omega_U^2; R's first column u_U and A^1/2 = (A + sqrt(det A) I) / sqrt(tr A
+    + 2 sqrt(det A)) take no difference of nearly equal terms.
+    """
+    xp = np if isinstance(det_a, np.ndarray) else math
+    s = xp.sqrt(det_a)
+    tau = xp.sqrt(a[0] + a[2] + 2.0 * s)
+    r11, r12, r22 = root = ((a[0] + s) / tau, a[1] / tau, (a[2] + s) / tau)
+    m11, m12, m21, m22 = (r11 * b[0] + r12 * b[1], r11 * b[1] + r12 * b[2],
+                          r12 * b[0] + r22 * b[1], r12 * b[1] + r22 * b[2])
+    s11, s12, s22 = m11 * r11 + m12 * r12, m11 * r12 + m12 * r22, m21 * r12 + m22 * r22
+    half_gap = 0.5 * (s11 - s22)
+    h = xp.sqrt(half_gap * half_gap + s12 * s12)
+    wu_sq = 0.5 * (s11 + s22) + h
+    flat = h == 0.0  # any R serves: take the identity
+    half_gap, h = half_gap + flat, h + flat
+    # u_U is (g, s12) or (s12, g) over its norm sqrt(2 h g)
+    g = h + abs(half_gap)
+    norm, first = xp.sqrt(2.0 * h * g), half_gap >= 0.0
+    u = _where(first, g, s12) / norm, _where(first, s12, g) / norm
+    return xp.sqrt(wu_sq), xp.sqrt(det_ab / wu_sq), u, root, det_a
+
+
+def _sector_modes(wa, wb, l1, l2, dd, det_v, det_t):
+    """Frames (T, V) for Gamma_xx and (V, T) for Gamma_pp, and whether V = T.
+
+    With forward roots only, both stay well conditioned next to either edge.
+    The point's frequencies are those of (V, T); floats or arrays.
+    """
+    v, t, det = (wa + 4.0 * dd, l1 + l2, wb), (wa, l1 - l2, wb), det_v * det_t
+    frames = _sector_frame(t, v, det_t, det), _sector_frame(v, t, det_v, det)
+    return (*frames, (l2 == 0.0) & (dd == 0.0))
 
 
 def hopfield_basis(params: ModelParams) -> PolaritonBasis:

@@ -19,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    DEGENERACY_TOL,
     DegenerateSpectrumError,
     ModelParams,
     PolaritonBasis,
+    _by_math,
+    _where,
     polariton_frequencies,
 )
 
@@ -38,6 +41,7 @@ __all__ = [
     "thermal_covariance_closed",
     "no_a2_covariance_closed",
     "steady_state_covariance",
+    "sector_matrix",
     "format_covariance",
     "format_value",
     "VALUE_FORMAT",
@@ -175,6 +179,52 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+def _bose(omega, temperature):
+    """``thermal_occupation`` of floats, or elementwise of arrays."""
+    if not isinstance(omega, np.ndarray):
+        return thermal_occupation(omega, temperature)
+    occupation = np.zeros_like(omega)
+    hot = np.flatnonzero(temperature > 0.0)
+    with np.errstate(over="ignore"):  # inf, as Python's float division gives
+        x = omega[hot] / temperature[hot]
+    live = x <= 700.0
+    occupation[hot[live]] = 1.0 / _by_math(math.expm1, x[live])
+    return occupation
+
+
+def _sector_covariance(frame_x, frame_p, passive, temperature):
+    """(Gamma_xx, Gamma_pp, c_U, c_L, det Gamma_xx) from ``model._sector_modes``.
+
+    A block is sum_j (c_j / omega_j) (A^1/2 u_j)(A^1/2 u_j)^T, c_j = 1/2 + n_j.
+    Where V = T both are R diag(c_U, c_L) R^T = c_U I + (c_L - c_U) u_L u_L^T,
+    so a number-conserving ground state is the vacuum exactly.
+    """
+    c_u, c_l = 0.5 + _bose(frame_p[0], temperature), 0.5 + _bose(frame_p[1], temperature)
+
+    def block(wu, wl, u, root, det_a):
+        (u1, u2), (r11, r12, r22), w_u, w_l = u, root, c_u / wu, c_l / wl
+        y1, y2 = r11 * u1 + r12 * u2, r12 * u1 + r22 * u2  # A^1/2 u_U
+        z1, z2 = r12 * u1 - r11 * u2, r22 * u1 - r12 * u2  # A^1/2 u_L, u_L = (-u2, u1)
+        return (w_u * y1 * y1 + w_l * z1 * z1, w_u * y1 * y2 + w_l * z1 * z2,
+                w_u * y2 * y2 + w_l * z2 * z2)
+
+    (u1, u2), d = frame_p[2], c_l - c_u
+    same = c_u + d * u2 * u2, -d * u1 * u2, c_u + d * u1 * u1
+    gxx, gpp = (tuple(map(_where, [passive] * 3, same, block(*f))) for f in (frame_x, frame_p))
+    wu, wl, _, _, det_t = frame_x  # det Gamma_xx = det T c_U c_L / (omega_U omega_L)
+    det_xx = _where(passive, c_u * c_l, det_t * (c_u / wu) * (c_l / wl))
+    return gxx, gpp, c_u, c_l, det_xx
+
+
+def sector_matrix(sectors) -> CovarianceMatrix:
+    """The 4x4 covariance of ``_sector_covariance``, in (x_a, p_a, x_b, p_b) order."""
+    (xa, xab, xb), (pa, pab, pb), c_u, c_l, _ = sectors
+    if not c_u * c_l < _MAX_WEIGHT_PRODUCT:  # as in steady_state_covariance
+        raise covariance_overflow()
+    rows = [[xa, 0.0, xab, 0.0], [0.0, pa, 0.0, pab], [xab, 0.0, xb, 0.0], [0.0, pab, 0.0, pb]]
+    return CovarianceMatrix(np.array(rows))
+
+
 # a1 and b1 of T diag(a1, a1, b1, b1) T^T are the symplectic eigenvalues of
 # the state, so det Gamma = (a1 b1)^2 overflows past a1 b1 = 1.3e154; past
 # this bound the product itself could overflow, and inf * 0 give NaN entries
@@ -278,7 +328,7 @@ def thermal_covariance_closed(params: ModelParams, temperature: float) -> Covari
     reproduces the ground-state matrix.  Needs a finite branch splitting.
     """
     wu, wl = polariton_frequencies(params)
-    if wu - wl < 1e-10 * params.omega_b:
+    if wu - wl < DEGENERACY_TOL * params.omega_b:
         raise DegenerateSpectrumError("branch splitting vanishes in the denominators")
     wa, wb, lam = params.omega_a, params.omega_b, params.coupling
     cu = _coth_weight(wu, temperature)
@@ -321,7 +371,7 @@ def no_a2_covariance_closed(params: ModelParams, temperature: float) -> Covarian
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
     wu, wl = polariton_frequencies(params)
-    if wu - wl < 1e-10 * params.omega_b:
+    if wu - wl < DEGENERACY_TOL * params.omega_b:
         raise DegenerateSpectrumError("branch splitting vanishes in the denominators")
     wa, wb = params.omega_a, params.omega_b
     g = np.zeros((4, 4))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +24,8 @@ from .model import (
     InstabilityError,
     ModelParams,
     PolaritonBasis,
+    _sector_modes,
+    _stability_determinants,
     bogoliubov_diagonalize,
     hopfield,
     hopfield_basis,
@@ -32,8 +35,10 @@ from .scenarios import FULL, MIX_ONLY, SQUEEZE_ONLY, SweepSpec
 from .states import (
     CovarianceMatrix,
     Environment,
+    _sector_covariance,
     format_value,
     ground_state_covariance_generic,
+    sector_matrix,
     steady_state_covariance,
 )
 
@@ -108,23 +113,43 @@ def diagonalize_params(params: ModelParams) -> PolaritonBasis:
     return bogoliubov_diagonalize(params)
 
 
+class PointState(NamedTuple):
+    """A point's frequencies, covariance and x-p sectors on that route."""
+
+    omega_upper: float
+    omega_lower: float
+    covariance: CovarianceMatrix
+    sectors: tuple | None = None
+
+
 def point_state(
     params: ModelParams, env: Environment | None, state_kind: str
-) -> tuple[PolaritonBasis, CovarianceMatrix]:
-    """Polariton basis and bare-basis covariance of the requested state."""
+) -> PointState:
+    """The requested state by the route of ``grid.evaluate_grid`` (closed
+    form or x-p sectors); raises InstabilityError past the stability edge."""
     if state_kind not in ("ground", "thermal"):
         raise ValueError("state_kind must be 'ground' or 'thermal'")
-    basis = diagonalize_params(params)
-    if state_kind == "ground":
-        return basis, ground_state_covariance_generic(basis)
-    return basis, steady_state_covariance(basis, env.temperature if env else 0.0)
+    temperature = env.temperature if (env and state_kind == "thermal") else 0.0
+    if params.is_single_coupling and params.coupling > 0:
+        basis = diagonalize_params(params)
+        if basis.theta is not None:  # not the numeric solver's degenerate pair
+            gamma = (ground_state_covariance_generic(basis) if state_kind == "ground"
+                     else steady_state_covariance(basis, temperature))
+            return PointState(basis.omega_upper, basis.omega_lower, gamma)
+    args = (params.omega_a, params.omega_b, params.lambda1, params.lambda2, params.diamag)
+    det_v, det_t = _stability_determinants(*args)
+    if not (det_v > 0.0 and det_t > 0.0):
+        raise InstabilityError("the x or p sector of the Hamiltonian is not positive definite")
+    frame_x, frame_p, passive = _sector_modes(*args, det_v, det_t)
+    sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
+    return PointState(frame_p[0], frame_p[1], sector_matrix(sectors), sectors)
 
 
 def result_row(
     params: ModelParams,
     env: Environment | None,
     state_kind: str,
-    state: tuple[PolaritonBasis, CovarianceMatrix] | None,
+    state: PointState | None,
 ) -> ResultRow:
     """Row of one point from its ``point_state``; None flags an unstable point."""
     lam = max(params.lambda1, params.lambda2)
@@ -133,15 +158,14 @@ def result_row(
         return ResultRow(
             lam, params.omega_a, params.omega_b, temperature, None, None, stable=False
         )
-    basis, gamma = state
-    report = correlation_report(gamma)
+    report = correlation_report(state.covariance, state.sectors)
     return ResultRow(
         lam=lam,
         wa=params.omega_a,
         wb=params.omega_b,
         temperature=temperature,
-        omega_upper=basis.omega_upper,
-        omega_lower=basis.omega_lower,
+        omega_upper=state.omega_upper,
+        omega_lower=state.omega_lower,
         e_n=report.e_n,
         g_ab=report.g_ab,
         g_ba=report.g_ba,

@@ -3,20 +3,26 @@
 import math
 from dataclasses import fields
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hopfield_gaussian import grid, model, sweep
+from hopfield_gaussian import grid, sweep
 from hopfield_gaussian.grid import GridPoints, evaluate_grid
-from hopfield_gaussian.measures import STEERING_THRESHOLD, UnphysicalStateError
+from hopfield_gaussian.measures import (
+    STEERING_THRESHOLD,
+    UnphysicalStateError,
+    _sector_invariants,
+    ppt_symplectic_eigenvalues,
+)
 from hopfield_gaussian.model import (
-    DEGENERATE_MIX_TOL,
     InstabilityError,
     ModelParams,
+    _sector_modes,
+    _stability_determinants,
     bogoliubov_diagonalize,
-    build_dynamical_matrix,
 )
 from hopfield_gaussian.scenarios import (
     FULL,
@@ -26,7 +32,12 @@ from hopfield_gaussian.scenarios import (
     Axis,
     SweepSpec,
 )
-from hopfield_gaussian.states import Environment
+from hopfield_gaussian.states import (
+    Environment,
+    _sector_covariance,
+    sector_matrix,
+    steady_state_covariance,
+)
 from hopfield_gaussian.sweep import grid_points, run_point, spec_to_params
 
 # fixed before the kernel was written, from the measured deviations of a
@@ -43,7 +54,7 @@ MEASURES = (*EXACT, "e_n", "g_ab", "g_ba")
 
 # lambda runs past every stability edge of the three coupling structures;
 # 1e-12 at resonance splits the closed-form branches by less than the
-# labelling tolerance, which sends the point to the numeric solver
+# labelling tolerance, which sends the point to the x-p sector route
 AXIS_RANGES = {
     "lambda": st.one_of(st.just(1e-12), st.floats(0.0, 1.6)),
     "wa": st.floats(0.2, 3.0),
@@ -85,9 +96,8 @@ RESONANT_DEGENERATE = SweepSpec(
     diamag_mode="zero",
 )
 
-# lambda2 = 1 lies within 1e-8 of the stability edge here: the numeric basis
-# is so squeezed that the partial-transpose eigenvalue of the covariance
-# rounds to zero in both routes
+# lambda2 = 1 puts det T = 1 - lambda2^2 exactly at 0: an unstable row in both
+# routes (the numeric solver took it for stable, with omega_L = 8e-9)
 SQUEEZED_TO_THE_EDGE = SweepSpec(
     scenario="custom",
     axes=(Axis("lambda", (0.5, 1.0)),),
@@ -97,14 +107,33 @@ SQUEEZED_TO_THE_EDGE = SweepSpec(
     coupling=SQUEEZE_ONLY,
 )
 
-# lambda1 = 1 leaves omega_L at 3e-9 here: det Gamma rounds to zero, the scalar
-# route divides by it and the kernel reports the point instead of writing inf
+# lambda1 = 1 puts det T = 1 - lambda1^2 exactly at 0 as well (the numeric
+# solver found omega_L = 3e-9 and a covariance singular to rounding)
 SINGULAR_AT_THE_EDGE = SweepSpec(
     scenario="custom",
     axes=(Axis("lambda", (0.5, 1.0)),),
     fixed={"wa": 1.0, "wb": 1.0, "T": 0.705482318654789},
     diamag_mode=0.2551133598784275,
     coupling=MIX_ONLY,
+)
+
+
+def _closed_form_edge(lam, temperature, diamag):
+    """A lambda1 = lambda2 sweep to within rounding of the stability edge."""
+    return SweepSpec(
+        scenario="custom",
+        axes=(Axis("lambda", (0.3, lam)),),
+        fixed={"wa": 1.0, "wb": 1.0, "T": temperature},
+        diamag_mode=diamag,
+        state="thermal",
+    )
+
+
+# the closed form's covariance at these points has a block determinant that
+# rounds to zero or below: found by a random search next to the edge
+CLOSED_FORM_EDGES = (
+    _closed_form_edge(0.49999999999999994, 0.7720568085913025, "zero"),
+    _closed_form_edge(0.6489071605117458, 0.6105204476099405, 0.17108050296341676),
 )
 
 
@@ -153,35 +182,44 @@ class TestKernelAgainstScalarRoute:
             if not near:
                 assert result.classification[i] == ref.classification, where
 
-    def test_resonant_near_zero_coupling_takes_the_numeric_solver(self, monkeypatch):
+    def test_resonant_near_zero_coupling_takes_the_sector_route(self, monkeypatch):
         calls = []
-        solver = grid._numeric_form
+        stage = grid._sector_modes
 
-        def counted(wa, wb, l1, l2, dd):
-            out = solver(wa, wb, l1, l2, dd)
-            calls.append((l1.tolist(), l2.tolist(), out[0].tolist()))
-            return out
+        def counted(wa, wb, l1, l2, dd, det_v, det_t):
+            calls.append((l1.tolist(), l2.tolist()))
+            return stage(wa, wb, l1, l2, dd, det_v, det_t)
 
-        monkeypatch.setattr(grid, "_numeric_form", counted)
+        monkeypatch.setattr(grid, "_sector_modes", counted)
         result = evaluate_grid(grid_points(RESONANT_DEGENERATE, ENV), "thermal")
-        assert calls == [([1e-12, 1e-12], [1e-12, 1e-12], [True, True])]
+        assert calls == [([1e-12, 1e-12], [1e-12, 1e-12])]
         assert result.stable.all()
 
-    def test_closed_form_block_skips_the_numeric_solver(self, monkeypatch):
+    def test_closed_form_block_skips_the_sector_route(self, monkeypatch):
         def no_call(*args):
-            raise AssertionError("no point of this block needs the numeric solver")
+            raise AssertionError("no point of this block takes the sector route")
 
-        monkeypatch.setattr(grid, "_numeric_form", no_call)
+        monkeypatch.setattr(grid, "_sector_modes", no_call)
         points = grid_points(SCENARIOS["fig3a"], ENV).chunk(0, sweep._BLOCK_POINTS)
         result = evaluate_grid(points, "thermal")
         assert len(result.stable) == sweep._BLOCK_POINTS and result.stable.any()
 
+    @pytest.mark.parametrize("spec", [SINGULAR_AT_THE_EDGE, SQUEEZED_TO_THE_EDGE])
+    def test_det_t_zero_points_are_unstable_rows(self, spec):
+        edge, _ = spec_to_params(spec, list(spec.grid())[1])
+        with mpmath.workdps(50):
+            wa, wb, l1, l2 = map(mpmath.mpf, (edge.omega_a, edge.omega_b,
+                                              edge.lambda1, edge.lambda2))
+            assert wa * wb - (l1 - l2) ** 2 == 0
+        row = run_point(edge, Environment(spec.fixed.get("T", 0.0)), spec.state)
+        assert not row.stable
+        result = evaluate_grid(grid_points(spec, ENV), spec.state)
+        assert result.stable.tolist() == [True, False]
+        assert result.csv_rows()[1] == row.to_csv()
+
     @pytest.mark.parametrize(
         "spec, message",
-        [
-            (SINGULAR_AT_THE_EDGE, "singular to rounding, at the stability edge"),
-            (SQUEEZED_TO_THE_EDGE, "singular to rounding, at the stability edge"),
-        ],
+        [(spec, "singular to rounding, at the stability edge") for spec in CLOSED_FORM_EDGES],
     )
     def test_stability_edge_errors_name_the_point(self, spec, message):
         edge, _ = spec_to_params(spec, list(spec.grid())[1])
@@ -219,97 +257,153 @@ class TestKernelAgainstScalarRoute:
 
 
 FREQUENCY = st.floats(0.2, 3.0)
-# up to 1.6 crosses the stability edge of every coupling structure; 1e-12
-# splits a resonant pair by less than DEGENERATE_MIX_TOL (Gram-Schmidt)
-COUPLING = st.one_of(st.just(0.0), st.just(1e-12), st.floats(0.0, 1.6))
+COUPLING = st.one_of(st.just(0.0), st.floats(1e-3, 1.6))
 
 
 @st.composite
-def numeric_points(draw):
+def sector_points(draw):
+    """(wa, wb, lambda1, lambda2, D, T) for the x-p sector route.
+
+    Generic, resonant, uncoupled and weakly coupled (a near-degenerate pair
+    at resonance) points, and points at relative distance 1e-3 to 1e-16 on
+    either side of the nearer stability edge.  Couplings and D are 0 or at
+    least 1e-3 before scaling, so that 50 digits hold every determinant of
+    the inputs near zero exactly.
+    """
     wa = draw(FREQUENCY)
     wb = draw(st.one_of(st.just(wa), FREQUENCY))
-    diamag = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
-    return wa, wb, draw(COUPLING), draw(COUPLING), diamag
+    dd = draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.5)))
+    l1, l2 = draw(COUPLING), draw(COUPLING)
+    kind = draw(st.sampled_from(("generic", "uncoupled", "weak", "edge")))
+    if kind == "uncoupled":
+        l1 = l2 = 0.0
+    elif kind == "weak":
+        l1, l2 = 1e-9 * l1, 1e-9 * l2
+    elif kind == "edge":
+        nearer = max((l1 + l2) ** 2 / ((wa + 4.0 * dd) * wb), (l1 - l2) ** 2 / (wa * wb))
+        assume(nearer > 0.0)
+        eps = draw(st.sampled_from((1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-16)))
+        scale = (1.0 + draw(st.sampled_from((-1.0, 1.0))) * eps) / math.sqrt(nearer)
+        l1, l2 = l1 * scale, l2 * scale
+    return wa, wb, l1, l2, dd, draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
 
 
-# mix-only at resonance without D: the branches are omega_b +- lambda1
-HALF_MIX_TOL = 0.5 * DEGENERATE_MIX_TOL
+def _sector_state(wa, wb, l1, l2, dd, temperature):
+    """(frequencies, sector blocks, 4x4 covariance), or None past the edge."""
+    det_v, det_t = _stability_determinants(wa, wb, l1, l2, dd)
+    if not (det_v > 0.0 and det_t > 0.0):
+        return None
+    frame_x, frame_p, passive = _sector_modes(wa, wb, l1, l2, dd, det_v, det_t)
+    sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
+    return frame_p[:2], sectors, sector_matrix(sectors).entries
 
 
-class TestStackedSolverAgainstScalarSolver:
-    """``grid._numeric_form`` equals the scalar solver bit for bit, point by point."""
+def _numeric_basis(point):
+    try:
+        return bogoliubov_diagonalize(ModelParams(*point[:5]))
+    except InstabilityError:  # its own tolerance, next to the edge
+        return None
+
+
+EDGE_EXAMPLES = (
+    (1.0, 1.0, 0.0, 1.0, 0.25, 0.0),  # det T = 0 exactly
+    (1.0, 1.0, 1.0, 0.0, 0.2551133598784275, 0.705),  # likewise
+    (1.0, 1.0, 0.0, 0.9999999999999999, 0.0, 0.0),  # both determinants 2.2e-16
+    (1.0, 1.0, 0.0, 1.0000000000000002, 0.0, 0.3),  # both -4.4e-16
+)
+
+
+class TestSectorRouteAgainstOracles:
+    """The x-p sector stages against the numeric solver, the 4x4
+    T diag(c) T^T covariance, the PPT eigen-spectrum and mpmath.
+
+    Tolerances scale with cond(Gamma), or with omega_U / omega_L where the
+    sector route builds a well-conditioned Gamma from a nearly singular
+    frame (a nearly number-conserving point next to the edge), and for the
+    frequencies with 1/omega_L, the conditioning of the numeric solver's
+    nearly defective pair.  Each is about 5 to 20 times the largest
+    deviation seen on 30,000 random generic, near-degenerate and near-edge
+    points; where mpmath could tell, the larger deviations were the
+    numeric oracle's own error.
+    """
 
     @settings(max_examples=300)
-    @given(st.lists(numeric_points(), min_size=1, max_size=12))
-    @example([(1.0, 1.0, 0.0, 0.0, 0.0)])  # uncoupled resonant: an exact tie
-    @example([(1.0, 1.0, 1e-12, 0.0, 0.0)])  # mix-only: Gram-Schmidt
-    @example([(1.0, 1.0, HALF_MIX_TOL * 1.0001, 0.0, 0.0)])  # gap just above
-    @example([(1.0, 1.0, HALF_MIX_TOL * 0.9999, 0.0, 0.0)])  # gap just below
-    @example([(1.0, 1.0, 0.0, 1.5, 0.0)])  # squeeze-only far past the edge
-    # resonant squeeze-only: a degenerate pair with strong squeezing, where
-    # numpy's complex division in Gram-Schmidt changed the last bit
-    @example([(1.0851397779997347, 1.0851397779997347, 0.0, 0.24208253631007376, 0.0)])
-    @example([(1.0, 1.0, 0.0, 1.5, 0.0), (1.0, 1.0, 1e-12, 0.0, 0.0),
-              (1.3, 0.7, 0.4, 0.1, 0.2), (1.0, 1.0, 0.0, 0.0, 0.0),
-              (0.8, 1.2, 0.9, 1.4, 0.0)])  # stable and unstable in one block
-    def test_stable_flags_frequencies_and_coefficients(self, points):
-        wa, wb, l1, l2, dd = map(np.array, zip(*points))
-        stable, wu, wl, upper, lower = grid._numeric_form(wa, wb, l1, l2, dd)
-        for i, values in enumerate(points):
-            params = ModelParams(*values)
-            try:
-                basis = bogoliubov_diagonalize(params)
-            except InstabilityError:
-                assert not stable[i], params
+    @given(sector_points())
+    @example(EDGE_EXAMPLES[0])
+    @example(EDGE_EXAMPLES[1])
+    @example(EDGE_EXAMPLES[2])
+    @example(EDGE_EXAMPLES[3])
+    def test_stability_decision_is_the_sign_of_the_exact_determinants(self, point):
+        wa, wb, l1, l2, dd, _ = point
+        det_v, det_t = _stability_determinants(wa, wb, l1, l2, dd)
+        with mpmath.workdps(50):
+            wa, wb, l1, l2, dd = map(mpmath.mpf, (wa, wb, l1, l2, dd))
+            exact_v = (wa + 4 * dd) * wb - (l1 + l2) ** 2
+            exact_t = wa * wb - (l1 - l2) ** 2
+        assert (det_v > 0.0, det_v < 0.0) == (exact_v > 0, exact_v < 0), point
+        assert (det_t > 0.0, det_t < 0.0) == (exact_t > 0, exact_t < 0), point
+
+    @settings(max_examples=300)
+    @given(sector_points())
+    @example(EDGE_EXAMPLES[2])
+    def test_frequencies_match_the_numeric_solver(self, point):
+        state, basis = _sector_state(*point), _numeric_basis(point)
+        assume(state is not None and basis is not None)
+        (wu, wl), _, _ = state
+        wa, wb, l1, l2, dd, _ = point
+        scale = max(wa + 4.0 * dd, wb, l1, l2)
+        tol = 1e-13 * scale * scale / wl
+        assert abs(wu - basis.omega_upper) <= tol, point
+        assert abs(wl - basis.omega_lower) <= tol, point
+
+    @settings(max_examples=300)
+    @given(sector_points())
+    def test_covariance_matches_the_numeric_route(self, point):
+        state, basis = _sector_state(*point), _numeric_basis(point)
+        assume(state is not None and basis is not None)
+        oracle = steady_state_covariance(basis, point[5]).entries
+        dev = np.abs(state[2] - oracle).max() / np.abs(oracle).max()
+        assert dev <= 1e-11 * np.linalg.cond(oracle), point
+
+    @settings(max_examples=300)
+    @given(sector_points())
+    def test_partial_transpose_pair_matches_the_eigen_oracle(self, point):
+        state = _sector_state(*point)
+        assume(state is not None)
+        (wu, wl), sectors, gamma = state
+        try:
+            d_minus, d_plus = ppt_symplectic_eigenvalues(sector_matrix(sectors))
+        except UnphysicalStateError:  # the oracle's check, on the rounded 4x4 matrix
+            assume(False)
+        pair = _sector_invariants(*sectors)[5:]
+        tol = 1e-13 * max(np.linalg.cond(gamma), wu / wl) * d_plus
+        assert abs(pair[0] - d_minus) <= tol and abs(pair[1] - d_plus) <= tol, point
+
+    @given(st.lists(sector_points(), min_size=1, max_size=8))
+    @example(list(EDGE_EXAMPLES))
+    def test_float_and_stacked_inputs_agree_bit_for_bit(self, points):
+        def leaves(tree, k=None):
+            if isinstance(tree, (tuple, list)):
+                return [leaf for branch in tree for leaf in leaves(branch, k)]
+            return [np.float64(tree if k is None else tree[k]).tobytes()]
+
+        wa, wb, l1, l2, dd, temperature = map(np.array, zip(*points))
+        det_v, det_t = _stability_determinants(wa, wb, l1, l2, dd)
+        ok = (det_v > 0.0) & (det_t > 0.0)
+        frames = _sector_modes(*(a[ok] for a in (wa, wb, l1, l2, dd)), det_v[ok], det_t[ok])
+        sectors = _sector_covariance(*frames, temperature[ok])
+        stacked = (frames, sectors, _sector_invariants(*sectors))
+        k = 0
+        for i, point in enumerate(points):
+            dets = _stability_determinants(*point[:5])
+            assert leaves(dets) == leaves((det_v, det_t), i), point
+            if not ok[i]:
                 continue
-            assert stable[i], params
-            assert (wu[i], wl[i]) == (basis.omega_upper, basis.omega_lower), params
-            assert tuple(upper[:, i]) == basis.coeffs_upper, params
-            assert tuple(lower[:, i]) == basis.coeffs_lower, params
-
-    def test_examples_reach_the_rules_they_name(self):
-        def gap(l1):
-            one, zero = np.ones(1), np.zeros(1)
-            _, wu, wl, _, _ = grid._numeric_form(one, one, l1 * one, zero, zero)
-            return wu[0] - wl[0]
-
-        assert gap(HALF_MIX_TOL * 1.0001) > DEGENERATE_MIX_TOL
-        assert gap(HALF_MIX_TOL * 0.9999) < DEGENERATE_MIX_TOL
-        assert gap(0.0) == 0.0
-        eigenvalues = np.linalg.eigvals(
-            build_dynamical_matrix(ModelParams(1.0, 1.0, 0.0, 1.5, 0.0))
-        )
-        assert np.abs(eigenvalues.imag).max() > 0.1
-
-
-@st.composite
-def phased_vectors(draw):
-    """A real 4-vector times a phase, with an optional imaginary remainder."""
-    real = draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)
-                .filter(lambda r: max(map(abs, r)) > 1e-3))
-    rest = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
-    size = draw(st.sampled_from((0.0, 1e-12, 1e-6)))
-    angle = draw(st.floats(-math.pi, math.pi))
-    return np.exp(1j * angle) * (np.array(real) + 1j * size * np.array(rest))
-
-
-class TestPhaseFixing:
-    """``grid._fix_phase`` of each row equals ``model._fix_phase``."""
-
-    @given(st.lists(phased_vectors(), min_size=1, max_size=6))
-    @example([np.array([0.0, -0.5, 1.0, 0.0], complex)])  # sign read from x
-    @example([np.array([1e-13, -0.5, 1.0, 0.0], complex)])  # w below the head
-    @example([np.array([1.0, 1j, 0.5, 0.0])])  # not real up to a phase
-    def test_rows_match_the_scalar_rule(self, vectors):
-        fixed, real = grid._fix_phase(np.array(vectors))
-        for i, c in enumerate(vectors):
-            try:
-                ref = model._fix_phase(c)
-            except InstabilityError:
-                assert not real[i], c
-                continue
-            assert real[i], c
-            assert tuple(fixed[i]) == tuple(ref), c
+            frames = _sector_modes(*point[:5], *dets)
+            sectors = _sector_covariance(*frames, point[5])
+            scalar = (frames, sectors, _sector_invariants(*sectors))
+            assert leaves(scalar) == leaves(stacked, k), point
+            k += 1
 
 
 class TestChunks:

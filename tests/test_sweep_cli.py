@@ -361,8 +361,9 @@ class TestCli:
             (["dynamics", "--lambda", "0.5", "--dt", "nan"], "--dt must be"),
             (["dynamics", "--lambda", "0.5", "--dt", "0"], "--dt must be"),
             (
-                ["point", "--lambda1", "1", "--lambda2", "0", "--diamag",
-                 "0.2551133598784275", "--temp", "0.705", "--state", "thermal"],
+                # the closed form within one rounding of the edge, lambda_C = 1/2
+                ["point", "--lambda", "0.49999999999999994", "--diamag", "zero",
+                 "--temp", "0.7720568085913025", "--state", "thermal"],
                 "singular to rounding, at the stability edge",
             ),
         ],
@@ -373,6 +374,14 @@ class TestCli:
         assert out == ""
         assert message in err
 
+    def test_point_with_det_t_zero_is_an_unstable_row(self, capsys):
+        argv = ["point", "--lambda1", "1", "--lambda2", "0", "--diamag",
+                "0.2551133598784275", "--temp", "0.705", "--state", "thermal"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[1] == "1,1,1,0.705,,,,,,,,,,,,false"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("temp", ["1e100", "1e160", "1e308"])
     @pytest.mark.parametrize(
@@ -380,8 +389,12 @@ class TestCli:
         [
             ["point", "--lambda", "0.5", "--state", "thermal"],
             ["sweep", "--scenario", "custom", "--axis", "lambda:0.1:0.4:4", "--state", "thermal"],
+            ["point", "--lambda1", "0.5", "--lambda2", "0.1", "--diamag", "0.1",
+             "--state", "thermal"],
+            ["sweep", "--scenario", "custom", "--axis", "lambda:0.1:0.4:4", "--coupling",
+             "mix-only", "--diamag", "0.1", "--state", "thermal"],
         ],
-        ids=["point", "sweep"],
+        ids=["point", "sweep", "point-sector", "sweep-sector"],
     )
     def test_overflowing_temperature_is_one_clear_error(self, command, temp, capsys):
         # det Gamma ~ T^4 overflows; any RuntimeWarning fails the test
