@@ -1,11 +1,12 @@
 """Entanglement, EPR steering, purities and occupations of two-mode states.
 
 All measures reduce to the four determinant invariants of the block
-partition Gamma = [[A, C^T], [C, B]].  The partial-transpose symplectic
-eigenvalue that certifies entanglement is computed twice: from the
-determinant formula and, as an independent oracle, from the spectrum of
-the momentum-flipped matrix.  The formula is only trusted because the two
-agree (see the acceptance suite).
+partition Gamma = [[A, C^T], [C, B]] and the partial-transpose symplectic
+eigenvalues.  Sweeps and ``point`` take them from the x-p sectors
+(``_sector_invariants``); for any 4x4 matrix, ``symplectic_invariants``
+takes them from the determinant formula, and the spectrum of the
+momentum-flipped matrix is the independent oracle of both (see the
+acceptance suite and the tests).
 """
 
 from __future__ import annotations
@@ -89,17 +90,25 @@ class SymplecticInvariants:
         return max(0.0, -math.log(2.0 * self.d_minus))
 
     def steering_raw(self) -> tuple[float, float]:
-        return (
-            0.5 * math.log(self.i_a / (4.0 * self.i_ab)),
-            0.5 * math.log(self.i_b / (4.0 * self.i_ab)),
-        )
+        return _steering_raw(self.i_a, self.i_b, self.i_ab)
 
     def steering(self) -> tuple[float, float]:
         raw_ab, raw_ba = self.steering_raw()
         return max(0.0, raw_ab), max(0.0, raw_ba)
 
     def purities(self) -> tuple[float, float, float]:
-        return 1.0 / (4.0 * self.i_a), 1.0 / (4.0 * self.i_b), 1.0 / (16.0 * self.i_ab)
+        return _purities(self.i_a, self.i_b, self.i_ab)
+
+
+def _steering_raw(i_a, i_b, i_ab):
+    """(G_ab, G_ba) before clipping, 0.5 ln(det A / 4 det Gamma); floats or arrays."""
+    log = np.log if isinstance(i_ab, np.ndarray) else math.log
+    return 0.5 * log(i_a / (4.0 * i_ab)), 0.5 * log(i_b / (4.0 * i_ab))
+
+
+def _purities(i_a, i_b, i_ab):
+    """(mu_a, mu_b, mu_ab) = 1/(4 det A), 1/(4 det B), 1/(16 det Gamma); floats or arrays."""
+    return 1.0 / (4.0 * i_a), 1.0 / (4.0 * i_b), 1.0 / (16.0 * i_ab)
 
 
 @dataclass(frozen=True)
@@ -324,10 +333,10 @@ def ground_state_steering_closed(params: ModelParams) -> float:
 def correlation_report(gamma: CovarianceMatrix, sectors=None) -> CorrelationReport:
     """Every correlation measure of one bare-basis state.
 
-    One physicality check and one set of block determinants serve every
-    field, through the same formulas as the scalar functions.  The x-p
-    sector route passes its ``states._sector_covariance``; its symplectic
-    eigenvalues c_U, c_L >= 1/2 need no physicality check.
+    One set of invariants serves every field, through the same formulas as
+    the scalar functions.  Sweeps and ``point`` pass the state's
+    ``states._sector_covariance``, whose symplectic eigenvalues c_U, c_L >=
+    1/2 need no physicality check; without it the 4x4 matrix is checked.
     """
     if sectors is None:
         inv = symplectic_invariants(gamma)

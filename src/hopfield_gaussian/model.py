@@ -6,11 +6,13 @@ term lambda1 (a'b + ab'), a mode-squeezing term lambda2 (a'b' + ab) and a
 diamagnetic term D (a + a')^2.  For light coupled to natural matter
 lambda1 = lambda2 = lambda and D = lambda^2 / omega_b.
 
-Diagonalization is offered three ways on purpose: closed forms for the
-lambda1 = lambda2 family; 2x2 forms of any point in the x-p sectors of
+Diagonalization is offered three ways on purpose.  Every point of a sweep
+or a ``point`` run takes the 2x2 forms of the x-p sectors of
 H = x^T V x / 2 + p^T T p / 2, V = [[omega_a + 4D, lambda1 + lambda2],
-[lambda1 + lambda2, omega_b]], T = V with lambda1 - lambda2 and no D; and a
-numeric eigensolver of the 4x4 dynamical matrix, an oracle for both.
+[lambda1 + lambda2, omega_b]], T = V with lambda1 - lambda2 and no D.  The
+closed forms of the lambda1 = lambda2 family and a numeric eigensolver of
+the 4x4 dynamical matrix give the Bogoliubov coefficients of ``diagonalize``
+and the dynamics, and are the oracles of the sector forms.
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@ Quadratures are ordered canonically, (x_a, p_a, x_b, p_b) in the bare
 basis and (x_U, p_U, x_L, p_L) in the polariton basis, with the vacuum at
 variance 1/2.  Every covariance here is a bare-basis 4x4 matrix.  The
 steady state of the common-bath master equation is diagonal in the
-polariton basis with coth weights, so with T the symplectic quadrature map
-of the Bogoliubov coefficients it is T diag(n + 1/2) T^T, one product for
-the ground state (n = 0) and the thermal state alike.  Closed-form
-matrices are provided alongside as oracles and are pinned against that
-generic route in ``verify`` and the tests.
+polariton basis with coth weights, n + 1/2 per branch (n = 0 for the
+ground state).  Sweeps and ``point`` build it as Gamma_xx ⊕ Gamma_pp from
+the x-p sector frames (``_sector_covariance``).  As oracles, pinned
+against each other and against the sector route in ``verify`` and the
+tests: T diag(n + 1/2) T^T with T the symplectic quadrature map of the
+Bogoliubov coefficients, and the closed-form matrices.
 """
 
 from __future__ import annotations

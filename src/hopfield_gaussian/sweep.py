@@ -3,10 +3,12 @@
 A sweep resolves its grid in row-major axis order to parameter arrays and
 evaluates it with the array kernel (``grid.evaluate_grid``), one block of
 points at a time.  Rows use a fixed 12-significant-digit float format, so
-the byte output is reproducible across runs.  Dynamically unstable points
-become rows with empty measure fields and stable=false.  ``run_point`` is
-the scalar route for one point and the reference the grid kernel is
-tested against.
+the byte output is reproducible across runs.  A point is stable when det V
+and det T of its x and p sectors are positive; an unstable point becomes a
+row with empty measure fields and stable=false.  Every stable point takes
+one route, the x-p sector stages.  ``run_point`` is the scalar route for
+one point through the same stage functions, and the reference the grid
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from .states import (
     Environment,
     _sector_covariance,
     format_value,
-    ground_state_covariance_generic,
     sector_matrix,
-    steady_state_covariance,
 )
+# not used here: the benchmark's traced run wraps these by name on this module
+from .states import ground_state_covariance_generic, steady_state_covariance  # noqa: F401
 
 __all__ = [
     "CSV_HEADER",
@@ -103,8 +105,23 @@ class ResultRow:
         return ",".join(cells)
 
 
+def _stable_sectors(params: ModelParams) -> tuple:
+    """(wa, wb, lambda1, lambda2, D, det V, det T); raises InstabilityError
+    unless det V > 0 and det T > 0, the one stability rule of every command."""
+    args = (params.omega_a, params.omega_b, params.lambda1, params.lambda2, params.diamag)
+    det_v, det_t = _stability_determinants(*args)
+    if not (det_v > 0.0 and det_t > 0.0):
+        raise InstabilityError("the x or p sector of the Hamiltonian is not positive definite")
+    return (*args, det_v, det_t)
+
+
 def diagonalize_params(params: ModelParams) -> PolaritonBasis:
-    """Closed form when available, numeric eigensolver otherwise."""
+    """Closed form when available, numeric eigensolver otherwise.
+
+    Serves ``diagonalize`` and ``dynamics``; a point past the stability edge
+    of ``point_state`` raises InstabilityError here too.
+    """
+    _stable_sectors(params)
     if params.is_single_coupling and params.coupling > 0:
         try:
             return hopfield_basis(params)
@@ -114,33 +131,23 @@ def diagonalize_params(params: ModelParams) -> PolaritonBasis:
 
 
 class PointState(NamedTuple):
-    """A point's frequencies, covariance and x-p sectors on that route."""
+    """A point's frequencies, covariance and x-p sectors."""
 
     omega_upper: float
     omega_lower: float
     covariance: CovarianceMatrix
-    sectors: tuple | None = None
+    sectors: tuple
 
 
 def point_state(
     params: ModelParams, env: Environment | None, state_kind: str
 ) -> PointState:
-    """The requested state by the route of ``grid.evaluate_grid`` (closed
-    form or x-p sectors); raises InstabilityError past the stability edge."""
+    """The requested state by the x-p sector route of ``grid.evaluate_grid``;
+    raises InstabilityError past the stability edge."""
     if state_kind not in ("ground", "thermal"):
         raise ValueError("state_kind must be 'ground' or 'thermal'")
     temperature = env.temperature if (env and state_kind == "thermal") else 0.0
-    if params.is_single_coupling and params.coupling > 0:
-        basis = diagonalize_params(params)
-        if basis.theta is not None:  # not the numeric solver's degenerate pair
-            gamma = (ground_state_covariance_generic(basis) if state_kind == "ground"
-                     else steady_state_covariance(basis, temperature))
-            return PointState(basis.omega_upper, basis.omega_lower, gamma)
-    args = (params.omega_a, params.omega_b, params.lambda1, params.lambda2, params.diamag)
-    det_v, det_t = _stability_determinants(*args)
-    if not (det_v > 0.0 and det_t > 0.0):
-        raise InstabilityError("the x or p sector of the Hamiltonian is not positive definite")
-    frame_x, frame_p, passive = _sector_modes(*args, det_v, det_t)
+    frame_x, frame_p, passive = _sector_modes(*_stable_sectors(params))
     sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
     return PointState(frame_p[0], frame_p[1], sector_matrix(sectors), sectors)
 

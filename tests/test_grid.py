@@ -9,25 +9,29 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hopfield_gaussian import grid, sweep
+from hopfield_gaussian import sweep
 from hopfield_gaussian.grid import GridPoints, evaluate_grid
 from hopfield_gaussian.measures import (
     STEERING_THRESHOLD,
     UnphysicalStateError,
     _sector_invariants,
+    classify_steering,
     ppt_symplectic_eigenvalues,
 )
 from hopfield_gaussian.model import (
+    DegenerateSpectrumError,
     InstabilityError,
     ModelParams,
     _sector_modes,
     _stability_determinants,
     bogoliubov_diagonalize,
+    hopfield_basis,
+    natural_diamag,
+    polariton_frequencies,
 )
 from hopfield_gaussian.scenarios import (
     FULL,
     MIX_ONLY,
-    SCENARIOS,
     SQUEEZE_ONLY,
     Axis,
     SweepSpec,
@@ -37,6 +41,8 @@ from hopfield_gaussian.states import (
     _sector_covariance,
     sector_matrix,
     steady_state_covariance,
+    symplectic_spectrum,
+    thermal_covariance_closed,
 )
 from hopfield_gaussian.sweep import grid_points, run_point, spec_to_params
 
@@ -53,8 +59,7 @@ EXACT = ("omega_upper", "omega_lower", "mu_a", "mu_b", "mu_ab", "n_a", "n_b")
 MEASURES = (*EXACT, "e_n", "g_ab", "g_ba")
 
 # lambda runs past every stability edge of the three coupling structures;
-# 1e-12 at resonance splits the closed-form branches by less than the
-# labelling tolerance, which sends the point to the x-p sector route
+# 1e-12 at resonance splits the two branches by only 2e-12
 AXIS_RANGES = {
     "lambda": st.one_of(st.just(1e-12), st.floats(0.0, 1.6)),
     "wa": st.floats(0.2, 3.0),
@@ -129,9 +134,10 @@ def _closed_form_edge(lam, temperature, diamag):
     )
 
 
-# the closed form's covariance at these points has a block determinant that
-# rounds to zero or below: found by a random search next to the edge
-CLOSED_FORM_EDGES = (
+# within one rounding of the edge, where the closed-form covariance had a
+# block determinant that rounded to zero or below (found by a random search);
+# the sector route gives a stable row at both
+FORMER_CLOSED_FORM_EDGES = (
     _closed_form_edge(0.49999999999999994, 0.7720568085913025, "zero"),
     _closed_form_edge(0.6489071605117458, 0.6105204476099405, 0.17108050296341676),
 )
@@ -182,28 +188,6 @@ class TestKernelAgainstScalarRoute:
             if not near:
                 assert result.classification[i] == ref.classification, where
 
-    def test_resonant_near_zero_coupling_takes_the_sector_route(self, monkeypatch):
-        calls = []
-        stage = grid._sector_modes
-
-        def counted(wa, wb, l1, l2, dd, det_v, det_t):
-            calls.append((l1.tolist(), l2.tolist()))
-            return stage(wa, wb, l1, l2, dd, det_v, det_t)
-
-        monkeypatch.setattr(grid, "_sector_modes", counted)
-        result = evaluate_grid(grid_points(RESONANT_DEGENERATE, ENV), "thermal")
-        assert calls == [([1e-12, 1e-12], [1e-12, 1e-12])]
-        assert result.stable.all()
-
-    def test_closed_form_block_skips_the_sector_route(self, monkeypatch):
-        def no_call(*args):
-            raise AssertionError("no point of this block takes the sector route")
-
-        monkeypatch.setattr(grid, "_sector_modes", no_call)
-        points = grid_points(SCENARIOS["fig3a"], ENV).chunk(0, sweep._BLOCK_POINTS)
-        result = evaluate_grid(points, "thermal")
-        assert len(result.stable) == sweep._BLOCK_POINTS and result.stable.any()
-
     @pytest.mark.parametrize("spec", [SINGULAR_AT_THE_EDGE, SQUEEZED_TO_THE_EDGE])
     def test_det_t_zero_points_are_unstable_rows(self, spec):
         edge, _ = spec_to_params(spec, list(spec.grid())[1])
@@ -217,29 +201,19 @@ class TestKernelAgainstScalarRoute:
         assert result.stable.tolist() == [True, False]
         assert result.csv_rows()[1] == row.to_csv()
 
-    @pytest.mark.parametrize(
-        "spec, message",
-        [(spec, "singular to rounding, at the stability edge") for spec in CLOSED_FORM_EDGES],
-    )
-    def test_stability_edge_errors_name_the_point(self, spec, message):
-        edge, _ = spec_to_params(spec, list(spec.grid())[1])
-        with pytest.raises(ValueError, match=message) as scalar:
-            run_point(edge, Environment(spec.fixed.get("T", 0.0)), spec.state)
-        assert type(scalar.value) is ValueError
-        with pytest.raises(ValueError, match=message) as batched:
-            evaluate_grid(grid_points(spec, ENV), spec.state)
-        assert type(batched.value) is ValueError
-        assert repr(edge) in str(batched.value)
-
-    def test_uncertainty_error_names_the_first_offending_point(self, monkeypatch):
-        # a bound of 3/2 rejects every state here; the first point is unstable
-        monkeypatch.setattr(grid, "PHYSICALITY_TOL", -1.0)
-        spec = SweepSpec("custom", (Axis("lambda", (1.5, 0.3, 0.4)),),
-                         {"wa": 1.0, "wb": 1.0}, diamag_mode="zero", state="ground")
-        with pytest.raises(UnphysicalStateError) as err:
-            evaluate_grid(grid_points(spec, ENV), "ground")
-        second, _ = spec_to_params(spec, list(spec.grid())[1])
-        assert f"at {second!r} violates" in str(err.value)
+    @pytest.mark.parametrize("spec", FORMER_CLOSED_FORM_EDGES)
+    def test_former_closed_form_edges_are_stable_rows(self, spec):
+        edge, temperature = spec_to_params(spec, list(spec.grid())[1])
+        row = run_point(edge, Environment(temperature), spec.state)
+        assert row.stable
+        assert evaluate_grid(grid_points(spec, ENV), spec.state).csv_rows()[1] == row.to_csv()
+        point = (edge.omega_a, edge.omega_b, edge.lambda1, edge.lambda2, edge.diamag)
+        ref = _mpmath_row(*point, temperature)
+        for name, value in ref.items():
+            # the thermal state within 1e-16 of the edge loses about half its
+            # digits (up to 3.3e-8, in E_N), an open precision limit
+            assert abs(getattr(row, name) - value) <= 1e-7 * abs(value), name
+        assert row.classification == classify_steering(ref["g_ab"], ref["g_ba"]).value
 
     def test_csv_rows_follow_the_row_format(self):
         spec = SweepSpec("custom", (Axis("lambda", (0.2, 0.45, 0.6)),),
@@ -305,6 +279,65 @@ def _numeric_basis(point):
         return None
 
 
+def _mpmath_row(wa, wb, l1, l2, dd, temperature, dps=50):
+    """The measures of a point's state, as floats, from ``dps``-digit mpmath.
+
+    With M = T^1/2 V T^1/2 = U diag(omega^2) U^T, Gamma_xx = T^1/2 U
+    diag(c / omega) U^T T^1/2 and Gamma_pp = T^-1/2 U diag(c omega) U^T
+    T^-1/2, c = 1/2 + n(omega); d~_- from the determinant formula, which at
+    this precision loses nothing that matters.
+    """
+    with mpmath.workdps(dps):
+        wa, wb, l1, l2, dd, temp = map(mpmath.mpf, (wa, wb, l1, l2, dd, temperature))
+        v = mpmath.matrix([[wa + 4 * dd, l1 + l2], [l1 + l2, wb]])
+        t_evals, q = mpmath.eigsy(mpmath.matrix([[wa, l1 - l2], [l1 - l2, wb]]))
+        root = q * mpmath.diag([mpmath.sqrt(e) for e in t_evals]) * q.T
+        inverse_root = mpmath.inverse(root)
+        squares, u = mpmath.eigsy(root * v * root)
+        omega = [mpmath.sqrt(w2) for w2 in squares]
+        c = [0.5 + (1 / mpmath.expm1(w / temp) if temp > 0 else 0) for w in omega]
+        gxx = root * u * mpmath.diag([cj / w for cj, w in zip(c, omega)]) * u.T * root
+        gpp = inverse_root * u * mpmath.diag([cj * w for cj, w in zip(c, omega)]) * u.T
+        gpp = gpp * inverse_root
+        i_a, i_b = gxx[0, 0] * gpp[0, 0], gxx[1, 1] * gpp[1, 1]
+        i_ab = mpmath.det(gxx) * mpmath.det(gpp)
+        delta = i_a + i_b - 2 * gxx[0, 1] * gpp[0, 1]
+        d_minus = mpmath.sqrt((delta - mpmath.sqrt(delta * delta - 4 * i_ab)) / 2)
+        row = {
+            "omega_upper": max(omega),
+            "omega_lower": min(omega),
+            "e_n": max(0, -mpmath.log(2 * d_minus)),
+            "g_ab": max(0, mpmath.log(i_a / (4 * i_ab)) / 2),
+            "g_ba": max(0, mpmath.log(i_b / (4 * i_ab)) / 2),
+            "mu_a": 1 / (4 * i_a),
+            "mu_b": 1 / (4 * i_b),
+            "mu_ab": 1 / (16 * i_ab),
+            "n_a": (gxx[0, 0] + gpp[0, 0] - 1) / 2,
+            "n_b": (gxx[1, 1] + gpp[1, 1] - 1) / 2,
+        }
+        return {name: float(value) for name, value in row.items()}
+
+
+@st.composite
+def hopfield_family_points(draw):
+    """(wa, wb, lambda, lambda, D, T) with lambda > 0, the family the closed
+    forms cover: resonant and off-resonant, D auto (lambda^2 / wb, always
+    stable), zero or a value, ground and thermal, and with D zero or a value
+    at relative distance 1e-3 to 1e-14 below the stability edge."""
+    wa = draw(FREQUENCY)
+    wb = draw(st.one_of(st.just(wa), FREQUENCY))
+    lam = draw(st.floats(1e-3, 1.6))
+    diamag = draw(st.sampled_from(("auto", "zero", "value")))
+    if diamag == "auto":
+        dd = natural_diamag(lam, wb)
+    else:
+        dd = 0.0 if diamag == "zero" else draw(st.floats(1e-3, 0.5))
+        if draw(st.booleans()):
+            eps = draw(st.sampled_from((1e-3, 1e-6, 1e-9, 1e-12, 1e-14)))
+            lam = 0.5 * math.sqrt((wa + 4.0 * dd) * wb) * (1.0 - eps)
+    return wa, wb, lam, lam, dd, draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+
+
 EDGE_EXAMPLES = (
     (1.0, 1.0, 0.0, 1.0, 0.25, 0.0),  # det T = 0 exactly
     (1.0, 1.0, 1.0, 0.0, 0.2551133598784275, 0.705),  # likewise
@@ -314,17 +347,19 @@ EDGE_EXAMPLES = (
 
 
 class TestSectorRouteAgainstOracles:
-    """The x-p sector stages against the numeric solver, the 4x4
-    T diag(c) T^T covariance, the PPT eigen-spectrum and mpmath.
+    """The x-p sector stages against the numeric solver, the closed forms of
+    the lambda1 = lambda2 family, the 4x4 T diag(c) T^T covariance, the
+    symplectic and PPT spectra and mpmath.
 
     Tolerances scale with cond(Gamma), or with omega_U / omega_L where the
     sector route builds a well-conditioned Gamma from a nearly singular
     frame (a nearly number-conserving point next to the edge), and for the
     frequencies with 1/omega_L, the conditioning of the numeric solver's
-    nearly defective pair.  Each is about 5 to 20 times the largest
-    deviation seen on 30,000 random generic, near-degenerate and near-edge
-    points; where mpmath could tell, the larger deviations were the
-    numeric oracle's own error.
+    nearly defective pair, or with the conditioning (p + q) / det V of the
+    float determinant that both closed routes take.  Each is about 5 to 20
+    times the largest deviation seen on 20,000 to 30,000 random generic,
+    near-degenerate and near-edge points; where mpmath could tell, the
+    larger deviations were the numeric oracle's own error.
     """
 
     @settings(max_examples=300)
@@ -404,6 +439,58 @@ class TestSectorRouteAgainstOracles:
             scalar = (frames, sectors, _sector_invariants(*sectors))
             assert leaves(scalar) == leaves(stacked, k), point
             k += 1
+
+
+    @settings(max_examples=300)
+    @given(hopfield_family_points())
+    def test_hopfield_family_matches_the_closed_form_oracles(self, point):
+        params, temperature = ModelParams(*point[:5]), point[5]
+        state = _sector_state(*point)
+        try:
+            frequencies = polariton_frequencies(params)
+            oracles = (steady_state_covariance(hopfield_basis(params), temperature),
+                       thermal_covariance_closed(params, temperature))
+        except (InstabilityError, DegenerateSpectrumError):  # the oracles' own rules
+            assume(False)
+        # the closed form's rounded product can call a point on the exact edge stable
+        assume(state is not None)
+        (wu, wl), _, gamma = state
+        wa, wb, lam, _, dd, _ = point
+        # a float det V keeps a relative precision of eps (p + q) / det V only
+        p, q = (wa + 4.0 * dd) * wb, 4.0 * lam * lam
+        tol = 5e-15 * (p + q) / _stability_determinants(*point[:5])[0]
+        for value, ref in zip((wu, wl), frequencies):
+            assert abs(value - ref) <= tol * ref, point
+        for oracle in (g.entries for g in oracles):
+            dev = np.abs(gamma - oracle).max() / np.abs(oracle).max()
+            assert dev <= 5e-14 * np.linalg.cond(oracle), point
+
+    @settings(max_examples=300)
+    @given(st.one_of(sector_points(), hopfield_family_points()))
+    @example(EDGE_EXAMPLES[2])
+    def test_weights_are_the_symplectic_spectrum(self, point):
+        # the sector route's c_U, c_L stand in for a physicality check
+        state = _sector_state(*point)
+        assume(state is not None)
+        (wu, wl), (_, _, c_u, c_l, _), gamma = state
+        low, high = sorted((c_u, c_l))  # a degenerate pair may come in either order
+        assert low >= 0.5, point
+        nu_minus, nu_plus = symplectic_spectrum(gamma.tolist())
+        # NaN where the oracle's Cholesky factor fails on the rounded 4x4 matrix
+        assume(not math.isnan(nu_minus))
+        tol = 1e-14 * max(np.linalg.cond(gamma), wu / wl)
+        assert abs(nu_minus - low) <= tol * low and abs(nu_plus - high) <= tol * high, point
+
+    @pytest.mark.parametrize("eps, tol", [(1e-9, 3e-10), (1e-12, 3e-13), (1e-14, 3e-15)])
+    def test_resonant_ground_state_entanglement_next_to_the_edge(self, eps, tol):
+        # omega_a = omega_b = 1 and D = 0: lambda_C = 1/2, and det V = 1 - (2 lambda)^2
+        # of the float inputs rounds by about eps^2 only
+        rng = np.random.default_rng(13)
+        for scale in (1.0, *rng.uniform(1.0, 3.0, 7)):
+            lam = 0.5 * (1.0 - eps * scale)
+            row = run_point(ModelParams(1.0, 1.0, lam, lam, 0.0), None, "ground")
+            ref = _mpmath_row(1.0, 1.0, lam, lam, 0.0, 0.0, dps=60)["e_n"]
+            assert abs(row.e_n - ref) <= tol * ref, lam
 
 
 class TestChunks:

@@ -360,12 +360,6 @@ class TestCli:
             (["dynamics", "--lambda", "0.5", "--t-final", "-2"], "--t-final must be"),
             (["dynamics", "--lambda", "0.5", "--dt", "nan"], "--dt must be"),
             (["dynamics", "--lambda", "0.5", "--dt", "0"], "--dt must be"),
-            (
-                # the closed form within one rounding of the edge, lambda_C = 1/2
-                ["point", "--lambda", "0.49999999999999994", "--diamag", "zero",
-                 "--temp", "0.7720568085913025", "--state", "thermal"],
-                "singular to rounding, at the stability edge",
-            ),
         ],
     )
     def test_bad_input_rejected_up_front(self, argv, message, capsys):
@@ -373,6 +367,30 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert message in err
+
+    def test_point_next_to_the_edge_is_a_stable_row(self, capsys):
+        # within one rounding of lambda_C = 1/2, the same row as the sweep
+        # kernel's; test_grid pins its cells to 50-digit mpmath
+        lam, temp = "0.49999999999999994", "0.7720568085913025"
+        argv = ["point", "--lambda", lam, "--diamag", "zero", "--temp", temp,
+                "--state", "thermal"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        spec = SweepSpec("custom", (Axis("lambda", (0.3, float(lam))),),
+                         {"wa": 1.0, "wb": 1.0, "T": float(temp)}, diamag_mode="zero",
+                         state="thermal")
+        assert out.splitlines()[1] == run_sweep(spec)[1]
+        assert out.splitlines()[1].endswith(",no-way,true")
+
+    @pytest.mark.parametrize("command", ["diagonalize", "dynamics"])
+    def test_det_t_zero_is_unstable_in_every_command(self, command, capsys):
+        # det T = 1 - lambda2^2 = 0: the numeric solver alone found omega_L = 8.3e-9
+        argv = [command, "--lambda1", "0", "--lambda2", "1", "--diamag", "0.25"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "unstable: the x or p sector of the Hamiltonian is not positive definite\n"
 
     def test_point_with_det_t_zero_is_an_unstable_row(self, capsys):
         argv = ["point", "--lambda1", "1", "--lambda2", "0", "--diamag",
