@@ -281,8 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_env_flags(p)
     p.add_argument("--t-final", type=float, default=50.0)
-    p.add_argument("--dt", type=float, default=None, help="step (default auto)")
-    p.add_argument("--stride", type=int, default=1, help="record every n-th step")
+    p.add_argument(
+        "--dt",
+        type=float,
+        default=None,
+        help="output time spacing (default 0.05 over the fastest frequency or rate)",
+    )
+    p.add_argument(
+        "--stride", type=int, default=1, help="record every n-th multiple of dt"
+    )
     _add_output_flag(p)
     p.set_defaults(func=cmd_dynamics)
 

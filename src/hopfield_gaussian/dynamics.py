@@ -5,6 +5,8 @@ polariton branch sees an interference-weighted collective rate built from
 W_j = w_j - y_j and X_j = x_j - z_j.  The second moments then obey closed
 linear equations: occupations relax towards the Bose number of their
 branch frequency, squeezing and cross moments decay while rotating.  The
+equations are diagonal, y' = a y + b, and are solved exactly,
+y(t) = e^{a t} y0 + b expm1(a t) / a, at the recorded times.  The
 same generator re-expressed over the bare-mode operators (a 4x4
 Kossakowski matrix) exposes the coupling asymmetry responsible for
 one-way steering.
@@ -46,7 +48,7 @@ __all__ = [
     "resonant_balance_frequency",
 ]
 
-MAX_STEP_FRACTION = 0.1  # dt * fastest rate-or-frequency must stay below this
+MAX_TRAJECTORY_ROWS = 10**7  # rows one solve may record, checked before allocating
 
 
 class NoSteadyStateError(ValueError):
@@ -132,25 +134,21 @@ def steady_state_second_moments(rates: RateSet) -> SecondMoments:
     )
 
 
-def _moment_generator(
-    rates: RateSet, wu: float, wl: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal drift a and inhomogeneity b of the moment vector ODE y' = a y + b.
-
-    Component order: (occ_U, occ_L, sq_U, sq_L, cross)."""
+def _moment_drift(rates: RateSet, wu: float, wl: float) -> np.ndarray:
+    """Diagonal drift a of the moment equations y' = a y + b, whose drive b
+    is (up_U, up_L, 0, 0, 0).  Component order: (occ_U, occ_L, sq_U, sq_L,
+    cross)."""
     dec_u, dec_l = rates.decay_upper(), rates.decay_lower()
-    drift = np.array(
-        [
-            -dec_u,
-            -dec_l,
-            -dec_u - 2j * wu,
-            -dec_l - 2j * wl,
-            1j * (wu - wl) - 0.5 * (dec_u + dec_l),
-        ],
-        dtype=complex,
-    )
-    inhom = np.array([rates.up_upper, rates.up_lower, 0.0, 0.0, 0.0], dtype=complex)
-    return drift, inhom
+    cross = 1j * (wu - wl) - 0.5 * (dec_u + dec_l)
+    return np.array([-dec_u, -dec_l, -dec_u - 2j * wu, -dec_l - 2j * wl, cross])
+
+
+def _output_step(dt: float | None, rates: RateSet, basis: PolaritonBasis) -> float:
+    """dt, or by default 0.05 over the fastest branch frequency or rate."""
+    if dt is not None:
+        return dt
+    top_rate = max(rates.up_upper, rates.down_upper, rates.up_lower, rates.down_lower)
+    return 0.05 / max(basis.omega_upper, basis.omega_lower, top_rate)
 
 
 def _pack(m: SecondMoments) -> np.ndarray:
@@ -160,68 +158,56 @@ def _pack(m: SecondMoments) -> np.ndarray:
 
 
 def _unpack(v: np.ndarray) -> SecondMoments:
-    return SecondMoments(
-        occ_upper=float(v[0].real),
-        occ_lower=float(v[1].real),
-        sq_upper=complex(v[2]),
-        sq_lower=complex(v[3]),
-        cross=complex(v[4]),
-    )
+    occ_upper, occ_lower, *rest = v.tolist()
+    return SecondMoments(occ_upper.real, occ_lower.real, *rest)
 
 
-def _check_step(dt: float, scale: float) -> None:
-    if dt <= 0:
+def _recorded_times(t_final, dt, stride):
+    """Times k * dt for k = 0, stride, 2 stride, ... and the last step
+    round(t_final / dt); with stride None, the last step alone.  The rows
+    are counted before anything is allocated."""
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    if dt * scale > MAX_STEP_FRACTION:
-        raise ValueError(
-            f"dt={dt:g} too large for fastest scale {scale:g}: "
-            f"dt * scale must stay below {MAX_STEP_FRACTION}"
-        )
-
-
-def _rk4_update(dt: float, drift: np.ndarray, inhom: np.ndarray):
-    """Per-step affine map of the classical 4th-order scheme.
-
-    For the diagonal system y' = a y + b one RK4 step is exactly
-    y -> g y + kick, with g = R(a dt) = 1 + z P(z) the degree-4 stability
-    polynomial and kick = dt P(a dt) b, P being its integrated companion.
-    Returns (g - 1, kick); g - 1 = z P is formed directly, since 1 + z P
-    rounded and minus 1 would lose the digits of a slow decay.
-    """
-    z = dt * drift
-    p = 1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))
-    return z * p, dt * p * inhom
-
-
-def _rk4_iterates(initial, rates, basis, t_final, dt, stride=None):
-    """Closed-form RK4 solve: the step size, the recorded step counts k
-    (every ``stride``-th step and the last; only the last without a
-    stride) and the moment vector after each.
-
-    k steps of y -> g y + kick give y_k = g^k y0 + kick (g^k - 1)/(g - 1),
-    with g^k - 1 = expm1(k log1p(g - 1)) and the sum k where g = 1.  The
-    fixed point -b/a is not used: it is 0/0 on a dark branch, where the
-    iteration holds its value.
-    """
-    wu, wl = basis.omega_upper, basis.omega_lower
-    top_rate = max(rates.up_upper, rates.down_upper, rates.up_lower, rates.down_lower)
-    scale = max(wu, wl, top_rate)
-    if dt is None:
-        dt = 0.05 / scale
-    _check_step(dt, scale)
     if stride is not None and stride < 1:
         raise ValueError("stride must be at least 1")
-    steps = max(1, int(round(t_final / dt)))
-    recorded = [steps] if stride is None else [*range(stride, steps, stride), steps]
-    gain_m1, kick = _rk4_update(dt, *_moment_generator(rates, wu, wl))
-    # numpy's complex log1p takes the log of |g| and loses the digits of g - 1
-    u, v = gain_m1.real, gain_m1.imag
-    log_gain = 0.5 * np.log1p(u * (2.0 + u) + v * v) + 1j * np.arctan2(v, 1.0 + u)
-    k = np.array(recorded, dtype=float)[:, None]
-    k_log_gain = k * log_gain
-    with np.errstate(invalid="ignore"):  # 0/0 where g = 1
-        sums = np.where(gain_m1 == 0, k, np.expm1(k_log_gain) / gain_m1)
-    return dt, recorded, np.exp(k_log_gain) * _pack(initial) + kick * sums
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
+        rows = math.inf
+    else:
+        steps = max(1, round(ratio))
+        rows = 1 if stride is None else 2 + (steps - 1) // stride
+    if rows > MAX_TRAJECTORY_ROWS:
+        raise ValueError(
+            f"t_final={t_final:g}, dt={dt:g} and stride={stride} would record "
+            f"{rows:.8g} rows; the limit is {MAX_TRAJECTORY_ROWS:,}"
+        )
+    if stride is None:
+        return np.array([steps * dt])
+    k = np.arange(rows, dtype=float) * min(stride, steps)  # a huge stride may not fit a float
+    k[-1] = steps
+    return k * dt
+
+
+def _exact_moments(initial, rates, basis, times):
+    """Exact solution of y' = a y + b at each of ``times``, shape (n, 5):
+
+        y(t) = e^{a t} y0 + b expm1(a t) / a,  or y0 + b t where a = 0.
+
+    Only the occupations have a drive b, and it is real.  The drive is
+    added first, as +0 in the other columns, so that the -0 which e^{a t}
+    times 0 can give comes out +0.  At t = 0 this is y0 bit for bit.
+    """
+    t = times[:, None]
+    decay = np.array([rates.decay_upper(), rates.decay_lower()])
+    with np.errstate(invalid="ignore"):  # 0/0 on a branch with no decay
+        relax = np.where(decay == 0, t, np.expm1(-decay * t) / -decay)
+    moments = np.zeros((len(times), 5), dtype=complex)
+    moments[:, :2] = relax * (rates.up_upper, rates.up_lower)
+    y0 = _pack(initial)
+    if y0.any():  # from vacuum e^{a t} y0 is 0
+        drift = _moment_drift(rates, basis.omega_upper, basis.omega_lower)
+        moments += np.exp(t * drift) * y0
+    return moments
 
 
 def evolve_second_moments(
@@ -231,13 +217,10 @@ def evolve_second_moments(
     t_final: float,
     dt: float | None = None,
 ) -> SecondMoments:
-    """Fixed-step 4th-order integration of the moment equations.
-
-    Gives the iterate after round(t_final / dt) steps of size dt (the
-    integrated time is the nearest multiple of dt), in closed form.
-    """
-    _, _, moments = _rk4_iterates(initial, rates, basis, t_final, dt)
-    return _unpack(moments[0])
+    """Exact moments at t = round(t_final / dt) * dt, the time grid of
+    evolve_trajectory (default dt as there)."""
+    times = _recorded_times(t_final, _output_step(dt, rates, basis), None)
+    return _unpack(_exact_moments(initial, rates, basis, times)[0])
 
 
 class Trajectory(NamedTuple):
@@ -256,32 +239,46 @@ def evolve_trajectory(
     dt: float | None = None,
     stride: int = 1,
 ) -> Trajectory:
-    """Like evolve_second_moments but records every ``stride``-th step.
+    """Exact moments at t = k * dt for k = 0, stride, 2 stride, ... and the
+    last step round(t_final / dt).
 
-    Row 0 is the initial state at t = 0; row i > 0 is the iterate after
-    k_i steps, at t = k_i * dt.
+    dt is only the output time spacing; the default is 0.05 over the
+    fastest branch frequency or rate.  Row 0 is the initial state.
     """
-    dt, recorded, moments = _rk4_iterates(initial, rates, basis, t_final, dt, stride)
-    if np.any(moments[:, :2].real < 0):
+    times = _recorded_times(t_final, _output_step(dt, rates, basis), stride)
+    moments = _exact_moments(initial, rates, basis, times)
+    if (moments[:, :2].real < 0).any():
         raise ValueError("occupations must be non-negative")
-    times = np.array([0, *recorded], dtype=float) * dt
-    return Trajectory(times, np.vstack([_pack(initial), moments]))
+    return Trajectory(times, moments)
 
 
 TRAJECTORY_HEADER = "t,occ_U,occ_L,re_sq_U,im_sq_U,re_sq_L,im_sq_L,re_cross,im_cross"
-_TRAJECTORY_ROW = ",".join(["%" + VALUE_FORMAT] * 9)
+_CELL = "%" + VALUE_FORMAT
 
 
 def trajectory_rows(trajectory: Trajectory) -> list[str]:
-    """One CSV row per recorded time, in the columns of TRAJECTORY_HEADER."""
+    """One CSV row per recorded time, in the columns of TRAJECTORY_HEADER.
+
+    A column whose cells are bit-identical in every row (the squeezing and
+    cross moments from vacuum are all +0) is formatted once, into the row
+    template; the rest go through one '%' per row.
+    """
     times, moments = trajectory
+    if not len(times):
+        return []
     table = np.empty((len(times), 9))
     table[:, 0] = times
     table[:, 1:3] = moments[:, :2].real
     table[:, 3::2] = moments[:, 2:].real
     table[:, 4::2] = moments[:, 2:].imag
+    bits = table.view(np.int64)
+    varies = (bits != bits[0]).any(axis=0)
     # '%.12g' % x is format(x, '.12g') for every float, -0.0, inf and nan included
-    return [_TRAJECTORY_ROW % row for row in map(tuple, table.tolist())]
+    template = ",".join(
+        _CELL if v else format(x, VALUE_FORMAT)
+        for v, x in zip(varies.tolist(), table[0].tolist())
+    )
+    return [template % row for row in map(tuple, table[:, varies].tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -25,7 +26,7 @@ from hopfield_gaussian.states import (
 from hopfield_gaussian.measures import purities
 from hopfield_gaussian.dynamics import (
     LOCAL_GENERATOR_LABELS,
-    MAX_STEP_FRACTION,
+    MAX_TRAJECTORY_ROWS,
     NoSteadyStateError,
     RateSet,
     SecondMoments,
@@ -42,8 +43,7 @@ from hopfield_gaussian.dynamics import (
     steady_state_second_moments,
     trajectory_rows,
     TRAJECTORY_HEADER,
-    _moment_generator,
-    _rk4_update,
+    _pack,
     _unpack,
 )
 
@@ -166,11 +166,15 @@ class TestEvolution:
         expected = math.exp(-r.decay_upper() * t_final)
         assert abs(abs(out.sq_upper) - expected) / expected < 1e-6
 
-    def test_step_size_guard(self):
+    def test_a_dt_far_past_the_old_step_guard_is_accepted_and_exact(self):
+        # the RK4 emulation required dt * scale <= 0.1; dt is now only the
+        # output spacing, so dt * scale = 1.4 and 14 give the exact moments
         b = hopfield_basis(hopfield(1, 1, 0.5))
         r = collective_rates(b, bright_env())
-        with pytest.raises(ValueError):
-            evolve_second_moments(SecondMoments.vacuum(), r, b, 1.0, dt=1.0)
+        start = SecondMoments(0.3, 0.1, -0.2 + 0.4j, 0.5, -0.1j)
+        for dt in (1.0, 10.0):
+            final = evolve_second_moments(start, r, b, 3 * dt, dt)
+            assert_close(moment_vector(final), exact_moments(start, r, b, 3 * dt))
 
     def test_relaxed_covariance_matches_closed_form_on_grid(self):
         # dynamics -> occupations -> quadrature map versus the direct
@@ -220,22 +224,23 @@ def moment_vector(m: SecondMoments) -> np.ndarray:
     return np.array([m.occ_upper, m.occ_lower, m.sq_upper, m.sq_lower, m.cross])
 
 
-def stepped(initial, rates, basis, dt, steps, stride):
-    """Oracle: the RK4 map y -> g y + kick applied one step at a time.
-
-    Returns (step index, moment vector) at every stride-th step and the last.
-    """
-    gain_m1, kick = _rk4_update(
-        dt, *_moment_generator(rates, basis.omega_upper, basis.omega_lower)
-    )
-    gain = 1.0 + gain_m1
-    y = moment_vector(initial)
-    out = [(0, y)]
-    for k in range(1, steps + 1):
-        y = gain * y + kick
-        if k % stride == 0 or k == steps:
-            out.append((k, y))
-    return out
+def exact_moments(initial, rates, basis, t) -> np.ndarray:
+    """Oracle: y(t) = e^{a t} y0 + b (e^{a t} - 1)/a of y' = a y + b, or
+    y0 + b t where a = 0, in 40-digit mpmath from the float rates,
+    frequencies and time taken as exact."""
+    with mpmath.workdps(40):
+        up = [mpmath.mpf(rates.up_upper), mpmath.mpf(rates.up_lower)]
+        dec_u = mpmath.mpf(rates.down_upper) - up[0]
+        dec_l = mpmath.mpf(rates.down_lower) - up[1]
+        wu, wl = mpmath.mpf(basis.omega_upper), mpmath.mpf(basis.omega_lower)
+        drift = [-dec_u, -dec_l, -dec_u - 2j * wu, -dec_l - 2j * wl,
+                 1j * (wu - wl) - (dec_u + dec_l) / 2]
+        t = mpmath.mpf(t)
+        out = []
+        for a, b, y0 in zip(drift, [*up, 0, 0, 0], moment_vector(initial).tolist()):
+            drive = b * t if a == 0 else b * mpmath.expm1(a * t) / a
+            out.append(complex(mpmath.exp(a * t) * mpmath.mpc(y0) + drive))
+        return np.array(out)
 
 
 def fastest_scale(rates, basis):
@@ -253,13 +258,21 @@ def assert_close(got: np.ndarray, want: np.ndarray):
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
+def assert_exact(trajectory: Trajectory, initial, rates, basis, rows=None):
+    """Rows of a trajectory (all, or the given indices) against the oracle."""
+    for i in range(len(trajectory.times)) if rows is None else rows:
+        want = exact_moments(initial, rates, basis, trajectory.times[i])
+        assert_close(trajectory.moments[i], want)
+
+
 complex_moments = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
 
 @st.composite
 def solves(draw):
-    """A stable point of either coupling family, a bath, a step size within
-    the guard, a step count, a stride and arbitrary initial moments."""
+    """A stable point of either coupling family, a bath, an output spacing
+    up to one over the fastest scale (ten times the old RK4 step guard), a
+    step count, a stride and arbitrary initial moments."""
     wa = draw(st.floats(0.3, 3.0))
     if draw(st.booleans()):
         params = hopfield(wa, 1.0, draw(st.floats(0.01, 1.5)))
@@ -279,7 +292,7 @@ def solves(draw):
         draw(st.floats(0.0, 1.0)), draw(st.floats(1e-4, 0.2)), draw(st.floats(1e-4, 0.2))
     )
     rates = collective_rates(basis, env)
-    dt = draw(st.floats(0.05, 0.99)) * MAX_STEP_FRACTION / fastest_scale(rates, basis)
+    dt = draw(st.floats(0.005, 1.0)) / fastest_scale(rates, basis)
     initial = SecondMoments(
         draw(st.floats(0.0, 3.0)),
         draw(st.floats(0.0, 3.0)),
@@ -291,18 +304,39 @@ def solves(draw):
     return basis, rates, initial, dt, steps, draw(st.integers(1, 400))
 
 
+README_POINT = (hopfield_basis(hopfield(1, 1, 0.5)), Environment(0.25))
+
+
 class TestClosedFormPropagator:
     @given(solves())
-    def test_both_functions_match_the_stepped_map(self, solve):
+    def test_both_functions_match_the_exact_solution(self, solve):
         basis, rates, initial, dt, steps, stride = solve
-        reference = stepped(initial, rates, basis, dt, steps, stride)
-        times, moments = evolve_trajectory(initial, rates, basis, steps * dt, dt, stride)
-        assert times.tolist() == [k * dt for k, _ in reference]
-        for got, (_, want) in zip(moments, reference):
-            assert_close(got, want)
+        recorded = [*range(0, steps, stride), steps]
+        trajectory = evolve_trajectory(initial, rates, basis, steps * dt, dt, stride)
+        assert trajectory.times.tolist() == [k * dt for k in recorded]
+        # the first, the last and about ten rows between them
+        n = len(recorded)
+        assert_exact(trajectory, initial, rates, basis, sorted({*range(0, n, n // 10 + 1), n - 1}))
         final = evolve_second_moments(initial, rates, basis, steps * dt, dt)
-        assert_close(moment_vector(final), reference[-1][1])
-        assert final == _unpack(moments[-1])
+        assert final == _unpack(trajectory.moments[-1])
+
+    @given(solves())
+    def test_row_zero_is_the_initial_state_bit_for_bit(self, solve):
+        basis, rates, initial, dt, steps, stride = solve
+        for start in (initial, SecondMoments.vacuum()):
+            trajectory = evolve_trajectory(start, rates, basis, steps * dt, dt, stride)
+            assert trajectory.times[0] == 0.0
+            assert trajectory.moments[0].tobytes() == _pack(start).tobytes()
+
+    def test_readme_point_from_a_squeezed_start_is_exact(self):
+        # lambda = 0.5, T = 0.25 (the README example), t = 200 and stride 50
+        # from a non-vacuum start: the RK4 emulation was off by 1.2e-5 here
+        basis, env = README_POINT
+        rates = collective_rates(basis, env)
+        start = SecondMoments(0.3, 0.1, -0.2 + 0.4j, 0.5, -0.1j)
+        trajectory = evolve_trajectory(start, rates, basis, 200.0, stride=50)
+        assert len(trajectory.times) == 131
+        assert_exact(trajectory, start, rates, basis)
 
     @pytest.mark.parametrize(
         "stride, recorded",
@@ -333,22 +367,28 @@ class TestClosedFormPropagator:
         rates = RateSet(0.01, 0.03, 0.0, 0.0)  # lower branch cut off from the bath
         start = SecondMoments(0.2, 0.7, sq_upper=0.1 + 0.2j, cross=0.3j)
         dt, steps = 0.01, 3000
-        _, moments = evolve_trajectory(start, rates, b, steps * dt, dt, stride=300)
-        assert np.all(moments[:, 1].real == 0.7)
-        reference = stepped(start, rates, b, dt, steps, 300)
-        assert len(moments) == len(reference)
-        for got, (_, want) in zip(moments, reference):
-            assert_close(got, want)
+        trajectory = evolve_trajectory(start, rates, b, steps * dt, dt, stride=300)
+        assert np.all(trajectory.moments[:, 1].real == 0.7)
+        assert len(trajectory.times) == 11
+        assert_exact(trajectory, start, rates, b)
 
-    def test_dark_branch_matches_the_stepped_map(self):
+    def test_undamped_branch_with_a_drive_grows_linearly(self):
+        # up = down: a = 0 and b > 0, so occ_L(t) = occ_L(0) + up t
+        b = hopfield_basis(hopfield(1, 1, 0.5))
+        rates = RateSet(0.01, 0.03, 0.02, 0.02)
+        start = SecondMoments(0.2, 0.7)
+        trajectory = evolve_trajectory(start, rates, b, 30.0, 0.01, stride=300)
+        assert_exact(trajectory, start, rates, b)
+        assert trajectory.moments[-1, 1] == pytest.approx(0.7 + 0.02 * 30.0, rel=1e-14)
+
+    def test_dark_branch_matches_the_exact_solution(self):
         # resonant D = 0 with equal slopes: the lower branch decouples
         b = no_a2_basis(no_a2(1, 1, 0.3))
         rates = collective_rates(b, Environment(0.25, 0.01, 0.01))
         start = SecondMoments(0.4, 0.9, 0.2 - 0.1j, 0.5j, 0.3)
         dt, steps = 0.02, 3000
         final = evolve_second_moments(start, rates, b, steps * dt, dt)
-        reference = stepped(start, rates, b, dt, steps, steps)
-        assert_close(moment_vector(final), reference[-1][1])
+        assert_close(moment_vector(final), exact_moments(start, rates, b, steps * dt))
         assert final.occ_lower == pytest.approx(0.9, abs=1e-12)
 
     @given(solves())
@@ -373,6 +413,49 @@ class TestClosedFormPropagator:
         assert out.occ_upper == pytest.approx(ss.occ_upper, rel=1e-10)
         assert out.occ_lower == pytest.approx(ss.occ_lower, rel=1e-10)
         assert max(abs(out.sq_upper), abs(out.sq_lower), abs(out.cross)) < 1e-15
+
+
+class TestTrajectorySize:
+    """Every input here is rejected by counting rows, before any allocation."""
+
+    @pytest.mark.parametrize(
+        "t_final, dt, stride",
+        [
+            (1e30, None, 1),  # OverflowError from range() before
+            (1e9, None, 1),  # a list of 2e10 step indices before
+            (1e9, 1e-300, 1),  # t_final / dt overflows to inf
+            (math.inf, 0.1, 10**6),
+        ],
+    )
+    def test_too_many_rows_is_a_value_error_naming_the_inputs(self, t_final, dt, stride):
+        basis, env = README_POINT
+        rates = collective_rates(basis, env)
+        with pytest.raises(ValueError, match=r"t_final=.*, dt=.* and stride=.*limit is 10,000,000"):
+            evolve_trajectory(SecondMoments.vacuum(), rates, basis, t_final, dt, stride)
+
+    def test_one_row_past_the_limit(self):
+        basis, env = README_POINT
+        rates = collective_rates(basis, env)
+        with pytest.raises(ValueError, match="would record 10000001 rows"):
+            evolve_trajectory(SecondMoments.vacuum(), rates, basis, 1e7, 1.0, 1)
+
+    def test_rows_are_counted_not_steps(self):
+        # 1e30 steps recorded every 10**40-th: the first row and the last
+        basis, env = README_POINT
+        rates = collective_rates(basis, env)
+        trajectory = evolve_trajectory(SecondMoments.vacuum(), rates, basis, 1e30, 1.0, 10**40)
+        assert trajectory.times.tolist() == [0.0, 1e30]
+        assert trajectory.moments[-1, :2].real.tolist() == pytest.approx(
+            [thermal_occupation(basis.omega_upper, 0.25),
+             thermal_occupation(basis.omega_lower, 0.25)], rel=1e-12
+        )
+        assert MAX_TRAJECTORY_ROWS == 10**7
+
+    def test_a_non_finite_time_fails_the_final_state_too(self):
+        basis, env = README_POINT
+        rates = collective_rates(basis, env)
+        with pytest.raises(ValueError, match="t_final=inf"):
+            evolve_second_moments(SecondMoments.vacuum(), rates, basis, math.inf)
 
 
 def reference_rows(trajectory: Trajectory) -> list[str]:
@@ -405,6 +488,35 @@ SPECIAL_FLOATS = [
 ]
 
 
+def table_trajectory(table: np.ndarray) -> Trajectory:
+    """The trajectory whose rows are the 9-column table (imaginary parts of
+    the occupations, which no column shows, left 0)."""
+    moments = np.zeros((len(table), 5), dtype=complex)
+    moments.real[:, :2] = table[:, 1:3]
+    moments.real[:, 2:] = table[:, 3::2]
+    moments.imag[:, 2:] = table[:, 4::2]
+    return Trajectory(table[:, 0].copy(), moments)
+
+
+cell_values = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+
+
+@st.composite
+def tables(draw):
+    """1 to 5 rows (with two rows every column is often constant); each
+    column varies, holds one value, or mixes +0 and -0."""
+    n = draw(st.integers(1, 5))
+    columns = []
+    for _ in range(9):
+        kind = draw(st.sampled_from(["varies", "constant", "signed zeros"]))
+        if kind == "constant":
+            columns.append([draw(cell_values)] * n)
+        else:
+            cells = cell_values if kind == "varies" else st.sampled_from([0.0, -0.0])
+            columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    return np.array(columns).T
+
+
 class TestTrajectoryRows:
     @given(solves())
     def test_rows_equal_the_per_cell_format(self, solve):
@@ -422,6 +534,37 @@ class TestTrajectoryRows:
         assert rows == reference_rows(trajectory)
         assert rows[0].split(",")[:3] == [format(x, VALUE_FORMAT)] * 3
 
+    @given(tables())
+    def test_constant_columns_format_as_each_cell_would(self, table):
+        trajectory = table_trajectory(table)
+        assert trajectory_rows(trajectory) == reference_rows(trajectory)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {3: [0.0] * 3, 4: [-0.0] * 3},  # all +0 and all -0
+            {3: [0.0, -0.0, 0.0], 4: [-0.0, 0.0, 0.0]},  # +0 and -0 mixed
+            {1: [0.25] * 3, 2: [-1e-300] * 3},  # constant and nonzero
+            {5: [math.inf] * 3, 6: [math.nan] * 3, 7: [-math.inf] * 3},
+        ],
+    )
+    def test_each_kind_of_constant_column(self, columns):
+        table = np.array([[0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]] * 3)
+        table[:, 0] = [0.0, 1.0, 2.0]  # the time column always varies
+        for j, cells in columns.items():
+            table[:, j] = cells
+        trajectory = table_trajectory(table)
+        rows = trajectory_rows(trajectory)
+        assert rows == reference_rows(trajectory)
+        for j, cells in columns.items():
+            assert [row.split(",")[j] for row in rows] == [format(x, VALUE_FORMAT) for x in cells]
+
+    def test_two_rows_where_every_column_is_constant(self):
+        table = np.array([[-0.0, 0.1, math.nan, 0.0, -0.0, math.inf, 1e16, 5e-324, -2.5]] * 2)
+        trajectory = table_trajectory(table)
+        assert trajectory_rows(trajectory) == reference_rows(trajectory)
+        assert trajectory_rows(trajectory)[0] == "-0,0.1,nan,0,-0,inf,1e+16,4.94065645841e-324,-2.5"
+
     def test_trajectory_is_arrays_from_the_initial_state(self):
         b = hopfield_basis(hopfield(1, 1, 0.5))
         r = collective_rates(b, bright_env())
@@ -436,9 +579,7 @@ class TestTrajectoryRows:
         b = hopfield_basis(hopfield(1, 1, 0.5))
         r = collective_rates(b, bright_env())
         negative = np.array([[0.1, -1e-300, 0.0, 0.0, 0.0]], dtype=complex)
-        monkeypatch.setattr(
-            dynamics, "_rk4_iterates", lambda *args: (0.01, [1], negative)
-        )
+        monkeypatch.setattr(dynamics, "_exact_moments", lambda *args: negative)
         with pytest.raises(ValueError, match="occupations must be non-negative"):
             evolve_trajectory(SecondMoments.vacuum(), r, b, 0.01, dt=0.01)
 

@@ -360,6 +360,13 @@ class TestCli:
             (["dynamics", "--lambda", "0.5", "--t-final", "-2"], "--t-final must be"),
             (["dynamics", "--lambda", "0.5", "--dt", "nan"], "--dt must be"),
             (["dynamics", "--lambda", "0.5", "--dt", "0"], "--dt must be"),
+            # rejected by counting the rows, before any allocation
+            (["dynamics", "--lambda", "0.5", "--t-final", "1e30"],
+             "t_final=1e+30, dt=0.0309017 and stride=1 would record 3.236068e+31 rows"),
+            (["dynamics", "--lambda", "0.5", "--t-final", "1e9"], "the limit is 10,000,000"),
+            (["dynamics", "--lambda", "0.5", "--t-final", "1e9", "--dt", "1e-300"],
+             "would record inf rows"),
+            (["dynamics", "--lambda", "0.5", "--stride", "0"], "stride must be at least 1"),
         ],
     )
     def test_bad_input_rejected_up_front(self, argv, message, capsys):
