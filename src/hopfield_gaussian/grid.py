@@ -11,7 +11,31 @@ the stages ``model._sector_modes``, ``states._sector_covariance`` and
 ``measures._sector_invariants``.
 
 Each point's result depends on that point alone, so any contiguous split
-of a grid yields the same rows; ``sweep.run_sweep``'s blocks rely on this.
+of a grid yields the same rows; ``sweep.sweep_csv``'s blocks rely on this.
+
+``GridResult.csv_text`` prints every float cell as format(x, '.12g'), the
+cell of ``ResultRow.to_csv``.  A block of ``_WRITER_ROWS`` rows or more is
+written by the array operations of ``csvwriter``; a smaller block, and
+every row with a cell the arrays leave alone, by ``_template_rows``, one
+format() call per cell.  The array cells are exact for this reason:
+
+- The digits are the integer nearest s = |x| 10^(11 - k).  The computed s
+  carries two roundings, of the correctly rounded power of ten and of the
+  product, so its relative error is below 2^-52 and, as s < 10^12, its
+  absolute error below 2.3e-4.  rint(s) is thus the rounding of the exact
+  s, as format() rounds it, unless the exact fraction lies within 2.3e-4
+  of 1/2.
+- A cell whose computed fraction lies within ``csvwriter.TIE_MARGIN`` =
+  1e-3 of 1/2 is left to format(); the margin is four times that error.
+  So are inf, nan and every nonzero |x| below 1e-295 (past the power
+  table), subnormals among them.  On the presets that is 0.13% of the
+  cells.
+- The exponent k is checked, not trusted: a k that puts s outside [1e11,
+  1e12) is moved by one and s taken again, and 12 digits that round to
+  10^12 carry into k, as the exact rounding does.
+
+Oracle tests compare the writer with format() on every float class, edge
+cases and 10^6 random bit patterns (``tests/test_csv_writer.py``).
 """
 
 from __future__ import annotations
@@ -83,24 +107,64 @@ class GridResult:
     classification: np.ndarray
 
     def csv_rows(self) -> list[str]:
-        """One row per point, in the format of ``ResultRow.to_csv``."""
-        columns = [self.lam, self.wa, self.wb, self.temperature]
-        table = np.stack(columns + [getattr(self, m) for m in _MEASURES], axis=1)
-        return [
-            _STABLE_ROW % (*row, label) if ok else _HEAD % tuple(row[:4]) + _UNSTABLE_TAIL
-            for row, ok, label in zip(
-                table.tolist(), self.stable.tolist(), self.classification.tolist()
-            )
-        ]
+        """One row per point, each equal to ``ResultRow.to_csv`` of its values."""
+        return self.csv_text().split("\n")[:-1]
+
+    def csv_text(self) -> str:
+        """The rows of ``csv_rows``, each ended by a newline."""
+        table = np.stack([getattr(self, name) for name in _CELLS], axis=1)
+        n = len(table)
+        if n < _WRITER_ROWS:
+            rows = _template_rows(table, self.stable, self.classification)
+            return "\n".join(rows) + "\n" if rows else ""
+        # imported on the first large block: single points and small
+        # sweeps never build its tables
+        from . import csvwriter
+
+        classes = _steering_class_index(self.g_ab, self.g_ba)
+        pieces = -(-n // _WRITER_CHUNK)
+        texts = []
+        for i in range(pieces):
+            part = slice(i * n // pieces, (i + 1) * n // pieces)
+            cells, stable = table[part], self.stable[part]
+            text, redo = csvwriter.write_rows(cells, stable, classes[part], _ECHO)
+            if redo.size:
+                rows = text.split("\n")
+                exact = _template_rows(cells[redo], stable[redo], self.classification[part][redo])
+                for j, row in zip(redo.tolist(), exact):
+                    rows[j] = row
+                text = "\n".join(rows)
+            texts.append(text)
+        return "".join(texts)
 
 
-# the measure cells of a row, in the order of GridResult's fields and the CSV
-_MEASURES = tuple(f.name for f in fields(GridResult))[5:-1]
+# the cells of a row formatted with VALUE_FORMAT, in the order of the CSV:
+# four echoed inputs, then the measures that unstable rows leave empty
+_CELLS = tuple(f.name for f in fields(GridResult) if f.name not in ("stable", "classification"))
+_ECHO = 4
 # '%.12g' % x is format(x, '.12g') for every float, -0.0, inf and nan included
-_HEAD = ",".join(["%" + VALUE_FORMAT] * 4)
-_STABLE_ROW = ",".join([_HEAD, *["%" + VALUE_FORMAT] * len(_MEASURES), "%s", "true"])
+_HEAD = ",".join(["%" + VALUE_FORMAT] * _ECHO)
+_STABLE_ROW = ",".join(["%" + VALUE_FORMAT] * len(_CELLS) + ["%s", "true"])
 # measure cells, class and stable flag of an unstable row
-_UNSTABLE_TAIL = "," * (len(_MEASURES) + 2) + "false"
+_UNSTABLE_TAIL = "," * (len(_CELLS) - _ECHO + 2) + "false"
+
+
+def _template_rows(table: np.ndarray, stable: np.ndarray, labels: np.ndarray) -> list[str]:
+    """Rows of ``table`` (one row of ``_CELLS`` values per point), one
+    ``format`` call per cell: the writer's per-row exact path."""
+    return [
+        _STABLE_ROW % (*row, label) if ok else _HEAD % tuple(row[:_ECHO]) + _UNSTABLE_TAIL
+        for row, ok, label in zip(table.tolist(), stable.tolist(), labels.tolist())
+    ]
+
+
+# blocks of fewer rows take _template_rows: with caches cold from other work,
+# as in a sweep of many presets, the array writer's ~100 numpy calls cost
+# about as much as formatting 70 to 110 rows cell by cell
+_WRITER_ROWS = 128
+# rows per writer call: a block is cut into near-equal parts of at most
+# this many, whose temporaries stay in cache and in the heap
+_WRITER_CHUNK = 384
 
 
 def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:

@@ -131,10 +131,8 @@ def _require_physical(gamma: CovarianceMatrix) -> None:
         )
 
 
-def _clipped_root(x):
-    """sqrt(max(x, 0.0)) of a float or elementwise; -0.0 and NaN pass as they are."""
-    if isinstance(x, np.ndarray):
-        return np.sqrt(np.where(x < 0.0, 0.0, x))
+def _clipped_root(x: float) -> float:
+    """sqrt(max(x, 0.0)); -0.0 and NaN pass as they are."""
     return math.sqrt(max(x, 0.0))
 
 
@@ -143,9 +141,8 @@ def _partial_transpose_pair(i_a, i_b, i_c, i_ab):
 
     d~_{+-}^2 are the roots of s^2 - delta~ s + det(Gamma) with
     delta~ = det A + det B - 2 det C, the sign flip of det C implementing
-    the momentum reversal of the second mode.  Takes floats or equal-length
-    arrays and runs the same floating-point operations on both; negative
-    radicands are clipped to zero, so no input raises.
+    the momentum reversal of the second mode.  Negative radicands are
+    clipped to zero, so no input raises.
     """
     delta = i_a + i_b - 2.0 * i_c
     disc_sq = delta * delta - 4.0 * i_ab

@@ -147,47 +147,24 @@ def build_dynamical_matrix(params: ModelParams) -> np.ndarray:
     )
 
 
-def _by_math(fn, *args, dtype=float):
-    """A scalar Python function (``math``, Python's complex division) per element.
-
-    Floats go to ``fn`` as they are.  numpy's hypot, arctan2 and expm1 can
-    differ from ``math`` in the last bit, and its complex division from
-    Python's, and the determinant formula for E_N magnifies a last-bit
-    change of a covariance entry to about 1e-8 near a separable pure state;
-    with Python's arithmetic on every element the grid kernel's covariances
-    equal those of the scalar route exactly.
-    """
-    if not isinstance(args[0], np.ndarray):
-        return fn(*args)
-    values = map(fn, *(a.tolist() for a in args))
-    return np.fromiter(values, dtype, len(args[0]))
-
-
 def _closed_frequencies(wa, wb, lam, dd):
     """(product invariant, omega_U, omega_L) of the lambda1 = lambda2 family.
 
-    Takes floats or equal-length arrays and runs the same floating-point
-    operations on both.  omega_L^2 is the product invariant divided by
-    omega_U^2 rather than a difference of nearly equal terms, so the
-    product rule omega_U * omega_L = omega_a * omega_b (diamag =
-    lambda^2/omega_b case) holds to machine precision at any coupling.
-    omega_L is NaN where the product is not positive, past the stability
-    edge.
+    omega_L^2 is the product invariant divided by omega_U^2 rather than a
+    difference of nearly equal terms, so the product rule omega_U * omega_L
+    = omega_a * omega_b (diamag = lambda^2/omega_b case) holds to machine
+    precision at any coupling.  omega_L is NaN where the product is not
+    positive, past the stability edge.
     """
-    stacked = isinstance(wa, np.ndarray)
-    xp = np if stacked else math
     aa = wa * wa + 4.0 * dd * wa
     bb = wb * wb
     half_sum = 0.5 * (aa + bb)
     # hypot keeps the discriminant accurate deep in the strong-coupling regime
-    half_gap = _by_math(math.hypot, 0.5 * (aa - bb), 2.0 * lam * xp.sqrt(wa * wb))
+    half_gap = math.hypot(0.5 * (aa - bb), 2.0 * lam * math.sqrt(wa * wb))
     product = aa * bb - 4.0 * lam * lam * wa * wb
     wu_sq = half_sum + half_gap
-    if stacked:
-        wl = np.sqrt(np.where(product > 0.0, product, np.nan) / wu_sq)
-    else:
-        wl = math.sqrt(product / wu_sq) if product > 0.0 else math.nan
-    return product, xp.sqrt(wu_sq), wl
+    wl = math.sqrt(product / wu_sq) if product > 0.0 else math.nan
+    return product, math.sqrt(wu_sq), wl
 
 
 def polariton_frequencies(params: ModelParams) -> tuple[float, float]:
@@ -243,15 +220,11 @@ class PolaritonBasis:
 
 
 def _mixing_angle(wa, wb, lam, dd, wu, wl):
-    """Angle theta in [-pi/2, 0] from its double-angle sine and cosine.
-
-    Floats or equal-length arrays, as in ``_closed_frequencies``.
-    """
-    xp = np if isinstance(wa, np.ndarray) else math
+    """Angle theta in [-pi/2, 0] from its double-angle sine and cosine."""
     gap_sq = wu * wu - wl * wl
     cos2t = (wa * wa + 4.0 * dd * wa - wb * wb) / gap_sq
-    sin2t = -4.0 * lam * xp.sqrt(wa * wb) / gap_sq
-    return 0.5 * _by_math(math.atan2, sin2t, cos2t)
+    sin2t = -4.0 * lam * math.sqrt(wa * wb) / gap_sq
+    return 0.5 * math.atan2(sin2t, cos2t)
 
 
 def _closed_coefficients(wa, wb, lam, dd, wu, wl):
@@ -261,15 +234,13 @@ def _closed_coefficients(wa, wb, lam, dd, wu, wl):
                    cos t * f-(wU/wa), -sin t * f-(wU/wb)),
     lower branch the same with sin and cos swapped (no sign flip) and
     omega_L in place of omega_U, where f+-(x) = (sqrt(x) +- 1/sqrt(x))/2.
-    Floats or equal-length arrays, as in ``_closed_frequencies``; the
-    branch split must not be degenerate.
+    The branch split must not be degenerate.
     """
-    xp = np if isinstance(wa, np.ndarray) else math
     theta = _mixing_angle(wa, wb, lam, dd, wu, wl)
-    ct, st = xp.cos(theta), xp.sin(theta)
+    ct, st = math.cos(theta), math.sin(theta)
 
     def branch(wj, c_a, c_b):
-        r_a, r_b = xp.sqrt(wj / wa), xp.sqrt(wj / wb)
+        r_a, r_b = math.sqrt(wj / wa), math.sqrt(wj / wb)
         return (
             c_a * (0.5 * (r_a + 1.0 / r_a)),
             c_b * (0.5 * (r_b + 1.0 / r_b)),

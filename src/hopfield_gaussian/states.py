@@ -24,7 +24,6 @@ from .model import (
     DegenerateSpectrumError,
     ModelParams,
     PolaritonBasis,
-    _by_math,
     _where,
     polariton_frequencies,
 )
@@ -103,17 +102,11 @@ def _root(x: float) -> float:
     return math.sqrt(x) if x > 0.0 else math.nan
 
 
-def _stacked_root(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.where(x > 0.0, x, np.nan))
-
-
 def symplectic_spectrum(g):
-    """Symplectic eigenvalues (nu_-, nu_+) of two-mode covariances, in closed form.
+    """Symplectic eigenvalues (nu_-, nu_+) of a two-mode covariance, in closed form.
 
-    ``g`` is one matrix as a nested list of floats, or a (4, 4, n) array
-    holding n matrices with the point index last; only the lower triangle
-    g[i][j], i >= j, is read.  Both inputs take the same floating-point
-    operations, so a matrix gets the same bits either way.
+    ``g`` is the matrix as a nested list of floats; only the lower triangle
+    g[i][j], i >= j, is read.
 
     With Gamma = L L^T (Cholesky), K = L^T Omega L is antisymmetric with
     eigenvalues +-i nu_+-.  Its self-dual and anti-self-dual parts have
@@ -124,16 +117,14 @@ def symplectic_spectrum(g):
     that underflows to zero.  Squares of K's entries overflow for entries
     above about 1e150.
     """
-    stacked = isinstance(g, np.ndarray)
-    root, sqrt = (_stacked_root, np.sqrt) if stacked else (_root, math.sqrt)
-    l00 = root(g[0][0])
+    l00 = _root(g[0][0])
     l10, l20, l30 = g[1][0] / l00, g[2][0] / l00, g[3][0] / l00
-    l11 = root(g[1][1] - l10 * l10)
+    l11 = _root(g[1][1] - l10 * l10)
     l21 = (g[2][1] - l20 * l10) / l11
     l31 = (g[3][1] - l30 * l10) / l11
-    l22 = root(g[2][2] - l20 * l20 - l21 * l21)
+    l22 = _root(g[2][2] - l20 * l20 - l21 * l21)
     l32 = (g[3][2] - l30 * l20 - l31 * l21) / l22
-    l33 = root(g[3][3] - l30 * l30 - l31 * l31 - l32 * l32)
+    l33 = _root(g[3][3] - l30 * l30 - l31 * l31 - l32 * l32)
     k01 = l00 * l11 + l20 * l31 - l30 * l21
     k02 = l20 * l32 - l30 * l22
     k03 = l20 * l33
@@ -143,8 +134,8 @@ def symplectic_spectrum(g):
     s1, s2, s3 = k01 + k23, k02 - k13, k03 + k12
     d1, d2, d3 = k01 - k23, k02 + k13, k03 - k12
     # v is zero for a degenerate pair, so only u takes the NaN guard
-    u = root(s1 * s1 + s2 * s2 + s3 * s3)
-    v = sqrt(d1 * d1 + d2 * d2 + d3 * d3)
+    u = _root(s1 * s1 + s2 * s2 + s3 * s3)
+    v = math.sqrt(d1 * d1 + d2 * d2 + d3 * d3)
     nu_plus = 0.5 * (u + v)
     return l00 * l11 * l22 * l33 / nu_plus, nu_plus
 
@@ -178,6 +169,18 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     if x > 700.0:  # below double-precision underflow of exp(-x)
         return 0.0
     return 1.0 / math.expm1(x)
+
+
+def _by_math(fn, *args) -> np.ndarray:
+    """A scalar ``math`` function per element of equal-length arrays.
+
+    numpy's expm1 can differ from ``math``'s in the last bit, and the
+    determinant formula for E_N magnifies a last-bit change of a covariance
+    entry to about 1e-8 near a separable pure state; with ``math`` on every
+    element the grid kernel's covariances equal those of the scalar route
+    exactly.
+    """
+    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, len(args[0]))
 
 
 def _bose(omega, temperature):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hopfield_gaussian import sweep
+from hopfield_gaussian import csvwriter, grid, sweep
 from hopfield_gaussian.grid import GridPoints, evaluate_grid
 from hopfield_gaussian.measures import (
     STEERING_THRESHOLD,
@@ -216,18 +216,32 @@ class TestKernelAgainstScalarRoute:
         assert row.classification == classify_steering(ref["g_ab"], ref["g_ba"]).value
 
     def test_csv_rows_follow_the_row_format(self):
-        spec = SweepSpec("custom", (Axis("lambda", (0.2, 0.45, 0.6)),),
-                         {"wa": 1.0, "wb": 1.0, "T": 0.25}, diamag_mode="zero")
-        rows = evaluate_grid(grid_points(spec, ENV), "thermal").csv_rows()
-        for row, point in zip(rows, spec.grid()):
-            params, _ = spec_to_params(spec, point)
-            ref = run_point(params, Environment(0.25), "thermal").to_csv().split(",")
-            cells = row.split(",")
-            assert len(cells) == len(ref) == 16
-            assert cells[:4] == ref[:4] and cells[14:] == ref[14:]
-            for x, y in zip(cells[4:14], ref[4:14]):
-                assert (x == y == "") or _close(float(x), float(y), E_N_TOL)
-        assert rows[2] == "0.6,1,1,0.25,,,,,,,,,,,,false"
+        # enough rows for the array writer, unstable rows past lambda = 1.1,
+        # the vacuum at T = 0 (N_a and E_N exactly 0), and a T whose cell is
+        # a near tie that the writer leaves to format()
+        spec = SweepSpec(
+            "custom",
+            (Axis("lambda", tuple(np.linspace(0.05, 1.5, 30).tolist())),
+             Axis("T", (0.0, 0.1234567890125, 0.25, 0.5, 1.0))),
+            {"wa": 1.0, "wb": 1.25}, diamag_mode="zero", coupling=MIX_ONLY,
+        )
+        points = grid_points(spec, ENV)
+        assert len(points) >= grid._WRITER_ROWS
+        result = evaluate_grid(points, "thermal")
+        refs = []
+        for point in spec.grid():
+            params, temperature = spec_to_params(spec, point)
+            env = Environment(temperature, ENV.gamma_a, ENV.gamma_b)
+            refs.append(run_point(params, env, "thermal").to_csv())
+        rows = result.csv_rows()
+        assert rows == refs
+        cells = [row.split(",") for row in rows]
+        assert sum(c[-1] == "false" for c in cells) == 40
+        assert rows[-1] == "1.5,1,1.25,1,,,,,,,,,,,,false"
+        assert sum(c[3] == "0" and c[12] == c[6] == "0" for c in cells) == 22
+        assert sum(c[3] == format(0.1234567890125, ".12g") for c in cells) == 30
+        x = np.array([0.1234567890125])
+        assert csvwriter.cell_words(x, np.empty((1, 3), np.uint64), np.empty(1, np.intp))[0]
 
 
 FREQUENCY = st.floats(0.2, 3.0)

@@ -30,6 +30,10 @@ from hopfield_gaussian.sweep import (
 )
 
 
+# `sha256sum` lines of every figure CSV
+FIGURE_DIGESTS = (Path(__file__).parent / "figure_data.sha256").read_text().splitlines()
+
+
 def run_cli(*argv, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "hopfield_gaussian", *argv],
@@ -213,6 +217,25 @@ class TestSweep:
         spec = resolve_scenario("fig6")
         env = Environment(0.2)
         assert sweep_csv(spec, env) == sweep_csv(spec, env)
+
+    def test_figure_digests_name_every_figure_file(self):
+        names = [line.split()[1] for line in FIGURE_DIGESTS]
+        assert names == sorted(f"{name}.csv" for name in [*SCENARIOS, "fig5_no_diamag"])
+
+    @pytest.mark.parametrize("line", FIGURE_DIGESTS)
+    def test_preset_csv_bytes(self, line, capsys):
+        # sha256 of `sweep --scenario` for every preset and for fig5 without
+        # the diamagnetic term, under the file names of make_figure_data.py;
+        # CI checks that script's files against the same list, so a change
+        # of any printed digit must update the pin
+        digest, name = line.split()
+        scenario = name.removesuffix(".csv")
+        argv = ["sweep", "--scenario", scenario]
+        if scenario == "fig5_no_diamag":
+            argv = ["sweep", "--scenario", "fig5", "--diamag", "zero"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_fig6_steering_direction_flips_at_balance_frequency(self):
         spec = resolve_scenario("fig6")
