@@ -15,13 +15,14 @@ from hopfield_gaussian.dynamics import (
     collective_rates,
     evolve_trajectory,
 )
-from hopfield_gaussian.model import hopfield, hopfield_basis
+from hopfield_gaussian.model import hopfield
 from hopfield_gaussian.states import (
     Environment,
     quadrature_transform,
     steady_state_covariance,
     thermal_covariance_closed,
 )
+from hopfield_gaussian.sweep import diagonalize_params
 
 
 def main() -> None:
@@ -34,7 +35,7 @@ def main() -> None:
     args = parser.parse_args()
 
     params = hopfield(args.wa, 1.0, args.coupling)
-    basis = hopfield_basis(params)
+    basis = diagonalize_params(params)  # the basis of the dynamics command
     env = Environment(args.temp, args.gamma_a, args.gamma_b)
     rates = collective_rates(basis, env)
 

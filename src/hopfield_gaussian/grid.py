@@ -87,7 +87,11 @@ class GridPoints:
 
 @dataclass(frozen=True)
 class GridResult:
-    """Every CSV column of a grid; measures are NaN and class None when unstable."""
+    """Every CSV column of a grid; measures are NaN when unstable.
+
+    ``classification`` is the steering class as an index into
+    ``measures._STEERING_CLASSES``, -1 where unstable.
+    """
 
     lam: np.ndarray
     wa: np.ndarray
@@ -114,14 +118,14 @@ class GridResult:
         """The rows of ``csv_rows``, each ended by a newline."""
         table = np.stack([getattr(self, name) for name in _CELLS], axis=1)
         n = len(table)
+        classes = self.classification
         if n < _WRITER_ROWS:
-            rows = _template_rows(table, self.stable, self.classification)
+            rows = _template_rows(table, self.stable, classes)
             return "\n".join(rows) + "\n" if rows else ""
         # imported on the first large block: single points and small
         # sweeps never build its tables
         from . import csvwriter
 
-        classes = _steering_class_index(self.g_ab, self.g_ba)
         pieces = -(-n // _WRITER_CHUNK)
         texts = []
         for i in range(pieces):
@@ -130,7 +134,7 @@ class GridResult:
             text, redo = csvwriter.write_rows(cells, stable, classes[part], _ECHO)
             if redo.size:
                 rows = text.split("\n")
-                exact = _template_rows(cells[redo], stable[redo], self.classification[part][redo])
+                exact = _template_rows(cells[redo], stable[redo], classes[part][redo])
                 for j, row in zip(redo.tolist(), exact):
                     rows[j] = row
                 text = "\n".join(rows)
@@ -147,14 +151,17 @@ _HEAD = ",".join(["%" + VALUE_FORMAT] * _ECHO)
 _STABLE_ROW = ",".join(["%" + VALUE_FORMAT] * len(_CELLS) + ["%s", "true"])
 # measure cells, class and stable flag of an unstable row
 _UNSTABLE_TAIL = "," * (len(_CELLS) - _ECHO + 2) + "false"
+# the class cell of each index; an enum's .value costs about 0.3 us a row
+_LABELS = tuple(c.value for c in _STEERING_CLASSES)
 
 
-def _template_rows(table: np.ndarray, stable: np.ndarray, labels: np.ndarray) -> list[str]:
-    """Rows of ``table`` (one row of ``_CELLS`` values per point), one
-    ``format`` call per cell: the writer's per-row exact path."""
+def _template_rows(table: np.ndarray, stable: np.ndarray, classes: np.ndarray) -> list[str]:
+    """Rows of ``table`` (one row of ``_CELLS`` values per point) and their
+    class indices, one ``format`` call per cell: the writer's per-row exact path."""
     return [
-        _STABLE_ROW % (*row, label) if ok else _HEAD % tuple(row[:_ECHO]) + _UNSTABLE_TAIL
-        for row, ok, label in zip(table.tolist(), stable.tolist(), labels.tolist())
+        _STABLE_ROW % (*row, _LABELS[c]) if ok
+        else _HEAD % tuple(row[:_ECHO]) + _UNSTABLE_TAIL
+        for row, ok, c in zip(table.tolist(), stable.tolist(), classes.tolist())
     ]
 
 
@@ -220,8 +227,6 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     e_n = np.where(e_n > 0.0, e_n, 0.0)
     g_ab = np.where(raw_ab > 0.0, raw_ab, 0.0)
     g_ba = np.where(raw_ba > 0.0, raw_ba, 0.0)
-    index = _steering_class_index(g_ab, g_ba)
-    labels = np.array([c.value for c in _STEERING_CLASSES], dtype=object)[index]
     n_a, n_b = _occupations(gxx[0], gpp[0], gxx[2], gpp[2])
 
     def column(values: np.ndarray, fill=np.nan, dtype=float) -> np.ndarray:
@@ -245,5 +250,5 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
         mu_ab=column(purities[2]),
         n_a=column(n_a),
         n_b=column(n_b),
-        classification=column(labels, None, object),
+        classification=column(_steering_class_index(g_ab, g_ba), -1, np.intp),
     )

@@ -6,13 +6,15 @@ term lambda1 (a'b + ab'), a mode-squeezing term lambda2 (a'b' + ab) and a
 diamagnetic term D (a + a')^2.  For light coupled to natural matter
 lambda1 = lambda2 = lambda and D = lambda^2 / omega_b.
 
-Diagonalization is offered three ways on purpose.  Every point of a sweep
-or a ``point`` run takes the 2x2 forms of the x-p sectors of
-H = x^T V x / 2 + p^T T p / 2, V = [[omega_a + 4D, lambda1 + lambda2],
-[lambda1 + lambda2, omega_b]], T = V with lambda1 - lambda2 and no D.  The
-closed forms of the lambda1 = lambda2 family and a numeric eigensolver of
-the 4x4 dynamical matrix give the Bogoliubov coefficients of ``diagonalize``
-and the dynamics, and are the oracles of the sector forms.
+Every command takes its normal modes from one source, the 2x2 frames of
+the x-p sectors of H = x^T V x / 2 + p^T T p / 2, V = [[omega_a + 4D,
+lambda1 + lambda2], [lambda1 + lambda2, omega_b]], T = V with lambda1 -
+lambda2 and no D (``_sector_modes``).  Sweeps and ``point`` build their
+covariances from the frames; ``diagonalize`` and the dynamics read the
+Bogoliubov coefficients off them (``_frame_coefficients``).  The closed
+forms of the lambda1 = lambda2 family (``hopfield_basis``) and a numeric
+eigensolver of the 4x4 dynamical matrix (``bogoliubov_diagonalize``) are
+oracles only: ``verify`` and the tests pin the sector route to them.
 """
 
 from __future__ import annotations
@@ -85,13 +87,9 @@ class ModelParams:
             raise ValueError("diamagnetic coefficient must be non-negative")
 
     @property
-    def is_single_coupling(self) -> bool:
-        """True when lambda1 == lambda2, i.e. the closed forms apply."""
-        return self.lambda1 == self.lambda2
-
-    @property
     def coupling(self) -> float:
-        if not self.is_single_coupling:
+        """The one coupling strength of the lambda1 = lambda2 family."""
+        if self.lambda1 != self.lambda2:
             raise ValueError("lambda1 != lambda2: no single coupling strength")
         return self.lambda1
 
@@ -186,8 +184,9 @@ class PolaritonBasis:
 
     Each branch j carries (w, x, y, z) with p_j = w a + x b + y a' + z b',
     normalized to w^2 + x^2 - y^2 - z^2 = 1.  theta is the 2x2 mixing angle
-    of the single-coupling family (negative by convention) and is None for
-    bases obtained numerically from a general bilinear matrix.
+    of the single-coupling family (negative by convention), a display field;
+    it is None where that family's split spectrum does not define it, and in
+    every basis of the numeric solver.
     """
 
     omega_upper: float
@@ -313,6 +312,52 @@ def _sector_modes(wa, wb, l1, l2, dd, det_v, det_t):
     return (*frames, (l2 == 0.0) & (dd == 0.0))
 
 
+def _frame_vectors(u, root):
+    """(A^1/2 u_U, A^1/2 u_L) of a frame's u_U and A^1/2, u_L = (-u2, u1)."""
+    (u1, u2), (r11, r12, r22) = u, root
+    return ((r11 * u1 + r12 * u2, r12 * u1 + r22 * u2),
+            (r12 * u1 - r11 * u2, r22 * u1 - r12 * u2))
+
+
+def _positive_lead(c):
+    """c or -c, the one with w > 0, or with x > 0 where w is zero to
+    SIGN_TOL of the largest coefficient: the sign of every branch.
+
+    Negation is 0 - v, not -v, here and below, so that a zero coefficient
+    stays +0 and prints as 0.
+    """
+    head = SIGN_TOL * max(abs(v) for v in c)
+    flip = c[0] < -head or (abs(c[0]) <= head and c[1] < 0)
+    return tuple(0.0 - v for v in c) if flip else tuple(c)
+
+
+def _frame_coefficients(frame_x, passive):
+    """Bogoliubov coefficients (w, x, y, z) of the upper and the lower branch
+    from the (T, V) frame and the V = T flag of ``_sector_modes``; floats.
+
+    The x-amplitudes X_j = (w - y, x - z) are T^1/2 u_j / sqrt(omega_j), the
+    vectors of Gamma_xx.  The p-amplitudes P_j = (w + y, x + z), V^1/2 u'_j /
+    sqrt(omega_j) of the (V, T) frame, obey X^T P = I (Bogoliubov norm +1,
+    orthogonal branches), so they are taken as X^-T, det X = sqrt(det T /
+    (omega_U omega_L)) > 0: each entry a product of forward terms, and no
+    pairing of the two frames' branches, whose u_U is arbitrary at a
+    degenerate spectrum.  Where V = T, X = P = R and y = z = 0 exactly.
+    """
+    wu, wl, (u1, u2), root, det_t = frame_x
+    if passive:
+        return _positive_lead((u1, u2, 0.0, 0.0)), _positive_lead((0.0 - u2, u1, 0.0, 0.0))
+    s_u, s_l = math.sqrt(wu), math.sqrt(wl)
+    (a_u, b_u), (a_l, b_l) = _frame_vectors((u1, u2), root)
+    a_u, b_u, a_l, b_l = a_u / s_u, b_u / s_u, a_l / s_l, b_l / s_l
+    inverse_det = s_u * s_l / math.sqrt(det_t)
+    p_u = (b_l * inverse_det, 0.0 - a_l * inverse_det)
+    p_l = (0.0 - b_u * inverse_det, a_u * inverse_det)
+    return tuple(
+        _positive_lead((0.5 * (p1 + x1), 0.5 * (p2 + x2), 0.5 * (p1 - x1), 0.5 * (p2 - x2)))
+        for (x1, x2), (p1, p2) in (((a_u, b_u), p_u), ((a_l, b_l), p_l))
+    )
+
+
 def hopfield_basis(params: ModelParams) -> PolaritonBasis:
     """Closed-form Bogoliubov coefficients for the lambda1 = lambda2 family."""
     wu, wl = polariton_frequencies(params)
@@ -394,11 +439,7 @@ def _fix_phase(c: np.ndarray) -> np.ndarray:
     c = c * np.conj(phase)
     if np.max(np.abs(c.imag)) > PHASE_TOL * np.max(np.abs(c)):
         raise InstabilityError("eigenvector is not real up to a phase")
-    c = c.real.copy()
-    head = SIGN_TOL * np.max(np.abs(c))
-    if c[0] < -head or (abs(c[0]) <= head and c[1] < 0):
-        c = -c
-    return c
+    return np.array(_positive_lead(c.real))
 
 
 def bogoliubov_diagonalize(params: ModelParams) -> PolaritonBasis:

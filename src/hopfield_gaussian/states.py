@@ -24,6 +24,7 @@ from .model import (
     DegenerateSpectrumError,
     ModelParams,
     PolaritonBasis,
+    _frame_vectors,
     _where,
     polariton_frequencies,
 )
@@ -206,9 +207,7 @@ def _sector_covariance(frame_x, frame_p, passive, temperature):
     c_u, c_l = 0.5 + _bose(frame_p[0], temperature), 0.5 + _bose(frame_p[1], temperature)
 
     def block(wu, wl, u, root, det_a):
-        (u1, u2), (r11, r12, r22), w_u, w_l = u, root, c_u / wu, c_l / wl
-        y1, y2 = r11 * u1 + r12 * u2, r12 * u1 + r22 * u2  # A^1/2 u_U
-        z1, z2 = r12 * u1 - r11 * u2, r22 * u1 - r12 * u2  # A^1/2 u_L, u_L = (-u2, u1)
+        ((y1, y2), (z1, z2)), w_u, w_l = _frame_vectors(u, root), c_u / wu, c_l / wl
         return (w_u * y1 * y1 + w_l * z1 * z1, w_u * y1 * y2 + w_l * z1 * z2,
                 w_u * y2 * y2 + w_l * z2 * z2)
 

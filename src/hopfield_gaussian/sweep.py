@@ -22,15 +22,15 @@ import numpy as np
 from .grid import GridPoints, evaluate_grid
 from .measures import correlation_report
 from .model import (
-    DegenerateSpectrumError,
+    DEGENERACY_TOL,
     InstabilityError,
     ModelParams,
     PolaritonBasis,
+    _frame_coefficients,
+    _mixing_angle,
     _sector_modes,
     _stability_determinants,
-    bogoliubov_diagonalize,
     hopfield,
-    hopfield_basis,
     natural_diamag,
 )
 from .scenarios import FULL, MIX_ONLY, SQUEEZE_ONLY, SweepSpec
@@ -116,18 +116,20 @@ def _stable_sectors(params: ModelParams) -> tuple:
 
 
 def diagonalize_params(params: ModelParams) -> PolaritonBasis:
-    """Closed form when available, numeric eigensolver otherwise.
+    """Normal modes of ``diagonalize`` and ``dynamics``, from the x-p sector
+    frames of ``point_state``: its frequencies, and the Bogoliubov
+    coefficients of ``model._frame_coefficients``.
 
-    Serves ``diagonalize`` and ``dynamics``; a point past the stability edge
-    of ``point_state`` raises InstabilityError here too.
+    theta, a display field, is the mixing angle of the lambda1 = lambda2 > 0
+    family where its branches are split, and None elsewhere.  A point past
+    the stability edge raises InstabilityError.
     """
-    _stable_sectors(params)
-    if params.is_single_coupling and params.coupling > 0:
-        try:
-            return hopfield_basis(params)
-        except DegenerateSpectrumError:
-            pass
-    return bogoliubov_diagonalize(params)
+    wa, wb, l1, l2, dd, *_ = args = _stable_sectors(params)
+    frame_x, frame_p, passive = _sector_modes(*args)
+    wu, wl = frame_p[:2]
+    split = l1 == l2 > 0.0 and wu - wl >= DEGENERACY_TOL * wb
+    theta = _mixing_angle(wa, wb, l1, dd, wu, wl) if split else None
+    return PolaritonBasis(wu, wl, *_frame_coefficients(frame_x, passive), theta)
 
 
 class PointState(NamedTuple):

@@ -20,6 +20,7 @@ from .dynamics import (
     resonant_balance_frequency,
 )
 from .measures import (
+    _STEERING_CLASSES,
     SteeringClass,
     ground_state_log_negativity_closed,
     ground_state_steering_closed,
@@ -46,7 +47,7 @@ from .states import (
     thermal_occupation,
 )
 from .grid import GridResult, evaluate_grid
-from .sweep import grid_points, run_point, sweep_csv
+from .sweep import diagonalize_params, grid_points, run_point, sweep_csv
 
 __all__ = ["CheckResult", "CHECKS", "run_checks", "run_verification"]
 
@@ -162,7 +163,7 @@ def check_dynamics_steady_state() -> CheckResult:
         wa = rng.uniform(0.3, 2.5)
         lam = rng.uniform(0.05, 1.5)
         temperature = rng.uniform(0.05, 0.5)
-        basis = hopfield_basis(hopfield(wa, 1.0, lam))
+        basis = diagonalize_params(hopfield(wa, 1.0, lam))  # the basis of `dynamics`
         rates = collective_rates(basis, Environment(temperature, *env_slopes))
         decay = min(rates.decay_upper(), rates.decay_lower())
         if decay < 0.02:  # skip nearly dark branches; relaxation too slow
@@ -262,8 +263,8 @@ def check_qualitative_trends() -> CheckResult:
     fig5_zero = replace(resolve_scenario("fig5"), diamag_mode="zero")
     rows_5 = _scenario_grid(fig5_zero, Environment(0.25))
     no_way = all(
-        label == SteeringClass.NO_WAY.value
-        for label in rows_5.classification[rows_5.stable]
+        _STEERING_CLASSES[c] is SteeringClass.NO_WAY
+        for c in rows_5.classification[rows_5.stable].tolist()
     )
     if not no_way:
         notes.append("(d) steering appeared in the no-diamagnetic resonant model")
@@ -272,8 +273,8 @@ def check_qualitative_trends() -> CheckResult:
     sym_dev = float(np.max(np.abs(rows_2a.g_ab - rows_2a.g_ba)))
     steers = np.maximum(rows_2a.g_ab, rows_2a.g_ba) > 1e-12
     two_way = all(
-        label == SteeringClass.TWO_WAY.value
-        for label in rows_2a.classification[steers]
+        _STEERING_CLASSES[c] is SteeringClass.TWO_WAY
+        for c in rows_2a.classification[steers].tolist()
     )
     if not (two_way and sym_dev < 1e-10):
         notes.append("(e) ground-state steering asymmetric or one-way")

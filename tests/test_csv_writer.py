@@ -12,14 +12,13 @@ from hopfield_gaussian.grid import GridResult
 from hopfield_gaussian.measures import _STEERING_CLASSES, _steering_class_index
 
 WIDTH = len(grid._CELLS)
-LABELS = np.array([c.value for c in _STEERING_CLASSES], dtype=object)
 
 
 def result_of(table: np.ndarray) -> GridResult:
     """A stable grid whose CSV cells are the rows of ``table``."""
     columns = dict(zip(grid._CELLS, table.T))
-    labels = LABELS[_steering_class_index(columns["g_ab"], columns["g_ba"])]
-    return GridResult(stable=np.ones(len(table), bool), classification=labels, **columns)
+    classes = _steering_class_index(columns["g_ab"], columns["g_ba"])
+    return GridResult(stable=np.ones(len(table), bool), classification=classes, **columns)
 
 
 def written(values) -> list[str]:
@@ -124,9 +123,10 @@ class TestRows:
         table = random_bits(rows, rows * WIDTH).reshape(rows, WIDTH)
         stable = np.arange(rows) % 3 > 0
         columns = dict(zip(grid._CELLS, table.T))
-        labels = LABELS[_steering_class_index(columns["g_ab"], columns["g_ba"])]
-        labels[~stable] = None
-        result = GridResult(stable=stable, classification=labels, **columns)
-        template = grid._template_rows(table, stable, labels)
+        classes = np.where(stable, _steering_class_index(columns["g_ab"], columns["g_ba"]), -1)
+        result = GridResult(stable=stable, classification=classes, **columns)
+        template = grid._template_rows(table, stable, classes)
+        for row, ok, c in zip(template, stable.tolist(), classes.tolist()):
+            assert row.split(",")[WIDTH] == (_STEERING_CLASSES[c].value if ok else "")
         assert result.csv_rows() == template
         assert result.csv_text() == "".join(row + "\n" for row in template)

@@ -479,9 +479,43 @@ class TestCli:
         proc = run_cli("sweep", "--scenario", "fig99", check=False)
         assert proc.returncode == 2
 
-    def test_diagonalize_output(self):
-        proc = run_cli("diagonalize", "--lambda", "0.5")
-        assert proc.stdout.splitlines()[0] == "omega_U = 1.61803398875"
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["--lambda", "0.5"], [
+                "omega_U = 1.61803398875",
+                "omega_L = 0.61803398875",
+                "theta = -0.553574358897",
+                "branch U: w=0.875392424038 x=0.541022271549 y=0.206652119061 z=0.127718033427",
+                "branch L: w=0.541022271549 x=-0.875392424038 y=-0.127718033427 z=0.206652119061",
+                "norm_residuals = 0 1.11022302463e-16",
+                "orthogonality_residual = 0",
+            ]),
+            (["--lambda1", "0.4", "--lambda2", "0.2", "--diamag", "0.3"], [
+                "omega_U = 1.6768385507",
+                "omega_L = 0.792598558467",
+                "theta = n/a",
+                "branch U: w=0.900309474321 x=0.476174747912 y=0.189151817358 z=0.0390016678046",
+                "branch L: w=0.476115505448 x=-0.881343370678 y=0.0382715830746 z=0.044580236597",
+                "norm_residuals = 1.11022302463e-16 2.22044604925e-16",
+                "orthogonality_residual = 4.29344060304e-17",
+            ]),
+            # a degenerate pair: any orthonormal branches are a basis
+            (["--lambda", "0"], [
+                "omega_U = 1",
+                "omega_L = 1",
+                "theta = n/a",
+                "branch U: w=1 x=0 y=0 z=0",
+                "branch L: w=0 x=1 y=0 z=0",
+                "norm_residuals = 0 0",
+                "orthogonality_residual = 0",
+            ]),
+        ],
+        ids=["readme", "general", "degenerate"],
+    )
+    def test_diagonalize_output(self, argv, lines, capsys):
+        assert cli.main(["diagonalize", *argv]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_diagonalize_unstable_exit(self):
         proc = run_cli(
@@ -521,3 +555,87 @@ class TestCli:
         proc = run_cli("verify", "--check", "1")
         assert "frequency-product-rule" in proc.stdout
         assert "1 passed, 0 failed" in proc.stdout
+
+
+# (flags of diagonalize, point and dynamics, flags of a sweep near that point)
+COMMAND_POINTS = {
+    "hopfield": (["--lambda", "0.5"], ["--axis", "lambda:0.1:0.5:5"]),
+    "general": (
+        ["--lambda1", "0.4", "--lambda2", "0.2", "--diamag", "0.3"],
+        ["--axis", "lambda:0.1:0.4:4", "--coupling", "mix-only", "--diamag", "0.3"],
+    ),
+    "degenerate": (["--lambda", "0"], ["--lambda", "0", "--axis", "wa:0.5:1:3"]),
+}
+
+
+class TestCommandPaths:
+    @pytest.mark.parametrize("point", sorted(COMMAND_POINTS))
+    def test_commands_run_no_oracle(self, point, monkeypatch, capsys):
+        def oracle(*args, **kwargs):
+            raise AssertionError("a command ran an oracle")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "hopfield_gaussian":
+                continue
+            for attr in ("hopfield_basis", "bogoliubov_diagonalize", "build_dynamical_matrix"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, oracle)
+        flags, sweep_flags = COMMAND_POINTS[point]
+        env = ["--temp", "0.25"]
+        for argv in (
+            ["diagonalize", *flags],
+            ["dynamics", *flags, *env, "--t-final", "5", "--stride", "10"],
+            ["point", *flags, *env, "--state", "thermal"],
+            ["sweep", "--scenario", "custom", *sweep_flags, *env, "--state", "thermal"],
+        ):
+            assert cli.main(argv) == 0, argv
+            out, err = capsys.readouterr()
+            assert out and err == "", argv
+
+
+# runs one command and prints its exit code and the names of the loaded modules
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+from hopfield_gaussian import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def loaded_modules(*argv) -> set:
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, *argv], capture_output=True, text=True, check=True
+    )
+    code, modules = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+class TestRuntimeImports:
+    """The package runs on numpy alone, single points never build the CSV
+    writer's tables, and ordinary points never import ``fractions``, which
+    only the exact stability decision next to the edge needs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagonalize", "--lambda1", "0.4", "--lambda2", "0.2", "--diamag", "0.3"],
+            ["point", "--lambda", "0.8", "--temp", "0.25", "--state", "thermal"],
+            ["dynamics", "--lambda", "0.5", "--temp", "0.25", "--t-final", "5"],
+            # enough rows for the array CSV writer
+            ["sweep", "--scenario", "custom", "--axis", "lambda:0.1:0.5:200"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_imports(self, argv):
+        modules = loaded_modules(*argv)
+        assert not {m.split(".")[0] for m in modules} & {"scipy", "sympy", "mpmath", "hypothesis"}
+        assert "fractions" not in modules
+        writer = "hopfield_gaussian.csvwriter" in modules
+        assert writer == (argv[0] == "sweep")
+
+    def test_edge_point_takes_the_exact_decision(self):
+        # det T = 0 exactly: the probe sees the import that ordinary points skip
+        argv = ["point", "--lambda1", "1", "--lambda2", "0", "--diamag", "0.2551133598784275"]
+        assert "fractions" in loaded_modules(*argv)
