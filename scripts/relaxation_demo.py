@@ -16,12 +16,8 @@ from hopfield_gaussian.dynamics import (
     evolve_trajectory,
 )
 from hopfield_gaussian.model import hopfield
-from hopfield_gaussian.states import (
-    Environment,
-    quadrature_transform,
-    steady_state_covariance,
-    thermal_covariance_closed,
-)
+from hopfield_gaussian.oracles import thermal_covariance_closed
+from hopfield_gaussian.states import Environment, quadrature_transform, steady_state_covariance
 from hopfield_gaussian.sweep import diagonalize_params
 
 

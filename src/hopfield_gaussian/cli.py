@@ -23,7 +23,7 @@ from .dynamics import (
 )
 from .model import InstabilityError, ModelParams
 from .scenarios import Axis, SweepSpec, resolve_scenario, scenario_names
-from .states import Environment, format_covariance, format_value
+from .states import Environment, format_covariance, format_value, sector_matrix
 from .sweep import (
     CSV_HEADER,
     diagonalize_params,
@@ -153,7 +153,7 @@ def cmd_point(args) -> int:
         except InstabilityError as exc:
             print(f"unstable: {exc}", file=sys.stderr)
             return 2
-        _write(format_covariance(state.covariance), args.dump_cov)
+        _write(format_covariance(sector_matrix(state.sectors)), args.dump_cov)
         if args.dump_cov == "-":
             return 0
         row = result_row(params, env, args.state, state)

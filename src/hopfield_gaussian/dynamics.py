@@ -6,15 +6,12 @@ W_j = w_j - y_j and X_j = x_j - z_j.  The second moments then obey closed
 linear equations: occupations relax towards the Bose number of their
 branch frequency, squeezing and cross moments decay while rotating.  The
 equations are diagonal, y' = a y + b, and are solved exactly,
-y(t) = e^{a t} y0 + b expm1(a t) / a, at the recorded times.  The
-same generator re-expressed over the bare-mode operators (a 4x4
-Kossakowski matrix) exposes the coupling asymmetry responsible for
-one-way steering.
+y(t) = e^{a t} y0 + b expm1(a t) / a, at the recorded times.
 
 Sign convention for the bath response: absorption at rate
 gamma * omega * N(omega) and emission at gamma * omega * (N(omega) + 1),
 the unique choice whose steady state carries the coth weights of the
-closed-form covariances.
+steady-state covariances.
 """
 
 from __future__ import annotations
@@ -29,30 +26,17 @@ from .model import PolaritonBasis
 from .states import VALUE_FORMAT, Environment, thermal_occupation
 
 __all__ = [
-    "NoSteadyStateError",
     "RateSet",
     "SecondMoments",
     "collective_rates",
-    "steady_state_second_moments",
     "evolve_second_moments",
     "Trajectory",
     "evolve_trajectory",
     "TRAJECTORY_HEADER",
     "trajectory_rows",
-    "kossakowski_matrix",
-    "local_representation_coefficients",
-    "LOCAL_GENERATOR_LABELS",
-    "second_moment_drift",
-    "ladder_commutator_matrix",
-    "asymmetry_diagnostic",
-    "resonant_balance_frequency",
 ]
 
 MAX_TRAJECTORY_ROWS = 10**7  # rows one solve may record, checked before allocating
-
-
-class NoSteadyStateError(ValueError):
-    """A branch has no net damping, so its occupation never relaxes."""
 
 
 @dataclass(frozen=True)
@@ -112,26 +96,6 @@ def collective_rates(basis: PolaritonBasis, env: Environment) -> RateSet:
     up_u, down_u = _branch_rates(basis.omega_upper, wu_ - yu, xu - zu, env)
     up_l, down_l = _branch_rates(basis.omega_lower, wl_ - yl, xl - zl, env)
     return RateSet(up_u, down_u, up_l, down_l)
-
-
-def steady_state_second_moments(rates: RateSet) -> SecondMoments:
-    """Fixed point of the moment equations: occ = up/(down - up), rest zero.
-
-    Detailed balance makes this the Bose occupation of each branch,
-    independent of the damping slopes.
-    """
-    for up, decay in (
-        (rates.up_upper, rates.decay_upper()),
-        (rates.up_lower, rates.decay_lower()),
-    ):
-        if decay <= 0.0:
-            raise NoSteadyStateError(
-                "no net damping on a branch (dark mode or inverted rates)"
-            )
-    return SecondMoments(
-        occ_upper=rates.up_upper / rates.decay_upper(),
-        occ_lower=rates.up_lower / rates.decay_lower(),
-    )
 
 
 def _moment_drift(rates: RateSet, wu: float, wl: float) -> np.ndarray:
@@ -280,111 +244,3 @@ def trajectory_rows(trajectory: Trajectory) -> list[str]:
     )
     return [template % row for row in map(tuple, table[:, varies].tolist())]
 
-
-# ---------------------------------------------------------------------------
-# Local (bare-operator) representation of the global generator.
-
-_OPS = ("a", "b", "adag", "bdag")
-_DAGGER = {0: 2, 1: 3, 2: 0, 3: 1}
-
-LOCAL_GENERATOR_LABELS: tuple[tuple[str, str], ...] = tuple(
-    (_OPS[mu], _OPS[_DAGGER[nu]]) for mu in range(4) for nu in range(4)
-)
-
-
-def ladder_commutator_matrix() -> np.ndarray:
-    """c[i, j] = [u_i, u_j] for the ladder vector u = (a, b, a', b')."""
-    c = np.zeros((4, 4))
-    c[0, 2] = c[1, 3] = 1.0
-    c[2, 0] = c[3, 1] = -1.0
-    return c
-
-
-def kossakowski_matrix(basis: PolaritonBasis, rates: RateSet) -> np.ndarray:
-    """Weights K[mu, nu] of the dissipators u_mu rho u_nu' - {u_nu' u_mu, rho}/2.
-
-    Summed over both branch jump operators; real symmetric and positive
-    semidefinite by construction.
-    """
-    k = np.zeros((4, 4))
-    for coeffs, down, up in (
-        (basis.coeffs_upper, rates.down_upper, rates.up_upper),
-        (basis.coeffs_lower, rates.down_lower, rates.up_lower),
-    ):
-        w, x, y, z = coeffs
-        lower = np.array([w, x, y, z])  # p_j over (a, b, a', b')
-        raise_ = np.array([y, z, w, x])  # p_j' over the same basis
-        k += down * np.outer(lower, lower) + up * np.outer(raise_, raise_)
-    return k
-
-
-def local_representation_coefficients(
-    basis: PolaritonBasis, rates: RateSet
-) -> dict[tuple[str, str], float]:
-    """The sixteen bare-operator dissipator weights as a labelled table.
-
-    The key ("o", "o'") weighs the term  o rho o' - {o' o, rho}/2  with o'
-    written as it appears on the right of rho; e.g. ("a", "adag") is the
-    plain cavity-decay channel.
-    """
-    k = kossakowski_matrix(basis, rates)
-    return {
-        (_OPS[mu], _OPS[_DAGGER[nu]]): float(k[mu, nu])
-        for mu in range(4)
-        for nu in range(4)
-    }
-
-
-def second_moment_drift(
-    kossakowski: np.ndarray,
-    dynamical: np.ndarray | None,
-    q: np.ndarray,
-) -> np.ndarray:
-    """d<u_i u_j>/dt for the quadratic-moment matrix q under the generator.
-
-    With c the ladder commutator matrix and nu-bar the daggered index of a
-    jump operator, the dissipative drift is
-
-        dq = (c K~ q + q K c~ + transposes) / 2,
-
-    K~ being K with conjugated columns and c~ the row-conjugated c.
-    ``dynamical`` adds the Hamiltonian part -i (M q + q M^T); pass None for
-    the dissipator alone.
-    """
-    c = ladder_commutator_matrix()
-    k = np.asarray(kossakowski, dtype=float)
-    q = np.asarray(q, dtype=complex)
-    perm = [2, 3, 0, 1]
-    a1 = c @ k[:, perm] @ q
-    a2 = q @ k @ c[perm, :]
-    dq = 0.5 * (a1 + a1.T + a2 + a2.T)
-    if dynamical is not None:
-        m = np.asarray(dynamical, dtype=float)
-        dq = dq - 1j * (m @ q + q @ m.T)
-    return dq
-
-
-def asymmetry_diagnostic(basis: PolaritonBasis, temperature: float) -> float:
-    """(N(omega_U) - N(omega_L)) cos(2 theta): zero iff the bath couples
-    symmetrically to the two modes."""
-    if basis.theta is None:
-        raise ValueError("diagnostic needs a basis with a mixing angle")
-    n_u = thermal_occupation(basis.omega_upper, temperature)
-    n_l = thermal_occupation(basis.omega_lower, temperature)
-    return (n_u - n_l) * math.cos(2.0 * basis.theta)
-
-
-def resonant_balance_frequency(lam: float, omega_b: float = 1.0) -> float:
-    """Cavity frequency at which the marginal purities balance, mu_a = mu_b.
-
-    Root of omega_a^2 + 4 (lam^2/omega_b) omega_a - omega_b^2 = 0, i.e. the
-    vanishing of cos(2 theta) for the natural diamagnetic weight.
-    """
-    if lam <= 0:
-        raise ValueError("coupling must be positive")
-    if omega_b <= 0:
-        raise ValueError("omega_b must be positive")
-    lam_sq = lam * lam
-    return (-4.0 * lam_sq + 2.0 * math.hypot(2.0 * lam_sq, omega_b * omega_b)) / (
-        2.0 * omega_b
-    )

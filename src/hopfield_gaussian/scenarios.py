@@ -17,10 +17,16 @@ import numpy as np
 __all__ = ["Axis", "SweepSpec", "SCENARIOS", "resolve_scenario", "scenario_names"]
 
 SWEEPABLE = ("lambda", "wa", "wb", "T")
+MAX_SWEEP_POINTS = 10**7  # points one sweep may evaluate, checked before allocating
 
 FULL = "full"
 SQUEEZE_ONLY = "squeeze-only"
 MIX_ONLY = "mix-only"
+
+
+def _check_size(what: str, count: int) -> None:
+    if count > MAX_SWEEP_POINTS:
+        raise ValueError(f"{what} has {count:,} points; the limit is {MAX_SWEEP_POINTS:,}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,7 @@ class Axis:
     def linspace(cls, name: str, start: float, stop: float, count: int) -> "Axis":
         if count < 2:
             raise ValueError("an axis needs at least two points")
+        _check_size(f"axis {name!r}", count)
         return cls(name, tuple(float(v) for v in np.linspace(start, stop, count)))
 
 
@@ -63,6 +70,7 @@ class SweepSpec:
         names = [ax.name for ax in self.axes]
         if len(set(names)) != len(names):
             raise ValueError("swept parameters must be distinct")
+        _check_size("the sweep grid", math.prod(len(ax.values) for ax in self.axes))
         if self.state not in ("ground", "thermal"):
             raise ValueError("state must be 'ground' or 'thermal'")
         if self.coupling not in (FULL, SQUEEZE_ONLY, MIX_ONLY):

@@ -34,14 +34,9 @@ from .model import (
     natural_diamag,
 )
 from .scenarios import FULL, MIX_ONLY, SQUEEZE_ONLY, SweepSpec
-from .states import (
-    CovarianceMatrix,
-    Environment,
-    _sector_covariance,
-    format_value,
-    sector_matrix,
-)
-# not used here: the benchmark's traced run wraps these by name on this module
+from .states import Environment, _sector_covariance, format_value
+# not used here: the benchmark's traced run wraps these by name on this module,
+# until ROADMAP item 1 points its spans at the sector stages and deletes this
 from .states import ground_state_covariance_generic, steady_state_covariance  # noqa: F401
 
 __all__ = [
@@ -133,11 +128,10 @@ def diagonalize_params(params: ModelParams) -> PolaritonBasis:
 
 
 class PointState(NamedTuple):
-    """A point's frequencies, covariance and x-p sectors."""
+    """A point's frequencies and x-p sectors (``states._sector_covariance``)."""
 
     omega_upper: float
     omega_lower: float
-    covariance: CovarianceMatrix
     sectors: tuple
 
 
@@ -151,7 +145,7 @@ def point_state(
     temperature = env.temperature if (env and state_kind == "thermal") else 0.0
     frame_x, frame_p, passive = _sector_modes(*_stable_sectors(params))
     sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
-    return PointState(frame_p[0], frame_p[1], sector_matrix(sectors), sectors)
+    return PointState(frame_p[0], frame_p[1], sectors)
 
 
 def result_row(
@@ -167,7 +161,7 @@ def result_row(
         return ResultRow(
             lam, params.omega_a, params.omega_b, temperature, None, None, stable=False
         )
-    report = correlation_report(state.covariance, state.sectors)
+    report = correlation_report(state.sectors)
     return ResultRow(
         lam=lam,
         wa=params.omega_a,

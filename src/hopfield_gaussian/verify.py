@@ -1,9 +1,11 @@
 """Self-verification: the package's acceptance checks.
 
-Every check is deterministic (fixed seeds, fixed grids) and prints one
-line with its tolerance and the measured deviation, so two runs of the
-report are byte-identical.  Exit status is zero only if every check
-passes.
+Checks 1-4, 6, 7 and 9 pin the second routes of ``oracles`` to each
+other and to ``states.steady_state_covariance``; checks 5, 8 and 10 run
+the command path.  Every check is deterministic (fixed seeds, fixed
+grids) and prints one line with its tolerance and the measured
+deviation, so two runs of the report are byte-identical.  Exit status is
+zero only if every check passes.
 """
 
 from __future__ import annotations
@@ -13,40 +15,30 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import (
-    SecondMoments,
-    collective_rates,
-    evolve_second_moments,
-    resonant_balance_frequency,
-)
-from .measures import (
-    _STEERING_CLASSES,
-    SteeringClass,
-    ground_state_log_negativity_closed,
-    ground_state_steering_closed,
-    ppt_symplectic_eigenvalues,
-    purities,
-    symplectic_invariants,
-)
-from .model import (
-    InstabilityError,
+from .dynamics import SecondMoments, collective_rates, evolve_second_moments
+from .grid import GridResult, evaluate_grid
+from .measures import _STEERING_CLASSES, SteeringClass
+from .model import InstabilityError, hopfield, no_a2
+from .oracles import (
     bogoliubov_diagonalize,
     critical_coupling,
-    hopfield,
+    ground_state_covariance_closed,
+    ground_state_log_negativity_closed,
+    ground_state_steering_closed,
     hopfield_basis,
-    no_a2,
     polariton_frequencies,
+    ppt_symplectic_eigenvalues,
+    resonant_balance_frequency,
+    symplectic_invariants,
+    thermal_covariance_closed,
 )
 from .scenarios import Axis, SweepSpec, resolve_scenario
 from .states import (
     CovarianceMatrix,
     Environment,
-    ground_state_covariance_closed,
     steady_state_covariance,
-    thermal_covariance_closed,
     thermal_occupation,
 )
-from .grid import GridResult, evaluate_grid
 from .sweep import diagonalize_params, grid_points, run_point, sweep_csv
 
 __all__ = ["CheckResult", "CHECKS", "run_checks", "run_verification"]
@@ -207,7 +199,7 @@ def check_purity_balance_frequency() -> CheckResult:
     dev_purity = 0.0
     for temperature in (0.2, 0.5):
         gamma = thermal_covariance_closed(hopfield(wa, 1.0, 0.25), temperature)
-        mu_a, mu_b, _ = purities(gamma)
+        mu_a, mu_b, _ = symplectic_invariants(gamma).purities()
         dev_purity = max(dev_purity, abs(mu_a - mu_b))
     passed = dev_root < 5e-5 and dev_purity < 1e-9
     return CheckResult(

@@ -14,21 +14,25 @@ from hopfield_gaussian.grid import GridPoints, evaluate_grid
 from hopfield_gaussian.measures import (
     _STEERING_CLASSES,
     STEERING_THRESHOLD,
-    UnphysicalStateError,
     _sector_invariants,
     classify_steering,
-    ppt_symplectic_eigenvalues,
 )
 from hopfield_gaussian.model import (
-    DegenerateSpectrumError,
     InstabilityError,
     ModelParams,
     _sector_modes,
     _stability_determinants,
+    natural_diamag,
+)
+from hopfield_gaussian.oracles import (
+    DegenerateSpectrumError,
+    UnphysicalStateError,
     bogoliubov_diagonalize,
     hopfield_basis,
-    natural_diamag,
     polariton_frequencies,
+    ppt_symplectic_eigenvalues,
+    symplectic_spectrum,
+    thermal_covariance_closed,
 )
 from hopfield_gaussian.scenarios import (
     FULL,
@@ -42,8 +46,6 @@ from hopfield_gaussian.states import (
     _sector_covariance,
     sector_matrix,
     steady_state_covariance,
-    symplectic_spectrum,
-    thermal_covariance_closed,
 )
 from hopfield_gaussian.sweep import grid_points, run_point, spec_to_params
 

@@ -6,40 +6,31 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hopfield_gaussian.model import (
-    critical_coupling,
-    hopfield,
-    hopfield_basis,
-    no_a2,
-    no_a2_basis,
-)
-from hopfield_gaussian.measures import (
-    STEERING_THRESHOLD,
-    SteeringClass,
+from hopfield_gaussian import oracles as hg_oracles
+from hopfield_gaussian.measures import STEERING_THRESHOLD, SteeringClass, classify_steering
+from hopfield_gaussian.model import hopfield, no_a2
+from hopfield_gaussian.oracles import (
     UnphysicalStateError,
     _partial_transpose_pair,
-    average_occupations,
-    classify_steering,
-    correlation_report,
-    covariance_from_correlators,
-    gaussian_steering,
-    gaussian_steering_raw,
+    critical_coupling,
+    ground_state_covariance_closed,
     ground_state_log_negativity_closed,
     ground_state_steering_closed,
-    log_negativity,
+    hopfield_basis,
+    is_physical,
     ppt_symplectic_eigenvalues,
-    purities,
-    second_order_correlators,
-    symplectic_invariants,
-)
-from hopfield_gaussian.states import (
-    CovarianceMatrix,
-    ground_state_covariance_closed,
-    no_a2_covariance_closed,
-    steady_state_covariance,
+    symplectic_eigenvalues,
     symplectic_form,
+    symplectic_invariants,
     thermal_covariance_closed,
-    thermal_occupation,
+)
+from hopfield_gaussian.states import CovarianceMatrix, steady_state_covariance, thermal_occupation
+from oracles import (
+    covariance_from_correlators,
+    matrix_report,
+    no_a2_basis,
+    no_a2_covariance_closed,
+    second_order_correlators,
 )
 
 VACUUM = CovarianceMatrix(0.5 * np.eye(4))
@@ -90,6 +81,12 @@ def random_physical_covariance(
 
 
 EPS = np.finfo(float).eps
+
+
+def occupations(gamma: CovarianceMatrix) -> tuple[float, float]:
+    """(N_a, N_b) of the report of a 4x4 covariance."""
+    rep = matrix_report(gamma)
+    return rep.n_a, rep.n_b
 
 
 def two_mode_squeezed_thermal(r: float, nu: float) -> CovarianceMatrix:
@@ -144,23 +141,23 @@ class TestSymplecticSpectrum:
     @example(VACUUM)
     @example(two_mode_squeezed_thermal(3.0, 0.5))
     def test_matches_the_eigenvalue_oracle(self, gamma):
-        nu = gamma.symplectic_eigenvalues()
+        nu = symplectic_eigenvalues(gamma)
         ref = eigvals_spectrum(gamma.entries)
         # both routes are accurate to about cond(Gamma) eps; 2,000 random
         # states (squeezing scale 1 and 4) gave at most 4.3 of that
         tol = 16.0 * np.linalg.cond(gamma.entries) * EPS
         assert np.all(np.abs(nu - ref) <= tol * ref), (nu, ref)
-        assert gamma.is_physical()
+        assert is_physical(gamma)
 
     @pytest.mark.parametrize("g", NOT_POSITIVE)
     def test_matrices_not_positive_definite_are_not_states(self, g):
         # the moduli of i Omega Gamma are all 1/2 here; positive definiteness
         # is what rules these matrices out
         gamma = CovarianceMatrix(g)
-        assert not gamma.is_physical()
-        assert np.isnan(gamma.symplectic_eigenvalues()).all()
+        assert not is_physical(gamma)
+        assert np.isnan(symplectic_eigenvalues(gamma)).all()
         with pytest.raises(UnphysicalStateError):
-            correlation_report(gamma)
+            matrix_report(gamma)
 
     def test_near_the_stability_edge_against_mpmath(self):
         # lambda = lambda_C (1 - eps): the covariance entries grow like
@@ -173,7 +170,7 @@ class TestSymplecticSpectrum:
             eps = 10.0 ** rng.uniform(-12.0, -3.0)
             p = no_a2(wa, 1.0, critical_coupling(wa, 1.0) * (1.0 - eps))
             g = steady_state_covariance(no_a2_basis(p), rng.uniform(0.0, 1.0) * (i % 2))
-            nu = g.symplectic_eigenvalues()
+            nu = symplectic_eigenvalues(g)
             ref = mpmath_spectrum(g.entries)
             bound = np.linalg.cond(g.entries) * EPS * ref
             assert np.all(np.abs(nu - ref) <= bound), (p, nu, ref)
@@ -214,22 +211,22 @@ class TestPartialTransposePair:
 
 class TestLogNegativity:
     def test_vacuum(self):
-        assert log_negativity(VACUUM) == 0.0
+        assert symplectic_invariants(VACUUM).log_negativity() == 0.0
 
     def test_vanishes_at_weak_coupling(self):
         g = ground_state_covariance_closed(hopfield(1.5, 1, 1e-7))
-        assert log_negativity(g) < 1e-5
+        assert symplectic_invariants(g).log_negativity() < 1e-5
 
     def test_golden_point_value(self):
         # ground state at omega_a = omega_b = 1, lambda = 0.5:
         # 2 d~_- = (sqrt(6) - 1)/sqrt(5)
         g = ground_state_covariance_closed(hopfield(1, 1, 0.5))
         expected = math.log(math.sqrt(5) / (math.sqrt(6) - 1))
-        assert log_negativity(g) == pytest.approx(expected, abs=1e-12)
+        assert symplectic_invariants(g).log_negativity() == pytest.approx(expected, abs=1e-12)
 
     @given(stable_hopfield)
     def test_closed_form_matches_pipeline(self, p):
-        from_pipeline = log_negativity(ground_state_covariance_closed(p))
+        from_pipeline = symplectic_invariants(ground_state_covariance_closed(p)).log_negativity()
         assert ground_state_log_negativity_closed(p) == pytest.approx(
             from_pipeline, abs=1e-10
         )
@@ -237,59 +234,62 @@ class TestLogNegativity:
 
 class TestSteering:
     def test_vacuum(self):
-        assert gaussian_steering(VACUUM) == (0.0, 0.0)
+        assert symplectic_invariants(VACUUM).steering() == (0.0, 0.0)
 
     def test_golden_point_value(self):
         g = ground_state_covariance_closed(hopfield(1, 1, 0.5))
         expected = 0.5 * math.log(1.2)  # I_a / 4 I_ab = 0.3 / 0.25
-        assert gaussian_steering(g) == (
+        assert symplectic_invariants(g).steering() == (
             pytest.approx(expected, abs=1e-12),
             pytest.approx(expected, abs=1e-12),
         )
 
     @given(stable_hopfield)
     def test_ground_state_symmetry(self, p):
-        g_ab, g_ba = gaussian_steering(ground_state_covariance_closed(p))
+        g_ab, g_ba = symplectic_invariants(ground_state_covariance_closed(p)).steering()
         assert abs(g_ab - g_ba) < 1e-10
 
     @given(stable_hopfield)
     def test_closed_form_matches_pipeline(self, p):
-        g_ab, g_ba = gaussian_steering(ground_state_covariance_closed(p))
+        g_ab, g_ba = symplectic_invariants(ground_state_covariance_closed(p)).steering()
         closed = ground_state_steering_closed(p)
         assert closed == pytest.approx(g_ab, abs=1e-10)
         assert closed == pytest.approx(g_ba, abs=1e-10)
 
     def test_thermal_one_way_point(self):
         g = thermal_covariance_closed(hopfield(1, 1, 0.8), 0.25)
-        g_ab, g_ba = gaussian_steering(g)
+        g_ab, g_ba = symplectic_invariants(g).steering()
         assert g_ab == 0.0 and g_ba > 0.0
 
     def test_raw_values_exposed_for_diagnostics(self):
-        raw_ab, raw_ba = gaussian_steering_raw(VACUUM)
+        raw_ab, raw_ba = symplectic_invariants(VACUUM).steering_raw()
         assert raw_ab == pytest.approx(0.0, abs=1e-14)
         g = thermal_covariance_closed(hopfield(1, 1, 0.8), 0.25)
-        assert gaussian_steering_raw(g)[0] < 0.0  # clipped to 0 in the public value
+        assert symplectic_invariants(g).steering_raw()[0] < 0.0  # clipped to 0 in the public value
 
 
 class TestPurities:
     def test_vacuum_is_pure(self):
-        assert purities(VACUUM) == (1.0, 1.0, 1.0)
+        assert symplectic_invariants(VACUUM).purities() == (1.0, 1.0, 1.0)
 
     def test_one_way_regime_ordering(self):
-        mu_a, mu_b, mu_ab = purities(thermal_covariance_closed(hopfield(1, 1, 0.8), 0.25))
+        gamma = thermal_covariance_closed(hopfield(1, 1, 0.8), 0.25)
+        mu_a, mu_b, mu_ab = symplectic_invariants(gamma).purities()
         assert mu_b < mu_ab < mu_a
 
     def test_no_steering_ordering_at_low_cavity_frequency(self):
         gamma = thermal_covariance_closed(hopfield(0.15, 1, 0.25), 0.2)
-        mu_a, mu_b, mu_ab = purities(gamma)
+        inv = symplectic_invariants(gamma)
+        mu_a, mu_b, mu_ab = inv.purities()
         assert mu_b > mu_a > mu_ab
-        assert gaussian_steering(gamma) == (0.0, 0.0)
+        assert inv.steering() == (0.0, 0.0)
 
     @given(stable_hopfield, st.floats(0.0, 1.0))
     def test_classification_consistent_with_purity_ordering(self, p, temperature):
         gamma = thermal_covariance_closed(p, temperature)
-        g_ab, g_ba = gaussian_steering(gamma)
-        mu_a, mu_b, mu_ab = purities(gamma)
+        inv = symplectic_invariants(gamma)
+        g_ab, g_ba = inv.steering()
+        mu_a, mu_b, mu_ab = inv.purities()
         # mode m steers iff its marginal purity drops below the global one
         if g_ab > 1e-9:
             assert mu_a < mu_ab
@@ -320,14 +320,14 @@ class TestClassification:
             classify_steering(-0.1, 0.0)
 
     def test_steerable_ground_state_is_two_way(self):
-        rep = correlation_report(ground_state_covariance_closed(hopfield(1, 1, 0.5)))
+        rep = matrix_report(ground_state_covariance_closed(hopfield(1, 1, 0.5)))
         assert rep.classification is SteeringClass.TWO_WAY
         assert rep.e_n > 0
 
     @given(stable_hopfield, st.floats(0.0, 1.0))
     def test_steerable_states_are_entangled(self, p, temperature):
         gamma = thermal_covariance_closed(p, temperature)
-        rep = correlation_report(gamma)
+        rep = matrix_report(gamma)
         if rep.g_ab > 0 or rep.g_ba > 0:
             assert rep.e_n > 0
 
@@ -342,38 +342,39 @@ class TestCorrelationReport:
         )
     )
     def test_fields_equal_the_scalar_functions(self, gamma):
-        rep = correlation_report(gamma)
-        assert rep.e_n == log_negativity(gamma)
-        assert (rep.g_ab, rep.g_ba) == gaussian_steering(gamma)
-        assert (rep.mu_a, rep.mu_b, rep.mu_ab) == purities(gamma)
-        assert (rep.n_a, rep.n_b) == average_occupations(gamma)
+        rep, inv = matrix_report(gamma), symplectic_invariants(gamma)
+        assert rep.e_n == inv.log_negativity()
+        assert (rep.g_ab, rep.g_ba) == inv.steering()
+        assert (rep.mu_a, rep.mu_b, rep.mu_ab) == inv.purities()
+        g = gamma.entries
+        assert rep.n_a == 0.5 * (g[0, 0] + g[1, 1] - 1.0)
+        assert rep.n_b == 0.5 * (g[2, 2] + g[3, 3] - 1.0)
         assert rep.classification is classify_steering(rep.g_ab, rep.g_ba)
 
     def test_one_physicality_check_per_call(self, monkeypatch):
         calls = []
-        is_physical = CovarianceMatrix.is_physical
 
-        def counted(self, *args, **kwargs):
-            calls.append(self)
-            return is_physical(self, *args, **kwargs)
+        def counted(gamma):
+            calls.append(gamma)
+            return is_physical(gamma)
 
-        monkeypatch.setattr(CovarianceMatrix, "is_physical", counted)
+        monkeypatch.setattr(hg_oracles, "is_physical", counted)
         gamma = thermal_covariance_closed(hopfield(1, 1, 0.8), 0.25)
-        correlation_report(gamma)
+        matrix_report(gamma)
         assert calls == [gamma]
 
 
 class TestOccupations:
     def test_vacuum(self):
-        assert average_occupations(VACUUM) == (0.0, 0.0)
+        assert occupations(VACUUM) == (0.0, 0.0)
 
     @given(stable_hopfield)
     def test_ground_state_symmetry(self, p):
-        n_a, n_b = average_occupations(ground_state_covariance_closed(p))
+        n_a, n_b = occupations(ground_state_covariance_closed(p))
         assert abs(n_a - n_b) < 1e-10
 
     def test_thermal_point_is_asymmetric(self):
-        n_a, n_b = average_occupations(thermal_covariance_closed(hopfield(1, 1, 0.8), 0.25))
+        n_a, n_b = occupations(thermal_covariance_closed(hopfield(1, 1, 0.8), 0.25))
         assert abs(n_a - n_b) > 1e-3
 
 
@@ -432,7 +433,7 @@ class TestNoA2Steering:
     @given(resonant_no_a2, st.floats(0.0, 1.0))
     def test_resonant_model_never_steers_one_way(self, p, temperature):
         gamma = no_a2_covariance_closed(p, temperature)
-        g_ab, g_ba = gaussian_steering(gamma)
+        g_ab, g_ba = symplectic_invariants(gamma).steering()
         assert abs(g_ab - g_ba) < 1e-10
         assert classify_steering(g_ab, g_ba) in (
             SteeringClass.NO_WAY,

@@ -7,24 +7,25 @@ from hypothesis import strategies as st
 
 from hopfield_gaussian.dynamics import collective_rates
 from hopfield_gaussian.model import (
-    DegenerateSpectrumError,
     InstabilityError,
     ModelParams,
-    _closed_frequencies,
     _stability_determinants,
+    general,
+    hopfield,
+    no_a2,
+)
+from hopfield_gaussian.oracles import (
+    DegenerateSpectrumError,
+    _closed_frequencies,
     bogoliubov_diagonalize,
     build_dynamical_matrix,
     critical_coupling,
-    general,
-    hopfield,
     hopfield_basis,
-    no_a2,
-    no_a2_basis,
-    no_a2_resonant_basis,
     polariton_frequencies,
 )
 from hopfield_gaussian.states import Environment
 from hopfield_gaussian.sweep import diagonalize_params
+from oracles import no_a2_basis
 
 GOLDEN_U = (1 + math.sqrt(5)) / 2  # frequencies of hopfield(1, 1, 0.5)
 GOLDEN_L = (math.sqrt(5) - 1) / 2
@@ -238,12 +239,6 @@ class TestNoA2Basis:
         for w, x, y, z in (b.coeffs_upper, b.coeffs_lower):
             assert abs(w) == pytest.approx(abs(x), abs=1e-12)
             assert abs(y) == pytest.approx(abs(z), abs=1e-12)
-
-    def test_resonant_reduction_agrees_with_general_form(self):
-        p = no_a2(1, 1, 0.25)
-        b, r = no_a2_basis(p), no_a2_resonant_basis(p)
-        assert np.allclose(b.coeffs_upper, r.coeffs_upper, atol=1e-12)
-        assert np.allclose(b.coeffs_lower, r.coeffs_lower, atol=1e-12)
 
     def test_weak_coupling_is_nearly_one_hot(self):
         b = no_a2_basis(no_a2(2, 1, 1e-5))

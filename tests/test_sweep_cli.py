@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopfield_gaussian import cli
-from hopfield_gaussian.dynamics import resonant_balance_frequency
+from hopfield_gaussian import cli, oracles, states
 from hopfield_gaussian.measures import SteeringClass
 from hopfield_gaussian.model import hopfield, no_a2
+from hopfield_gaussian.oracles import resonant_balance_frequency
 from hopfield_gaussian.scenarios import (
     SCENARIOS,
     Axis,
@@ -32,6 +33,7 @@ from hopfield_gaussian.sweep import (
 
 # `sha256sum` lines of every figure CSV
 FIGURE_DIGESTS = (Path(__file__).parent / "figure_data.sha256").read_text().splitlines()
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(*argv, check=True):
@@ -390,6 +392,13 @@ class TestCli:
             (["dynamics", "--lambda", "0.5", "--t-final", "1e9", "--dt", "1e-300"],
              "would record inf rows"),
             (["dynamics", "--lambda", "0.5", "--stride", "0"], "stride must be at least 1"),
+            # rejected by counting the points, before any allocation: without
+            # the check numpy raises MemoryError on the first, and meshgrid
+            # builds 1.6e7 points on the second
+            (["sweep", "--scenario", "custom", "--axis", "lambda:0:1:1000000000000"],
+             "axis 'lambda' has 1,000,000,000,000 points; the limit is 10,000,000"),
+            (["sweep", "--scenario", "custom", "--axis", "lambda:0:1:4000", "--axis",
+              "wa:1:2:4000"], "the sweep grid has 16,000,000 points; the limit is 10,000,000"),
         ],
     )
     def test_bad_input_rejected_up_front(self, argv, message, capsys):
@@ -551,6 +560,13 @@ class TestCli:
             "bb546fceabe39a6b00cbea2a692fca26dda6cdf43f175ee6f0ab6308487f4475"
         )
 
+    def test_readme_python_blocks_run(self, capsys):
+        blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), {})
+        assert capsys.readouterr().out
+
     def test_verify_single_check(self):
         proc = run_cli("verify", "--check", "1")
         assert "frequency-product-rule" in proc.stdout
@@ -568,18 +584,29 @@ COMMAND_POINTS = {
 }
 
 
+# the 4x4 route from a basis, which no command runs either
+_MATRIX_ROUTE = ("quadrature_transform", "ground_state_covariance_generic",
+                 "steady_state_covariance")
+
+
 class TestCommandPaths:
-    @pytest.mark.parametrize("point", sorted(COMMAND_POINTS))
-    def test_commands_run_no_oracle(self, point, monkeypatch, capsys):
+    @staticmethod
+    def _forbid(monkeypatch, names):
         def oracle(*args, **kwargs):
-            raise AssertionError("a command ran an oracle")
+            raise AssertionError("a command ran an oracle or built a 4x4 covariance")
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] != "hopfield_gaussian":
                 continue
-            for attr in ("hopfield_basis", "bogoliubov_diagonalize", "build_dynamical_matrix"):
+            for attr in names:
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, oracle)
+
+    @pytest.mark.parametrize("point", sorted(COMMAND_POINTS))
+    def test_commands_run_no_oracle(self, point, monkeypatch, capsys):
+        self._forbid(
+            monkeypatch, (*oracles.__all__, *_MATRIX_ROUTE, "sector_matrix", "CovarianceMatrix")
+        )
         flags, sweep_flags = COMMAND_POINTS[point]
         env = ["--temp", "0.25"]
         for argv in (
@@ -591,6 +618,20 @@ class TestCommandPaths:
             assert cli.main(argv) == 0, argv
             out, err = capsys.readouterr()
             assert out and err == "", argv
+
+    def test_dump_cov_alone_builds_the_matrix(self, monkeypatch, capsys):
+        self._forbid(monkeypatch, (*oracles.__all__, *_MATRIX_ROUTE))
+        built = []
+        sector_matrix = states.sector_matrix
+
+        def counted(sectors):
+            built.append(sectors)
+            return sector_matrix(sectors)
+
+        monkeypatch.setattr(cli, "sector_matrix", counted)
+        assert cli.main(["point", "--lambda", "0.5", "--temp", "0.25", "--dump-cov", "-"]) == 0
+        assert capsys.readouterr().out.startswith("basis: bare\n")
+        assert len(built) == 1
 
 
 # runs one command and prints its exit code and the names of the loaded modules
@@ -614,8 +655,9 @@ def loaded_modules(*argv) -> set:
 
 class TestRuntimeImports:
     """The package runs on numpy alone, single points never build the CSV
-    writer's tables, and ordinary points never import ``fractions``, which
-    only the exact stability decision next to the edge needs."""
+    writer's tables, ordinary points never import ``fractions``, which
+    only the exact stability decision next to the edge needs, and only
+    ``verify`` loads ``oracles``."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -634,6 +676,10 @@ class TestRuntimeImports:
         assert "fractions" not in modules
         writer = "hopfield_gaussian.csvwriter" in modules
         assert writer == (argv[0] == "sweep")
+        assert not modules & {"hopfield_gaussian.oracles", "hopfield_gaussian.verify"}
+
+    def test_verify_loads_the_oracles(self):
+        assert "hopfield_gaussian.oracles" in loaded_modules("verify", "--check", "7")
 
     def test_edge_point_takes_the_exact_decision(self):
         # det T = 0 exactly: the probe sees the import that ordinary points skip
