@@ -134,6 +134,8 @@ def _recorded_times(t_final, dt, stride):
         raise ValueError("dt must be positive")
     if stride is not None and stride < 1:
         raise ValueError("stride must be at least 1")
+    if not t_final > 0:  # NaN included; inf is counted below
+        raise ValueError(f"t_final must be positive, got t_final={t_final}")
     ratio = t_final / dt
     if not math.isfinite(ratio):
         rows = math.inf

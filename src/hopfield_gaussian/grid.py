@@ -146,7 +146,8 @@ class GridResult:
 # four echoed inputs, then the measures that unstable rows leave empty
 _CELLS = tuple(f.name for f in fields(GridResult) if f.name not in ("stable", "classification"))
 _ECHO = 4
-# '%.12g' % x is format(x, '.12g') for every float, -0.0, inf and nan included
+# '%.12g' % x is format(x, '.12g') for every float, -0.0, inf and nan
+# included; ``sweep.ResultRow.to_csv`` formats its row with these templates too
 _HEAD = ",".join(["%" + VALUE_FORMAT] * _ECHO)
 _STABLE_ROW = ",".join(["%" + VALUE_FORMAT] * len(_CELLS) + ["%s", "true"])
 # measure cells, class and stable flag of an unstable row

@@ -10,8 +10,8 @@ differences of nearly equal terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ def _steering_class_index(g_ab, g_ba):
     return (g_ab > STEERING_THRESHOLD) + 2 * (g_ba > STEERING_THRESHOLD)
 
 
-@dataclass(frozen=True)
-class SymplecticInvariants:
+class SymplecticInvariants(NamedTuple):
     """Block determinants and partial-transpose pair; every measure follows."""
 
     i_a: float
@@ -63,22 +62,32 @@ class SymplecticInvariants:
     d_plus: float
 
     def log_negativity(self) -> float:
-        if not self.d_minus > 0.0:
-            raise ValueError(
-                "the partial transpose of the covariance is singular to "
-                "rounding, at the stability edge"
-            )
-        return max(0.0, -math.log(2.0 * self.d_minus))
+        return _log_negativity(self.d_minus)
 
     def steering_raw(self) -> tuple[float, float]:
         return _steering_raw(self.i_a, self.i_b, self.i_ab)
 
     def steering(self) -> tuple[float, float]:
         raw_ab, raw_ba = self.steering_raw()
-        return max(0.0, raw_ab), max(0.0, raw_ba)
+        return _clip(raw_ab), _clip(raw_ba)
 
     def purities(self) -> tuple[float, float, float]:
         return _purities(self.i_a, self.i_b, self.i_ab)
+
+
+def _clip(value: float) -> float:
+    """max(0.0, value): -0.0 and NaN give 0.0 too."""
+    return value if value > 0.0 else 0.0
+
+
+def _log_negativity(d_minus: float) -> float:
+    """E_N = max(0, -ln(2 d~_-)) of a float d~_-."""
+    if not d_minus > 0.0:
+        raise ValueError(
+            "the partial transpose of the covariance is singular to "
+            "rounding, at the stability edge"
+        )
+    return _clip(-math.log(2.0 * d_minus))
 
 
 def _steering_raw(i_a, i_b, i_ab):
@@ -92,8 +101,7 @@ def _purities(i_a, i_b, i_ab):
     return 1.0 / (4.0 * i_a), 1.0 / (4.0 * i_b), 1.0 / (16.0 * i_ab)
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     e_n: float
     g_ab: float
     g_ba: float
@@ -106,11 +114,12 @@ class CorrelationReport:
 
 
 def _check_determinants(i_a, i_b, i_c, i_ab, disc_sq) -> None:
-    if not all(map(math.isfinite, (i_a, i_b, i_c, i_ab, disc_sq))):
+    finite = math.isfinite
+    if not (finite(i_a) and finite(i_b) and finite(i_c) and finite(i_ab) and finite(disc_sq)):
         raise covariance_overflow()
     # checked before any physicality test, which such a matrix fails too, so
     # that a point at the stability edge is reported as what it is
-    if not min(i_a, i_b, i_ab) > 0.0:
+    if not (i_a > 0.0 and i_b > 0.0 and i_ab > 0.0):
         raise ValueError(
             "a block determinant of the covariance is not positive: it is "
             "singular to rounding, at the stability edge"
@@ -148,20 +157,22 @@ def _occupations(xa, pa, xb, pb):
     return 0.5 * (xa + pa - 1.0), 0.5 * (xb + pb - 1.0)
 
 
-def _report(inv: SymplecticInvariants, n_a: float, n_b: float) -> CorrelationReport:
-    """Every correlation measure from one set of invariants and the occupations."""
-    g_ab, g_ba = inv.steering()
-    mu_a, mu_b, mu_ab = inv.purities()
+def _report(i_a, i_b, i_ab, d_minus, n_a, n_b) -> CorrelationReport:
+    """Every correlation measure from the invariants of ``SymplecticInvariants``
+    and the occupations."""
+    raw_ab, raw_ba = _steering_raw(i_a, i_b, i_ab)
+    g_ab, g_ba = _clip(raw_ab), _clip(raw_ba)
+    mu_a, mu_b, mu_ab = _purities(i_a, i_b, i_ab)
     return CorrelationReport(
-        e_n=inv.log_negativity(),
-        g_ab=g_ab,
-        g_ba=g_ba,
-        mu_a=mu_a,
-        mu_b=mu_b,
-        mu_ab=mu_ab,
-        n_a=n_a,
-        n_b=n_b,
-        classification=classify_steering(g_ab, g_ba),
+        _log_negativity(d_minus),
+        g_ab,
+        g_ba,
+        mu_a,
+        mu_b,
+        mu_ab,
+        n_a,
+        n_b,
+        _STEERING_CLASSES[_steering_class_index(g_ab, g_ba)],
     )
 
 
@@ -173,8 +184,7 @@ def correlation_report(sectors) -> CorrelationReport:
     a covariance that overflows or is singular to rounding raises
     ValueError.  N_a and N_b are read off the sector diagonals.
     """
-    *dets, disc_sq, d_minus, d_plus = _sector_invariants(*sectors)
-    _check_determinants(*dets, disc_sq)
+    i_a, i_b, i_c, i_ab, disc_sq, d_minus, _ = _sector_invariants(*sectors)
+    _check_determinants(i_a, i_b, i_c, i_ab, disc_sq)
     gxx, gpp = sectors[:2]
-    n_a, n_b = _occupations(gxx[0], gpp[0], gxx[2], gpp[2])
-    return _report(SymplecticInvariants(*dets, d_minus, d_plus), n_a, n_b)
+    return _report(i_a, i_b, i_ab, d_minus, *_occupations(gxx[0], gpp[0], gxx[2], gpp[2]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PolaritonBasis, _frame_vectors, _where
+from .model import PolaritonBasis, _frame_vectors
 
 __all__ = [
     "CovarianceMatrix",
@@ -78,16 +78,9 @@ class Environment:
 
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose occupation 1/(exp(omega/T) - 1); exactly 0 at T = 0."""
-    if omega <= 0:
-        raise ValueError("occupation defined for positive frequencies")
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
-    if temperature == 0.0:
-        return 0.0
-    x = omega / temperature
-    if x > 700.0:  # below double-precision underflow of exp(-x)
-        return 0.0
-    return 1.0 / math.expm1(x)
+    return _bose(omega, temperature)
 
 
 def _by_math(fn, *args) -> np.ndarray:
@@ -103,16 +96,32 @@ def _by_math(fn, *args) -> np.ndarray:
 
 
 def _bose(omega, temperature):
-    """``thermal_occupation`` of floats, or elementwise of arrays."""
-    if not isinstance(omega, np.ndarray):
-        return thermal_occupation(omega, temperature)
-    occupation = np.zeros_like(omega)
-    hot = np.flatnonzero(temperature > 0.0)
-    with np.errstate(over="ignore"):  # inf, as Python's float division gives
-        x = omega[hot] / temperature[hot]
-    live = x <= 700.0
-    occupation[hot[live]] = 1.0 / _by_math(math.expm1, x[live])
-    return occupation
+    """``thermal_occupation`` of a float, or elementwise of arrays, at
+    temperatures known to be non-negative; a float omega must be positive."""
+    if isinstance(omega, np.ndarray):
+        occupation = np.zeros_like(omega)
+        hot = np.flatnonzero(temperature > 0.0)
+        with np.errstate(over="ignore"):  # inf, as Python's float division gives
+            x = omega[hot] / temperature[hot]
+        live = x <= 700.0
+        occupation[hot[live]] = 1.0 / _by_math(math.expm1, x[live])
+        return occupation
+    if omega <= 0:
+        raise ValueError("occupation defined for positive frequencies")
+    if temperature == 0.0:
+        return 0.0
+    x = omega / temperature
+    if x > 700.0:  # below double-precision underflow of exp(-x)
+        return 0.0
+    return 1.0 / math.expm1(x)
+
+
+def _sector_block(frame, c_u, c_l):
+    """(11, 12, 22) of sum_j (c_j / omega_j) (A^1/2 u_j)(A^1/2 u_j)^T of one frame."""
+    wu, wl, u, root, _ = frame
+    ((y1, y2), (z1, z2)), w_u, w_l = _frame_vectors(u, root), c_u / wu, c_l / wl
+    return (w_u * y1 * y1 + w_l * z1 * z1, w_u * y1 * y2 + w_l * z1 * z2,
+            w_u * y2 * y2 + w_l * z2 * z2)
 
 
 def _sector_covariance(frame_x, frame_p, passive, temperature):
@@ -120,21 +129,24 @@ def _sector_covariance(frame_x, frame_p, passive, temperature):
 
     A block is sum_j (c_j / omega_j) (A^1/2 u_j)(A^1/2 u_j)^T, c_j = 1/2 + n_j.
     Where V = T both are R diag(c_U, c_L) R^T = c_U I + (c_L - c_U) u_L u_L^T,
-    so a number-conserving ground state is the vacuum exactly.
+    so a number-conserving ground state is the vacuum exactly.  A float point
+    computes only the form its V = T flag selects; arrays compute both.
     """
     c_u, c_l = 0.5 + _bose(frame_p[0], temperature), 0.5 + _bose(frame_p[1], temperature)
-
-    def block(wu, wl, u, root, det_a):
-        ((y1, y2), (z1, z2)), w_u, w_l = _frame_vectors(u, root), c_u / wu, c_l / wl
-        return (w_u * y1 * y1 + w_l * z1 * z1, w_u * y1 * y2 + w_l * z1 * z2,
-                w_u * y2 * y2 + w_l * z2 * z2)
-
     (u1, u2), d = frame_p[2], c_l - c_u
     same = c_u + d * u2 * u2, -d * u1 * u2, c_u + d * u1 * u1
-    gxx, gpp = (tuple(map(_where, [passive] * 3, same, block(*f))) for f in (frame_x, frame_p))
     wu, wl, _, _, det_t = frame_x  # det Gamma_xx = det T c_U c_L / (omega_U omega_L)
-    det_xx = _where(passive, c_u * c_l, det_t * (c_u / wu) * (c_l / wl))
-    return gxx, gpp, c_u, c_l, det_xx
+    if isinstance(passive, np.ndarray):
+        gxx, gpp = (
+            tuple(np.where(passive, s, b) for s, b in zip(same, _sector_block(f, c_u, c_l)))
+            for f in (frame_x, frame_p)
+        )
+        det_xx = np.where(passive, c_u * c_l, det_t * (c_u / wu) * (c_l / wl))
+        return gxx, gpp, c_u, c_l, det_xx
+    if passive:
+        return same, same, c_u, c_l, c_u * c_l
+    gxx, gpp = _sector_block(frame_x, c_u, c_l), _sector_block(frame_p, c_u, c_l)
+    return gxx, gpp, c_u, c_l, det_t * (c_u / wu) * (c_l / wl)
 
 
 def sector_matrix(sectors) -> CovarianceMatrix:

@@ -6,20 +6,24 @@ points at a time.  Rows use a fixed 12-significant-digit float format, so
 the byte output is reproducible across runs.  A point is stable when det V
 and det T of its x and p sectors are positive; an unstable point becomes a
 row with empty measure fields and stable=false.  Every stable point takes
-one route, the x-p sector stages.  ``run_point`` is the scalar route for
-one point through the same stage functions, and the reference the grid
-kernel is tested against.
+one route, the x-p sector stages.
+
+``run_point`` is the scalar route for one point through the kernel's own
+stage functions, and the reference the kernel is tested against.  It reads
+stability off the determinants, so an unstable point is a row, not a
+raised and caught ``InstabilityError`` (``point_state``, the route of
+``point --dump-cov``, still raises one).  Each point is one ``ResultRow``,
+formatted by one ``%`` with the kernel's row template.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridPoints, evaluate_grid
+from .grid import _ECHO, _HEAD, _STABLE_ROW, _UNSTABLE_TAIL, GridPoints, evaluate_grid
 from .measures import correlation_report
 from .model import (
     DEGENERACY_TOL,
@@ -34,7 +38,7 @@ from .model import (
     natural_diamag,
 )
 from .scenarios import FULL, MIX_ONLY, SQUEEZE_ONLY, SweepSpec
-from .states import Environment, _sector_covariance, format_value
+from .states import Environment, _sector_covariance
 # not used here: the benchmark's traced run wraps these by name on this module,
 # until ROADMAP item 1 points its spans at the sector stages and deletes this
 from .states import ground_state_covariance_generic, steady_state_covariance  # noqa: F401
@@ -59,9 +63,12 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One evaluated grid point; measure fields are None when unstable."""
+class ResultRow(NamedTuple):
+    """One evaluated grid point; measure fields are None when unstable.
+
+    A stable row has every field set; an unstable row is its four inputs
+    and ``stable=False``.
+    """
 
     lam: float
     wa: float
@@ -81,33 +88,26 @@ class ResultRow:
     stable: bool = True
 
     def to_csv(self) -> str:
-        cells = [format_value(v) for v in (self.lam, self.wa, self.wb, self.temperature)]
-        for v in (
-            self.omega_upper,
-            self.omega_lower,
-            self.e_n,
-            self.g_ab,
-            self.g_ba,
-            self.mu_a,
-            self.mu_b,
-            self.mu_ab,
-            self.n_a,
-            self.n_b,
-        ):
-            cells.append("" if v is None else format_value(v))
-        cells.append(self.classification or "")
-        cells.append("true" if self.stable else "false")
-        return ",".join(cells)
+        """The row in the row templates of ``grid.GridResult.csv_text``."""
+        if self.stable:
+            return _STABLE_ROW % self[:-1]
+        return _HEAD % self[:_ECHO] + _UNSTABLE_TAIL
+
+
+def _sector_args(params: ModelParams) -> tuple[tuple, bool]:
+    """((wa, wb, lambda1, lambda2, D, det V, det T), stable): a point is
+    stable iff det V > 0 and det T > 0, the one stability rule of every command."""
+    args = (params.omega_a, params.omega_b, params.lambda1, params.lambda2, params.diamag)
+    det_v, det_t = _stability_determinants(*args)
+    return (*args, det_v, det_t), det_v > 0.0 and det_t > 0.0
 
 
 def _stable_sectors(params: ModelParams) -> tuple:
-    """(wa, wb, lambda1, lambda2, D, det V, det T); raises InstabilityError
-    unless det V > 0 and det T > 0, the one stability rule of every command."""
-    args = (params.omega_a, params.omega_b, params.lambda1, params.lambda2, params.diamag)
-    det_v, det_t = _stability_determinants(*args)
-    if not (det_v > 0.0 and det_t > 0.0):
+    """The arguments of ``_sector_args``; raises InstabilityError past the edge."""
+    args, stable = _sector_args(params)
+    if not stable:
         raise InstabilityError("the x or p sector of the Hamiltonian is not positive definite")
-    return (*args, det_v, det_t)
+    return args
 
 
 def diagonalize_params(params: ModelParams) -> PolaritonBasis:
@@ -135,17 +135,29 @@ class PointState(NamedTuple):
     sectors: tuple
 
 
+def _temperature(env: Environment | None, state_kind: str) -> float:
+    """The temperature of the requested state; rejects an unknown kind."""
+    if state_kind == "thermal":
+        return 0.0 if env is None else env.temperature
+    if state_kind != "ground":
+        raise ValueError("state_kind must be 'ground' or 'thermal'")
+    return 0.0
+
+
+def _sector_state(args: tuple, temperature: float) -> PointState:
+    """The stages of ``grid.evaluate_grid`` on one stable point's ``_sector_args``."""
+    frame_x, frame_p, passive = _sector_modes(*args)
+    sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
+    return PointState(frame_p[0], frame_p[1], sectors)
+
+
 def point_state(
     params: ModelParams, env: Environment | None, state_kind: str
 ) -> PointState:
     """The requested state by the x-p sector route of ``grid.evaluate_grid``;
     raises InstabilityError past the stability edge."""
-    if state_kind not in ("ground", "thermal"):
-        raise ValueError("state_kind must be 'ground' or 'thermal'")
-    temperature = env.temperature if (env and state_kind == "thermal") else 0.0
-    frame_x, frame_p, passive = _sector_modes(*_stable_sectors(params))
-    sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
-    return PointState(frame_p[0], frame_p[1], sectors)
+    temperature = _temperature(env, state_kind)
+    return _sector_state(_stable_sectors(params), temperature)
 
 
 def result_row(
@@ -155,41 +167,34 @@ def result_row(
     state: PointState | None,
 ) -> ResultRow:
     """Row of one point from its ``point_state``; None flags an unstable point."""
-    lam = max(params.lambda1, params.lambda2)
-    temperature = env.temperature if (env and state_kind == "thermal") else 0.0
+    temperature = _temperature(env, state_kind)
+    l1, l2 = params.lambda1, params.lambda2
+    lam = l2 if l2 > l1 else l1  # max(l1, l2)
     if state is None:
         return ResultRow(
             lam, params.omega_a, params.omega_b, temperature, None, None, stable=False
         )
     report = correlation_report(state.sectors)
     return ResultRow(
-        lam=lam,
-        wa=params.omega_a,
-        wb=params.omega_b,
-        temperature=temperature,
-        omega_upper=state.omega_upper,
-        omega_lower=state.omega_lower,
-        e_n=report.e_n,
-        g_ab=report.g_ab,
-        g_ba=report.g_ba,
-        mu_a=report.mu_a,
-        mu_b=report.mu_b,
-        mu_ab=report.mu_ab,
-        n_a=report.n_a,
-        n_b=report.n_b,
-        classification=report.classification.value,
-        stable=True,
+        lam,
+        params.omega_a,
+        params.omega_b,
+        temperature,
+        state.omega_upper,
+        state.omega_lower,
+        *report[:-1],
+        report.classification.value,
     )
 
 
 def run_point(
     params: ModelParams, env: Environment | None, state_kind: str
 ) -> ResultRow:
-    """Full pipeline for one point; instability becomes a flagged row."""
-    try:
-        state = point_state(params, env, state_kind)
-    except InstabilityError:
-        state = None
+    """Full pipeline for one point; a point past the stability edge is a
+    flagged row, decided by the determinants alone, with no exception raised."""
+    temperature = _temperature(env, state_kind)
+    args, stable = _sector_args(params)
+    state = _sector_state(args, temperature) if stable else None
     return result_row(params, env, state_kind, state)
 
 

@@ -3,7 +3,8 @@
 Closed forms of the diamag = 0 model, the moment table of a
 branch-diagonal state, the common-bath generator over the bare-mode
 operators, the fixed point of the moment equations, and the correlation
-report of an arbitrary 4x4 covariance.  No command and no ``verify``
+report of an arbitrary 4x4 covariance, and a CSV row formatted one cell
+at a time.  No command and no ``verify``
 check runs them; the tests pin each to the command path or to
 ``hopfield_gaussian.oracles``.
 """
@@ -27,7 +28,8 @@ from hopfield_gaussian.oracles import (
     polariton_frequencies,
     symplectic_invariants,
 )
-from hopfield_gaussian.states import CovarianceMatrix, _coth_weight
+from hopfield_gaussian.states import CovarianceMatrix, _coth_weight, format_value
+from hopfield_gaussian.sweep import ResultRow
 
 
 def matrix_report(gamma: CovarianceMatrix) -> CorrelationReport:
@@ -35,7 +37,30 @@ def matrix_report(gamma: CovarianceMatrix) -> CorrelationReport:
     checked for physicality (``oracles.symplectic_invariants``)."""
     g = gamma.entries
     n_a, n_b = _occupations(g[0, 0], g[1, 1], g[2, 2], g[3, 3])
-    return _report(symplectic_invariants(gamma), n_a, n_b)
+    inv = symplectic_invariants(gamma)
+    return _report(inv.i_a, inv.i_b, inv.i_ab, inv.d_minus, n_a, n_b)
+
+
+def row_csv(row: ResultRow) -> str:
+    """``ResultRow.to_csv`` one ``format_value`` per cell: None prints as an
+    empty cell, the class as itself and the flag as true or false."""
+    cells = [format_value(v) for v in (row.lam, row.wa, row.wb, row.temperature)]
+    for v in (
+        row.omega_upper,
+        row.omega_lower,
+        row.e_n,
+        row.g_ab,
+        row.g_ba,
+        row.mu_a,
+        row.mu_b,
+        row.mu_ab,
+        row.n_a,
+        row.n_b,
+    ):
+        cells.append("" if v is None else format_value(v))
+    cells.append(row.classification or "")
+    cells.append("true" if row.stable else "false")
+    return ",".join(cells)
 
 
 def coefficient_matrix(basis: PolaritonBasis) -> np.ndarray:

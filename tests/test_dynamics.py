@@ -452,6 +452,16 @@ class TestTrajectorySize:
         with pytest.raises(ValueError, match="t_final=inf"):
             evolve_second_moments(SecondMoments.vacuum(), rates, basis, math.inf)
 
+    @pytest.mark.parametrize("t_final", [-5.0, 0.0, -0.0, math.nan, -math.inf])
+    def test_a_time_that_is_not_positive_is_rejected(self, t_final):
+        basis, env = README_POINT
+        rates = collective_rates(basis, env)
+        message = rf"t_final must be positive, got t_final={t_final}"
+        with pytest.raises(ValueError, match=message):
+            evolve_trajectory(SecondMoments.vacuum(), rates, basis, t_final)
+        with pytest.raises(ValueError, match=message):
+            evolve_second_moments(SecondMoments.vacuum(), rates, basis, t_final)
+
 
 def reference_rows(trajectory: Trajectory) -> list[str]:
     """Each cell formatted on its own, the way ``format_value`` does."""

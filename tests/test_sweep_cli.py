@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hopfield_gaussian import cli, oracles, states
+from hopfield_gaussian import cli, oracles, states, sweep
 from hopfield_gaussian.measures import SteeringClass
-from hopfield_gaussian.model import hopfield, no_a2
+from hopfield_gaussian.model import InstabilityError, hopfield, no_a2
 from hopfield_gaussian.oracles import resonant_balance_frequency
 from hopfield_gaussian.scenarios import (
     SCENARIOS,
@@ -24,16 +26,26 @@ from hopfield_gaussian.scenarios import (
 from hopfield_gaussian.states import Environment, parse_covariance
 from hopfield_gaussian.sweep import (
     CSV_HEADER,
+    ResultRow,
+    point_state,
     run_point,
     run_sweep,
     spec_to_params,
     sweep_csv,
 )
+from oracles import row_csv
 
 
 # `sha256sum` lines of every figure CSV
 FIGURE_DIGESTS = (Path(__file__).parent / "figure_data.sha256").read_text().splitlines()
 README = Path(__file__).parents[1] / "README.md"
+# (sha256 of stdout, or of stderr where the command fails, exit code,
+# arguments) of point commands; CI checks the installed CLI against them too
+POINT_DIGESTS = [
+    line.split(None, 2)
+    for line in (Path(__file__).parent / "point_output.sha256").read_text().splitlines()
+    if not line.startswith("#")
+]
 
 
 def run_cli(*argv, check=True):
@@ -82,9 +94,64 @@ class TestRunPoint:
         text = row.to_csv()
         assert text == "0.6,1,1,0.25,,,,,,,,,,,,false"
 
-    def test_unknown_state_kind_rejected(self):
-        with pytest.raises(ValueError, match="state_kind"):
-            run_point(hopfield(1, 1, 0.5), Environment(0.25), "squeezed")
+    @pytest.mark.parametrize("route", [run_point, point_state])
+    @pytest.mark.parametrize("lam", [0.5, 0.6])  # stable, unstable
+    def test_unknown_state_kind_rejected(self, route, lam, monkeypatch):
+        # before any work: the point is never evaluated
+        def work(*args):
+            raise AssertionError("the point was evaluated")
+
+        monkeypatch.setattr(sweep, "_stability_determinants", work)
+        message = "^state_kind must be 'ground' or 'thermal'$"
+        with pytest.raises(ValueError, match=message) as caught:
+            route(no_a2(1, 1, lam), Environment(0.25), "squeezed")
+        assert type(caught.value) is ValueError
+
+    def test_unstable_point_builds_no_exception(self, monkeypatch):
+        def fail(self, *args):
+            raise AssertionError("an InstabilityError was built")
+
+        monkeypatch.setattr(InstabilityError, "__init__", fail)
+        params, env = no_a2(1, 1, 0.6), Environment(0.25)
+        for kind in ("ground", "thermal"):
+            assert run_point(params, env, kind).to_csv().endswith(",false")
+        # the patch is live: the raising route still builds one
+        with pytest.raises(AssertionError, match="InstabilityError was built"):
+            point_state(params, env, "thermal")
+
+    def test_point_state_still_raises_past_the_edge(self, capsys):
+        with pytest.raises(InstabilityError):
+            point_state(no_a2(1, 1, 0.6), Environment(0.25), "thermal")
+        argv = ["point", "--lambda", "0.6", "--diamag", "zero", "--temp", "0.25",
+                "--state", "thermal", "--dump-cov", "-"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("unstable: ")
+
+
+# every float class: -0.0, inf, nan, subnormals and huge values included
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+EDGE_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1.7976931348623157e308,
+               1e16, 123456789012.5, 9.99999999999951e-05]
+
+
+class TestResultRowCsv:
+    """``ResultRow.to_csv``, one % per row, against one format() per cell."""
+
+    @settings(max_examples=500)
+    @example(EDGE_FLOATS + EDGE_FLOATS[:4], "two-way")
+    @given(st.lists(ANY_FLOAT, min_size=14, max_size=14),
+           st.sampled_from([c.value for c in SteeringClass]))
+    def test_stable_rows(self, cells, label):
+        row = ResultRow(*cells, label)
+        assert row.to_csv() == row_csv(row)
+
+    @settings(max_examples=500)
+    @example(EDGE_FLOATS[:4])
+    @given(st.lists(ANY_FLOAT, min_size=4, max_size=4))
+    def test_unstable_rows(self, inputs):
+        row = ResultRow(*inputs, None, None, stable=False)
+        assert row.to_csv() == row_csv(row)
 
 
 class TestScenarioRegistry:
@@ -559,6 +626,29 @@ class TestCli:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "bb546fceabe39a6b00cbea2a692fca26dda6cdf43f175ee6f0ab6308487f4475"
         )
+
+    @pytest.mark.parametrize("digest, code, args", POINT_DIGESTS, ids=lambda v: v)
+    def test_point_output_bytes(self, digest, code, args, capsys):
+        # pinned so that no digit of a point row or a dumped covariance,
+        # nor the exit of an unstable dump, can move unnoticed
+        assert cli.main(args.split()) == int(code)
+        out, err = capsys.readouterr()
+        written, silent = (out, err) if code == "0" else (err, out)
+        assert silent == ""
+        assert hashlib.sha256(written.encode()).hexdigest() == digest
+
+    def test_point_digests_cover_the_readme_and_command_points(self):
+        pinned = {args for _, _, args in POINT_DIGESTS}
+        readme = [line.split("#")[0].split(None, 1)[1].strip()
+                  for line in README.read_text().splitlines()
+                  if line.startswith("hopfield-gaussian point ")]
+        for args in readme:
+            assert args.replace("cov.txt", "-") in pinned
+        for flags, _ in COMMAND_POINTS.values():
+            point = " ".join(["point", *flags, "--temp", "0.25", "--state", "thermal"])
+            assert {point, point + " --dump-cov -"} <= pinned
+        codes = [code for _, code, args in POINT_DIGESTS if args.endswith("--dump-cov -")]
+        assert "2" in codes
 
     def test_readme_python_blocks_run(self, capsys):
         blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
