@@ -14,7 +14,6 @@ from .states import CovarianceMatrix, Environment, thermal_occupation
 from .measures import (
     CorrelationReport,
     SteeringClass,
-    SymplecticInvariants,
     classify_steering,
     correlation_report,
 )

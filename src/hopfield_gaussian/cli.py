@@ -119,11 +119,7 @@ def _write(text: str, path: str) -> None:
 
 def cmd_diagonalize(args) -> int:
     params = _model_params(args)
-    try:
-        basis = diagonalize_params(params)
-    except InstabilityError as exc:
-        print(f"unstable: {exc}", file=sys.stderr)
-        return 2
+    basis = diagonalize_params(params)
     lines = [
         f"omega_U = {format_value(basis.omega_upper)}",
         f"omega_L = {format_value(basis.omega_lower)}",
@@ -148,11 +144,7 @@ def cmd_point(args) -> int:
     if args.dump_cov is None:
         row = run_point(params, env, args.state)
     else:
-        try:
-            state = point_state(params, env, args.state)
-        except InstabilityError as exc:
-            print(f"unstable: {exc}", file=sys.stderr)
-            return 2
+        state = point_state(params, env, args.state)
         _write(format_covariance(sector_matrix(state.sectors)), args.dump_cov)
         if args.dump_cov == "-":
             return 0
@@ -201,11 +193,7 @@ def cmd_dynamics(args) -> int:
             raise ValueError(f"{flag} must be a positive finite number, got {value}")
     params = _model_params(args)
     env = _environment(args)
-    try:
-        basis = diagonalize_params(params)
-    except InstabilityError as exc:
-        print(f"unstable: {exc}", file=sys.stderr)
-        return 2
+    basis = diagonalize_params(params)
     rates = collective_rates(basis, env)
     trajectory = evolve_trajectory(
         SecondMoments.vacuum(),
@@ -310,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
+    except InstabilityError as exc:  # a ValueError, reported as what it is
+        print(f"unstable: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,9 @@ floats.  Every point takes one route: a point whose det V or det T
 (``model._stability_determinants``) is not positive is an unstable row;
 every other point is Gamma = Gamma_xx ⊕ Gamma_pp in 2x2 closed forms, in
 the stages ``model._sector_modes``, ``states._sector_covariance`` and
-``measures._sector_invariants``.
+``measures._sector_measures``.  The last is the checked measures stage of
+``run_point`` too: the kernel keeps no check or message of its own, and
+raises ``measures.measure_error`` for the first point with a fault.
 
 Each point's result depends on that point alone, so any contiguous split
 of a grid yields the same rows; ``sweep.sweep_csv``'s blocks rely on this.
@@ -44,16 +46,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .measures import (
-    _STEERING_CLASSES,
-    _occupations,
-    _purities,
-    _sector_invariants,
-    _steering_class_index,
-    _steering_raw,
-)
+from .measures import _STEERING_CLASSES, CorrelationReport, _sector_measures, measure_error
 from .model import ModelParams, _sector_modes, _stability_determinants
-from .states import VALUE_FORMAT, _sector_covariance, covariance_overflow
+from .states import VALUE_FORMAT, _sector_covariance
 
 __all__ = ["GridPoints", "GridResult", "evaluate_grid"]
 
@@ -179,56 +174,28 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     """Rows of every grid point, each equal to ``run_point`` on that point.
 
     ``state_kind`` is 'ground' (polariton vacuum) or 'thermal' (common-bath
-    steady state at each point's temperature).  Raises ValueError when a
-    stable point's covariance overflows, is singular to rounding or gives
-    measures that are not finite; the message names the first such point.
+    steady state at each point's temperature).  A stable point whose
+    measures fault (``measures._measures``) raises the ValueError that
+    ``run_point`` raises there, with the first such point named.
     """
     if state_kind not in ("ground", "thermal"):
         raise ValueError("state_kind must be 'ground' or 'thermal'")
     n = len(points)
     wa, wb, l1, l2, dd = (getattr(points, f.name) for f in fields(points)[:5])
     temperature = points.temperature if state_kind == "thermal" else np.zeros(n)
-    det_v, det_t = _stability_determinants(wa, wb, l1, l2, dd)
-    stable = (det_v > 0.0) & (det_t > 0.0)
-    live = np.flatnonzero(stable)
-    args = (a[live] for a in (wa, wb, l1, l2, dd, det_v, det_t))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # faults raised below
+        det_v, det_t = _stability_determinants(wa, wb, l1, l2, dd)
+        stable = (det_v > 0.0) & (det_t > 0.0)
+        live = np.flatnonzero(stable)
+        args = (a[live] for a in (wa, wb, l1, l2, dd, det_v, det_t))
         frame_x, frame_p, passive = _sector_modes(*args)
         sectors = _sector_covariance(frame_x, frame_p, passive, temperature[live])
-        i_a, i_b, i_c, i_ab, disc_sq, d_minus, _ = _sector_invariants(*sectors)
-    gxx, gpp = sectors[:2]
-    # the checks of measures.correlation_report in its order, so both routes
-    # take the same decision at every point; the first point failing one is named
-    overflow = ~np.isfinite([i_a, i_b, i_c, i_ab, disc_sq]).all(axis=0)
-    if overflow.any():
-        params = points.params(int(live[np.argmax(overflow)]))
-        raise covariance_overflow(f" at {params}")
-    singular = ~((i_a > 0.0) & (i_b > 0.0) & (i_ab > 0.0))
-    if singular.any():
-        params = points.params(int(live[np.argmax(singular)]))
-        raise ValueError(
-            f"a block determinant of the covariance at {params} is not "
-            "positive: it is singular to rounding, at the stability edge"
-        )
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e_n = -np.log(2.0 * d_minus)
-        raw_ab, raw_ba = _steering_raw(i_a, i_b, i_ab)
-        purities = _purities(i_a, i_b, i_ab)
-    # a partial-transpose eigenvalue rounded to zero, where the scalar
-    # route's SymplecticInvariants.log_negativity raises
-    finite = np.isfinite([e_n, raw_ab, raw_ba, *purities]).all(axis=0)
-    if not finite.all():
-        params = points.params(int(live[np.argmin(finite)]))
-        raise ValueError(
-            f"correlation measures are not finite at {params}: its partial "
-            "transpose is singular to rounding, at the stability edge"
-        )
-    # where(v > 0, v, 0) is max(0.0, v) of the scalar route, -0.0 included
-    e_n = np.where(e_n > 0.0, e_n, 0.0)
-    g_ab = np.where(raw_ab > 0.0, raw_ab, 0.0)
-    g_ba = np.where(raw_ba > 0.0, raw_ba, 0.0)
-    n_a, n_b = _occupations(gxx[0], gpp[0], gxx[2], gpp[2])
+        fault, measures, classes = _sector_measures(sectors)
+    # the decision of measures.correlation_report, taken at every point
+    if fault.any():
+        i = int(np.argmax(fault > 0))
+        where = f" at {points.params(int(live[i]))}"
+        raise measure_error(int(fault[i]), where, sectors[3][i] > 0.5)
 
     def column(values: np.ndarray, fill=np.nan, dtype=float) -> np.ndarray:
         out = np.full(n, fill, dtype=dtype)
@@ -243,13 +210,7 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
         stable=stable,
         omega_upper=column(frame_p[0]),
         omega_lower=column(frame_p[1]),
-        e_n=column(e_n),
-        g_ab=column(g_ab),
-        g_ba=column(g_ba),
-        mu_a=column(purities[0]),
-        mu_b=column(purities[1]),
-        mu_ab=column(purities[2]),
-        n_a=column(n_a),
-        n_b=column(n_b),
-        classification=column(_steering_class_index(g_ab, g_ba), -1, np.intp),
+        # the measures of _sector_measures come in the order of the report's fields
+        **{name: column(v) for name, v in zip(CorrelationReport._fields, measures)},
+        classification=column(classes, -1, np.intp),
     )

@@ -5,6 +5,11 @@ partition Gamma = [[A, C^T], [C, B]] and the partial-transpose symplectic
 eigenvalues d~_-, d~_+.  Sweeps and ``point`` take them from the x-p
 sectors of the state (``_sector_invariants``), in closed forms free of
 differences of nearly equal terms.
+
+One checked stage, ``_measures``, gives every measure and the steering
+class of a point (``correlation_report``), a grid (``grid.evaluate_grid``)
+or any 4x4 matrix (``oracles.matrix_report``), with a fault code where the
+numbers leave the float range; ``measure_error`` words each fault once.
 """
 
 from __future__ import annotations
@@ -15,11 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import covariance_overflow
-
 __all__ = [
     "SteeringClass",
-    "SymplecticInvariants",
     "CorrelationReport",
     "STEERING_THRESHOLD",
     "classify_steering",
@@ -51,45 +53,6 @@ def _steering_class_index(g_ab, g_ba):
     return (g_ab > STEERING_THRESHOLD) + 2 * (g_ba > STEERING_THRESHOLD)
 
 
-class SymplecticInvariants(NamedTuple):
-    """Block determinants and partial-transpose pair; every measure follows."""
-
-    i_a: float
-    i_b: float
-    i_c: float
-    i_ab: float
-    d_minus: float
-    d_plus: float
-
-    def log_negativity(self) -> float:
-        return _log_negativity(self.d_minus)
-
-    def steering_raw(self) -> tuple[float, float]:
-        return _steering_raw(self.i_a, self.i_b, self.i_ab)
-
-    def steering(self) -> tuple[float, float]:
-        raw_ab, raw_ba = self.steering_raw()
-        return _clip(raw_ab), _clip(raw_ba)
-
-    def purities(self) -> tuple[float, float, float]:
-        return _purities(self.i_a, self.i_b, self.i_ab)
-
-
-def _clip(value: float) -> float:
-    """max(0.0, value): -0.0 and NaN give 0.0 too."""
-    return value if value > 0.0 else 0.0
-
-
-def _log_negativity(d_minus: float) -> float:
-    """E_N = max(0, -ln(2 d~_-)) of a float d~_-."""
-    if not d_minus > 0.0:
-        raise ValueError(
-            "the partial transpose of the covariance is singular to "
-            "rounding, at the stability edge"
-        )
-    return _clip(-math.log(2.0 * d_minus))
-
-
 def _steering_raw(i_a, i_b, i_ab):
     """(G_ab, G_ba) before clipping, 0.5 ln(det A / 4 det Gamma); floats or arrays."""
     log = np.log if isinstance(i_ab, np.ndarray) else math.log
@@ -113,19 +76,6 @@ class CorrelationReport(NamedTuple):
     classification: SteeringClass
 
 
-def _check_determinants(i_a, i_b, i_c, i_ab, disc_sq) -> None:
-    finite = math.isfinite
-    if not (finite(i_a) and finite(i_b) and finite(i_c) and finite(i_ab) and finite(disc_sq)):
-        raise covariance_overflow()
-    # checked before any physicality test, which such a matrix fails too, so
-    # that a point at the stability edge is reported as what it is
-    if not (i_a > 0.0 and i_b > 0.0 and i_ab > 0.0):
-        raise ValueError(
-            "a block determinant of the covariance is not positive: it is "
-            "singular to rounding, at the stability edge"
-        )
-
-
 def _sector_invariants(gxx, gpp, c_u, c_l, det_xx):
     """(det A, det B, det C, det Gamma, discriminant, d~_-, d~_+) of Gamma_xx ⊕ Gamma_pp.
 
@@ -136,6 +86,10 @@ def _sector_invariants(gxx, gpp, c_u, c_l, det_xx):
     sqrt = np.sqrt if isinstance(c_u, np.ndarray) else math.sqrt
     nu, root_det = c_u * c_l, sqrt(det_xx)
     i_a, i_b, i_c = gxx[0] * gpp[0], gxx[2] * gpp[2], gxx[1] * gpp[1]
+    if sqrt is math.sqrt and not (root_det > 0.0 and i_a > 0.0):
+        # a float division by zero raises where numpy's gives inf or NaN:
+        # either way the discriminant is not finite, an overflow fault
+        return i_a, i_b, i_c, nu * nu, math.nan, math.nan, math.nan
     # F^T G times sqrt(det A)
     k11, k12, k21, k22 = i_a - i_c, gxx[1] * nu / root_det, -gpp[1] * root_det, nu
     q = sqrt((k11 + k22) * (k11 + k22) + (k12 - k21) * (k12 - k21))
@@ -157,23 +111,79 @@ def _occupations(xa, pa, xb, pb):
     return 0.5 * (xa + pa - 1.0), 0.5 * (xb + pb - 1.0)
 
 
-def _report(i_a, i_b, i_ab, d_minus, n_a, n_b) -> CorrelationReport:
-    """Every correlation measure from the invariants of ``SymplecticInvariants``
-    and the occupations."""
+# faults of ``_measures``, each with its message in ``measure_error``
+OVERFLOW, SINGULAR_BLOCK, SINGULAR_TRANSPOSE = 1, 2, 3
+
+
+def _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b):
+    """(fault, (E_N, G_ab, G_ba, mu_a, mu_b, mu_ab, N_a, N_b), class index)
+    from the invariants and the occupations; floats or equal-length arrays.
+
+    The fault is 0, or the first of: an invariant is not finite
+    (``OVERFLOW``); det A, det B or det Gamma is not positive
+    (``SINGULAR_BLOCK``); a measure is not finite, as where d~_- rounds to
+    zero (``SINGULAR_TRANSPOSE``).  Both branches decide alike; a faulty
+    float has measures None and class -1.
+    """
+    if isinstance(i_ab, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e_n = -np.log(2.0 * d_minus)
+            raw_ab, raw_ba = _steering_raw(i_a, i_b, i_ab)
+            purities = _purities(i_a, i_b, i_ab)
+        finite = np.isfinite([i_a, i_b, i_c, i_ab, disc_sq, e_n, raw_ab, raw_ba, *purities])
+        positive = (i_a > 0.0) & (i_b > 0.0) & (i_ab > 0.0)
+        measured = SINGULAR_TRANSPOSE * ~finite[5:].all(axis=0)  # 0 or 3
+        fault = np.where(
+            finite[:5].all(axis=0), np.where(positive, measured, SINGULAR_BLOCK), OVERFLOW
+        )
+        # where(v > 0, v, 0) is the float branch's clip, -0.0 included
+        e_n, g_ab, g_ba = (np.where(v > 0.0, v, 0.0) for v in (e_n, raw_ab, raw_ba))
+        index = _steering_class_index(g_ab, g_ba)
+        return fault, (e_n, g_ab, g_ba, *purities, n_a, n_b), index
+    finite = math.isfinite
+    if not (finite(i_a) and finite(i_b) and finite(i_c) and finite(i_ab) and finite(disc_sq)):
+        return OVERFLOW, None, -1
+    if not (i_a > 0.0 and i_b > 0.0 and i_ab > 0.0):
+        return SINGULAR_BLOCK, None, -1
+    # math.log raises at zero, where np.log gives -inf: a ratio that
+    # underflows is the same fault as an infinite measure
+    if not (d_minus > 0.0 and min(i_a, i_b) / (4.0 * i_ab) > 0.0):
+        return SINGULAR_TRANSPOSE, None, -1
+    e_n = -math.log(2.0 * d_minus)
     raw_ab, raw_ba = _steering_raw(i_a, i_b, i_ab)
-    g_ab, g_ba = _clip(raw_ab), _clip(raw_ba)
     mu_a, mu_b, mu_ab = _purities(i_a, i_b, i_ab)
-    return CorrelationReport(
-        _log_negativity(d_minus),
-        g_ab,
-        g_ba,
-        mu_a,
-        mu_b,
-        mu_ab,
-        n_a,
-        n_b,
-        _STEERING_CLASSES[_steering_class_index(g_ab, g_ba)],
-    )
+    if not (finite(e_n) and finite(raw_ab) and finite(raw_ba)
+            and finite(mu_a) and finite(mu_b) and finite(mu_ab)):
+        return SINGULAR_TRANSPOSE, None, -1
+    # v if v > 0 else 0 is max(0.0, v), with -0.0 giving 0.0
+    e_n = e_n if e_n > 0.0 else 0.0
+    g_ab = raw_ab if raw_ab > 0.0 else 0.0
+    g_ba = raw_ba if raw_ba > 0.0 else 0.0
+    index = _steering_class_index(g_ab, g_ba)
+    return 0, (e_n, g_ab, g_ba, mu_a, mu_b, mu_ab, n_a, n_b), index
+
+
+def measure_error(fault: int, where: str = "", thermal: bool = False) -> ValueError:
+    """The error of a ``_measures`` fault, ``where`` naming the point.  An
+    overflow is put down to the temperature where the state is ``thermal``
+    (c_L > 1/2: the lower, more occupied branch holds excitations)."""
+    if fault == OVERFLOW:
+        cause = "the reservoir temperature is too high" if thermal else (
+            "the mode frequencies and couplings span too many orders of magnitude")
+        return ValueError(
+            f"the covariance{where} overflows: its invariants are not finite, because {cause}")
+    part = "a block determinant" if fault == SINGULAR_BLOCK else "the partial transpose"
+    return ValueError(
+        f"{part} of the covariance{where} is singular to rounding, at the stability edge")
+
+
+def _sector_measures(sectors):
+    """``_measures`` of a state given by its x-p sectors
+    (``states._sector_covariance``); floats or arrays."""
+    gxx, gpp = sectors[:2]
+    i_a, i_b, i_c, i_ab, disc_sq, d_minus, _ = _sector_invariants(*sectors)
+    n_a, n_b = _occupations(gxx[0], gpp[0], gxx[2], gpp[2])
+    return _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b)
 
 
 def correlation_report(sectors) -> CorrelationReport:
@@ -181,10 +191,11 @@ def correlation_report(sectors) -> CorrelationReport:
     (``states._sector_covariance``).
 
     Its symplectic eigenvalues c_U, c_L >= 1/2 need no physicality check;
-    a covariance that overflows or is singular to rounding raises
-    ValueError.  N_a and N_b are read off the sector diagonals.
+    a covariance that overflows or is singular to rounding raises the
+    ValueError of ``measure_error``.  N_a and N_b are read off the sector
+    diagonals.
     """
-    i_a, i_b, i_c, i_ab, disc_sq, d_minus, _ = _sector_invariants(*sectors)
-    _check_determinants(i_a, i_b, i_c, i_ab, disc_sq)
-    gxx, gpp = sectors[:2]
-    return _report(i_a, i_b, i_ab, d_minus, *_occupations(gxx[0], gpp[0], gxx[2], gpp[2]))
+    fault, values, index = _sector_measures(sectors)
+    if fault:
+        raise measure_error(fault, thermal=sectors[3] > 0.5)
+    return CorrelationReport(*values, _STEERING_CLASSES[index])

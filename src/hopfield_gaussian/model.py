@@ -37,6 +37,7 @@ DEGENERACY_TOL = 1e-10
 SIGN_TOL = 1e-12
 # a float a*b - c*c within this multiple of a*b + c*c of zero may be of either sign
 _DET_FILTER = 1e-15
+_FLOAT_MAX = 1.7976931348623157e308
 
 
 class InstabilityError(ValueError):
@@ -151,7 +152,11 @@ def _stability_determinants(wa, wb, l1, l2, dd):
         return pv - qv, pt - qt
     from fractions import Fraction  # 8 ms to import, and needed only here
     wa, wb, l1, l2, dd = map(Fraction, (wa, wb, l1, l2, dd))
-    return float((wa + 4 * dd) * wb - (l1 + l2) ** 2), float(wa * wb - (l1 - l2) ** 2)
+    dets = (wa + 4 * dd) * wb - (l1 + l2) ** 2, wa * wb - (l1 - l2) ** 2
+    # +-inf past the largest float, where float() raises: the sign is kept
+    return tuple(
+        float(d) if abs(d) <= _FLOAT_MAX else math.inf if d > 0 else -math.inf for d in dets
+    )
 
 
 def _where(cond, a, b):

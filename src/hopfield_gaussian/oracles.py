@@ -14,24 +14,26 @@ another route here:
 - ``thermal_covariance_closed``: check 4 pins it to T diag(n + 1/2) T^T
   of ``hopfield_basis`` (``states.steady_state_covariance``), and the
   tests pin the sector covariance to both.
-- ``symplectic_invariants``, the measures' invariants of any 4x4 matrix
-  from its block determinants, with the physicality test
-  (``is_physical``, ``symplectic_spectrum``): check 9 pins them to the
-  spectrum of the momentum-flipped matrix (``ppt_symplectic_eigenvalues``)
-  on random states, check 6 on ``ground_state_covariance_closed`` to the
-  closed ground-state measures, and the tests pin the sector invariants
-  and weights to both spectra.
-- ``resonant_balance_frequency``: check 7 pins it to the purities of the
-  closed-form thermal state.
+- ``symplectic_invariants`` and ``matrix_report``, the invariants and the
+  measures of any 4x4 matrix from its block determinants, with the
+  physicality test (``is_physical``, ``symplectic_spectrum``): check 9
+  pins the invariants to the spectrum of the momentum-flipped matrix
+  (``ppt_symplectic_eigenvalues``) on random states, check 6 the measures
+  of ``ground_state_covariance_closed`` to the closed ground-state
+  measures, and the tests pin the sector invariants and weights to both
+  spectra.
+- ``resonant_balance_frequency``: check 7 pins it to the purities
+  (``matrix_report``) of the closed-form thermal state.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .measures import SymplecticInvariants, _check_determinants
+from .measures import _STEERING_CLASSES, CorrelationReport, _measures, _occupations, measure_error
 from .model import (
     DEGENERACY_TOL,
     InstabilityError,
@@ -56,7 +58,9 @@ __all__ = [
     "is_physical",
     "ground_state_covariance_closed",
     "thermal_covariance_closed",
+    "SymplecticInvariants",
     "symplectic_invariants",
+    "matrix_report",
     "ppt_symplectic_eigenvalues",
     "ground_state_log_negativity_closed",
     "ground_state_steering_closed",
@@ -379,9 +383,25 @@ def _partial_transpose_pair(i_a, i_b, i_c, i_ab):
     return disc_sq, d_minus, _clipped_root(0.5 * (delta + disc))
 
 
-def symplectic_invariants(gamma: CovarianceMatrix) -> SymplecticInvariants:
+class SymplecticInvariants(NamedTuple):
     """Block determinants and the partial-transpose symplectic pair."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+
+    i_a: float
+    i_b: float
+    i_c: float
+    i_ab: float
+    d_minus: float
+    d_plus: float
+
+
+def _checked_measures(gamma: CovarianceMatrix):
+    """(``SymplecticInvariants``, measures, class index) of any 4x4 matrix.
+
+    A ``measures._measures`` fault raises its ``measure_error`` before the
+    physicality test, which such a matrix fails too, so that a point at
+    the stability edge is reported as what it is.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
         # one call for the 2x2 blocks [[A, C^T], [C, B]], the same bits as
         # one call per block
         (i_a, _), (i_c, i_b) = np.linalg.det(
@@ -389,9 +409,24 @@ def symplectic_invariants(gamma: CovarianceMatrix) -> SymplecticInvariants:
         ).tolist()
         i_ab = float(np.linalg.det(gamma.entries))
     disc_sq, d_minus, d_plus = _partial_transpose_pair(i_a, i_b, i_c, i_ab)
-    _check_determinants(i_a, i_b, i_c, i_ab, disc_sq)
+    n_a, n_b = _occupations(*gamma.entries.diagonal().tolist())
+    fault, values, index = _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b)
+    if fault:
+        raise measure_error(fault)
     _require_physical(gamma)
-    return SymplecticInvariants(i_a, i_b, i_c, i_ab, d_minus, d_plus)
+    return SymplecticInvariants(i_a, i_b, i_c, i_ab, d_minus, d_plus), values, index
+
+
+def symplectic_invariants(gamma: CovarianceMatrix) -> SymplecticInvariants:
+    """Block determinants and the partial-transpose symplectic pair."""
+    return _checked_measures(gamma)[0]
+
+
+def matrix_report(gamma: CovarianceMatrix) -> CorrelationReport:
+    """``measures.correlation_report`` of any 4x4 covariance, which is first
+    checked for physicality."""
+    _, values, index = _checked_measures(gamma)
+    return CorrelationReport(*values, _STEERING_CLASSES[index])
 
 
 def ppt_symplectic_eigenvalues(gamma: CovarianceMatrix) -> np.ndarray:

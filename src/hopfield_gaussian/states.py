@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import OVERFLOW, measure_error
 from .model import PolaritonBasis, _frame_vectors
 
 __all__ = [
@@ -32,14 +33,6 @@ __all__ = [
     "VALUE_FORMAT",
     "parse_covariance",
 ]
-
-
-def covariance_overflow(where: str = "") -> ValueError:
-    """The error of a state whose covariance does not fit in a float."""
-    return ValueError(
-        f"the covariance{where} overflows: its determinants are not finite, "
-        "because the reservoir temperature is too high"
-    )
 
 
 @dataclass(frozen=True)
@@ -111,9 +104,11 @@ def _bose(omega, temperature):
     if temperature == 0.0:
         return 0.0
     x = omega / temperature
-    if x > 700.0:  # below double-precision underflow of exp(-x)
+    # as on arrays: 0 past x = 700 (below the underflow of exp(-x)) and for
+    # a NaN x, and inf where x underflows to zero, as numpy's 1 / 0 gives
+    if not x <= 700.0:
         return 0.0
-    return 1.0 / math.expm1(x)
+    return 1.0 / math.expm1(x) if x > 0.0 else math.inf
 
 
 def _sector_block(frame, c_u, c_l):
@@ -153,7 +148,7 @@ def sector_matrix(sectors) -> CovarianceMatrix:
     """The 4x4 covariance of ``_sector_covariance``, in (x_a, p_a, x_b, p_b) order."""
     (xa, xab, xb), (pa, pab, pb), c_u, c_l, _ = sectors
     if not c_u * c_l < _MAX_WEIGHT_PRODUCT:  # as in steady_state_covariance
-        raise covariance_overflow()
+        raise measure_error(OVERFLOW, thermal=c_l > 0.5)
     rows = [[xa, 0.0, xab, 0.0], [0.0, pa, 0.0, pab], [xab, 0.0, xb, 0.0], [0.0, pab, 0.0, pb]]
     return CovarianceMatrix(np.array(rows))
 
@@ -215,7 +210,7 @@ def steady_state_covariance(basis: PolaritonBasis, temperature: float) -> Covari
     a1 = 0.5 * _coth_weight(basis.omega_upper, temperature)
     b1 = 0.5 * _coth_weight(basis.omega_lower, temperature)
     if not a1 * b1 < _MAX_WEIGHT_PRODUCT:
-        raise covariance_overflow()
+        raise measure_error(OVERFLOW, thermal=b1 > 0.5)
     return _polariton_diagonal_state(basis, a1, b1)
 
 

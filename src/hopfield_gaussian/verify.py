@@ -26,6 +26,7 @@ from .oracles import (
     ground_state_log_negativity_closed,
     ground_state_steering_closed,
     hopfield_basis,
+    matrix_report,
     polariton_frequencies,
     ppt_symplectic_eigenvalues,
     resonant_balance_frequency,
@@ -179,14 +180,12 @@ def check_closed_form_correlations() -> CheckResult:
     dev = 0.0
     for _ in range(500):
         p = _random_hopfield(rng)
-        inv = symplectic_invariants(ground_state_covariance_closed(p))
-        e_n = inv.log_negativity()
-        g_ab, g_ba = inv.steering()
+        rep = matrix_report(ground_state_covariance_closed(p))
         dev = max(
             dev,
-            abs(ground_state_log_negativity_closed(p) - e_n),
-            abs(ground_state_steering_closed(p) - g_ab),
-            abs(ground_state_steering_closed(p) - g_ba),
+            abs(ground_state_log_negativity_closed(p) - rep.e_n),
+            abs(ground_state_steering_closed(p) - rep.g_ab),
+            abs(ground_state_steering_closed(p) - rep.g_ba),
         )
     return CheckResult(
         6, "closed-form-correlations", "1e-9", f"{dev:.2e}", dev < 1e-9
@@ -199,8 +198,8 @@ def check_purity_balance_frequency() -> CheckResult:
     dev_purity = 0.0
     for temperature in (0.2, 0.5):
         gamma = thermal_covariance_closed(hopfield(wa, 1.0, 0.25), temperature)
-        mu_a, mu_b, _ = symplectic_invariants(gamma).purities()
-        dev_purity = max(dev_purity, abs(mu_a - mu_b))
+        rep = matrix_report(gamma)
+        dev_purity = max(dev_purity, abs(rep.mu_a - rep.mu_b))
     passed = dev_root < 5e-5 and dev_purity < 1e-9
     return CheckResult(
         7,

@@ -2,10 +2,9 @@
 
 Closed forms of the diamag = 0 model, the moment table of a
 branch-diagonal state, the common-bath generator over the bare-mode
-operators, the fixed point of the moment equations, and the correlation
-report of an arbitrary 4x4 covariance, and a CSV row formatted one cell
-at a time.  No command and no ``verify``
-check runs them; the tests pin each to the command path or to
+operators, the fixed point of the moment equations, and a CSV row
+formatted one cell at a time.  No command and no ``verify`` check runs
+them; the tests pin each to the command path or to
 ``hopfield_gaussian.oracles``.
 """
 
@@ -16,29 +15,15 @@ import math
 import numpy as np
 
 from hopfield_gaussian.dynamics import RateSet, SecondMoments
-from hopfield_gaussian.measures import CorrelationReport, _occupations, _report
 from hopfield_gaussian.model import (
     DEGENERACY_TOL,
     ModelParams,
     PolaritonBasis,
     _mixing_angle,
 )
-from hopfield_gaussian.oracles import (
-    DegenerateSpectrumError,
-    polariton_frequencies,
-    symplectic_invariants,
-)
+from hopfield_gaussian.oracles import DegenerateSpectrumError, polariton_frequencies
 from hopfield_gaussian.states import CovarianceMatrix, _coth_weight, format_value
 from hopfield_gaussian.sweep import ResultRow
-
-
-def matrix_report(gamma: CovarianceMatrix) -> CorrelationReport:
-    """``measures.correlation_report`` of any 4x4 covariance, which is first
-    checked for physicality (``oracles.symplectic_invariants``)."""
-    g = gamma.entries
-    n_a, n_b = _occupations(g[0, 0], g[1, 1], g[2, 2], g[3, 3])
-    inv = symplectic_invariants(gamma)
-    return _report(inv.i_a, inv.i_b, inv.i_ab, inv.d_minus, n_a, n_b)
 
 
 def row_csv(row: ResultRow) -> str:

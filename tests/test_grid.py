@@ -163,11 +163,11 @@ class TestKernelAgainstScalarRoute:
             env = Environment(temperature, ENV.gamma_a, ENV.gamma_b)
             try:
                 refs.append(run_point(params, env, spec.state))
-            except (ValueError, ArithmeticError):
-                # the kernel checks physicality of the whole grid first, so it
-                # may name another point; it must fail all the same
-                with pytest.raises(ValueError):
+            except ValueError as exc:
+                # the kernel names the first faulting point, with the same message
+                with pytest.raises(ValueError) as batched:
                     evaluate_grid(grid_points(spec, ENV), spec.state)
+                assert str(batched.value).replace(f" at {params}", "", 1) == str(exc)
                 return
         result = evaluate_grid(grid_points(spec, ENV), spec.state)
         for i, (point, ref) in enumerate(zip(spec.grid(), refs)):
@@ -246,6 +246,47 @@ class TestKernelAgainstScalarRoute:
         assert sum(c[3] == format(0.1234567890125, ".12g") for c in cells) == 30
         x = np.array([0.1234567890125])
         assert csvwriter.cell_words(x, np.empty((1, 3), np.uint64), np.empty(1, np.intp))[0]
+
+
+# points whose measures fault, as (params, temperature): det Gamma_xx rounds
+# to zero in the ground state (omega_a is the smallest subnormal), once with
+# zero and once with nonzero off-diagonal sector entries; det Gamma ~ T^4
+# overflows; and one rounding from the edge omega_L = 1e-8 lets a temperature
+# overflow that a point in the bulk survives
+FAULTY_POINTS = [
+    (ModelParams(5e-324, 1.0000000000000002, 0.0, 0.0, 1e10), 0.0),
+    (ModelParams(5e-324, 1.0000000000000002, 5e-324, 1e-300, 1e10), 0.0),
+    (ModelParams(1.0, 1.0, 0.5, 0.5, 0.25), 1e80),
+    (ModelParams(1.0, 1.0, 0.49999999999999994, 0.49999999999999994, 0.0), 1e70),
+]
+
+
+class TestFaultParity:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params, temperature", FAULTY_POINTS)
+    def test_run_point_and_the_kernel_raise_one_message(self, params, temperature):
+        state = "thermal" if temperature else "ground"
+        with pytest.raises(ValueError) as scalar:
+            run_point(params, Environment(temperature), state)
+        values = [getattr(params, f.name) for f in fields(params)]
+        with pytest.raises(ValueError) as batched:
+            evaluate_grid(GridPoints(*([v] for v in (*values, temperature))), state)
+        where = f" at {params}"
+        assert where in str(batched.value)
+        assert str(batched.value).replace(where, "", 1) == str(scalar.value)
+        # the temperature is blamed only where there is one
+        assert ("temperature" in str(scalar.value)) == (temperature > 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_decision_past_the_float_range_is_infinite(self):
+        # the Fraction determinants are about -1e600, past float(); both
+        # routes take the point for unstable
+        point = (1e-160, 0.5, 0.5, 1e300, 1.0)
+        assert _stability_determinants(*point) == (-math.inf, -math.inf)
+        row = run_point(ModelParams(*point), None, "ground")
+        assert row.to_csv() == "1e+300,1e-160,0.5,0,,,,,,,,,,,,false"
+        result = evaluate_grid(GridPoints(*([v] for v in (*point, 0.0))), "ground")
+        assert result.csv_rows() == [row.to_csv()]
 
 
 FREQUENCY = st.floats(0.2, 3.0)

@@ -7,7 +7,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hopfield_gaussian import oracles as hg_oracles
-from hopfield_gaussian.measures import STEERING_THRESHOLD, SteeringClass, classify_steering
+from hopfield_gaussian.measures import (
+    STEERING_THRESHOLD,
+    SteeringClass,
+    _purities,
+    _steering_raw,
+    classify_steering,
+)
 from hopfield_gaussian.model import hopfield, no_a2
 from hopfield_gaussian.oracles import (
     UnphysicalStateError,
@@ -18,6 +24,7 @@ from hopfield_gaussian.oracles import (
     ground_state_steering_closed,
     hopfield_basis,
     is_physical,
+    matrix_report,
     ppt_symplectic_eigenvalues,
     symplectic_eigenvalues,
     symplectic_form,
@@ -27,7 +34,6 @@ from hopfield_gaussian.oracles import (
 from hopfield_gaussian.states import CovarianceMatrix, steady_state_covariance, thermal_occupation
 from oracles import (
     covariance_from_correlators,
-    matrix_report,
     no_a2_basis,
     no_a2_covariance_closed,
     second_order_correlators,
@@ -211,22 +217,22 @@ class TestPartialTransposePair:
 
 class TestLogNegativity:
     def test_vacuum(self):
-        assert symplectic_invariants(VACUUM).log_negativity() == 0.0
+        assert matrix_report(VACUUM).e_n == 0.0
 
     def test_vanishes_at_weak_coupling(self):
         g = ground_state_covariance_closed(hopfield(1.5, 1, 1e-7))
-        assert symplectic_invariants(g).log_negativity() < 1e-5
+        assert matrix_report(g).e_n < 1e-5
 
     def test_golden_point_value(self):
         # ground state at omega_a = omega_b = 1, lambda = 0.5:
         # 2 d~_- = (sqrt(6) - 1)/sqrt(5)
         g = ground_state_covariance_closed(hopfield(1, 1, 0.5))
         expected = math.log(math.sqrt(5) / (math.sqrt(6) - 1))
-        assert symplectic_invariants(g).log_negativity() == pytest.approx(expected, abs=1e-12)
+        assert matrix_report(g).e_n == pytest.approx(expected, abs=1e-12)
 
     @given(stable_hopfield)
     def test_closed_form_matches_pipeline(self, p):
-        from_pipeline = symplectic_invariants(ground_state_covariance_closed(p)).log_negativity()
+        from_pipeline = matrix_report(ground_state_covariance_closed(p)).e_n
         assert ground_state_log_negativity_closed(p) == pytest.approx(
             from_pipeline, abs=1e-10
         )
@@ -234,62 +240,64 @@ class TestLogNegativity:
 
 class TestSteering:
     def test_vacuum(self):
-        assert symplectic_invariants(VACUUM).steering() == (0.0, 0.0)
+        rep = matrix_report(VACUUM)
+        assert (rep.g_ab, rep.g_ba) == (0.0, 0.0)
 
     def test_golden_point_value(self):
         g = ground_state_covariance_closed(hopfield(1, 1, 0.5))
         expected = 0.5 * math.log(1.2)  # I_a / 4 I_ab = 0.3 / 0.25
-        assert symplectic_invariants(g).steering() == (
+        rep = matrix_report(g)
+        assert (rep.g_ab, rep.g_ba) == (
             pytest.approx(expected, abs=1e-12),
             pytest.approx(expected, abs=1e-12),
         )
 
     @given(stable_hopfield)
     def test_ground_state_symmetry(self, p):
-        g_ab, g_ba = symplectic_invariants(ground_state_covariance_closed(p)).steering()
-        assert abs(g_ab - g_ba) < 1e-10
+        rep = matrix_report(ground_state_covariance_closed(p))
+        assert abs(rep.g_ab - rep.g_ba) < 1e-10
 
     @given(stable_hopfield)
     def test_closed_form_matches_pipeline(self, p):
-        g_ab, g_ba = symplectic_invariants(ground_state_covariance_closed(p)).steering()
+        rep = matrix_report(ground_state_covariance_closed(p))
         closed = ground_state_steering_closed(p)
-        assert closed == pytest.approx(g_ab, abs=1e-10)
-        assert closed == pytest.approx(g_ba, abs=1e-10)
+        assert closed == pytest.approx(rep.g_ab, abs=1e-10)
+        assert closed == pytest.approx(rep.g_ba, abs=1e-10)
 
     def test_thermal_one_way_point(self):
         g = thermal_covariance_closed(hopfield(1, 1, 0.8), 0.25)
-        g_ab, g_ba = symplectic_invariants(g).steering()
-        assert g_ab == 0.0 and g_ba > 0.0
+        rep = matrix_report(g)
+        assert rep.g_ab == 0.0 and rep.g_ba > 0.0
 
     def test_raw_values_exposed_for_diagnostics(self):
-        raw_ab, raw_ba = symplectic_invariants(VACUUM).steering_raw()
+        inv = symplectic_invariants(VACUUM)
+        raw_ab, raw_ba = _steering_raw(inv.i_a, inv.i_b, inv.i_ab)
         assert raw_ab == pytest.approx(0.0, abs=1e-14)
         g = thermal_covariance_closed(hopfield(1, 1, 0.8), 0.25)
-        assert symplectic_invariants(g).steering_raw()[0] < 0.0  # clipped to 0 in the public value
+        inv = symplectic_invariants(g)
+        assert _steering_raw(inv.i_a, inv.i_b, inv.i_ab)[0] < 0.0  # clipped to 0 in the report
+        assert matrix_report(g).g_ab == 0.0
 
 
 class TestPurities:
     def test_vacuum_is_pure(self):
-        assert symplectic_invariants(VACUUM).purities() == (1.0, 1.0, 1.0)
+        rep = matrix_report(VACUUM)
+        assert (rep.mu_a, rep.mu_b, rep.mu_ab) == (1.0, 1.0, 1.0)
 
     def test_one_way_regime_ordering(self):
-        gamma = thermal_covariance_closed(hopfield(1, 1, 0.8), 0.25)
-        mu_a, mu_b, mu_ab = symplectic_invariants(gamma).purities()
-        assert mu_b < mu_ab < mu_a
+        rep = matrix_report(thermal_covariance_closed(hopfield(1, 1, 0.8), 0.25))
+        assert rep.mu_b < rep.mu_ab < rep.mu_a
 
     def test_no_steering_ordering_at_low_cavity_frequency(self):
         gamma = thermal_covariance_closed(hopfield(0.15, 1, 0.25), 0.2)
-        inv = symplectic_invariants(gamma)
-        mu_a, mu_b, mu_ab = inv.purities()
-        assert mu_b > mu_a > mu_ab
-        assert inv.steering() == (0.0, 0.0)
+        rep = matrix_report(gamma)
+        assert rep.mu_b > rep.mu_a > rep.mu_ab
+        assert (rep.g_ab, rep.g_ba) == (0.0, 0.0)
 
     @given(stable_hopfield, st.floats(0.0, 1.0))
     def test_classification_consistent_with_purity_ordering(self, p, temperature):
         gamma = thermal_covariance_closed(p, temperature)
-        inv = symplectic_invariants(gamma)
-        g_ab, g_ba = inv.steering()
-        mu_a, mu_b, mu_ab = inv.purities()
+        g_ab, g_ba, mu_a, mu_b, mu_ab = matrix_report(gamma)[1:6]
         # mode m steers iff its marginal purity drops below the global one
         if g_ab > 1e-9:
             assert mu_a < mu_ab
@@ -343,9 +351,10 @@ class TestCorrelationReport:
     )
     def test_fields_equal_the_scalar_functions(self, gamma):
         rep, inv = matrix_report(gamma), symplectic_invariants(gamma)
-        assert rep.e_n == inv.log_negativity()
-        assert (rep.g_ab, rep.g_ba) == inv.steering()
-        assert (rep.mu_a, rep.mu_b, rep.mu_ab) == inv.purities()
+        assert rep.e_n == max(0.0, -math.log(2.0 * inv.d_minus))
+        raw_ab, raw_ba = _steering_raw(inv.i_a, inv.i_b, inv.i_ab)
+        assert (rep.g_ab, rep.g_ba) == (max(0.0, raw_ab), max(0.0, raw_ba))
+        assert (rep.mu_a, rep.mu_b, rep.mu_ab) == _purities(inv.i_a, inv.i_b, inv.i_ab)
         g = gamma.entries
         assert rep.n_a == 0.5 * (g[0, 0] + g[1, 1] - 1.0)
         assert rep.n_b == 0.5 * (g[2, 2] + g[3, 3] - 1.0)
@@ -432,8 +441,8 @@ resonant_no_a2 = st.floats(0.02, 0.98).map(lambda f: no_a2(1.0, 1.0, 0.5 * f))
 class TestNoA2Steering:
     @given(resonant_no_a2, st.floats(0.0, 1.0))
     def test_resonant_model_never_steers_one_way(self, p, temperature):
-        gamma = no_a2_covariance_closed(p, temperature)
-        g_ab, g_ba = symplectic_invariants(gamma).steering()
+        rep = matrix_report(no_a2_covariance_closed(p, temperature))
+        g_ab, g_ba = rep.g_ab, rep.g_ba
         assert abs(g_ab - g_ba) < 1e-10
         assert classify_steering(g_ab, g_ba) in (
             SteeringClass.NO_WAY,

@@ -531,6 +531,21 @@ class TestCli:
             assert "lambda1=0.1," in err  # the first point is named
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command",
+        [["point", "--wa", "1e300"], ["point", "--wa", "1e200"],
+         ["sweep", "--scenario", "custom", "--axis", "wa:1e200:1e300:2"]],
+        ids=["point-1e300", "point-1e200", "sweep"],
+    )
+    def test_overflow_at_zero_temperature_blames_the_parameters(self, command, capsys):
+        assert cli.main([*command, "--lambda", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "overflows" in err and "temperature" not in err
+        assert "span too many orders of magnitude" in err
+
+    @pytest.mark.filterwarnings("error")
     def test_large_finite_temperature_rows_are_unchanged(self, capsys):
         assert cli.main(["point", "--lambda", "0.5", "--state", "thermal", "--temp", "1e30"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == (

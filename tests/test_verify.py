@@ -1,7 +1,7 @@
 import math
 
 from hopfield_gaussian import verify as v
-from hopfield_gaussian.measures import SymplecticInvariants
+from hopfield_gaussian.oracles import SymplecticInvariants
 
 
 class TestReport:
