@@ -24,15 +24,7 @@ from .dynamics import (
 from .model import InstabilityError, ModelParams
 from .scenarios import Axis, SweepSpec, resolve_scenario, scenario_names
 from .states import Environment, format_covariance, format_value, sector_matrix
-from .sweep import (
-    CSV_HEADER,
-    diagonalize_params,
-    point_state,
-    resolve_params,
-    result_row,
-    run_point,
-    sweep_csv,
-)
+from .sweep import CSV_HEADER, diagonalize_params, evaluate_point, resolve_params, sweep_csv
 
 # config-file key -> the flag (argparse dest) it pre-sets
 _CONFIG_FLAGS = {
@@ -139,16 +131,13 @@ def cmd_diagonalize(args) -> int:
 
 
 def cmd_point(args) -> int:
-    params = _model_params(args)
-    env = _environment(args)
-    if args.dump_cov is None:
-        row = run_point(params, env, args.state)
-    else:
-        state = point_state(params, env, args.state)
-        _write(format_covariance(sector_matrix(state.sectors)), args.dump_cov)
+    row, sectors = evaluate_point(_model_params(args), _environment(args), args.state)
+    if args.dump_cov is not None:
+        if sectors is None:  # past the stability edge: a row, but no state
+            raise InstabilityError()
+        _write(format_covariance(sector_matrix(sectors)), args.dump_cov)
         if args.dump_cov == "-":
             return 0
-        row = result_row(params, env, args.state, state)
     _write(CSV_HEADER + "\n" + row.to_csv() + "\n", args.output)
     return 0
 

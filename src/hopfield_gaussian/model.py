@@ -41,7 +41,13 @@ _FLOAT_MAX = 1.7976931348623157e308
 
 
 class InstabilityError(ValueError):
-    """The lower normal mode has a non-real frequency: no stable spectrum."""
+    """The lower normal mode has a non-real frequency: no stable spectrum.
+
+    The default message is the one of every command that refuses such a point.
+    """
+
+    def __init__(self, message="the x or p sector of the Hamiltonian is not positive definite"):
+        super().__init__(message)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ basis and (x_U, p_U, x_L, p_L) in the polariton basis, with the vacuum at
 variance 1/2.  The steady state of the common-bath master equation is
 diagonal in the polariton basis with coth weights, n + 1/2 per branch
 (n = 0 for the ground state).  Sweeps and ``point`` build it as Gamma_xx
-⊕ Gamma_pp from the x-p sector frames (``_sector_covariance``); only
-``point --dump-cov`` assembles the 4x4 matrix (``sector_matrix``), whose
-text format ``format_covariance`` writes and ``parse_covariance`` reads.
+⊕ Gamma_pp from the x-p sector frames (``_sector_covariance``), on floats
+and on arrays alike: a frequency that underflows to 0 gives an infinite
+weight on both, which the measures stage reports as an overflow.  Only
+``point --dump-cov`` assembles the 4x4 matrix (``sector_matrix``), from the
+sectors whose measures ``point`` has checked; ``format_covariance`` writes
+its text format and ``parse_covariance`` reads it.
 """
 
 from __future__ import annotations
@@ -111,10 +114,19 @@ def _bose(omega, temperature):
     return 1.0 / math.expm1(x) if x > 0.0 else math.inf
 
 
-def _sector_block(frame, c_u, c_l):
-    """(11, 12, 22) of sum_j (c_j / omega_j) (A^1/2 u_j)(A^1/2 u_j)^T of one frame."""
-    wu, wl, u, root, _ = frame
-    ((y1, y2), (z1, z2)), w_u, w_l = _frame_vectors(u, root), c_u / wu, c_l / wl
+def _weights(frame, c_u, c_l):
+    """(c_U / omega_U, c_L / omega_L) of a frame, c >= 1/2.  A float omega
+    of 0 (an underflow) gives inf, as numpy's division does, where Python's
+    raises: the measures stage then reports the fault the kernel reports."""
+    wu, wl = frame[:2]
+    if isinstance(wu, np.ndarray):
+        return c_u / wu, c_l / wl
+    return (c_u / wu if wu else math.inf), (c_l / wl if wl else math.inf)
+
+
+def _sector_block(frame, w_u, w_l):
+    """(11, 12, 22) of sum_j w_j (A^1/2 u_j)(A^1/2 u_j)^T of one frame."""
+    (y1, y2), (z1, z2) = _frame_vectors(*frame[2:4])
     return (w_u * y1 * y1 + w_l * z1 * z1, w_u * y1 * y2 + w_l * z1 * z2,
             w_u * y2 * y2 + w_l * z2 * z2)
 
@@ -130,25 +142,23 @@ def _sector_covariance(frame_x, frame_p, passive, temperature):
     c_u, c_l = 0.5 + _bose(frame_p[0], temperature), 0.5 + _bose(frame_p[1], temperature)
     (u1, u2), d = frame_p[2], c_l - c_u
     same = c_u + d * u2 * u2, -d * u1 * u2, c_u + d * u1 * u1
-    wu, wl, _, _, det_t = frame_x  # det Gamma_xx = det T c_U c_L / (omega_U omega_L)
-    if isinstance(passive, np.ndarray):
-        gxx, gpp = (
-            tuple(np.where(passive, s, b) for s, b in zip(same, _sector_block(f, c_u, c_l)))
-            for f in (frame_x, frame_p)
-        )
-        det_xx = np.where(passive, c_u * c_l, det_t * (c_u / wu) * (c_l / wl))
-        return gxx, gpp, c_u, c_l, det_xx
-    if passive:
+    array = isinstance(passive, np.ndarray)
+    if not array and passive:
         return same, same, c_u, c_l, c_u * c_l
-    gxx, gpp = _sector_block(frame_x, c_u, c_l), _sector_block(frame_p, c_u, c_l)
-    return gxx, gpp, c_u, c_l, det_t * (c_u / wu) * (c_l / wl)
+    w_u, w_l = _weights(frame_x, c_u, c_l)
+    gxx = _sector_block(frame_x, w_u, w_l)
+    gpp = _sector_block(frame_p, *_weights(frame_p, c_u, c_l))
+    det_xx = frame_x[4] * w_u * w_l  # det T c_U c_L / (omega_U omega_L)
+    if array:
+        gxx, gpp = (tuple(np.where(passive, s, b) for s, b in zip(same, g)) for g in (gxx, gpp))
+        det_xx = np.where(passive, c_u * c_l, det_xx)
+    return gxx, gpp, c_u, c_l, det_xx
 
 
 def sector_matrix(sectors) -> CovarianceMatrix:
-    """The 4x4 covariance of ``_sector_covariance``, in (x_a, p_a, x_b, p_b) order."""
-    (xa, xab, xb), (pa, pab, pb), c_u, c_l, _ = sectors
-    if not c_u * c_l < _MAX_WEIGHT_PRODUCT:  # as in steady_state_covariance
-        raise measure_error(OVERFLOW, thermal=c_l > 0.5)
+    """The 4x4 covariance of ``_sector_covariance``, in (x_a, p_a, x_b, p_b) order;
+    ``point --dump-cov`` assembles it only from sectors whose measures are finite."""
+    (xa, xab, xb), (pa, pab, pb), *_ = sectors
     rows = [[xa, 0.0, xab, 0.0], [0.0, pa, 0.0, pab], [xab, 0.0, xb, 0.0], [0.0, pab, 0.0, pb]]
     return CovarianceMatrix(np.array(rows))
 

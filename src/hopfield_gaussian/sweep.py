@@ -8,12 +8,13 @@ and det T of its x and p sectors are positive; an unstable point becomes a
 row with empty measure fields and stable=false.  Every stable point takes
 one route, the x-p sector stages.
 
-``run_point`` is the scalar route for one point through the kernel's own
-stage functions, and the reference the kernel is tested against.  It reads
-stability off the determinants, so an unstable point is a row, not a
-raised and caught ``InstabilityError`` (``point_state``, the route of
-``point --dump-cov``, still raises one).  Each point is one ``ResultRow``,
-formatted by one ``%`` with the kernel's row template.
+``evaluate_point`` is the scalar route for one point through the kernel's
+own stage functions, and the reference the kernel is tested against; its
+row is ``run_point``'s, and its x-p sectors are what ``point --dump-cov``
+writes, so ``point`` evaluates a point once with or without the dump.  It
+reads stability off the determinants, so an unstable point is a row, not
+a raised and caught ``InstabilityError``.  Each point is one
+``ResultRow``, formatted by one ``%`` with the kernel's row template.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ __all__ = [
     "CSV_HEADER",
     "ResultRow",
     "diagonalize_params",
+    "evaluate_point",
     "grid_points",
-    "point_state",
-    "result_row",
     "run_point",
     "run_sweep",
     "sweep_csv",
@@ -102,24 +102,19 @@ def _sector_args(params: ModelParams) -> tuple[tuple, bool]:
     return (*args, det_v, det_t), det_v > 0.0 and det_t > 0.0
 
 
-def _stable_sectors(params: ModelParams) -> tuple:
-    """The arguments of ``_sector_args``; raises InstabilityError past the edge."""
-    args, stable = _sector_args(params)
-    if not stable:
-        raise InstabilityError("the x or p sector of the Hamiltonian is not positive definite")
-    return args
-
-
 def diagonalize_params(params: ModelParams) -> PolaritonBasis:
     """Normal modes of ``diagonalize`` and ``dynamics``, from the x-p sector
-    frames of ``point_state``: its frequencies, and the Bogoliubov
+    frames of ``evaluate_point``: its frequencies, and the Bogoliubov
     coefficients of ``model._frame_coefficients``.
 
     theta, a display field, is the mixing angle of the lambda1 = lambda2 > 0
     family where its branches are split, and None elsewhere.  A point past
     the stability edge raises InstabilityError.
     """
-    wa, wb, l1, l2, dd, *_ = args = _stable_sectors(params)
+    args, stable = _sector_args(params)
+    if not stable:
+        raise InstabilityError()
+    wa, wb, l1, l2, dd, *_ = args
     frame_x, frame_p, passive = _sector_modes(*args)
     wu, wl = frame_p[:2]
     split = l1 == l2 > 0.0 and wu - wl >= DEGENERACY_TOL * wb
@@ -127,75 +122,40 @@ def diagonalize_params(params: ModelParams) -> PolaritonBasis:
     return PolaritonBasis(wu, wl, *_frame_coefficients(frame_x, passive), theta)
 
 
-class PointState(NamedTuple):
-    """A point's frequencies and x-p sectors (``states._sector_covariance``)."""
+def evaluate_point(
+    params: ModelParams, env: Environment | None, state_kind: str
+) -> tuple[ResultRow, tuple | None]:
+    """(row, x-p sectors) of one point by the stages of ``grid.evaluate_grid``.
 
-    omega_upper: float
-    omega_lower: float
-    sectors: tuple
-
-
-def _temperature(env: Environment | None, state_kind: str) -> float:
-    """The temperature of the requested state; rejects an unknown kind."""
+    The sectors are those of ``states._sector_covariance``, and None past the
+    stability edge, where the row is flagged unstable: decided by the
+    determinants alone, with no exception raised.  A stable point whose
+    measures fault raises the ValueError of ``correlation_report``.
+    """
     if state_kind == "thermal":
-        return 0.0 if env is None else env.temperature
-    if state_kind != "ground":
+        temperature = 0.0 if env is None else env.temperature
+    elif state_kind == "ground":
+        temperature = 0.0
+    else:
         raise ValueError("state_kind must be 'ground' or 'thermal'")
-    return 0.0
-
-
-def _sector_state(args: tuple, temperature: float) -> PointState:
-    """The stages of ``grid.evaluate_grid`` on one stable point's ``_sector_args``."""
+    l1, l2 = params.lambda1, params.lambda2
+    # lambda is max(lambda1, lambda2)
+    head = (l2 if l2 > l1 else l1, params.omega_a, params.omega_b, temperature)
+    args, stable = _sector_args(params)
+    if not stable:
+        return ResultRow(*head, None, None, stable=False), None
     frame_x, frame_p, passive = _sector_modes(*args)
     sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
-    return PointState(frame_p[0], frame_p[1], sectors)
-
-
-def point_state(
-    params: ModelParams, env: Environment | None, state_kind: str
-) -> PointState:
-    """The requested state by the x-p sector route of ``grid.evaluate_grid``;
-    raises InstabilityError past the stability edge."""
-    temperature = _temperature(env, state_kind)
-    return _sector_state(_stable_sectors(params), temperature)
-
-
-def result_row(
-    params: ModelParams,
-    env: Environment | None,
-    state_kind: str,
-    state: PointState | None,
-) -> ResultRow:
-    """Row of one point from its ``point_state``; None flags an unstable point."""
-    temperature = _temperature(env, state_kind)
-    l1, l2 = params.lambda1, params.lambda2
-    lam = l2 if l2 > l1 else l1  # max(l1, l2)
-    if state is None:
-        return ResultRow(
-            lam, params.omega_a, params.omega_b, temperature, None, None, stable=False
-        )
-    report = correlation_report(state.sectors)
-    return ResultRow(
-        lam,
-        params.omega_a,
-        params.omega_b,
-        temperature,
-        state.omega_upper,
-        state.omega_lower,
-        *report[:-1],
-        report.classification.value,
-    )
+    report = correlation_report(sectors)
+    row = ResultRow(*head, frame_p[0], frame_p[1], *report[:-1], report.classification.value)
+    return row, sectors
 
 
 def run_point(
     params: ModelParams, env: Environment | None, state_kind: str
 ) -> ResultRow:
-    """Full pipeline for one point; a point past the stability edge is a
-    flagged row, decided by the determinants alone, with no exception raised."""
-    temperature = _temperature(env, state_kind)
-    args, stable = _sector_args(params)
-    state = _sector_state(args, temperature) if stable else None
-    return result_row(params, env, state_kind, state)
+    """The row of ``evaluate_point``: one point through the full pipeline."""
+    return evaluate_point(params, env, state_kind)[0]
 
 
 # (mixing lambda1, squeezing lambda2) terms that each coupling structure drives

@@ -258,6 +258,9 @@ FAULTY_POINTS = [
     (ModelParams(5e-324, 1.0000000000000002, 5e-324, 1e-300, 1e10), 0.0),
     (ModelParams(1.0, 1.0, 0.5, 0.5, 0.25), 1e80),
     (ModelParams(1.0, 1.0, 0.49999999999999994, 0.49999999999999994, 0.0), 1e70),
+    # omega_L of the (T, V) frame underflows to 0: an infinite weight on both routes
+    (ModelParams(6.845772737231646e245, 3.6509797094270246e-166, 2.1811256879978044e-196, 0.0,
+                 2.490144585750596e301), 0.0),
 ]
 
 

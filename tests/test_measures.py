@@ -372,6 +372,28 @@ class TestCorrelationReport:
         matrix_report(gamma)
         assert calls == [gamma]
 
+    @pytest.mark.parametrize(
+        "diagonal, part",
+        [
+            # det A = 0: a block determinant
+            ([1.0, 0.0, 1.0, 1.0], "a block determinant"),
+            # det B / det A = 1e-20 takes d~_- to 0 in delta~ - disc
+            ([1.0, 1.0, 1e-10, 1e-10], "the partial transpose"),
+            # d~_- = 1e-80 > 0, but mu_ab = 1 / (16 det Gamma) overflows
+            ([1e-80] * 4, "the partial transpose"),
+        ],
+        ids=["block", "transpose-d-minus", "transpose-measure"],
+    )
+    def test_singular_faults_have_their_messages(self, diagonal, part):
+        # the faults of the float measures stage that the commands share;
+        # matrix_report raises them before its physicality test
+        with pytest.raises(ValueError) as caught:
+            matrix_report(CovarianceMatrix(np.diag(diagonal)))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == (
+            f"{part} of the covariance is singular to rounding, at the stability edge"
+        )
+
 
 class TestOccupations:
     def test_vacuum(self):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from hopfield_gaussian import cli, oracles, states, sweep
 from hopfield_gaussian.measures import SteeringClass
-from hopfield_gaussian.model import InstabilityError, hopfield, no_a2
+from hopfield_gaussian.model import InstabilityError, ModelParams, hopfield, no_a2
 from hopfield_gaussian.oracles import resonant_balance_frequency
 from hopfield_gaussian.scenarios import (
     SCENARIOS,
@@ -27,7 +27,8 @@ from hopfield_gaussian.states import Environment, parse_covariance
 from hopfield_gaussian.sweep import (
     CSV_HEADER,
     ResultRow,
-    point_state,
+    diagonalize_params,
+    evaluate_point,
     run_point,
     run_sweep,
     spec_to_params,
@@ -40,7 +41,8 @@ from oracles import row_csv
 FIGURE_DIGESTS = (Path(__file__).parent / "figure_data.sha256").read_text().splitlines()
 README = Path(__file__).parents[1] / "README.md"
 # (sha256 of stdout, or of stderr where the command fails, exit code,
-# arguments) of point commands; CI checks the installed CLI against them too
+# arguments) of point and dynamics commands; CI checks the installed CLI
+# against them too
 POINT_DIGESTS = [
     line.split(None, 2)
     for line in (Path(__file__).parent / "point_output.sha256").read_text().splitlines()
@@ -94,7 +96,7 @@ class TestRunPoint:
         text = row.to_csv()
         assert text == "0.6,1,1,0.25,,,,,,,,,,,,false"
 
-    @pytest.mark.parametrize("route", [run_point, point_state])
+    @pytest.mark.parametrize("route", [run_point, evaluate_point])
     @pytest.mark.parametrize("lam", [0.5, 0.6])  # stable, unstable
     def test_unknown_state_kind_rejected(self, route, lam, monkeypatch):
         # before any work: the point is never evaluated
@@ -115,18 +117,50 @@ class TestRunPoint:
         params, env = no_a2(1, 1, 0.6), Environment(0.25)
         for kind in ("ground", "thermal"):
             assert run_point(params, env, kind).to_csv().endswith(",false")
+            assert evaluate_point(params, env, kind)[1] is None
         # the patch is live: the raising route still builds one
         with pytest.raises(AssertionError, match="InstabilityError was built"):
-            point_state(params, env, "thermal")
+            diagonalize_params(params)
 
-    def test_point_state_still_raises_past_the_edge(self, capsys):
+    def test_dump_cov_still_raises_past_the_edge(self, capsys):
+        row, sectors = evaluate_point(no_a2(1, 1, 0.6), Environment(0.25), "thermal")
+        assert sectors is None and not row.stable
         with pytest.raises(InstabilityError):
-            point_state(no_a2(1, 1, 0.6), Environment(0.25), "thermal")
+            diagonalize_params(no_a2(1, 1, 0.6))
         argv = ["point", "--lambda", "0.6", "--diamag", "zero", "--temp", "0.25",
                 "--state", "thermal", "--dump-cov", "-"]
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("unstable: ")
+        # the one message of every command that refuses an unstable point
+        assert cli.main(["diagonalize", *argv[1:5]]) == 2
+        assert capsys.readouterr().err == err
+
+
+# every finite non-negative float: zero, binary exponents drawn uniformly
+# from the smallest subnormal to the largest float, and Hypothesis' own picks
+ANY_MAGNITUDE = st.one_of(
+    st.just(0.0),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1024)),
+    st.floats(0.0, allow_infinity=False),
+)
+
+
+class TestRunPointFloatRange:
+    @settings(max_examples=500, deadline=None)
+    # omega_L of the (T, V) frame underflows to 0: once a ZeroDivisionError
+    @example((6.845772737231646e245, 3.6509797094270246e-166, 2.1811256879978044e-196, 0.0,
+              2.490144585750596e301), 0.0, "ground")
+    # det Gamma_xx rounds to 0; exact determinants past the float range
+    @example((5e-324, 1.0000000000000002, 5e-324, 1e-300, 1e10), 0.0, "ground")
+    @example((1e-160, 0.5, 0.5, 1e300, 1.0), 0.0, "ground")
+    @given(st.tuples(*[ANY_MAGNITUDE] * 5), ANY_MAGNITUDE, st.sampled_from(["ground", "thermal"]))
+    def test_a_row_or_a_value_error(self, values, temperature, kind):
+        try:
+            row = run_point(ModelParams(*values), Environment(temperature), kind)
+        except ValueError:
+            return
+        assert isinstance(row, ResultRow)
 
 
 # every float class: -0.0, inf, nan, subnormals and huge values included
@@ -630,22 +664,10 @@ class TestCli:
             "t,occ_U,occ_L,re_sq_U,im_sq_U,re_sq_L,im_sq_L,re_cross,im_cross"
         )
 
-    def test_dynamics_readme_example_bytes(self, capsys):
-        # sha256 of the output of the README example, pinned so that no digit
-        # of the trajectory can move unnoticed
-        argv = ["dynamics", "--lambda", "0.5", "--temp", "0.25", "--t-final", "200",
-                "--stride", "50"]
-        assert cli.main(argv) == 0
-        out = capsys.readouterr().out
-        assert len(out.splitlines()) == 132
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "bb546fceabe39a6b00cbea2a692fca26dda6cdf43f175ee6f0ab6308487f4475"
-        )
-
     @pytest.mark.parametrize("digest, code, args", POINT_DIGESTS, ids=lambda v: v)
     def test_point_output_bytes(self, digest, code, args, capsys):
-        # pinned so that no digit of a point row or a dumped covariance,
-        # nor the exit of an unstable dump, can move unnoticed
+        # pinned so that no digit of a point row, a dumped covariance or the
+        # README trajectory, nor the exit of an unstable dump, can move unnoticed
         assert cli.main(args.split()) == int(code)
         out, err = capsys.readouterr()
         written, silent = (out, err) if code == "0" else (err, out)
@@ -656,7 +678,8 @@ class TestCli:
         pinned = {args for _, _, args in POINT_DIGESTS}
         readme = [line.split("#")[0].split(None, 1)[1].strip()
                   for line in README.read_text().splitlines()
-                  if line.startswith("hopfield-gaussian point ")]
+                  if line.startswith(("hopfield-gaussian point ", "hopfield-gaussian dynamics "))]
+        assert any(args.startswith("dynamics ") for args in readme)
         for args in readme:
             assert args.replace("cov.txt", "-") in pinned
         for flags, _ in COMMAND_POINTS.values():
@@ -664,6 +687,29 @@ class TestCli:
             assert {point, point + " --dump-cov -"} <= pinned
         codes = [code for _, code, args in POINT_DIGESTS if args.endswith("--dump-cov -")]
         assert "2" in codes
+        # a point that fails fails alike with --dump-cov: one evaluation, one outcome
+        outcomes = {args: (digest, code) for digest, code, args in POINT_DIGESTS}
+        failing = [args for args, (_, code) in outcomes.items()
+                   if args.startswith("point ") and code == "2" and "--dump-cov" not in args]
+        assert failing
+        for args in failing:
+            assert outcomes.get(args + " --dump-cov -") == outcomes[args], args
+
+    def test_dump_cov_file_evaluates_the_point_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        sector_modes = sweep._sector_modes
+
+        def counted(*args):
+            calls.append(args)
+            return sector_modes(*args)
+
+        monkeypatch.setattr(sweep, "_sector_modes", counted)
+        path = tmp_path / "cov.txt"
+        argv = ["point", "--lambda", "0.7", "--temp", "0.3", "--state", "thermal"]
+        assert cli.main([*argv, "--dump-cov", str(path)]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.startswith(CSV_HEADER + "\n")
+        assert path.read_text().startswith("basis: bare\n")
 
     def test_readme_python_blocks_run(self, capsys):
         blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
