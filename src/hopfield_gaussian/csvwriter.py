@@ -1,7 +1,8 @@
 """The rows of ``grid.GridResult`` written by array operations.
 
 ``write_rows`` prints a table of float cells as CSV rows in which each cell
-is format(x, '.12g'), with no Python call per cell.  ``cell_words`` lays out
+is format(x, '.12g'), with a Python call only for the few cells that the
+array operations leave alone.  ``cell_words`` lays out
 each cell in a slot of three little-endian uint64 words, which hold the
 longest cell ('-1.23456789012e-308') and its separator:
 
@@ -14,11 +15,12 @@ longest cell ('-1.23456789012e-308') and its separator:
   the '.' after digit k + 1 (0 <= k < 12), '0.' and -k - 1 zeros before the
   digits (-4 <= k < 0), or the exponent form with 'e' and the exponent.
 
-``write_rows`` then writes the separator at each cell's length and keeps
-each slot up to it with one boolean mask.  Which cells it leaves to
-format() and why that makes every other cell exact is in the ``grid``
-module's docstring.  The module is imported on the first block of at least
-``grid._WRITER_ROWS`` rows, so single points never build its tables.
+``write_rows`` writes the cells that ``cell_words`` leaves alone with
+format() into their slots, then the separator at each cell's length, and
+keeps each slot up to it with one boolean mask.  Why every other cell is
+exact is in the ``grid`` module's docstring.  The module is imported on the
+first block of at least ``grid._WRITER_ROWS`` rows, so single points never
+build its tables.
 """
 
 from __future__ import annotations
@@ -222,26 +224,26 @@ _TAIL_END = np.array([len(t) - 1 for t in _TAILS], np.intp)
 _KEEP = np.array([[j <= n for j in range(_SLOT)] for n in range(_SLOT)]).view(np.uint64)
 
 
-def write_rows(
-    table: np.ndarray, stable: np.ndarray, classes: np.ndarray, echo: int
-) -> tuple[str, np.ndarray]:
-    """CSV rows of ``table``, each ended by a newline, and the rows to redo.
+def write_rows(table: np.ndarray, stable: np.ndarray, classes: np.ndarray, echo: int) -> str:
+    """CSV rows of ``table``, each ended by a newline; ``table`` is left as it is.
 
     A row is its cells, then its steering class (an index into
     ``measures._STEERING_CLASSES``) and 'true', or, for an unstable row,
-    its first ``echo`` cells, empty cells and 'false'.  The rows to redo
-    hold a cell that ``cell_words`` leaves to format(); their text here is
-    not that cell's.  The cells of unstable rows past ``echo`` are
-    overwritten.
+    its first ``echo`` cells, empty cells and 'false'.  The cells that
+    ``cell_words`` leaves alone are written by format().
     """
     n, width = table.shape
-    # the empty cells are formatted as 0, the cheapest cell, then cut to
-    # length 0
-    table[~stable, echo:] = 0.0
     slots = np.empty((n, width + 1, 3), "<u8")
     lengths = np.empty((n, width + 1), np.intp)
     left = cell_words(table, slots[:, :width], lengths[:, :width])
-    lengths[~stable, echo:width] = 0
+    unstable = ~stable
+    lengths[unstable, echo:width] = 0
+    left[unstable, echo:] = False
+    rows, cols = np.nonzero(left)
+    if rows.size:
+        texts = [format(x, ".12g") for x in table[rows, cols].tolist()]
+        slots[rows, cols] = np.array(texts, "S24").view("<u8").reshape(-1, 3)
+        lengths[rows, cols] = [len(t) for t in texts]
     tail = np.where(stable, classes, len(_STEERING_CLASSES))
     _TAIL.take(tail, axis=0, out=slots[:, width])
     _TAIL_END.take(tail, out=lengths[:, width])
@@ -250,5 +252,4 @@ def write_rows(
     ends += lengths[:, :width]
     raw.reshape(-1)[ends] = ord(",")
     del ends
-    text = raw[_KEEP.take(lengths, axis=0).view(bool)].tobytes().decode("ascii")
-    return text, np.flatnonzero(left.any(axis=1))
+    return raw[_KEEP.take(lengths, axis=0).view(bool)].tobytes().decode("ascii")

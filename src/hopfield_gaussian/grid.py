@@ -1,7 +1,7 @@
 """Batched grid kernel: a whole sweep grid as one array pass.
 
 ``evaluate_grid`` takes resolved parameters as arrays (one entry per grid
-point) and returns every CSV column as an array.  It follows the scalar
+point) and returns every CSV cell in one table.  It follows the scalar
 route of ``sweep.run_point`` step by step, calling the scalar route's own
 functions on arrays, which run the same floating-point operations as on
 floats.  Every point takes one route: a point whose det V or det T
@@ -15,11 +15,11 @@ raises ``measures.measure_error`` for the first point with a fault.
 Each point's result depends on that point alone, so any contiguous split
 of a grid yields the same rows; ``sweep.sweep_csv``'s blocks rely on this.
 
-``GridResult.csv_text`` prints every float cell as format(x, '.12g'), the
-cell of ``ResultRow.to_csv``.  A block of ``_WRITER_ROWS`` rows or more is
-written by the array operations of ``csvwriter``; a smaller block, and
-every row with a cell the arrays leave alone, by ``_template_rows``, one
-format() call per cell.  The array cells are exact for this reason:
+``GridResult`` holds a block's rows as one float table, ``cells``, which
+``csv_text`` prints with every cell as format(x, '.12g'), the cell of
+``ResultRow.to_csv``.  A block of ``_WRITER_ROWS`` rows or more is written
+by ``csvwriter.write_rows``; a smaller block by ``_template_rows``, one
+format() call per cell.  The writer's array cells are exact for this reason:
 
 - The digits are the integer nearest s = |x| 10^(11 - k).  The computed s
   carries two roundings, of the correctly rounded power of ten and of the
@@ -27,11 +27,11 @@ format() call per cell.  The array cells are exact for this reason:
   absolute error below 2.3e-4.  rint(s) is thus the rounding of the exact
   s, as format() rounds it, unless the exact fraction lies within 2.3e-4
   of 1/2.
-- A cell whose computed fraction lies within ``csvwriter.TIE_MARGIN`` =
-  1e-3 of 1/2 is left to format(); the margin is four times that error.
-  So are inf, nan and every nonzero |x| below 1e-295 (past the power
-  table), subnormals among them.  On the presets that is 0.13% of the
-  cells.
+- The writer prints a cell whose computed fraction lies within
+  ``csvwriter.TIE_MARGIN`` = 1e-3 of 1/2 with format(); the margin is four
+  times that error.  So it prints inf, nan and every nonzero |x| below
+  1e-295 (past the power table), subnormals among them.  On the presets
+  that is 0.13% of the cells.
 - The exponent k is checked, not trusted: a k that puts s outside [1e11,
   1e12) is moved by one and s taken again, and 12 digits that round to
   10^12 carry into k, as the exact rounding does.
@@ -46,7 +46,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .measures import _STEERING_CLASSES, CorrelationReport, _sector_measures, measure_error
+from .measures import _STEERING_CLASSES, _sector_measures, measure_error
 from .model import ModelParams, _sector_modes, _stability_determinants
 from .states import VALUE_FORMAT, _sector_covariance
 
@@ -80,67 +80,50 @@ class GridPoints:
         return ModelParams(*(float(getattr(self, f.name)[i]) for f in fields(self)[:5]))
 
 
+# the float cells of a row, in the order of the CSV: four echoed inputs,
+# then the measures that unstable rows leave empty
+_CELLS = ("lam", "wa", "wb", "temperature", "omega_upper", "omega_lower",
+          "e_n", "g_ab", "g_ba", "mu_a", "mu_b", "mu_ab", "n_a", "n_b")
+_ECHO = 4
+
+
 @dataclass(frozen=True)
 class GridResult:
-    """Every CSV column of a grid; measures are NaN when unstable.
+    """The rows of a grid: ``cells`` holds one row of ``_CELLS`` values per
+    point, NaN past the echoed inputs where the point is unstable, and each
+    ``_CELLS`` name reads its column.
 
     ``classification`` is the steering class as an index into
     ``measures._STEERING_CLASSES``, -1 where unstable.
     """
 
-    lam: np.ndarray
-    wa: np.ndarray
-    wb: np.ndarray
-    temperature: np.ndarray
+    cells: np.ndarray
     stable: np.ndarray
-    omega_upper: np.ndarray
-    omega_lower: np.ndarray
-    e_n: np.ndarray
-    g_ab: np.ndarray
-    g_ba: np.ndarray
-    mu_a: np.ndarray
-    mu_b: np.ndarray
-    mu_ab: np.ndarray
-    n_a: np.ndarray
-    n_b: np.ndarray
     classification: np.ndarray
 
-    def csv_rows(self) -> list[str]:
-        """One row per point, each equal to ``ResultRow.to_csv`` of its values."""
-        return self.csv_text().split("\n")[:-1]
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in _CELLS:
+            raise AttributeError(name)
+        return self.cells[:, _CELLS.index(name)]
 
     def csv_text(self) -> str:
-        """The rows of ``csv_rows``, each ended by a newline."""
-        table = np.stack([getattr(self, name) for name in _CELLS], axis=1)
-        n = len(table)
-        classes = self.classification
+        """One row per point, each ``ResultRow.to_csv`` of its values and
+        ended by a newline."""
+        n, classes = len(self.cells), self.classification
         if n < _WRITER_ROWS:
-            rows = _template_rows(table, self.stable, classes)
+            rows = _template_rows(self.cells, self.stable, classes)
             return "\n".join(rows) + "\n" if rows else ""
         # imported on the first large block: single points and small
         # sweeps never build its tables
         from . import csvwriter
 
         pieces = -(-n // _WRITER_CHUNK)
-        texts = []
-        for i in range(pieces):
-            part = slice(i * n // pieces, (i + 1) * n // pieces)
-            cells, stable = table[part], self.stable[part]
-            text, redo = csvwriter.write_rows(cells, stable, classes[part], _ECHO)
-            if redo.size:
-                rows = text.split("\n")
-                exact = _template_rows(cells[redo], stable[redo], classes[part][redo])
-                for j, row in zip(redo.tolist(), exact):
-                    rows[j] = row
-                text = "\n".join(rows)
-            texts.append(text)
-        return "".join(texts)
+        parts = (slice(i * n // pieces, (i + 1) * n // pieces) for i in range(pieces))
+        return "".join(
+            csvwriter.write_rows(self.cells[p], self.stable[p], classes[p], _ECHO) for p in parts
+        )
 
 
-# the cells of a row formatted with VALUE_FORMAT, in the order of the CSV:
-# four echoed inputs, then the measures that unstable rows leave empty
-_CELLS = tuple(f.name for f in fields(GridResult) if f.name not in ("stable", "classification"))
-_ECHO = 4
 # '%.12g' % x is format(x, '.12g') for every float, -0.0, inf and nan
 # included; ``sweep.ResultRow.to_csv`` formats its row with these templates too
 _HEAD = ",".join(["%" + VALUE_FORMAT] * _ECHO)
@@ -153,7 +136,7 @@ _LABELS = tuple(c.value for c in _STEERING_CLASSES)
 
 def _template_rows(table: np.ndarray, stable: np.ndarray, classes: np.ndarray) -> list[str]:
     """Rows of ``table`` (one row of ``_CELLS`` values per point) and their
-    class indices, one ``format`` call per cell: the writer's per-row exact path."""
+    class indices, one ``format`` call per cell: the rows of small blocks."""
     return [
         _STABLE_ROW % (*row, _LABELS[c]) if ok
         else _HEAD % tuple(row[:_ECHO]) + _UNSTABLE_TAIL
@@ -197,20 +180,11 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
         where = f" at {points.params(int(live[i]))}"
         raise measure_error(int(fault[i]), where, sectors[3][i] > 0.5)
 
-    def column(values: np.ndarray, fill=np.nan, dtype=float) -> np.ndarray:
-        out = np.full(n, fill, dtype=dtype)
-        out[live] = values
-        return out
-
-    return GridResult(
-        lam=np.where(l2 > l1, l2, l1),
-        wa=wa,
-        wb=wb,
-        temperature=temperature,
-        stable=stable,
-        omega_upper=column(frame_p[0]),
-        omega_lower=column(frame_p[1]),
-        # the measures of _sector_measures come in the order of the report's fields
-        **{name: column(v) for name, v in zip(CorrelationReport._fields, measures)},
-        classification=column(classes, -1, np.intp),
-    )
+    cells = np.full((n, len(_CELLS)), np.nan)
+    cells[:, :_ECHO] = np.transpose((np.where(l2 > l1, l2, l1), wa, wb, temperature))
+    # the measures of _sector_measures come in the order of the report's
+    # fields, which _CELLS follows
+    cells[live, _ECHO:] = np.transpose((frame_p[0], frame_p[1], *measures))
+    classification = np.full(n, -1, np.intp)
+    classification[live] = classes
+    return GridResult(cells, stable, classification)

@@ -76,6 +76,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose occupation 1/(exp(omega/T) - 1); exactly 0 at T = 0."""
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
+    if omega <= 0:
+        raise ValueError("occupation defined for positive frequencies")
     return _bose(omega, temperature)
 
 
@@ -93,7 +95,8 @@ def _by_math(fn, *args) -> np.ndarray:
 
 def _bose(omega, temperature):
     """``thermal_occupation`` of a float, or elementwise of arrays, at
-    temperatures known to be non-negative; a float omega must be positive."""
+    temperatures known to be non-negative.  An omega that underflows to 0
+    gives inf at T > 0 on both, which the measures stage reports."""
     if isinstance(omega, np.ndarray):
         occupation = np.zeros_like(omega)
         hot = np.flatnonzero(temperature > 0.0)
@@ -102,8 +105,6 @@ def _bose(omega, temperature):
         live = x <= 700.0
         occupation[hot[live]] = 1.0 / _by_math(math.expm1, x[live])
         return occupation
-    if omega <= 0:
-        raise ValueError("occupation defined for positive frequencies")
     if temperature == 0.0:
         return 0.0
     x = omega / temperature

@@ -2,8 +2,9 @@
 
 A sweep resolves its grid in row-major axis order to parameter arrays and
 evaluates it with the array kernel (``grid.evaluate_grid``), one block of
-points at a time.  Rows use a fixed 12-significant-digit float format, so
-the byte output is reproducible across runs.  A point is stable when det V
+points at a time, each block one float table from the kernel to its text.
+Every cell is format(x, '.12g'), whichever writer prints it, so the byte
+output is reproducible across runs.  A point is stable when det V
 and det T of its x and p sectors are positive; an unstable point becomes a
 row with empty measure fields and stable=false.  Every stable point takes
 one route, the x-p sector stages.
@@ -19,7 +20,6 @@ a raised and caught ``InstabilityError``.  Each point is one
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +51,6 @@ __all__ = [
     "evaluate_point",
     "grid_points",
     "run_point",
-    "run_sweep",
     "sweep_csv",
     "resolve_params",
     "spec_to_params",
@@ -225,9 +224,9 @@ def spec_to_params(spec: SweepSpec, point: dict) -> tuple[ModelParams, float]:
 def grid_points(spec: SweepSpec, env: Environment) -> GridPoints:
     """Resolved parameters of every grid point, in row-major order.
 
-    Applies the rules of ``resolve_params`` elementwise.  A point that
-    ``spec_to_params`` or ``Environment`` rejects is reported with their
-    message before any point is computed.
+    Applies the rules of ``resolve_params`` elementwise.  The first point
+    that ``spec_to_params`` or ``Environment`` rejects is reported with
+    their message and its axis values before any point is computed.
     """
     values = [np.asarray(axis.values, dtype=float) for axis in spec.axes]
     names = [axis.name for axis in spec.axes]
@@ -256,23 +255,21 @@ def grid_points(spec: SweepSpec, env: Environment) -> GridPoints:
     valid &= (diamag >= 0) & np.isfinite([wa, wb, l1, l2, diamag, temperature]).all(0)
     bad = np.flatnonzero(~valid)
     if bad.size:
-        point = next(itertools.islice(spec.grid(), int(bad[0]), None))
-        _, temp = spec_to_params(spec, point)
-        Environment(temp, env.gamma_a, env.gamma_b)
+        point = {name: swept[name].flat[bad[0]].item() for name in names}
+        try:
+            _, temp = spec_to_params(spec, point)
+            Environment(temp, env.gamma_a, env.gamma_b)
+        except ValueError as exc:
+            raise ValueError(f"{exc} at grid point {point}") from None
         raise ValueError(f"invalid grid point {point}")
     return GridPoints(wa, wb, l1, l2, diamag, temperature)
 
 
 # points per kernel call: bounds the temporaries of the kernel and of the
 # CSV writer, at no measurable cost in speed; traced on a 1,024-point fig3a
-# block, they peak at 490 bytes per point in the kernel and 780 in
+# block, they peak at 510 bytes per point in the kernel and 590 in
 # GridResult.csv_text, the block's text (175 bytes per point) included
 _BLOCK_POINTS = 1024
-
-
-def run_sweep(spec: SweepSpec, env: Environment | None = None) -> list[str]:
-    """Evaluate the whole grid; returns CSV rows in deterministic order."""
-    return sweep_csv(spec, env).split("\n")[1:-1]
 
 
 def sweep_csv(spec: SweepSpec, env: Environment | None = None) -> str:

@@ -14,11 +14,13 @@ from hopfield_gaussian.measures import _STEERING_CLASSES, _steering_class_index
 WIDTH = len(grid._CELLS)
 
 
-def result_of(table: np.ndarray) -> GridResult:
-    """A stable grid whose CSV cells are the rows of ``table``."""
-    columns = dict(zip(grid._CELLS, table.T))
-    classes = _steering_class_index(columns["g_ab"], columns["g_ba"])
-    return GridResult(stable=np.ones(len(table), bool), classification=classes, **columns)
+def result_of(table: np.ndarray, stable: np.ndarray | None = None) -> GridResult:
+    """A grid whose CSV cells are the rows of ``table``, stable unless ``stable`` says."""
+    stable = np.ones(len(table), bool) if stable is None else stable
+    result = GridResult(table, stable, np.full(len(table), -1, np.intp))
+    classes = _steering_class_index(result.g_ab, result.g_ba)
+    result.classification[stable] = classes[stable]
+    return result
 
 
 def written(values) -> list[str]:
@@ -29,7 +31,7 @@ def written(values) -> list[str]:
     table = np.full((rows, WIDTH), 0.5)
     at = np.arange(len(values))
     table[at, at % WIDTH] = values
-    lines = result_of(table).csv_rows()
+    lines = result_of(table).csv_text().splitlines()
     return [lines[i].split(",")[i % WIDTH] for i in at.tolist()]
 
 
@@ -105,7 +107,7 @@ class TestCells:
             assert [t for t, gone in zip(texts, left) if not gone] == [
                 r for r, gone in zip(ref, left) if not gone
             ]
-            lines = result_of(part).csv_rows()
+            lines = result_of(part).csv_text().splitlines()
             assert [cell for line in lines for cell in line.split(",")[:WIDTH]] == ref
 
 
@@ -116,17 +118,37 @@ class TestRows:
 
         monkeypatch.setattr(csvwriter, "write_rows", fail)
         table = np.full((grid._WRITER_ROWS - 1, WIDTH), 0.25)
-        assert len(result_of(table).csv_rows()) == grid._WRITER_ROWS - 1
+        assert len(result_of(table).csv_text().splitlines()) == grid._WRITER_ROWS - 1
 
     @pytest.mark.parametrize("rows", [grid._WRITER_ROWS, grid._WRITER_CHUNK + 1, 1000])
     def test_every_split_into_chunks(self, rows):
         table = random_bits(rows, rows * WIDTH).reshape(rows, WIDTH)
         stable = np.arange(rows) % 3 > 0
-        columns = dict(zip(grid._CELLS, table.T))
-        classes = np.where(stable, _steering_class_index(columns["g_ab"], columns["g_ba"]), -1)
-        result = GridResult(stable=stable, classification=classes, **columns)
+        result = result_of(table, stable)
+        classes = result.classification
         template = grid._template_rows(table, stable, classes)
         for row, ok, c in zip(template, stable.tolist(), classes.tolist()):
             assert row.split(",")[WIDTH] == (_STEERING_CLASSES[c].value if ok else "")
-        assert result.csv_rows() == template
+        assert result.csv_text().splitlines() == template
         assert result.csv_text() == "".join(row + "\n" for row in template)
+
+    def test_mixed_block_with_cells_left_to_format(self):
+        # every cell class that cell_words leaves alone, in stable rows, in
+        # the echoed cells of unstable rows and past them, where a row's
+        # cells are empty; the writer prints them and writes to no input
+        special = [math.inf, -math.inf, math.nan, 5e-324, -1e-310, 1e-296, 123456789012.5,
+                   0.1234567890125, 999999999999.5]
+        rows = 2 * grid._WRITER_ROWS
+        table = random_bits(3, rows * WIDTH).reshape(rows, WIDTH)
+        at = np.arange(rows * WIDTH).reshape(rows, WIDTH) % 7 == 0
+        table[at] = np.resize(special, at.sum())
+        stable = np.arange(rows) % 5 > 1
+        result = result_of(table, stable)
+        before = result.cells.copy()
+        left = cell_words(result.cells.ravel())[1].reshape(rows, WIDTH)
+        assert left[stable].any() and left[~stable, :grid._ECHO].any()
+        text = result.csv_text()
+        template = grid._template_rows(before, stable, result.classification)
+        assert text == "".join(row + "\n" for row in template)
+        assert result.csv_text() == text
+        assert result.cells.tobytes() == before.tobytes()

@@ -203,14 +203,15 @@ class TestKernelAgainstScalarRoute:
         assert not row.stable
         result = evaluate_grid(grid_points(spec, ENV), spec.state)
         assert result.stable.tolist() == [True, False]
-        assert result.csv_rows()[1] == row.to_csv()
+        assert result.csv_text().splitlines()[1] == row.to_csv()
 
     @pytest.mark.parametrize("spec", FORMER_CLOSED_FORM_EDGES)
     def test_former_closed_form_edges_are_stable_rows(self, spec):
         edge, temperature = spec_to_params(spec, list(spec.grid())[1])
         row = run_point(edge, Environment(temperature), spec.state)
         assert row.stable
-        assert evaluate_grid(grid_points(spec, ENV), spec.state).csv_rows()[1] == row.to_csv()
+        result = evaluate_grid(grid_points(spec, ENV), spec.state)
+        assert result.csv_text().splitlines()[1] == row.to_csv()
         point = (edge.omega_a, edge.omega_b, edge.lambda1, edge.lambda2, edge.diamag)
         ref = _mpmath_row(*point, temperature)
         for name, value in ref.items():
@@ -237,7 +238,7 @@ class TestKernelAgainstScalarRoute:
             params, temperature = spec_to_params(spec, point)
             env = Environment(temperature, ENV.gamma_a, ENV.gamma_b)
             refs.append(run_point(params, env, "thermal").to_csv())
-        rows = result.csv_rows()
+        rows = result.csv_text().splitlines()
         assert rows == refs
         cells = [row.split(",") for row in rows]
         assert sum(c[-1] == "false" for c in cells) == 40
@@ -289,7 +290,83 @@ class TestFaultParity:
         row = run_point(ModelParams(*point), None, "ground")
         assert row.to_csv() == "1e+300,1e-160,0.5,0,,,,,,,,,,,,false"
         result = evaluate_grid(GridPoints(*([v] for v in (*point, 0.0))), "ground")
-        assert result.csv_rows() == [row.to_csv()]
+        assert result.csv_text().splitlines() == [row.to_csv()]
+
+    @pytest.mark.filterwarnings("error")
+    def test_run_point_and_a_one_point_grid_agree_on_any_input(self):
+        # every input log-uniform over the float range, seed 7; omega_L of
+        # the named point, and of 8% of the draws, underflows to 0 at T > 0,
+        # an infinite occupation on both routes
+        draws = 10.0 ** np.random.default_rng(7).uniform(-320, 305, (1000, 6))
+        for values in [(1.377954588754046e-234, 1.0, 0.0, 0.0, 0.0, 0.5), *draws.tolist()]:
+            params, temperature = ModelParams(*values[:5]), values[5]
+            try:
+                scalar = run_point(params, Environment(temperature), "thermal").to_csv() + "\n"
+            except ValueError as exc:
+                scalar = str(exc)
+            try:
+                batched = evaluate_grid(GridPoints(*([v] for v in values)), "thermal").csv_text()
+            except ValueError as exc:
+                batched = str(exc).replace(f" at {params}", "", 1)
+            assert batched == scalar, values
+
+
+class TestSwapSymmetry:
+    """At D = 0 the model is symmetric under a <-> b: swapping omega_a and
+    omega_b swaps G_ab and G_ba, mu_a and mu_b, N_a and N_b, and keeps the
+    frequencies, E_N, mu_ab and stability.  A check with no oracle, bounded
+    absolutely below 1 (a measure near 0 has no relative precision)."""
+
+    SWAPPED = {"wa": "wb", "wb": "wa", "g_ab": "g_ba", "g_ba": "g_ab", "mu_a": "mu_b",
+               "mu_b": "mu_a", "n_a": "n_b", "n_b": "n_a"}
+    # the class index is (G_ab above threshold) + 2 (G_ba above threshold)
+    SWAPPED_CLASS = (0, 2, 1, 3)
+
+    @staticmethod
+    def points(n=4000):
+        rng = np.random.default_rng(5)
+        wa, wb = rng.uniform(0.1, 3.0, (2, n))
+        l1, l2 = rng.uniform(0.0, 1.5, (2, n))
+        temperature = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.01, 1.0, n))
+        return wa, wb, l1, l2, np.zeros(n), temperature
+
+    @staticmethod
+    def close(x, y):
+        return np.abs(x - y) <= 1e-13 * np.maximum(1.0, np.abs(x))
+
+    @staticmethod
+    def decided(g_ab, g_ba):
+        return (np.abs(g_ab - STEERING_THRESHOLD) >= 1e-13) & (
+            np.abs(g_ba - STEERING_THRESHOLD) >= 1e-13)
+
+    def test_kernel(self):
+        wa, wb, *rest = self.points()
+        one = evaluate_grid(GridPoints(wa, wb, *rest), "thermal")
+        two = evaluate_grid(GridPoints(wb, wa, *rest), "thermal")
+        stable = one.stable
+        assert (two.stable == stable).all() and stable.sum() > 1000
+        for name in grid._CELLS:
+            x, y = getattr(one, name)[stable], getattr(two, self.SWAPPED.get(name, name))[stable]
+            assert self.close(x, y).all(), name
+        sure = self.decided(one.g_ab, one.g_ba) & self.decided(two.g_ab, two.g_ba) & stable
+        swapped = np.take(self.SWAPPED_CLASS, two.classification[sure])
+        assert (one.classification[sure] == swapped).all()
+
+    def test_run_point(self):
+        labels = [c.value for c in _STEERING_CLASSES]
+        for values in zip(*(a.tolist() for a in self.points())):
+            env = Environment(values[5])
+            one = run_point(ModelParams(*values[:5]), env, "thermal")
+            two = run_point(ModelParams(values[1], values[0], *values[2:5]), env, "thermal")
+            assert one.stable == two.stable, values
+            if not one.stable:
+                continue
+            for name in grid._CELLS:
+                x, y = getattr(one, name), getattr(two, self.SWAPPED.get(name, name))
+                assert self.close(x, y), (values, name)
+            if self.decided(one.g_ab, one.g_ba) and self.decided(two.g_ab, two.g_ba):
+                swapped = labels[self.SWAPPED_CLASS[labels.index(two.classification)]]
+                assert one.classification == swapped, values
 
 
 FREQUENCY = st.floats(0.2, 3.0)
@@ -563,7 +640,7 @@ class TestChunks:
 
         def rows(chunks):
             try:
-                return [r for c in chunks for r in evaluate_grid(c, spec.state).csv_rows()]
+                return "".join(evaluate_grid(c, spec.state).csv_text() for c in chunks)
             except ValueError:
                 return None
 
@@ -575,16 +652,16 @@ class TestChunks:
         spec = SweepSpec("custom", axes, {"wb": 1.0, "T": 0.2},
                          coupling=SQUEEZE_ONLY, diamag_mode=0.1)
         points = grid_points(spec, ENV)
-        singles = [evaluate_grid(points.chunk(i, i + 1), "thermal").csv_rows()[0]
+        singles = [evaluate_grid(points.chunk(i, i + 1), "thermal").csv_text()
                    for i in range(len(points))]
-        assert singles == evaluate_grid(points, "thermal").csv_rows()
+        assert "".join(singles) == evaluate_grid(points, "thermal").csv_text()
 
 
 class TestGridPoints:
     def test_integer_arrays_are_read_as_floats(self):
         points = GridPoints(*map(np.array, ([1.2], [1], [0.3], [0.3], [0], [1])))
         assert all(getattr(points, f.name).dtype == np.float64 for f in fields(points))
-        row = evaluate_grid(points, "thermal").csv_rows()[0]
+        row = evaluate_grid(points, "thermal").csv_text().splitlines()[0]
         ref = run_point(ModelParams(1.2, 1, 0.3, 0.3, 0), Environment(1), "thermal")
         assert row == ref.to_csv()
         assert row.startswith("0.3,1.2,1,1,")
@@ -625,5 +702,13 @@ class TestGridPoints:
 
         monkeypatch.setattr(sweep, "evaluate_grid", no_kernel)
         with pytest.raises(ValueError) as batched:
-            sweep.run_sweep(spec, ENV)
-        assert str(batched.value) == str(scalar.value)
+            sweep.sweep_csv(spec, ENV)
+        assert str(batched.value) == f"{scalar.value} at grid point {point}"
+
+    def test_bad_point_named_by_its_axis_values(self):
+        # the first bad point of a two-axis grid, past rows of good ones
+        axes = (Axis("T", (0.1, 0.2, -1e-4)), Axis("lambda", (0.1, 0.2)))
+        with pytest.raises(ValueError) as batched:
+            grid_points(SweepSpec("custom", axes, {}), ENV)
+        assert str(batched.value) == (
+            "temperature must be non-negative at grid point {'T': -0.0001, 'lambda': 0.1}")

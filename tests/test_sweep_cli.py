@@ -30,7 +30,6 @@ from hopfield_gaussian.sweep import (
     diagonalize_params,
     evaluate_point,
     run_point,
-    run_sweep,
     spec_to_params,
     sweep_csv,
 )
@@ -248,7 +247,7 @@ class TestSweep:
             fixed={"wb": 1.0, "T": 0.0},
             state="ground",
         )
-        rows = run_sweep(spec)
+        rows = sweep_csv(spec).splitlines()[1:]
         assert len(rows) == 6
         cells = [r.split(",") for r in rows]
         assert [c[1] for c in cells] == ["0.5"] * 3 + ["1"] * 3
@@ -275,7 +274,7 @@ class TestSweep:
             diamag_mode="zero",
             state="thermal",
         )
-        rows = run_sweep(spec, Environment(0.25))
+        rows = sweep_csv(spec, Environment(0.25)).splitlines()[1:]
         assert len(rows) == len(fig5.axes[0].values)
         stable_flags = [r.rsplit(",", 1)[1] for r in rows]
         assert "false" in stable_flags and "true" in stable_flags
@@ -343,7 +342,7 @@ class TestSweep:
     def test_fig6_steering_direction_flips_at_balance_frequency(self):
         spec = resolve_scenario("fig6")
         balance = resonant_balance_frequency(0.25, 1.0)  # 0.8828
-        rows = [r.split(",") for r in run_sweep(spec, Environment(0.2))]
+        rows = [r.split(",") for r in sweep_csv(spec, Environment(0.2)).splitlines()[1:]]
         for cells in rows:
             wa, g_ab, g_ba = float(cells[1]), float(cells[7]), float(cells[8])
             # below the purity-balance frequency the hot cavity mode is the
@@ -359,7 +358,8 @@ class TestSweep:
     def test_fig8_hot_mode_steers_one_way(self):
         # the matter mode sits at half the cavity frequency, so it is the
         # noisier marginal and the only possible one-way steering party
-        rows = [r.split(",") for r in run_sweep(resolve_scenario("fig8"), Environment(0.25))]
+        csv = sweep_csv(resolve_scenario("fig8"), Environment(0.25))
+        rows = [r.split(",") for r in csv.splitlines()[1:]]
         classes = {c[14] for c in rows}
         assert classes == {"no-way", "one-way-b-to-a"}
         for cells in rows:
@@ -368,7 +368,7 @@ class TestSweep:
                 assert mu_b < mu_ab < mu_a
 
     def test_mix_only_sweep_stays_vacuum(self):
-        rows = [r.split(",") for r in run_sweep(resolve_scenario("fig2d"))]
+        rows = [r.split(",") for r in sweep_csv(resolve_scenario("fig2d")).splitlines()[1:]]
         assert all(float(c[6]) == 0.0 for c in rows)  # E_N
         assert all(c[14] == "no-way" for c in rows)
 
@@ -520,7 +520,7 @@ class TestCli:
         spec = SweepSpec("custom", (Axis("lambda", (0.3, float(lam))),),
                          {"wa": 1.0, "wb": 1.0, "T": float(temp)}, diamag_mode="zero",
                          state="thermal")
-        assert out.splitlines()[1] == run_sweep(spec)[1]
+        assert out.splitlines()[1] == sweep_csv(spec).splitlines()[2]
         assert out.splitlines()[1].endswith(",no-way,true")
 
     @pytest.mark.parametrize("command", ["diagonalize", "dynamics"])
