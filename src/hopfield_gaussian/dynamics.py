@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import PolaritonBasis
-from .states import VALUE_FORMAT, Environment, thermal_occupation
+from .states import Environment, _row_template, thermal_occupation
 
 __all__ = [
     "RateSet",
@@ -219,7 +219,6 @@ def evolve_trajectory(
 
 
 TRAJECTORY_HEADER = "t,occ_U,occ_L,re_sq_U,im_sq_U,re_sq_L,im_sq_L,re_cross,im_cross"
-_CELL = "%" + VALUE_FORMAT
 
 
 def trajectory_rows(trajectory: Trajectory) -> list[str]:
@@ -227,7 +226,7 @@ def trajectory_rows(trajectory: Trajectory) -> list[str]:
 
     A column whose cells are bit-identical in every row (the squeezing and
     cross moments from vacuum are all +0) is formatted once, into the row
-    template; the rest go through one '%' per row.
+    template (``states._row_template``); the rest go through one '%' per row.
     """
     times, moments = trajectory
     if not len(times):
@@ -237,12 +236,5 @@ def trajectory_rows(trajectory: Trajectory) -> list[str]:
     table[:, 1:3] = moments[:, :2].real
     table[:, 3::2] = moments[:, 2:].real
     table[:, 4::2] = moments[:, 2:].imag
-    bits = table.view(np.int64)
-    varies = (bits != bits[0]).any(axis=0)
-    # '%.12g' % x is format(x, '.12g') for every float, -0.0, inf and nan included
-    template = ",".join(
-        _CELL if v else format(x, VALUE_FORMAT)
-        for v, x in zip(varies.tolist(), table[0].tolist())
-    )
+    template, varies = _row_template(table)
     return [template % row for row in map(tuple, table[:, varies].tolist())]
-

@@ -8,7 +8,11 @@ floats.  Every point takes one route: a point whose det V or det T
 (``model._stability_determinants``) is not positive is an unstable row;
 every other point is Gamma = Gamma_xx ⊕ Gamma_pp in 2x2 closed forms, in
 the stages ``model._sector_modes``, ``states._sector_covariance`` and
-``measures._sector_measures``.  The last is the checked measures stage of
+``measures._sector_measures``.  The first two take the (T, V) frame of
+Gamma_xx and the (V, T) frame of Gamma_pp of every point as one (2, n)
+pass, so that ``_sector_frame``, ``_bose``, ``_weights`` and
+``_sector_block`` each run once per block; on each element they run the
+operations of the float route.  The last is the checked measures stage of
 ``run_point`` too: the kernel keeps no check or message of its own, and
 raises ``measures.measure_error`` for the first point with a fault.
 
@@ -19,7 +23,8 @@ of a grid yields the same rows; ``sweep.sweep_csv``'s blocks rely on this.
 ``csv_text`` prints with every cell as format(x, '.12g'), the cell of
 ``ResultRow.to_csv``.  A block of ``_WRITER_ROWS`` rows or more is written
 by ``csvwriter.write_rows``; a smaller block by ``_template_rows``, one
-format() call per cell.  The writer's array cells are exact for this reason:
+format() call per cell, and one per block for a column that holds one
+value.  The writer's array cells are exact for this reason:
 
 - The digits are the integer nearest s = |x| 10^(11 - k).  The computed s
   carries two roundings, of the correctly rounded power of ten and of the
@@ -43,12 +48,13 @@ cases and 10^6 random bit patterns (``tests/test_csv_writer.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
 from .measures import _STEERING_CLASSES, _sector_measures, measure_error
 from .model import ModelParams, _sector_modes, _stability_determinants
-from .states import VALUE_FORMAT, _sector_covariance
+from .states import _CELL, _row_template, _sector_covariance
 
 __all__ = ["GridPoints", "GridResult", "evaluate_grid"]
 
@@ -124,10 +130,9 @@ class GridResult:
         )
 
 
-# '%.12g' % x is format(x, '.12g') for every float, -0.0, inf and nan
-# included; ``sweep.ResultRow.to_csv`` formats its row with these templates too
-_HEAD = ",".join(["%" + VALUE_FORMAT] * _ECHO)
-_STABLE_ROW = ",".join(["%" + VALUE_FORMAT] * len(_CELLS) + ["%s", "true"])
+# ``sweep.ResultRow.to_csv`` formats one row with these templates
+_HEAD = ",".join([_CELL] * _ECHO)
+_STABLE_ROW = ",".join([_CELL] * len(_CELLS) + ["%s", "true"])
 # measure cells, class and stable flag of an unstable row
 _UNSTABLE_TAIL = "," * (len(_CELLS) - _ECHO + 2) + "false"
 # the class cell of each index; an enum's .value costs about 0.3 us a row
@@ -136,12 +141,26 @@ _LABELS = tuple(c.value for c in _STEERING_CLASSES)
 
 def _template_rows(table: np.ndarray, stable: np.ndarray, classes: np.ndarray) -> list[str]:
     """Rows of ``table`` (one row of ``_CELLS`` values per point) and their
-    class indices, one ``format`` call per cell: the rows of small blocks."""
-    return [
-        _STABLE_ROW % (*row, _LABELS[c]) if ok
-        else _HEAD % tuple(row[:_ECHO]) + _UNSTABLE_TAIL
-        for row, ok, c in zip(table.tolist(), stable.tolist(), classes.tolist())
-    ]
+    class indices, one ``format`` call per cell: the rows of small blocks.
+
+    A column whose bits are equal in every stable row, or in the echoed
+    inputs of every unstable row, is formatted once, into the row template
+    of that kind (``states._row_template``).
+    """
+    labels = [(_LABELS[c],) for c in classes[stable].tolist()]
+    kinds = (_filled_rows(table[~stable, :_ECHO], _UNSTABLE_TAIL, repeat(())),
+             _filled_rows(table[stable], ",%s,true", labels))
+    return [next(kinds[ok]) for ok in stable.tolist()]
+
+
+def _filled_rows(part: np.ndarray, tail: str, extras):
+    """The rows of a float table, each followed by the '%s' values of its
+    ``extras`` and ended by ``tail``, with its constant columns formatted once."""
+    if len(part):
+        template, varies = _row_template(part)
+        template += tail
+        for row, extra in zip(part[:, varies].tolist(), extras):
+            yield template % (*row, *extra)
 
 
 # blocks of fewer rows take _template_rows: with caches cold from other work,
@@ -149,8 +168,11 @@ def _template_rows(table: np.ndarray, stable: np.ndarray, classes: np.ndarray) -
 # about as much as formatting 70 to 110 rows cell by cell
 _WRITER_ROWS = 128
 # rows per writer call: a block is cut into near-equal parts of at most
-# this many, whose temporaries stay in cache and in the heap
-_WRITER_CHUNK = 384
+# this many.  A call has a fixed cost of about 120 us (one row), and its
+# temporaries peak at about 1,390 bytes per row (tracemalloc, 1,024 fig3a
+# rows), 1.4 MB that stay in a core's 2 MB L2 cache; a whole 2,925-row
+# block in one call is 30-40% slower
+_WRITER_CHUNK = 1024
 
 
 def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
@@ -178,7 +200,7 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     if fault.any():
         i = int(np.argmax(fault > 0))
         where = f" at {points.params(int(live[i]))}"
-        raise measure_error(int(fault[i]), where, sectors[3][i] > 0.5)
+        raise measure_error(int(fault[i]), where, float(sectors[3][i]))
 
     cells = np.full((n, len(_CELLS)), np.nan)
     cells[:, :_ECHO] = np.transpose((np.where(l2 > l1, l2, l1), wa, wb, temperature))

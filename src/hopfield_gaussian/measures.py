@@ -163,12 +163,14 @@ def _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b):
     return 0, (e_n, g_ab, g_ba, mu_a, mu_b, mu_ab, n_a, n_b), index
 
 
-def measure_error(fault: int, where: str = "", thermal: bool = False) -> ValueError:
+def measure_error(fault: int, where: str = "", c_l: float = 0.5) -> ValueError:
     """The error of a ``_measures`` fault, ``where`` naming the point.  An
-    overflow is put down to the temperature where the state is ``thermal``
-    (c_L > 1/2: the lower, more occupied branch holds excitations)."""
+    overflow is put down to the temperature where the lower, more occupied
+    branch holds a finite number of excitations, 1/2 < c_L < inf; an
+    infinite c_L is an omega_L that underflowed to 0, which the parameters
+    cause."""
     if fault == OVERFLOW:
-        cause = "the reservoir temperature is too high" if thermal else (
+        cause = "the reservoir temperature is too high" if 0.5 < c_l < math.inf else (
             "the mode frequencies and couplings span too many orders of magnitude")
         return ValueError(
             f"the covariance{where} overflows: its invariants are not finite, because {cause}")
@@ -197,5 +199,5 @@ def correlation_report(sectors) -> CorrelationReport:
     """
     fault, values, index = _sector_measures(sectors)
     if fault:
-        raise measure_error(fault, thermal=sectors[3] > 0.5)
+        raise measure_error(fault, c_l=sectors[3])
     return CorrelationReport(*values, _STEERING_CLASSES[index])

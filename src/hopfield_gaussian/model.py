@@ -11,7 +11,9 @@ the x-p sectors of H = x^T V x / 2 + p^T T p / 2, V = [[omega_a + 4D,
 lambda1 + lambda2], [lambda1 + lambda2, omega_b]], T = V with lambda1 -
 lambda2 and no D (``_sector_modes``).  Sweeps and ``point`` build their
 covariances from the frames; ``diagonalize`` and the dynamics read the
-Bogoliubov coefficients off them (``_frame_coefficients``).
+Bogoliubov coefficients off them (``_frame_coefficients``).  A point takes
+its two frames as floats; a sweep block takes the (T, V) and (V, T) frames
+of all its points in one (2, n) array pass of ``_sector_frame``.
 """
 from __future__ import annotations
 
@@ -200,11 +202,29 @@ def _sector_modes(wa, wb, l1, l2, dd, det_v, det_t):
     """Frames (T, V) for Gamma_xx and (V, T) for Gamma_pp, and whether V = T.
 
     With forward roots only, both stay well conditioned next to either edge.
-    The point's frequencies are those of (V, T); floats or arrays.
+    The point's frequencies are those of (V, T); floats or arrays.  On
+    arrays both frames are one (2, n) pass of ``_sector_frame``, which runs
+    the same operations on every element: the first frame returned is that
+    stacked pair (row 0 the (T, V) frame, row 1 the (V, T) frame), and the
+    second is its row 1.
     """
-    v, t, det = (wa + 4.0 * dd, l1 + l2, wb), (wa, l1 - l2, wb), det_v * det_t
-    frames = _sector_frame(t, v, det_t, det), _sector_frame(v, t, det_v, det)
-    return (*frames, (l2 == 0.0) & (dd == 0.0))
+    det = det_v * det_t
+    passive = (l2 == 0.0) & (dd == 0.0)
+    if isinstance(det, np.ndarray):
+        # A holds T in row 0 and V in row 1; B is A with its rows swapped
+        a11, a12, a22, det_a = np.array(
+            (wa, wa + 4.0 * dd, l1 - l2, l1 + l2, wb, wb, det_t, det_v)
+        ).reshape(4, 2, -1)
+        frames = _sector_frame((a11, a12, a22), (a11[::-1], a12[::-1], a22), det_a, det)
+        return frames, _frame_row(frames, 1), passive
+    v, t = (wa + 4.0 * dd, l1 + l2, wb), (wa, l1 - l2, wb)
+    return _sector_frame(t, v, det_t, det), _sector_frame(v, t, det_v, det), passive
+
+
+def _frame_row(frames, k):
+    """Frame k of a stacked pair of frames, as views."""
+    wu, wl, (u1, u2), root, det_a = frames
+    return wu[k], wl[k], (u1[k], u2[k]), tuple(r[k] for r in root), det_a[k]
 
 
 def _frame_vectors(u, root):

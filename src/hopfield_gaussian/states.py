@@ -6,11 +6,13 @@ variance 1/2.  The steady state of the common-bath master equation is
 diagonal in the polariton basis with coth weights, n + 1/2 per branch
 (n = 0 for the ground state).  Sweeps and ``point`` build it as Gamma_xx
 ⊕ Gamma_pp from the x-p sector frames (``_sector_covariance``), on floats
-and on arrays alike: a frequency that underflows to 0 gives an infinite
-weight on both, which the measures stage reports as an overflow.  Only
-``point --dump-cov`` assembles the 4x4 matrix (``sector_matrix``), from the
-sectors whose measures ``point`` has checked; ``format_covariance`` writes
-its text format and ``parse_covariance`` reads it.
+and on arrays alike; a sweep block takes both frames of all its points in
+one (2, n) pass (``_stacked_covariance``).  A frequency that underflows to
+0 gives an infinite weight on both, which the measures stage reports as an
+overflow.  Only ``point --dump-cov`` assembles the 4x4 matrix
+(``sector_matrix``), from the sectors whose measures ``point`` has
+checked; ``format_covariance`` writes its text format and
+``parse_covariance`` reads it.
 """
 
 from __future__ import annotations
@@ -138,21 +140,37 @@ def _sector_covariance(frame_x, frame_p, passive, temperature):
     A block is sum_j (c_j / omega_j) (A^1/2 u_j)(A^1/2 u_j)^T, c_j = 1/2 + n_j.
     Where V = T both are R diag(c_U, c_L) R^T = c_U I + (c_L - c_U) u_L u_L^T,
     so a number-conserving ground state is the vacuum exactly.  A float point
-    computes only the form its V = T flag selects; arrays compute both.
+    computes only the form its V = T flag selects.  Arrays compute both, with
+    frame_x the stacked (2, n) pair of frames of ``_sector_modes``: one pass
+    of ``_bose`` over c_U and c_L, and one of ``_weights`` and
+    ``_sector_block`` over both frames.
     """
+    if isinstance(passive, np.ndarray):
+        return _stacked_covariance(frame_x, frame_p, passive, temperature)
     c_u, c_l = 0.5 + _bose(frame_p[0], temperature), 0.5 + _bose(frame_p[1], temperature)
     (u1, u2), d = frame_p[2], c_l - c_u
     same = c_u + d * u2 * u2, -d * u1 * u2, c_u + d * u1 * u1
-    array = isinstance(passive, np.ndarray)
-    if not array and passive:
+    if passive:
         return same, same, c_u, c_l, c_u * c_l
     w_u, w_l = _weights(frame_x, c_u, c_l)
     gxx = _sector_block(frame_x, w_u, w_l)
     gpp = _sector_block(frame_p, *_weights(frame_p, c_u, c_l))
     det_xx = frame_x[4] * w_u * w_l  # det T c_U c_L / (omega_U omega_L)
-    if array:
-        gxx, gpp = (tuple(np.where(passive, s, b) for s, b in zip(same, g)) for g in (gxx, gpp))
-        det_xx = np.where(passive, c_u * c_l, det_xx)
+    return gxx, gpp, c_u, c_l, det_xx
+
+
+def _stacked_covariance(frames, frame_p, passive, temperature):
+    """``_sector_covariance`` of arrays: each stage runs once on the rows of
+    both frames, the same operations as the float route on every element."""
+    omega = np.concatenate(frame_p[:2])
+    c_u, c_l = (0.5 + _bose(omega, np.concatenate((temperature, temperature)))).reshape(2, -1)
+    (u1, u2), d = frame_p[2], c_l - c_u
+    same = c_u + d * u2 * u2, -d * u1 * u2, c_u + d * u1 * u1
+    w_u, w_l = _weights(frames, c_u, c_l)
+    # rows (Gamma_xx, Gamma_pp) of each entry
+    blocks = (np.where(passive, s, b) for s, b in zip(same, _sector_block(frames, w_u, w_l)))
+    gxx, gpp = zip(*blocks)
+    det_xx = np.where(passive, c_u * c_l, frames[4][0] * w_u[0] * w_l[0])
     return gxx, gpp, c_u, c_l, det_xx
 
 
@@ -221,7 +239,7 @@ def steady_state_covariance(basis: PolaritonBasis, temperature: float) -> Covari
     a1 = 0.5 * _coth_weight(basis.omega_upper, temperature)
     b1 = 0.5 * _coth_weight(basis.omega_lower, temperature)
     if not a1 * b1 < _MAX_WEIGHT_PRODUCT:
-        raise measure_error(OVERFLOW, thermal=b1 > 0.5)
+        raise measure_error(OVERFLOW, c_l=b1)
     return _polariton_diagonal_state(basis, a1, b1)
 
 
@@ -231,6 +249,22 @@ VALUE_FORMAT = ".12g"
 
 def format_value(x: float) -> str:
     return format(x, VALUE_FORMAT)
+
+
+# '%.12g' % x is format(x, '.12g') for every float, -0.0, inf and nan included
+_CELL = "%" + VALUE_FORMAT
+
+
+def _row_template(table: np.ndarray) -> tuple[str, np.ndarray]:
+    """(template, varies) of a float table of one row or more: ``varies``
+    flags the columns whose bits differ between rows, and the '%' row
+    template holds a '%.12g' cell for each of them and, for every other
+    column, format(x, '.12g') of the value all rows share, formatted once."""
+    bits = table.view(np.int64)
+    varies = (bits != bits[0]).any(axis=0)
+    template = ",".join(_CELL if v else format(x, VALUE_FORMAT)
+                        for v, x in zip(varies.tolist(), table[0].tolist()))
+    return template, varies
 
 
 _HEADER = "basis: bare"

@@ -265,11 +265,14 @@ def grid_points(spec: SweepSpec, env: Environment) -> GridPoints:
     return GridPoints(wa, wb, l1, l2, diamag, temperature)
 
 
-# points per kernel call: bounds the temporaries of the kernel and of the
-# CSV writer, at no measurable cost in speed; traced on a 1,024-point fig3a
-# block, they peak at 510 bytes per point in the kernel and 590 in
-# GridResult.csv_text, the block's text (175 bytes per point) included
-_BLOCK_POINTS = 1024
+# points per kernel call.  Every preset (at most 2,925 points) is one call,
+# since each call has a fixed cost of 330-440 us (a one-point call, best of
+# 900, on a 2-core box).  The blocks bound the temporaries of the kernel and
+# of the CSV writer on larger grids: traced with tracemalloc on a 4,096-point
+# block (64 x 64 points over the fig3a extent), they peak at 550 bytes per
+# point in the kernel and 500 in GridResult.csv_text, the block's text (197
+# bytes per point) included
+_BLOCK_POINTS = 4096
 
 
 def sweep_csv(spec: SweepSpec, env: Environment | None = None) -> str:

@@ -20,6 +20,7 @@ from hopfield_gaussian.measures import (
 from hopfield_gaussian.model import (
     InstabilityError,
     ModelParams,
+    _frame_row,
     _sector_modes,
     _stability_determinants,
     natural_diamag,
@@ -280,6 +281,32 @@ class TestFaultParity:
         assert str(batched.value).replace(where, "", 1) == str(scalar.value)
         # the temperature is blamed only where there is one
         assert ("temperature" in str(scalar.value)) == (temperature > 0)
+
+    # (params, temperature, c_L, cause) of overflowing points: c_L = 1/2, no
+    # excitations; 1/2 < c_L < inf (None), the thermal state; and c_L = inf,
+    # where omega_L underflows to 0 at T > 0, which the parameters cause
+    OVERFLOW_CAUSES = [
+        (ModelParams(1e300, 1.0, 0.5, 0.5, 0.25), 0.0, 0.5, "the mode frequencies and couplings"),
+        (ModelParams(1.0, 1.0, 0.5, 0.5, 0.25), 1e80, None, "the reservoir temperature"),
+        (ModelParams(1.377954588754046e-234, 1.0, 0.0, 0.0, 0.0), 0.5, math.inf,
+         "the mode frequencies and couplings"),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params, temperature, c_l, cause", OVERFLOW_CAUSES)
+    def test_overflow_names_the_temperature_only_for_finite_excitations(
+        self, params, temperature, c_l, cause
+    ):
+        values = [getattr(params, f.name) for f in fields(params)]
+        frames = _sector_modes(*values, *_stability_determinants(*values))
+        c_lower = _sector_covariance(*frames, temperature)[3]
+        assert c_lower == c_l if c_l is not None else 0.5 < c_lower < math.inf
+        with pytest.raises(ValueError, match="overflows") as scalar:
+            run_point(params, Environment(temperature), "thermal")
+        with pytest.raises(ValueError, match="overflows") as batched:
+            evaluate_grid(GridPoints(*([v] for v in (*values, temperature))), "thermal")
+        for message in (str(scalar.value), str(batched.value)):
+            assert f"because {cause}" in message, message
 
     @pytest.mark.filterwarnings("error")
     def test_exact_decision_past_the_float_range_is_infinite(self):
@@ -566,7 +593,10 @@ class TestSectorRouteAgainstOracles:
         ok = (det_v > 0.0) & (det_t > 0.0)
         frames = _sector_modes(*(a[ok] for a in (wa, wb, l1, l2, dd)), det_v[ok], det_t[ok])
         sectors = _sector_covariance(*frames, temperature[ok])
-        stacked = (frames, sectors, _sector_invariants(*sectors))
+        # the first frame of arrays is the (2, n) pair of both; its row 1 is the second
+        pair = _frame_row(frames[0], 0), _frame_row(frames[0], 1)
+        assert leaves(pair[1]) == leaves(frames[1])
+        stacked = ((*pair, frames[2]), sectors, _sector_invariants(*sectors))
         k = 0
         for i, point in enumerate(points):
             dets = _stability_determinants(*point[:5])
@@ -630,6 +660,79 @@ class TestSectorRouteAgainstOracles:
             row = run_point(ModelParams(1.0, 1.0, lam, lam, 0.0), None, "ground")
             ref = _mpmath_row(1.0, 1.0, lam, lam, 0.0, 0.0, dps=60)["e_n"]
             assert abs(row.e_n - ref) <= tol * ref, lam
+
+
+@st.composite
+def block_points(draw):
+    """(wa, wb, lambda1, lambda2, D, T) of one kind each: passive (lambda2 =
+    D = 0, V = T), active, unstable (past the edge, D = 0) or degenerate
+    (wa = wb, D = 0)."""
+    kind = draw(st.sampled_from(("passive", "active", "unstable", "degenerate")))
+    temperature = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+    wa, wb = draw(FREQUENCY), draw(FREQUENCY)
+    l1, l2, dd = draw(COUPLING), draw(COUPLING), draw(st.floats(0.0, 0.5))
+    if kind == "passive":
+        l2 = dd = 0.0
+    elif kind == "unstable":
+        # det V = wa wb - (l1 + l2)^2 < 0
+        l1 = l2 = math.sqrt(wa * wb) * draw(st.floats(0.51, 2.0))
+        dd = 0.0
+    elif kind == "degenerate":
+        wb, dd = wa, 0.0
+    return wa, wb, l1, l2, dd, temperature
+
+
+class TestStackedPass:
+    """The kernel takes both sector frames of a block in one (2, n) pass; on
+    every kind of point its cells are the bits of ``run_point``'s row, but
+    for the three logarithms, which ``np.log`` and ``math.log`` may round a
+    last bit apart (at (1, 1, 0, 0, 0.125) in the ground state, E_N is
+    2.220446049250313e-16 on the kernel and 2.2204460492503136e-16 on
+    ``run_point``, as before the frames were stacked)."""
+
+    LOGS = [grid._CELLS.index(name) for name in ("e_n", "g_ab", "g_ba")]
+
+    @settings(max_examples=120)
+    @given(st.lists(block_points(), min_size=1, max_size=24),
+           st.sampled_from(("ground", "thermal")),
+           st.one_of(st.none(), st.tuples(st.sampled_from(FAULTY_POINTS), st.integers(0, 24))))
+    def test_rows_equal_run_point_bit_for_bit(self, points, state, faulty):
+        if faulty is not None:
+            (params, temperature), at = faulty
+            values = (*(getattr(params, f.name) for f in fields(params)), temperature)
+            points = [*points[:at], values, *points[at:]]
+        refs = []
+        for values in points:
+            params = ModelParams(*values[:5])
+            try:
+                refs.append(run_point(params, Environment(values[5]), state))
+            except ValueError as exc:
+                # the kernel raises for the first faulty point, with its message
+                with pytest.raises(ValueError) as batched:
+                    evaluate_grid(GridPoints(*zip(*points)), state)
+                where = f" at {params}"
+                assert where in str(batched.value)
+                assert str(batched.value).replace(where, "", 1) == str(exc)
+                return
+        result = evaluate_grid(GridPoints(*zip(*points)), state)
+        rows = result.csv_text().splitlines()
+        for i, ref in enumerate(refs):
+            assert bool(result.stable[i]) == ref.stable, points[i]
+            cells = result.cells[i]
+            if not ref.stable:
+                assert cells[:4].tobytes() == np.array(ref[:4], float).tobytes(), points[i]
+                assert np.isnan(cells[4:]).all() and result.classification[i] == -1
+                assert rows[i] == ref.to_csv()
+                continue
+            expected = np.array(ref[:14], float)
+            logs = expected[self.LOGS]
+            assert (np.abs(cells[self.LOGS] - logs) <= 4 * np.spacing(np.abs(logs))).all(), points[i]
+            expected[self.LOGS] = cells[self.LOGS]
+            assert cells.tobytes() == expected.tobytes(), points[i]
+            label = _STEERING_CLASSES[result.classification[i]].value
+            assert label == ref.classification, points[i]
+            # the row text of the kernel's cells is ``ResultRow.to_csv``'s
+            assert rows[i] == ref._replace(e_n=cells[6], g_ab=cells[7], g_ba=cells[8]).to_csv()
 
 
 class TestChunks:

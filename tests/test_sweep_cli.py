@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfield_gaussian import cli, oracles, states, sweep
+from hopfield_gaussian import cli, grid, oracles, states, sweep
 from hopfield_gaussian.measures import SteeringClass
 from hopfield_gaussian.model import InstabilityError, ModelParams, hopfield, no_a2
 from hopfield_gaussian.oracles import resonant_balance_frequency
@@ -338,6 +338,36 @@ class TestSweep:
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # every preset is one kernel block now; these cuts keep the many-block
+    # path pinned: single points, template-sized blocks and writer blocks
+    # cut into several chunks
+    @pytest.mark.parametrize("block", [1, 97, 1000])
+    def test_many_blocks_keep_the_preset_digests(self, block, monkeypatch):
+        monkeypatch.setattr(sweep, "_BLOCK_POINTS", block)
+        monkeypatch.setattr(grid, "_WRITER_CHUNK", 130)
+        digests = {name: digest for digest, name in map(str.split, FIGURE_DIGESTS)}
+        for name in ("fig3a", "fig3b"):
+            text = sweep_csv(resolve_scenario(name))
+            assert len(text.splitlines()) - 1 > block
+            assert hashlib.sha256(text.encode()).hexdigest() == digests[f"{name}.csv"], name
+
+    @pytest.mark.parametrize("block", [1, 97, 1000])
+    def test_many_blocks_keep_a_grid_with_unstable_points(self, block, monkeypatch):
+        # D = 0: points with lambda past sqrt(wa wb) / 2 are unstable rows
+        spec = SweepSpec(
+            "custom",
+            (Axis.linspace("wa", 0.2, 2.0, 23), Axis.linspace("lambda", 0.05, 1.6, 47)),
+            {"wb": 1.0, "T": 0.2}, diamag_mode="zero", state="thermal",
+        )
+        whole = sweep_csv(spec)
+        assert len(whole.splitlines()) - 1 < sweep._BLOCK_POINTS
+        monkeypatch.setattr(sweep, "_BLOCK_POINTS", block)
+        monkeypatch.setattr(grid, "_WRITER_CHUNK", 130)
+        text = sweep_csv(spec)
+        flags = [row.rsplit(",", 1)[1] for row in text.splitlines()[1:]]
+        assert flags.count("false") > 100 and flags.count("true") > 100
+        assert text == whole
 
     def test_fig6_steering_direction_flips_at_balance_frequency(self):
         spec = resolve_scenario("fig6")
