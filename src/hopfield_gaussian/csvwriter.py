@@ -14,10 +14,17 @@ longest cell ('-1.23456789012e-308') and its separator:
 - Each layout is a few shifts and ors on whole arrays: fixed notation with
   the '.' after digit k + 1 (0 <= k < 12), '0.' and -k - 1 zeros before the
   digits (-4 <= k < 0), or the exponent form with 'e' and the exponent.
+  The two rare branches (a k off by one, the exponent form) work on the
+  indices of their cells only.
 
-``write_rows`` writes the cells that ``cell_words`` leaves alone with
-format() into their slots, then the separator at each cell's length, and
-keeps each slot up to it with one boolean mask.  Why every other cell is
+``write_rows`` formats only the cells it prints, in one ``cell_words``
+call: the whole table where every row is stable, and otherwise a compact
+run of the echoed inputs of every row and the measures of the stable rows,
+whose slots are then scattered back; an unstable row's measure cells are
+never formatted and print empty.  It writes the printed cells that
+``cell_words`` leaves alone with format() into their slots, then the
+separator at each cell's length, and keeps each slot up to it with one
+boolean mask.  Why every other cell is
 exact is in the ``grid`` module's docstring.  The module is imported on the
 first block of at least ``grid._WRITER_ROWS`` rows, so single points never
 build its tables.
@@ -32,6 +39,7 @@ from .measures import _STEERING_CLASSES
 __all__ = ["cell_words", "write_rows"]
 
 _SLOT = 24  # bytes per cell
+_CELL = np.dtype((np.void, _SLOT))  # a slot as one item, to move it whole
 
 
 def _words(texts) -> np.ndarray:
@@ -120,8 +128,8 @@ def cell_words(x: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np.ndar
     d = np.rint(s)
     # log10 errs by less than an ulp, so k is within one of the exponent;
     # 12 digits rounding up to 10^12 carry into the exponent
-    off = (s < 1e11) | (d >= 1e12)
-    if off.any():
+    off = np.nonzero((s < 1e11) | (d >= 1e12))
+    if off[0].size:
         ko, so = k[off], s[off]
         ko += (so >= 1e12).astype(np.intp) - (so < 1e11)
         so = c[off] * _SCALE.take(ko)
@@ -194,8 +202,8 @@ def cell_words(x: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np.ndar
     del lo, hi, shift
     np.add(_PREFIX_LEN.take(k), body, out=lengths)
 
-    exp = _EXP_FORM.take(k)
-    if exp.any():
+    exp = np.nonzero(_EXP_FORM.take(k))
+    if exp[0].size:
         # 'e' and the exponent at byte `at`, over the digits there
         ke, at = k[exp], lengths[exp]
         suffix = _SUFFIX.take(ke)[:, None] << _UP.take(at, axis=0)
@@ -229,16 +237,28 @@ def write_rows(table: np.ndarray, stable: np.ndarray, classes: np.ndarray, echo:
 
     A row is its cells, then its steering class (an index into
     ``measures._STEERING_CLASSES``) and 'true', or, for an unstable row,
-    its first ``echo`` cells, empty cells and 'false'.  The cells that
-    ``cell_words`` leaves alone are written by format().
+    its first ``echo`` cells, empty cells and 'false'.  Only printed cells
+    are formatted, by one ``cell_words`` call, and those it leaves alone by
+    format(): an unstable row's other cells are never read.
     """
     n, width = table.shape
     slots = np.empty((n, width + 1, 3), "<u8")
     lengths = np.empty((n, width + 1), np.intp)
-    left = cell_words(table, slots[:, :width], lengths[:, :width])
-    unstable = ~stable
-    lengths[unstable, echo:width] = 0
-    left[unstable, echo:] = False
+    if stable.all():
+        left = cell_words(table, slots[:, :width], lengths[:, :width])
+    else:
+        # the printed cells as one compact run, each slot scattered back
+        # whole; an unstable row's measure cells keep length 0, so print empty
+        printed = np.ones((n, width), bool)
+        printed[~stable, echo:] = False
+        cells = table[printed]
+        words = np.empty((len(cells), 3), "<u8")
+        sizes = np.empty(len(cells), np.intp)
+        left = np.zeros((n, width), bool)
+        left[printed] = cell_words(cells, words, sizes)
+        slots.view(_CELL)[:, :width, 0][printed] = words.view(_CELL)[:, 0]
+        lengths[:, :width][printed] = sizes
+        lengths[~stable, echo:width] = 0
     rows, cols = np.nonzero(left)
     if rows.size:
         texts = [format(x, ".12g") for x in table[rows, cols].tolist()]

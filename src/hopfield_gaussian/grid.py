@@ -24,7 +24,9 @@ of a grid yields the same rows; ``sweep.sweep_csv``'s blocks rely on this.
 ``ResultRow.to_csv``.  A block of ``_WRITER_ROWS`` rows or more is written
 by ``csvwriter.write_rows``; a smaller block by ``_template_rows``, one
 format() call per cell, and one per block for a column that holds one
-value.  The writer's array cells are exact for this reason:
+value.  Neither formats a cell it does not print: an unstable row's
+measure cells, NaN in ``cells``, are never formatted, and print empty.
+The writer's array cells are exact for this reason:
 
 - The digits are the integer nearest s = |x| 10^(11 - k).  The computed s
   carries two roundings, of the correctly rounded power of ten and of the
@@ -169,9 +171,10 @@ def _filled_rows(part: np.ndarray, tail: str, extras):
 _WRITER_ROWS = 128
 # rows per writer call: a block is cut into near-equal parts of at most
 # this many.  A call has a fixed cost of about 120 us (one row), and its
-# temporaries peak at about 1,390 bytes per row (tracemalloc, 1,024 fig3a
-# rows), 1.4 MB that stay in a core's 2 MB L2 cache; a whole 2,925-row
-# block in one call is 30-40% slower
+# temporaries peak at 1,391 bytes per row on 1,024 all-stable fig3a rows and
+# at 1,258 on 1,024 rows of which 704 are unstable, whose measure cells are
+# never formatted (tracemalloc): 1.4 MB that stay in a core's 2 MB L2 cache;
+# a whole 2,925-row block in one call is 30-40% slower
 _WRITER_CHUNK = 1024
 
 

@@ -37,8 +37,10 @@ DEGENERACY_TOL = 1e-10
 # Size below which the leading coefficient's sign is read from the next one,
 # relative to the largest coefficient.
 SIGN_TOL = 1e-12
-# a float a*b - c*c within this multiple of a*b + c*c of zero may be of either sign
+# a float a*b - c*c within this multiple of a*b + c*c, plus two subnormal
+# ulps (the roundings of products that underflow), of zero may be of either sign
 _DET_FILTER = 1e-15
+_DET_FLOOR = 1e-323
 _FLOAT_MAX = 1.7976931348623157e308
 
 
@@ -147,24 +149,32 @@ def _stability_determinants(wa, wb, l1, l2, dd):
     """(det V, det T), stable iff both are positive; floats or arrays.
 
     Within rounding of zero both come from the exact inputs: an exact decision.
+    So do both where a product overflows, and p - q = inf - inf is NaN.
     """
     t12 = l1 - l2
     pv, qv, pt, qt = (wa + 4.0 * dd) * wb, (l1 + l2) * (l1 + l2), wa * wb, t12 * t12
-    near = (abs(pv - qv) <= _DET_FILTER * (pv + qv)) | (abs(pt - qt) <= _DET_FILTER * (pt + qt))
+    far = ((abs(pv - qv) > _DET_FILTER * (pv + qv) + _DET_FLOOR)
+           & (abs(pt - qt) > _DET_FILTER * (pt + qt) + _DET_FLOOR))
     if isinstance(wa, np.ndarray):
         det_v, det_t = pv - qv, pt - qt
-        for i in np.flatnonzero(near).tolist():
+        for i in np.flatnonzero(~far).tolist():
             det_v[i], det_t[i] = _stability_determinants(wa[i], wb[i], l1[i], l2[i], dd[i])
         return det_v, det_t
-    if not near:
+    if far:
         return pv - qv, pt - qt
     from fractions import Fraction  # 8 ms to import, and needed only here
     wa, wb, l1, l2, dd = map(Fraction, (wa, wb, l1, l2, dd))
     dets = (wa + 4 * dd) * wb - (l1 + l2) ** 2, wa * wb - (l1 - l2) ** 2
-    # +-inf past the largest float, where float() raises: the sign is kept
-    return tuple(
-        float(d) if abs(d) <= _FLOAT_MAX else math.inf if d > 0 else -math.inf for d in dets
-    )
+    return tuple(map(_signed_float, dets))
+
+
+def _signed_float(d) -> float:
+    """float(d) of a Fraction, keeping its sign: +-inf past the largest float,
+    where float() raises, and +-ulp(0) where it would round to zero."""
+    if abs(d) > _FLOAT_MAX:
+        return math.inf if d > 0 else -math.inf
+    f = float(d)
+    return f if f or not d else math.copysign(math.ulp(0.0), d)
 
 
 def _where(cond, a, b):
@@ -189,7 +199,11 @@ def _sector_frame(a, b, det_a, det_ab):
     half_gap = 0.5 * (s11 - s22)
     h = xp.sqrt(half_gap * half_gap + s12 * s12)
     wu_sq = 0.5 * (s11 + s22) + h
-    flat = h == 0.0  # any R serves: take the identity
+    if xp is math and not wu_sq:
+        # S underflowed to 0: the frame is lost, NaN as numpy's 0 / 0 gives
+        return 0.0, math.nan, (math.nan, math.nan), root, det_a
+    # any R serves where S = c I, c > 0: take the identity
+    flat = (h == 0.0) & (wu_sq > 0.0)
     half_gap, h = half_gap + flat, h + flat
     # u_U is (g, s12) or (s12, g) over its norm sqrt(2 h g)
     g = h + abs(half_gap)

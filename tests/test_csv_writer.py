@@ -152,3 +152,79 @@ class TestRows:
         assert text == "".join(row + "\n" for row in template)
         assert result.csv_text() == text
         assert result.cells.tobytes() == before.tobytes()
+
+
+def template_text(table: np.ndarray, stable: np.ndarray, classes: np.ndarray) -> str:
+    return "".join(row + "\n" for row in grid._template_rows(table, stable, classes))
+
+
+def counted_cell_words(monkeypatch) -> list:
+    """Patches ``csvwriter.cell_words`` to record the size of each call."""
+    sizes, cell_words = [], csvwriter.cell_words
+
+    def counted(x, words, lengths):
+        sizes.append(x.size)
+        return cell_words(x, words, lengths)
+
+    monkeypatch.setattr(csvwriter, "cell_words", counted)
+    return sizes
+
+
+class TestPrintedCells:
+    """``write_rows`` formats the cells it prints and no other: the echoed
+    inputs of every row and the measures of the stable rows, in one call."""
+
+    @pytest.mark.parametrize("kind", ["all unstable", "one stable", "one unstable", "all stable"])
+    def test_one_call_on_the_printed_cells(self, kind, monkeypatch):
+        rows = grid._WRITER_ROWS
+        table = random_bits(11, rows * WIDTH).reshape(rows, WIDTH)
+        stable = np.full(rows, kind in ("one unstable", "all stable"))
+        if kind.startswith("one"):
+            stable[rows // 3] = not stable[rows // 3]
+        result = result_of(table, stable)
+        sizes = counted_cell_words(monkeypatch)
+        text = result.csv_text()
+        k = int(stable.sum())
+        assert sizes == [rows * grid._ECHO + k * (WIDTH - grid._ECHO)]
+        assert text == template_text(table, stable, result.classification)
+        lines = text.splitlines()
+        assert [line.endswith(",false") for line in lines] == (~stable).tolist()
+        for line, ok in zip(lines, stable.tolist()):
+            assert ok or line.split(",")[grid._ECHO:] == [""] * (WIDTH - grid._ECHO + 1) + ["false"]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 5e-324, -1e-310,
+                                       1e-296, 123456789012.5, 0.1234567890125, 999999999999.5])
+    def test_unprinted_cells_of_any_class_stay_empty(self, value, monkeypatch):
+        # cells that cell_words would leave to format(), past the echoed
+        # inputs of unstable rows: neither routine sees them
+        rows = grid._WRITER_ROWS + 1
+        table = random_bits(5, rows * WIDTH).reshape(rows, WIDTH)
+        stable = np.arange(rows) % 4 > 0
+        table[~stable, grid._ECHO:] = value
+        result = result_of(table, stable)
+        printed = np.concatenate((table[stable].ravel(), table[~stable, :grid._ECHO].ravel()))
+        left = cell_words(printed)[1]
+        formatted = []
+        monkeypatch.setattr(csvwriter, "format", lambda x, spec: formatted.append(x) or
+                            format(x, spec), raising=False)
+        sizes = counted_cell_words(monkeypatch)
+        text = result.csv_text()
+        assert text == template_text(table, stable, result.classification)
+        assert sizes == [printed.size]
+        assert len(formatted) == left.sum()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300), st.sampled_from([0.0, 0.02, 0.3, 0.5, 0.9, 1.0]),
+           st.integers(0, 2**32 - 1))
+    def test_any_stable_mask_writes_the_template_rows(self, rows, share, seed):
+        rng = np.random.default_rng(seed)
+        table = random_bits(seed, rows * WIDTH).reshape(rows, WIDTH)
+        # some ordinary cells, whose digits take the array route
+        ordinary = rng.random(table.shape) < 0.5
+        table[ordinary] = rng.standard_normal(ordinary.sum()) * 10.0 ** rng.integers(-8, 14)
+        stable = rng.random(rows) >= share
+        result = result_of(table, stable)
+        before = table.copy()
+        text = csvwriter.write_rows(table, stable, result.classification, grid._ECHO)
+        assert text == template_text(before, stable, result.classification)
+        assert table.tobytes() == before.tobytes()

@@ -263,6 +263,11 @@ FAULTY_POINTS = [
     # omega_L of the (T, V) frame underflows to 0: an infinite weight on both routes
     (ModelParams(6.845772737231646e245, 3.6509797094270246e-166, 2.1811256879978044e-196, 0.0,
                  2.490144585750596e301), 0.0),
+    # stable by the exact determinants, which leave the float range: past the
+    # largest float, and below the smallest subnormal, where the whole sector
+    # product underflows to 0 and the frame is NaN on both routes
+    (ModelParams(1e200, 1e200, 5e199, 0.0, 0.0), 0.0),
+    (ModelParams(1e-170, 1e-170, 5e-171, 0.0, 0.0), 0.0),
 ]
 
 

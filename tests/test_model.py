@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +145,77 @@ class TestFrequencies:
         wu, wl = polariton_frequencies(hopfield(wa, 1, 1e-8))
         assert wu == pytest.approx(max(wa, 1.0), rel=1e-6)
         assert wl == pytest.approx(min(wa, 1.0), rel=1e-6)
+
+
+def exact_determinants(wa, wb, l1, l2, dd):
+    """(det V, det T) of the exact inputs, as Fractions."""
+    wa, wb, l1, l2, dd = map(Fraction, (wa, wb, l1, l2, dd))
+    return (wa + 4 * dd) * wb - (l1 + l2) ** 2, wa * wb - (l1 - l2) ** 2
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+FLOAT_MAX = 1.7976931348623157e308
+positive = st.floats(5e-324, FLOAT_MAX)
+non_negative = st.floats(0.0, FLOAT_MAX)
+
+
+@st.composite
+def stability_points(draw):
+    """(wa, wb, lambda1, lambda2, D) anywhere in the float range, free or
+    within a few ulps of an edge, where a float determinant cancels."""
+    wa, wb, l2, dd = draw(positive), draw(positive), draw(non_negative), draw(non_negative)
+    if draw(st.booleans()):
+        return wa, wb, draw(non_negative), l2, dd
+    # lambda1 next to the root of det V (lambda1 + lambda2 = sqrt((wa + 4D) wb))
+    # or of det T (lambda1 - lambda2 = +-sqrt(wa wb)); every edge has one
+    if draw(st.booleans()):
+        edge = math.sqrt(wa + 4.0 * dd) * math.sqrt(wb) - l2
+    else:
+        edge = l2 + draw(st.sampled_from([1.0, -1.0])) * math.sqrt(wa) * math.sqrt(wb)
+    l1 = abs(edge) if math.isfinite(edge) else FLOAT_MAX
+    for _ in range(draw(st.integers(0, 4))):
+        l1 = math.nextafter(l1, draw(st.sampled_from([0.0, math.inf])))
+    return wa, wb, min(l1, FLOAT_MAX), l2, dd
+
+
+class TestExactStability:
+    """The signs of ``_stability_determinants`` are those of the exact
+    determinants anywhere in the float range: where a product overflows, where
+    both underflow, and within rounding of an edge."""
+
+    # a product past the largest float on both sides (inf - inf), and a
+    # determinant below the smallest subnormal: scaled copies of
+    # (1, 1, 1/2, 0, 0), a stable point; and both products of det V
+    # underflowing, where their float difference of one subnormal ulp has
+    # the wrong sign
+    NAMED = [(1e200, 1e200, 5e199, 0.0, 0.0), (1e-170, 1e-170, 5e-171, 0.0, 0.0),
+             (4.9525104639851177e-138, 5.135678329444881e-181, 9.789312546799335e-160,
+              9.789312546799335e-160, 6.278506246869001e-139)]
+
+    @settings(max_examples=1000)
+    @given(stability_points())
+    @example(NAMED[0])
+    @example(NAMED[1])
+    @example(NAMED[2])
+    def test_signs_are_exact_on_floats(self, point):
+        dets = _stability_determinants(*point)
+        assert [sign(d) for d in dets] == [sign(d) for d in exact_determinants(*point)], point
+
+    @settings(max_examples=200)
+    @given(st.lists(stability_points(), min_size=1, max_size=12))
+    @example(NAMED)
+    def test_arrays_decide_as_floats(self, points):
+        with np.errstate(over="ignore", invalid="ignore"):  # as in evaluate_grid
+            det_v, det_t = _stability_determinants(*map(np.array, zip(*points)))
+        for i, point in enumerate(points):
+            dets = _stability_determinants(*point)
+            assert [sign(d) for d in dets] == [sign(d) for d in exact_determinants(*point)]
+            # the float filter runs the same operations on each element
+            assert np.float64(det_v[i]).tobytes() == np.float64(dets[0]).tobytes(), point
+            assert np.float64(det_t[i]).tobytes() == np.float64(dets[1]).tobytes(), point
 
 
 class TestCriticalCoupling:

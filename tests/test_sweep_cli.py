@@ -40,8 +40,8 @@ from oracles import row_csv
 FIGURE_DIGESTS = (Path(__file__).parent / "figure_data.sha256").read_text().splitlines()
 README = Path(__file__).parents[1] / "README.md"
 # (sha256 of stdout, or of stderr where the command fails, exit code,
-# arguments) of point and dynamics commands; CI checks the installed CLI
-# against them too
+# arguments) of point, sweep and dynamics commands; CI checks the installed
+# CLI against them too
 POINT_DIGESTS = [
     line.split(None, 2)
     for line in (Path(__file__).parent / "point_output.sha256").read_text().splitlines()
@@ -696,8 +696,9 @@ class TestCli:
 
     @pytest.mark.parametrize("digest, code, args", POINT_DIGESTS, ids=lambda v: v)
     def test_point_output_bytes(self, digest, code, args, capsys):
-        # pinned so that no digit of a point row, a dumped covariance or the
-        # README trajectory, nor the exit of an unstable dump, can move unnoticed
+        # pinned so that no digit of a point row, a dumped covariance, a sweep
+        # with unstable rows or the README trajectory, nor the exit of an
+        # unstable dump, can move unnoticed
         assert cli.main(args.split()) == int(code)
         out, err = capsys.readouterr()
         written, silent = (out, err) if code == "0" else (err, out)
