@@ -3,7 +3,8 @@
 Subcommands: diagonalize, point, sweep, dynamics, verify.  Numeric output
 uses fixed 12-significant-digit formatting so repeated runs are
 byte-identical.  A JSON config file can pre-set any model or environment
-flag, for every subcommand that takes it; explicit flags win.
+flag, for every subcommand that takes it; explicit flags win.  A key that
+names no flag, or a value that is not a number, is an error.
 """
 
 from __future__ import annotations
@@ -70,8 +71,25 @@ def _add_output_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
 
 
+def _config_value(key: str, value):
+    """A config-file value as its flag takes it: a number or a numeric
+    string, as a float, or 'auto' or 'zero' for diamag.  A bool is not a number."""
+    if key == "diamag" and value in ("auto", "zero"):
+        return value
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"config value of {key!r} must be a number, got {json.dumps(value)}")
+
+
 def _apply_config(args) -> None:
-    """Set every config-file value whose flag was not given on the command line."""
+    """Set every config-file value whose flag was not given on the command line.
+
+    Every key must name a flag and every value be one the flag takes; a
+    flag that this subcommand does not take is skipped, so one file serves
+    every subcommand."""
     path = getattr(args, "config", None)
     if not path:
         return
@@ -81,8 +99,12 @@ def _apply_config(args) -> None:
         raise ValueError("config file must hold a JSON object")
     for key, value in cfg.items():
         # accept both dashed and underscored keys
-        dest = _CONFIG_FLAGS.get(str(key).replace("_", "-"))
-        if dest is not None and hasattr(args, dest) and getattr(args, dest) is None:
+        name = key.replace("_", "-")
+        if name not in _CONFIG_FLAGS:
+            raise ValueError(
+                f"config key {key!r} names no flag; the keys are {', '.join(_CONFIG_FLAGS)}")
+        value, dest = _config_value(name, value), _CONFIG_FLAGS[name]
+        if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
 
 

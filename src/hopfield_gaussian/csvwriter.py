@@ -24,10 +24,9 @@ whose slots are then scattered back; an unstable row's measure cells are
 never formatted and print empty.  It writes the printed cells that
 ``cell_words`` leaves alone with format() into their slots, then the
 separator at each cell's length, and keeps each slot up to it with one
-boolean mask.  Why every other cell is
-exact is in the ``grid`` module's docstring.  The module is imported on the
-first block of at least ``grid._WRITER_ROWS`` rows, so single points never
-build its tables.
+boolean mask.  Why every other cell is exact is in the ``grid`` module's
+docstring.  The module is imported on the first sweep block, so single
+points never build its tables.
 """
 
 from __future__ import annotations
@@ -47,14 +46,15 @@ def _words(texts) -> np.ndarray:
     return np.array([int.from_bytes(t.encode("ascii"), "little") for t in texts], np.uint64)
 
 
-# the four ASCII digits of each of 0..9999 as a little-endian word, and how
-# many of a cell's 12 digits are significant, trailing zeros dropped, when
-# the group is the first, second or third (a group of zeros adds none)
-_GROUP = np.frombuffer(("%04d" * 10_000 % tuple(range(10_000))).encode(), "<u4").astype(
-    np.uint64
-)
-_SIGNIFICANT = [len(f"{g:04d}".rstrip("0")) for g in range(10_000)]
-_SIG_AT = [np.array([n and n + 4 * i for n in _SIGNIFICANT], np.uint8) for i in range(3)]
+# the four digits of each of 0..9999, first digit first; their ASCII bytes
+# as a little-endian word, and how many of a cell's 12 digits are
+# significant, trailing zeros dropped, when the group is the first, second
+# or third (a group of zeros adds none)
+_DIGITS = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1)
+_GROUP = np.ascontiguousarray(_DIGITS.T + np.uint8(ord("0"))).view("<u4")[:, 0].astype(np.uint64)
+_SIGNIFICANT = np.max(np.arange(1, 5, dtype=np.uint8)[:, None] * (_DIGITS != 0), axis=0)
+_SIG_AT = np.where(_SIGNIFICANT > 0, _SIGNIFICANT + np.arange(0, 12, 4, dtype=np.uint8)[:, None],
+                   np.uint8(0))
 
 # |x| in [_TINY, DBL_MAX] has 10^(11 - k) in the table for every exponent
 # k within one of floor(log10 |x|); 0 is exact as well, and every other

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import PolaritonBasis
-from .states import Environment, _row_template, thermal_occupation
+from .states import _CELL, VALUE_FORMAT, Environment, thermal_occupation
 
 __all__ = [
     "RateSet",
@@ -225,8 +225,8 @@ def trajectory_rows(trajectory: Trajectory) -> list[str]:
     """One CSV row per recorded time, in the columns of TRAJECTORY_HEADER.
 
     A column whose cells are bit-identical in every row (the squeezing and
-    cross moments from vacuum are all +0) is formatted once, into the row
-    template (``states._row_template``); the rest go through one '%' per row.
+    cross moments from vacuum are all +0) is formatted once, into the '%'
+    row template; the rest go through one '%' per row.
     """
     times, moments = trajectory
     if not len(times):
@@ -236,5 +236,8 @@ def trajectory_rows(trajectory: Trajectory) -> list[str]:
     table[:, 1:3] = moments[:, :2].real
     table[:, 3::2] = moments[:, 2:].real
     table[:, 4::2] = moments[:, 2:].imag
-    template, varies = _row_template(table)
+    bits = table.view(np.int64)
+    varies = (bits != bits[0]).any(axis=0)
+    template = ",".join(_CELL if v else format(x, VALUE_FORMAT)
+                        for v, x in zip(varies.tolist(), table[0].tolist()))
     return [template % row for row in map(tuple, table[:, varies].tolist())]

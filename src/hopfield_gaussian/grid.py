@@ -21,12 +21,10 @@ of a grid yields the same rows; ``sweep.sweep_csv``'s blocks rely on this.
 
 ``GridResult`` holds a block's rows as one float table, ``cells``, which
 ``csv_text`` prints with every cell as format(x, '.12g'), the cell of
-``ResultRow.to_csv``.  A block of ``_WRITER_ROWS`` rows or more is written
-by ``csvwriter.write_rows``; a smaller block by ``_template_rows``, one
-format() call per cell, and one per block for a column that holds one
-value.  Neither formats a cell it does not print: an unstable row's
-measure cells, NaN in ``cells``, are never formatted, and print empty.
-The writer's array cells are exact for this reason:
+``ResultRow.to_csv``, by ``csvwriter.write_rows`` in chunks of at most
+``_WRITER_CHUNK`` rows.  It formats no cell it does not print: an unstable
+row's measure cells, NaN in ``cells``, are never formatted, and print
+empty.  The writer's array cells are exact for this reason:
 
 - The digits are the integer nearest s = |x| 10^(11 - k).  The computed s
   carries two roundings, of the correctly rounded power of ten and of the
@@ -50,13 +48,12 @@ cases and 10^6 random bit patterns (``tests/test_csv_writer.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import repeat
 
 import numpy as np
 
-from .measures import _STEERING_CLASSES, _sector_measures, measure_error
+from .measures import _sector_measures, measure_error
 from .model import ModelParams, _sector_modes, _stability_determinants
-from .states import _CELL, _row_template, _sector_covariance
+from .states import _sector_covariance
 
 __all__ = ["GridPoints", "GridResult", "evaluate_grid"]
 
@@ -117,58 +114,18 @@ class GridResult:
     def csv_text(self) -> str:
         """One row per point, each ``ResultRow.to_csv`` of its values and
         ended by a newline."""
-        n, classes = len(self.cells), self.classification
-        if n < _WRITER_ROWS:
-            rows = _template_rows(self.cells, self.stable, classes)
-            return "\n".join(rows) + "\n" if rows else ""
-        # imported on the first large block: single points and small
-        # sweeps never build its tables
+        # imported on the first sweep block: single points never build its tables
         from . import csvwriter
 
+        n = len(self.cells)
         pieces = -(-n // _WRITER_CHUNK)
         parts = (slice(i * n // pieces, (i + 1) * n // pieces) for i in range(pieces))
         return "".join(
-            csvwriter.write_rows(self.cells[p], self.stable[p], classes[p], _ECHO) for p in parts
+            csvwriter.write_rows(self.cells[p], self.stable[p], self.classification[p], _ECHO)
+            for p in parts
         )
 
 
-# ``sweep.ResultRow.to_csv`` formats one row with these templates
-_HEAD = ",".join([_CELL] * _ECHO)
-_STABLE_ROW = ",".join([_CELL] * len(_CELLS) + ["%s", "true"])
-# measure cells, class and stable flag of an unstable row
-_UNSTABLE_TAIL = "," * (len(_CELLS) - _ECHO + 2) + "false"
-# the class cell of each index; an enum's .value costs about 0.3 us a row
-_LABELS = tuple(c.value for c in _STEERING_CLASSES)
-
-
-def _template_rows(table: np.ndarray, stable: np.ndarray, classes: np.ndarray) -> list[str]:
-    """Rows of ``table`` (one row of ``_CELLS`` values per point) and their
-    class indices, one ``format`` call per cell: the rows of small blocks.
-
-    A column whose bits are equal in every stable row, or in the echoed
-    inputs of every unstable row, is formatted once, into the row template
-    of that kind (``states._row_template``).
-    """
-    labels = [(_LABELS[c],) for c in classes[stable].tolist()]
-    kinds = (_filled_rows(table[~stable, :_ECHO], _UNSTABLE_TAIL, repeat(())),
-             _filled_rows(table[stable], ",%s,true", labels))
-    return [next(kinds[ok]) for ok in stable.tolist()]
-
-
-def _filled_rows(part: np.ndarray, tail: str, extras):
-    """The rows of a float table, each followed by the '%s' values of its
-    ``extras`` and ended by ``tail``, with its constant columns formatted once."""
-    if len(part):
-        template, varies = _row_template(part)
-        template += tail
-        for row, extra in zip(part[:, varies].tolist(), extras):
-            yield template % (*row, *extra)
-
-
-# blocks of fewer rows take _template_rows: with caches cold from other work,
-# as in a sweep of many presets, the array writer's ~100 numpy calls cost
-# about as much as formatting 70 to 110 rows cell by cell
-_WRITER_ROWS = 128
 # rows per writer call: a block is cut into near-equal parts of at most
 # this many.  A call has a fixed cost of about 120 us (one row), and its
 # temporaries peak at 1,391 bytes per row on 1,024 all-stable fig3a rows and
@@ -203,7 +160,7 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     if fault.any():
         i = int(np.argmax(fault > 0))
         where = f" at {points.params(int(live[i]))}"
-        raise measure_error(int(fault[i]), where, float(sectors[3][i]))
+        raise measure_error(int(fault[i]), where, float(frame_p[1][i]), float(sectors[3][i]))
 
     cells = np.full((n, len(_CELLS)), np.nan)
     cells[:, :_ECHO] = np.transpose((np.where(l2 > l1, l2, l1), wa, wb, temperature))

@@ -163,14 +163,15 @@ def _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b):
     return 0, (e_n, g_ab, g_ba, mu_a, mu_b, mu_ab, n_a, n_b), index
 
 
-def measure_error(fault: int, where: str = "", c_l: float = 0.5) -> ValueError:
+def measure_error(fault: int, where: str = "", omega_l: float = 0.0,
+                  c_l: float = 0.5) -> ValueError:
     """The error of a ``_measures`` fault, ``where`` naming the point.  An
     overflow is put down to the temperature where the lower, more occupied
-    branch holds a finite number of excitations, 1/2 < c_L < inf; an
-    infinite c_L is an omega_L that underflowed to 0, which the parameters
-    cause."""
+    branch is excited, c_L > 1/2, at a frequency omega_L > 0; an omega_L
+    that underflowed to 0 or is NaN, or a state without excitations, puts
+    it down to the parameters."""
     if fault == OVERFLOW:
-        cause = "the reservoir temperature is too high" if 0.5 < c_l < math.inf else (
+        cause = "the reservoir temperature is too high" if c_l > 0.5 and omega_l > 0.0 else (
             "the mode frequencies and couplings span too many orders of magnitude")
         return ValueError(
             f"the covariance{where} overflows: its invariants are not finite, because {cause}")
@@ -188,9 +189,10 @@ def _sector_measures(sectors):
     return _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b)
 
 
-def correlation_report(sectors) -> CorrelationReport:
+def correlation_report(sectors, omega_l: float) -> CorrelationReport:
     """Every correlation measure of a state given by its x-p sectors
-    (``states._sector_covariance``).
+    (``states._sector_covariance``) and the frequency omega_L of its lower
+    branch, which names the cause of an overflow.
 
     Its symplectic eigenvalues c_U, c_L >= 1/2 need no physicality check;
     a covariance that overflows or is singular to rounding raises the
@@ -199,5 +201,5 @@ def correlation_report(sectors) -> CorrelationReport:
     """
     fault, values, index = _sector_measures(sectors)
     if fault:
-        raise measure_error(fault, c_l=sectors[3])
+        raise measure_error(fault, omega_l=omega_l, c_l=sectors[3])
     return CorrelationReport(*values, _STEERING_CLASSES[index])

@@ -239,7 +239,7 @@ def steady_state_covariance(basis: PolaritonBasis, temperature: float) -> Covari
     a1 = 0.5 * _coth_weight(basis.omega_upper, temperature)
     b1 = 0.5 * _coth_weight(basis.omega_lower, temperature)
     if not a1 * b1 < _MAX_WEIGHT_PRODUCT:
-        raise measure_error(OVERFLOW, c_l=b1)
+        raise measure_error(OVERFLOW, omega_l=basis.omega_lower, c_l=b1)
     return _polariton_diagonal_state(basis, a1, b1)
 
 
@@ -253,18 +253,6 @@ def format_value(x: float) -> str:
 
 # '%.12g' % x is format(x, '.12g') for every float, -0.0, inf and nan included
 _CELL = "%" + VALUE_FORMAT
-
-
-def _row_template(table: np.ndarray) -> tuple[str, np.ndarray]:
-    """(template, varies) of a float table of one row or more: ``varies``
-    flags the columns whose bits differ between rows, and the '%' row
-    template holds a '%.12g' cell for each of them and, for every other
-    column, format(x, '.12g') of the value all rows share, formatted once."""
-    bits = table.view(np.int64)
-    varies = (bits != bits[0]).any(axis=0)
-    template = ",".join(_CELL if v else format(x, VALUE_FORMAT)
-                        for v, x in zip(varies.tolist(), table[0].tolist()))
-    return template, varies
 
 
 _HEADER = "basis: bare"

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _ECHO, _HEAD, _STABLE_ROW, _UNSTABLE_TAIL, GridPoints, evaluate_grid
+from .grid import _CELLS, _ECHO, GridPoints, evaluate_grid
 from .measures import correlation_report
 from .model import (
     DEGENERACY_TOL,
@@ -39,7 +39,7 @@ from .model import (
     natural_diamag,
 )
 from .scenarios import FULL, MIX_ONLY, SQUEEZE_ONLY, SweepSpec
-from .states import Environment, _sector_covariance
+from .states import _CELL, Environment, _sector_covariance
 # not used here: the benchmark's traced run wraps these by name on this module,
 # until ROADMAP item 1 points its spans at the sector stages and deletes this
 from .states import ground_state_covariance_generic, steady_state_covariance  # noqa: F401
@@ -60,6 +60,12 @@ CSV_HEADER = (
     "lambda,wa,wb,T,omega_U,omega_L,E_N,G_ab,G_ba,"
     "mu_a,mu_b,mu_ab,N_a,N_b,class,stable"
 )
+
+# the '%' templates of ``ResultRow.to_csv``: the echoed inputs, a stable
+# row, and the measure cells, class and stable flag of an unstable row
+_HEAD = ",".join([_CELL] * _ECHO)
+_STABLE_ROW = ",".join([_CELL] * len(_CELLS) + ["%s", "true"])
+_UNSTABLE_TAIL = "," * (len(_CELLS) - _ECHO + 2) + "false"
 
 
 class ResultRow(NamedTuple):
@@ -87,7 +93,8 @@ class ResultRow(NamedTuple):
     stable: bool = True
 
     def to_csv(self) -> str:
-        """The row in the row templates of ``grid.GridResult.csv_text``."""
+        """The row as ``grid.GridResult.csv_text`` prints it: each cell
+        format(x, '.12g'), by one '%' per row."""
         if self.stable:
             return _STABLE_ROW % self[:-1]
         return _HEAD % self[:_ECHO] + _UNSTABLE_TAIL
@@ -145,7 +152,7 @@ def evaluate_point(
         return ResultRow(*head, None, None, stable=False), None
     frame_x, frame_p, passive = _sector_modes(*args)
     sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
-    report = correlation_report(sectors)
+    report = correlation_report(sectors, frame_p[1])
     row = ResultRow(*head, frame_p[0], frame_p[1], *report[:-1], report.classification.value)
     return row, sectors
 

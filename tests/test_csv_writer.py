@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hopfield_gaussian import csvwriter, grid
 from hopfield_gaussian.grid import GridResult
 from hopfield_gaussian.measures import _STEERING_CLASSES, _steering_class_index
+from hopfield_gaussian.sweep import ResultRow
 
 WIDTH = len(grid._CELLS)
 
@@ -24,15 +25,25 @@ def result_of(table: np.ndarray, stable: np.ndarray | None = None) -> GridResult
 
 
 def written(values) -> list[str]:
-    """Each value as the writer prints it, in a row of its own (enough rows
-    for the array writer), in a column that cycles through all 14."""
+    """Each value as the writer prints it, in a row of its own, in a column
+    that cycles through all 14."""
     values = np.asarray(values, dtype=float)
-    rows = max(len(values), grid._WRITER_ROWS)
-    table = np.full((rows, WIDTH), 0.5)
+    table = np.full((len(values), WIDTH), 0.5)
     at = np.arange(len(values))
     table[at, at % WIDTH] = values
     lines = result_of(table).csv_text().splitlines()
     return [lines[i].split(",")[i % WIDTH] for i in at.tolist()]
+
+
+def to_csv_text(table: np.ndarray, stable: np.ndarray, classes: np.ndarray) -> str:
+    """The rows of ``table`` by ``ResultRow.to_csv``, one '%' per row: the
+    route of single points, and the reference of the writer."""
+    rows = [
+        ResultRow(*cells, _STEERING_CLASSES[c].value) if ok
+        else ResultRow(*cells[:grid._ECHO], None, None, stable=False)
+        for cells, ok, c in zip(table.tolist(), stable.tolist(), classes.tolist())
+    ]
+    return "".join(row.to_csv() + "\n" for row in rows)
 
 
 def cell_words(values: np.ndarray) -> tuple[list, np.ndarray]:
@@ -69,6 +80,21 @@ EDGES = [
     2.2250738585072014e-308, 1e-310, math.inf, math.nan,
 ]
 EDGES += [-x for x in EDGES]
+
+
+class TestTables:
+    def test_digit_tables_equal_their_loop_definitions(self):
+        # the four ASCII digits of each group as a little-endian word, and
+        # the significant digits of a cell whose group is the first, second
+        # or third, built one group at a time
+        group = np.frombuffer(("%04d" * 10_000 % tuple(range(10_000))).encode(), "<u4")
+        significant = [len(f"{g:04d}".rstrip("0")) for g in range(10_000)]
+        assert csvwriter._GROUP.dtype == np.uint64
+        assert csvwriter._GROUP.tolist() == group.tolist()
+        assert csvwriter._SIGNIFICANT.tolist() == significant
+        assert csvwriter._SIG_AT.dtype == np.uint8 and len(csvwriter._SIG_AT) == 3
+        for i, sig_at in enumerate(csvwriter._SIG_AT):
+            assert sig_at.tolist() == [n and n + 4 * i for n in significant]
 
 
 class TestCells:
@@ -112,33 +138,42 @@ class TestCells:
 
 
 class TestRows:
-    def test_small_blocks_take_the_template(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("the array writer ran")
-
-        monkeypatch.setattr(csvwriter, "write_rows", fail)
-        table = np.full((grid._WRITER_ROWS - 1, WIDTH), 0.25)
-        assert len(result_of(table).csv_text().splitlines()) == grid._WRITER_ROWS - 1
-
-    @pytest.mark.parametrize("rows", [grid._WRITER_ROWS, grid._WRITER_CHUNK + 1, 1000])
+    @pytest.mark.parametrize("rows", [1, 2, 70, 127, 128, grid._WRITER_CHUNK + 1, 1000])
     def test_every_split_into_chunks(self, rows):
         table = random_bits(rows, rows * WIDTH).reshape(rows, WIDTH)
         stable = np.arange(rows) % 3 > 0
         result = result_of(table, stable)
         classes = result.classification
-        template = grid._template_rows(table, stable, classes)
-        for row, ok, c in zip(template, stable.tolist(), classes.tolist()):
+        reference = to_csv_text(table, stable, classes)
+        for row, ok, c in zip(reference.splitlines(), stable.tolist(), classes.tolist()):
             assert row.split(",")[WIDTH] == (_STEERING_CLASSES[c].value if ok else "")
-        assert result.csv_text().splitlines() == template
-        assert result.csv_text() == "".join(row + "\n" for row in template)
+        assert result.csv_text() == reference
 
-    def test_mixed_block_with_cells_left_to_format(self):
+    def test_no_rows_no_text(self):
+        assert result_of(np.empty((0, WIDTH))).csv_text() == ""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_any_block_writes_the_to_csv_rows(self, rows, share, seed):
+        # random stable masks, and columns that hold one value, as the
+        # echoed inputs of a preset do
+        rng = np.random.default_rng(seed)
+        table = random_bits(seed, rows * WIDTH).reshape(rows, WIDTH)
+        ordinary = rng.random(table.shape) < 0.5
+        table[ordinary] = rng.standard_normal(ordinary.sum()) * 10.0 ** rng.integers(-8, 14)
+        constant = rng.random(WIDTH) < 0.4
+        table[:, constant] = table[0, constant]
+        stable = rng.random(rows) >= share
+        result = result_of(table, stable)
+        assert result.csv_text() == to_csv_text(table, stable, result.classification)
+
+    @pytest.mark.parametrize("rows", [70, 127, 128, grid._WRITER_CHUNK + 1])
+    def test_mixed_block_with_cells_left_to_format(self, rows):
         # every cell class that cell_words leaves alone, in stable rows, in
         # the echoed cells of unstable rows and past them, where a row's
         # cells are empty; the writer prints them and writes to no input
         special = [math.inf, -math.inf, math.nan, 5e-324, -1e-310, 1e-296, 123456789012.5,
                    0.1234567890125, 999999999999.5]
-        rows = 2 * grid._WRITER_ROWS
         table = random_bits(3, rows * WIDTH).reshape(rows, WIDTH)
         at = np.arange(rows * WIDTH).reshape(rows, WIDTH) % 7 == 0
         table[at] = np.resize(special, at.sum())
@@ -148,14 +183,9 @@ class TestRows:
         left = cell_words(result.cells.ravel())[1].reshape(rows, WIDTH)
         assert left[stable].any() and left[~stable, :grid._ECHO].any()
         text = result.csv_text()
-        template = grid._template_rows(before, stable, result.classification)
-        assert text == "".join(row + "\n" for row in template)
+        assert text == to_csv_text(before, stable, result.classification)
         assert result.csv_text() == text
         assert result.cells.tobytes() == before.tobytes()
-
-
-def template_text(table: np.ndarray, stable: np.ndarray, classes: np.ndarray) -> str:
-    return "".join(row + "\n" for row in grid._template_rows(table, stable, classes))
 
 
 def counted_cell_words(monkeypatch) -> list:
@@ -174,9 +204,9 @@ class TestPrintedCells:
     """``write_rows`` formats the cells it prints and no other: the echoed
     inputs of every row and the measures of the stable rows, in one call."""
 
+    @pytest.mark.parametrize("rows", [1, 2, 70, 127, 128])
     @pytest.mark.parametrize("kind", ["all unstable", "one stable", "one unstable", "all stable"])
-    def test_one_call_on_the_printed_cells(self, kind, monkeypatch):
-        rows = grid._WRITER_ROWS
+    def test_one_call_on_the_printed_cells(self, kind, rows, monkeypatch):
         table = random_bits(11, rows * WIDTH).reshape(rows, WIDTH)
         stable = np.full(rows, kind in ("one unstable", "all stable"))
         if kind.startswith("one"):
@@ -186,7 +216,7 @@ class TestPrintedCells:
         text = result.csv_text()
         k = int(stable.sum())
         assert sizes == [rows * grid._ECHO + k * (WIDTH - grid._ECHO)]
-        assert text == template_text(table, stable, result.classification)
+        assert text == to_csv_text(table, stable, result.classification)
         lines = text.splitlines()
         assert [line.endswith(",false") for line in lines] == (~stable).tolist()
         for line, ok in zip(lines, stable.tolist()):
@@ -197,7 +227,7 @@ class TestPrintedCells:
     def test_unprinted_cells_of_any_class_stay_empty(self, value, monkeypatch):
         # cells that cell_words would leave to format(), past the echoed
         # inputs of unstable rows: neither routine sees them
-        rows = grid._WRITER_ROWS + 1
+        rows = 129
         table = random_bits(5, rows * WIDTH).reshape(rows, WIDTH)
         stable = np.arange(rows) % 4 > 0
         table[~stable, grid._ECHO:] = value
@@ -209,7 +239,7 @@ class TestPrintedCells:
                             format(x, spec), raising=False)
         sizes = counted_cell_words(monkeypatch)
         text = result.csv_text()
-        assert text == template_text(table, stable, result.classification)
+        assert text == to_csv_text(table, stable, result.classification)
         assert sizes == [printed.size]
         assert len(formatted) == left.sum()
 
@@ -226,5 +256,5 @@ class TestPrintedCells:
         result = result_of(table, stable)
         before = table.copy()
         text = csvwriter.write_rows(table, stable, result.classification, grid._ECHO)
-        assert text == template_text(before, stable, result.classification)
+        assert text == to_csv_text(before, stable, result.classification)
         assert table.tobytes() == before.tobytes()

@@ -222,8 +222,7 @@ class TestKernelAgainstScalarRoute:
         assert row.classification == classify_steering(ref["g_ab"], ref["g_ba"]).value
 
     def test_csv_rows_follow_the_row_format(self):
-        # enough rows for the array writer, unstable rows past lambda = 1.1,
-        # the vacuum at T = 0 (N_a and E_N exactly 0), and a T whose cell is
+        # 150 rows, of which the 40 past lambda = 1.1 are unstable, the vacuum at T = 0 (N_a and E_N exactly 0), and a T whose cell is
         # a near tie that the writer leaves to format()
         spec = SweepSpec(
             "custom",
@@ -232,7 +231,7 @@ class TestKernelAgainstScalarRoute:
             {"wa": 1.0, "wb": 1.25}, diamag_mode="zero", coupling=MIX_ONLY,
         )
         points = grid_points(spec, ENV)
-        assert len(points) >= grid._WRITER_ROWS
+        assert len(points) == 150
         result = evaluate_grid(points, "thermal")
         refs = []
         for point in spec.grid():
@@ -253,12 +252,14 @@ class TestKernelAgainstScalarRoute:
 # points whose measures fault, as (params, temperature): det Gamma_xx rounds
 # to zero in the ground state (omega_a is the smallest subnormal), once with
 # zero and once with nonzero off-diagonal sector entries; det Gamma ~ T^4
-# overflows; and one rounding from the edge omega_L = 1e-8 lets a temperature
-# overflow that a point in the bulk survives
+# overflows, and at T = 1.7e308 the occupation of omega_L itself; and one
+# rounding from the edge omega_L = 1e-8 lets a temperature overflow that a
+# point in the bulk survives
 FAULTY_POINTS = [
     (ModelParams(5e-324, 1.0000000000000002, 0.0, 0.0, 1e10), 0.0),
     (ModelParams(5e-324, 1.0000000000000002, 5e-324, 1e-300, 1e10), 0.0),
     (ModelParams(1.0, 1.0, 0.5, 0.5, 0.25), 1e80),
+    (ModelParams(1.0, 1.0, 0.5, 0.5, 0.25), 1.7e308),
     (ModelParams(1.0, 1.0, 0.49999999999999994, 0.49999999999999994, 0.0), 1e70),
     # omega_L of the (T, V) frame underflows to 0: an infinite weight on both routes
     (ModelParams(6.845772737231646e245, 3.6509797094270246e-166, 2.1811256879978044e-196, 0.0,
@@ -288,11 +289,13 @@ class TestFaultParity:
         assert ("temperature" in str(scalar.value)) == (temperature > 0)
 
     # (params, temperature, c_L, cause) of overflowing points: c_L = 1/2, no
-    # excitations; 1/2 < c_L < inf (None), the thermal state; and c_L = inf,
+    # excitations; 1/2 < c_L < inf (None), the thermal state; c_L = inf at
+    # omega_L > 0, whose occupation the temperature overflows; and c_L = inf
     # where omega_L underflows to 0 at T > 0, which the parameters cause
     OVERFLOW_CAUSES = [
         (ModelParams(1e300, 1.0, 0.5, 0.5, 0.25), 0.0, 0.5, "the mode frequencies and couplings"),
         (ModelParams(1.0, 1.0, 0.5, 0.5, 0.25), 1e80, None, "the reservoir temperature"),
+        (ModelParams(1.0, 1.0, 0.5, 0.5, 0.25), 1.7e308, math.inf, "the reservoir temperature"),
         (ModelParams(1.377954588754046e-234, 1.0, 0.0, 0.0, 0.0), 0.5, math.inf,
          "the mode frequencies and couplings"),
     ]
@@ -312,6 +315,14 @@ class TestFaultParity:
             evaluate_grid(GridPoints(*([v] for v in (*values, temperature))), "thermal")
         for message in (str(scalar.value), str(batched.value)):
             assert f"because {cause}" in message, message
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("temperature", [1e160, 1.7e308])
+    def test_4x4_route_blames_the_temperature_for_its_overflow(self, temperature):
+        # at 1.7e308 the occupation of omega_L > 0 is infinite
+        basis = hopfield_basis(ModelParams(1.0, 1.0, 0.5, 0.5, 0.25))
+        with pytest.raises(ValueError, match="because the reservoir temperature is too high"):
+            steady_state_covariance(basis, temperature)
 
     @pytest.mark.filterwarnings("error")
     def test_exact_decision_past_the_float_range_is_infinite(self):

@@ -340,8 +340,8 @@ class TestSweep:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # every preset is one kernel block now; these cuts keep the many-block
-    # path pinned: single points, template-sized blocks and writer blocks
-    # cut into several chunks
+    # path pinned: single points, 97-point blocks and blocks the writer cuts
+    # into several chunks
     @pytest.mark.parametrize("block", [1, 97, 1000])
     def test_many_blocks_keep_the_preset_digests(self, block, monkeypatch):
         monkeypatch.setattr(sweep, "_BLOCK_POINTS", block)
@@ -479,6 +479,46 @@ class TestCli:
         )
         cells = proc.stdout.splitlines()[1].split(",")
         assert cells[0] == "0.5" and cells[1] == "1" and cells[3] == "0.25"
+
+    def test_config_keys_and_values_in_any_form_its_flags_take(self, tmp_path, capsys):
+        # underscored keys, numeric strings and 'zero' for diamag; diagonalize
+        # skips the environment keys of the same file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda1": "0.4", "lambda2": 0.2, "diamag": "zero",
+                                   "temp": "0.25", "gamma_a": 2, "gamma-b": 0.5}))
+        assert cli.main(["point", "--config", str(cfg), "--state", "thermal"]) == 0
+        argv = ["point", "--lambda1", "0.4", "--lambda2", "0.2", "--diamag", "zero",
+                "--temp", "0.25", "--gamma-a", "2", "--gamma-b", "0.5", "--state", "thermal"]
+        from_config = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == from_config
+        assert cli.main(["diagonalize", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("omega_U = ")
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"wa": [1]}, "config value of 'wa' must be a number, got [1]"),
+            ({"temp": {"x": 1}}, 'config value of \'temp\' must be a number, got {"x": 1}'),
+            ({"wa": True}, "config value of 'wa' must be a number, got true"),
+            ({"wa": None}, "config value of 'wa' must be a number, got null"),
+            ({"wb": "one"}, 'config value of \'wb\' must be a number, got "one"'),
+            ({"diamag": "none"}, 'config value of \'diamag\' must be a number, got "none"'),
+            ({"lambda": 0.5, "lamda": 0.3}, "config key 'lamda' names no flag"),
+        ],
+        ids=["list", "object", "bool", "null", "word", "diamag-word", "misspelt-key"],
+    )
+    @pytest.mark.parametrize("command", ["point", "sweep", "diagonalize"])
+    def test_bad_config_is_one_error_line(self, config, message, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg)]
+        if command == "sweep":
+            argv += ["--scenario", "custom", "--axis", "lambda:0.1:0.2:2"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
     def test_dump_cov_file_and_row_share_one_state(self, tmp_path, capsys):
         path = tmp_path / "cov.txt"
@@ -847,8 +887,8 @@ class TestRuntimeImports:
             ["diagonalize", "--lambda1", "0.4", "--lambda2", "0.2", "--diamag", "0.3"],
             ["point", "--lambda", "0.8", "--temp", "0.25", "--state", "thermal"],
             ["dynamics", "--lambda", "0.5", "--temp", "0.25", "--t-final", "5"],
-            # enough rows for the array CSV writer
-            ["sweep", "--scenario", "custom", "--axis", "lambda:0.1:0.5:200"],
+            # every sweep block, even of two rows, takes the array CSV writer
+            ["sweep", "--scenario", "custom", "--axis", "lambda:0.1:0.5:2"],
         ],
         ids=lambda argv: argv[0],
     )
