@@ -25,16 +25,9 @@ def main() -> None:
     jobs = dict(SCENARIOS)
     jobs["fig5_no_diamag"] = replace(SCENARIOS["fig5"], diamag_mode="zero")
 
-    # presets that differ only in name and description (fig4 and fig3a, fig2b
-    # and fig2a) share one grid, which is rendered once; the repr stands in
-    # for the spec as a key because its `fixed` dict is not hashable
-    rendered: dict[str, str] = {}
     for name, spec in sorted(jobs.items()):
-        grid = repr(replace(spec, scenario="", description=""))
-        if grid not in rendered:
-            rendered[grid] = sweep_csv(spec)
         path = out / f"{name}.csv"
-        path.write_text(rendered[grid], newline="\n")
+        path.write_text(sweep_csv(spec), newline="\n")
         print(f"wrote {path} ({len(spec.axes)} axis sweep)")
 
 

@@ -17,6 +17,7 @@ steady-state covariances.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -128,11 +129,10 @@ def _unpack(v: np.ndarray) -> SecondMoments:
 
 def _recorded_times(t_final, dt, stride):
     """Times k * dt for k = 0, stride, 2 stride, ... and the last step
-    round(t_final / dt); with stride None, the last step alone.  The rows
-    are counted before anything is allocated."""
+    round(t_final / dt).  The rows are counted before anything is allocated."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if stride is not None and stride < 1:
+    if stride < 1:
         raise ValueError("stride must be at least 1")
     if not t_final > 0:  # NaN included; inf is counted below
         raise ValueError(f"t_final must be positive, got t_final={t_final}")
@@ -141,14 +141,12 @@ def _recorded_times(t_final, dt, stride):
         rows = math.inf
     else:
         steps = max(1, round(ratio))
-        rows = 1 if stride is None else 2 + (steps - 1) // stride
+        rows = 2 + (steps - 1) // stride
     if rows > MAX_TRAJECTORY_ROWS:
         raise ValueError(
             f"t_final={t_final:g}, dt={dt:g} and stride={stride} would record "
             f"{rows:.8g} rows; the limit is {MAX_TRAJECTORY_ROWS:,}"
         )
-    if stride is None:
-        return np.array([steps * dt])
     k = np.arange(rows, dtype=float) * min(stride, steps)  # a huge stride may not fit a float
     k[-1] = steps
     return k * dt
@@ -183,10 +181,11 @@ def evolve_second_moments(
     t_final: float,
     dt: float | None = None,
 ) -> SecondMoments:
-    """Exact moments at t = round(t_final / dt) * dt, the time grid of
-    evolve_trajectory (default dt as there)."""
-    times = _recorded_times(t_final, _output_step(dt, rates, basis), None)
-    return _unpack(_exact_moments(initial, rates, basis, times)[0])
+    """Exact moments at t = round(t_final / dt) * dt: the last row of
+    ``evolve_trajectory`` (default dt as there), whose stride records only
+    the first and the last step."""
+    trajectory = evolve_trajectory(initial, rates, basis, t_final, dt, sys.maxsize)
+    return _unpack(trajectory.moments[-1])
 
 
 class Trajectory(NamedTuple):

@@ -7,7 +7,7 @@ sectors of the state (``_sector_invariants``), in closed forms free of
 differences of nearly equal terms.
 
 One checked stage, ``_measures``, gives every measure and the steering
-class of a point (``correlation_report``), a grid (``grid.evaluate_grid``)
+class of a point (``correlation_report``), a grid (``sweep.evaluate_grid``)
 or any 4x4 matrix (``oracles.matrix_report``), with a fault code where the
 numbers leave the float range; ``measure_error`` words each fault once.
 """
@@ -115,9 +115,11 @@ def _occupations(xa, pa, xb, pb):
 OVERFLOW, SINGULAR_BLOCK, SINGULAR_TRANSPOSE = 1, 2, 3
 
 
-def _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b):
+def _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled=True):
     """(fault, (E_N, G_ab, G_ba, mu_a, mu_b, mu_ab, N_a, N_b), class index)
     from the invariants and the occupations; floats or equal-length arrays.
+    Where ``coupled`` is false the state is a product, and E_N, G_ab and
+    G_ba are exactly 0, not the rounding of their logarithms.
 
     The fault is 0, or the first of: an invariant is not finite
     (``OVERFLOW``); det A, det B or det Gamma is not positive
@@ -137,7 +139,7 @@ def _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b):
             finite[:5].all(axis=0), np.where(positive, measured, SINGULAR_BLOCK), OVERFLOW
         )
         # where(v > 0, v, 0) is the float branch's clip, -0.0 included
-        e_n, g_ab, g_ba = (np.where(v > 0.0, v, 0.0) for v in (e_n, raw_ab, raw_ba))
+        e_n, g_ab, g_ba = (np.where(coupled & (v > 0.0), v, 0.0) for v in (e_n, raw_ab, raw_ba))
         index = _steering_class_index(g_ab, g_ba)
         return fault, (e_n, g_ab, g_ba, *purities, n_a, n_b), index
     finite = math.isfinite
@@ -156,9 +158,9 @@ def _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b):
             and finite(mu_a) and finite(mu_b) and finite(mu_ab)):
         return SINGULAR_TRANSPOSE, None, -1
     # v if v > 0 else 0 is max(0.0, v), with -0.0 giving 0.0
-    e_n = e_n if e_n > 0.0 else 0.0
-    g_ab = raw_ab if raw_ab > 0.0 else 0.0
-    g_ba = raw_ba if raw_ba > 0.0 else 0.0
+    e_n = e_n if coupled and e_n > 0.0 else 0.0
+    g_ab = raw_ab if coupled and raw_ab > 0.0 else 0.0
+    g_ba = raw_ba if coupled and raw_ba > 0.0 else 0.0
     index = _steering_class_index(g_ab, g_ba)
     return 0, (e_n, g_ab, g_ba, mu_a, mu_b, mu_ab, n_a, n_b), index
 
@@ -182,11 +184,14 @@ def measure_error(fault: int, where: str = "", omega_l: float = 0.0,
 
 def _sector_measures(sectors):
     """``_measures`` of a state given by its x-p sectors
-    (``states._sector_covariance``); floats or arrays."""
+    (``states._sector_covariance``); floats or arrays.  A state whose two
+    sector off-diagonals are exactly 0, as at lambda1 = lambda2 = 0, is a
+    product of its two modes."""
     gxx, gpp = sectors[:2]
     i_a, i_b, i_c, i_ab, disc_sq, d_minus, _ = _sector_invariants(*sectors)
     n_a, n_b = _occupations(gxx[0], gpp[0], gxx[2], gpp[2])
-    return _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b)
+    coupled = (gxx[1] != 0.0) | (gpp[1] != 0.0)
+    return _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled)
 
 
 def correlation_report(sectors, omega_l: float) -> CorrelationReport:

@@ -1,31 +1,53 @@
 """Point evaluation and deterministic grid sweeps emitting CSV rows.
 
-A sweep resolves its grid in row-major axis order to parameter arrays and
-evaluates it with the array kernel (``grid.evaluate_grid``), one block of
-points at a time, each block one float table from the kernel to its text.
-Every cell is format(x, '.12g'), whichever writer prints it, so the byte
-output is reproducible across runs.  A point is stable when det V
-and det T of its x and p sectors are positive; an unstable point becomes a
-row with empty measure fields and stable=false.  Every stable point takes
-one route, the x-p sector stages.
+A sweep resolves its grid in row-major axis order to parameter arrays
+(``grid_points``) and evaluates it with the array kernel
+(``evaluate_grid``), one block of points at a time, each block one float
+table from the kernel to its text.  Every cell is format(x, '.12g'),
+whichever writer prints it, so the byte output is reproducible across
+runs.  A point is stable when det V and det T of its x and p sectors are
+positive; an unstable point becomes a row with empty measure fields and
+stable=false.  Every stable point takes one route, the x-p sector stages
+``model._sector_modes``, ``states._sector_covariance`` and
+``measures._sector_measures``.
 
-``evaluate_point`` is the scalar route for one point through the kernel's
-own stage functions, and the reference the kernel is tested against; its
-row is ``run_point``'s, and its x-p sectors are what ``point --dump-cov``
-writes, so ``point`` evaluates a point once with or without the dump.  It
-reads stability off the determinants, so an unstable point is a row, not
-a raised and caught ``InstabilityError``.  Each point is one
-``ResultRow``, formatted by one ``%`` with the kernel's row template.
+``evaluate_point`` is that route for one point on floats, and the
+reference the kernel is tested against; its row is ``run_point``'s, and
+its x-p sectors are what ``point --dump-cov`` writes, so ``point``
+evaluates a point once with or without the dump.  It reads stability off
+the determinants, so an unstable point is a row, not a raised and caught
+``InstabilityError``.  Each point is one ``ResultRow``, formatted by one
+``%`` with the row template.
+
+``evaluate_grid`` runs the same stage functions on arrays, which run the
+same floating-point operations as on floats.  Both shapes take each rule
+of a row from one place: the state's temperature (``_state_temperature``),
+the stage arguments and the stability decision (``_sector_args``), and the
+echoed cells (``_echo``).  The kernel takes the (T, V) frame of Gamma_xx
+and the (V, T) frame of Gamma_pp of every point as one (2, n) pass, so
+that ``_sector_frame``, ``_bose``, ``_weights`` and ``_sector_block`` each
+run once per block.  Its measures stage is the checked one of
+``run_point``: the kernel keeps no check or message of its own, and raises
+``measures.measure_error`` for the first point with a fault.  Each point's
+result depends on that point alone, so any contiguous split of a grid
+yields the same rows; ``sweep_csv``'s blocks rely on this.
+
+``GridResult`` holds a block's rows as one float table, ``cells``, which
+``csv_text`` prints with every cell as format(x, '.12g'), the cell of
+``ResultRow.to_csv``, by ``csvwriter.write_rows`` in chunks of at most
+``_WRITER_CHUNK`` rows.  It formats no cell it does not print: an unstable
+row's measure cells, NaN in ``cells``, are never formatted, and print
+empty.  Why the writer's cells are exact is in the ``csvwriter`` docstring.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _CELLS, _ECHO, GridPoints, evaluate_grid
-from .measures import correlation_report
+from .measures import _sector_measures, correlation_report, measure_error
 from .model import (
     DEGENERACY_TOL,
     InstabilityError,
@@ -35,6 +57,7 @@ from .model import (
     _mixing_angle,
     _sector_modes,
     _stability_determinants,
+    _where,
     hopfield,
     natural_diamag,
 )
@@ -46,8 +69,11 @@ from .states import ground_state_covariance_generic, steady_state_covariance  # 
 
 __all__ = [
     "CSV_HEADER",
+    "GridPoints",
+    "GridResult",
     "ResultRow",
     "diagonalize_params",
+    "evaluate_grid",
     "evaluate_point",
     "grid_points",
     "run_point",
@@ -60,12 +86,6 @@ CSV_HEADER = (
     "lambda,wa,wb,T,omega_U,omega_L,E_N,G_ab,G_ba,"
     "mu_a,mu_b,mu_ab,N_a,N_b,class,stable"
 )
-
-# the '%' templates of ``ResultRow.to_csv``: the echoed inputs, a stable
-# row, and the measure cells, class and stable flag of an unstable row
-_HEAD = ",".join([_CELL] * _ECHO)
-_STABLE_ROW = ",".join([_CELL] * len(_CELLS) + ["%s", "true"])
-_UNSTABLE_TAIL = "," * (len(_CELLS) - _ECHO + 2) + "false"
 
 
 class ResultRow(NamedTuple):
@@ -93,19 +113,118 @@ class ResultRow(NamedTuple):
     stable: bool = True
 
     def to_csv(self) -> str:
-        """The row as ``grid.GridResult.csv_text`` prints it: each cell
+        """The row as ``GridResult.csv_text`` prints it: each cell
         format(x, '.12g'), by one '%' per row."""
         if self.stable:
             return _STABLE_ROW % self[:-1]
         return _HEAD % self[:_ECHO] + _UNSTABLE_TAIL
 
 
-def _sector_args(params: ModelParams) -> tuple[tuple, bool]:
-    """((wa, wb, lambda1, lambda2, D, det V, det T), stable): a point is
-    stable iff det V > 0 and det T > 0, the one stability rule of every command."""
-    args = (params.omega_a, params.omega_b, params.lambda1, params.lambda2, params.diamag)
+# the float cells of a row, in the order of the CSV: four echoed inputs,
+# then the measures that unstable rows leave empty
+_CELLS = ResultRow._fields[:-2]
+_ECHO = 4
+# the '%' templates of ``ResultRow.to_csv``: the echoed inputs, a stable
+# row, and the measure cells, class and stable flag of an unstable row
+_HEAD = ",".join([_CELL] * _ECHO)
+_STABLE_ROW = ",".join([_CELL] * len(_CELLS) + ["%s", "true"])
+_UNSTABLE_TAIL = "," * (len(_CELLS) - _ECHO + 2) + "false"
+
+
+@dataclass(frozen=True)
+class GridPoints:
+    """Model parameters and temperature of each grid point, as float arrays."""
+
+    omega_a: np.ndarray
+    omega_b: np.ndarray
+    lambda1: np.ndarray
+    lambda2: np.ndarray
+    diamag: np.ndarray
+    temperature: np.ndarray
+
+    def __post_init__(self):
+        # the kernel computes in float64, as the scalar route does
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), float))
+
+    def __len__(self) -> int:
+        return len(self.omega_a)
+
+    def chunk(self, start: int, stop: int) -> GridPoints:
+        """The contiguous run of points [start, stop)."""
+        return GridPoints(*(getattr(self, f.name)[start:stop] for f in fields(self)))
+
+    def params(self, i: int) -> ModelParams:
+        return ModelParams(*(float(getattr(self, f.name)[i]) for f in fields(self)[:5]))
+
+
+@dataclass(frozen=True)
+class GridResult:
+    """The rows of a grid: ``cells`` holds one row of ``_CELLS`` values per
+    point, NaN past the echoed inputs where the point is unstable, and each
+    ``_CELLS`` name reads its column.
+
+    ``classification`` is the steering class as an index into
+    ``measures._STEERING_CLASSES``, -1 where unstable.
+    """
+
+    cells: np.ndarray
+    stable: np.ndarray
+    classification: np.ndarray
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in _CELLS:
+            raise AttributeError(name)
+        return self.cells[:, _CELLS.index(name)]
+
+    def csv_text(self) -> str:
+        """One row per point, each ``ResultRow.to_csv`` of its values and
+        ended by a newline."""
+        # imported on the first sweep block: single points never build its tables
+        from . import csvwriter
+
+        n = len(self.cells)
+        pieces = -(-n // _WRITER_CHUNK)
+        parts = (slice(i * n // pieces, (i + 1) * n // pieces) for i in range(pieces))
+        return "".join(
+            csvwriter.write_rows(self.cells[p], self.stable[p], self.classification[p], _ECHO)
+            for p in parts
+        )
+
+
+# rows per writer call: a block is cut into near-equal parts of at most
+# this many.  A call has a fixed cost of about 120 us (one row), and its
+# temporaries peak at 1,391 bytes per row on 1,024 all-stable fig3a rows and
+# at 1,258 on 1,024 rows of which 704 are unstable, whose measure cells are
+# never formatted (tracemalloc): 1.4 MB that stay in a core's 2 MB L2 cache;
+# a whole 2,925-row block in one call is 30-40% slower
+_WRITER_CHUNK = 1024
+
+
+def _state_temperature(state_kind: str, temperature):
+    """The temperature of the state: the reservoir's in the 'thermal'
+    (common-bath steady) state, 0 in the 'ground' state (the polariton
+    vacuum); a float or an array."""
+    if state_kind == "thermal":
+        return temperature
+    if state_kind != "ground":
+        raise ValueError("state_kind must be 'ground' or 'thermal'")
+    return np.zeros_like(temperature) if isinstance(temperature, np.ndarray) else 0.0
+
+
+def _sector_args(p: ModelParams | GridPoints):
+    """((wa, wb, lambda1, lambda2, D, det V, det T), stable) of a point or,
+    as arrays, of a grid: a point is stable iff det V > 0 and det T > 0, the
+    one stability rule of every command."""
+    args = (p.omega_a, p.omega_b, p.lambda1, p.lambda2, p.diamag)
     det_v, det_t = _stability_determinants(*args)
-    return (*args, det_v, det_t), det_v > 0.0 and det_t > 0.0
+    return (*args, det_v, det_t), (det_v > 0.0) & (det_t > 0.0)
+
+
+def _echo(p: ModelParams | GridPoints, temperature):
+    """The echoed cells of a point's or a grid's rows: lambda = max(lambda1,
+    lambda2), wa, wb and the state's temperature."""
+    return _where(p.lambda2 > p.lambda1, p.lambda2, p.lambda1), p.omega_a, p.omega_b, temperature
 
 
 def diagonalize_params(params: ModelParams) -> PolaritonBasis:
@@ -131,22 +250,15 @@ def diagonalize_params(params: ModelParams) -> PolaritonBasis:
 def evaluate_point(
     params: ModelParams, env: Environment | None, state_kind: str
 ) -> tuple[ResultRow, tuple | None]:
-    """(row, x-p sectors) of one point by the stages of ``grid.evaluate_grid``.
+    """(row, x-p sectors) of one point by the stages of ``evaluate_grid``.
 
     The sectors are those of ``states._sector_covariance``, and None past the
     stability edge, where the row is flagged unstable: decided by the
     determinants alone, with no exception raised.  A stable point whose
     measures fault raises the ValueError of ``correlation_report``.
     """
-    if state_kind == "thermal":
-        temperature = 0.0 if env is None else env.temperature
-    elif state_kind == "ground":
-        temperature = 0.0
-    else:
-        raise ValueError("state_kind must be 'ground' or 'thermal'")
-    l1, l2 = params.lambda1, params.lambda2
-    # lambda is max(lambda1, lambda2)
-    head = (l2 if l2 > l1 else l1, params.omega_a, params.omega_b, temperature)
+    temperature = _state_temperature(state_kind, 0.0 if env is None else env.temperature)
+    head = _echo(params, temperature)
     args, stable = _sector_args(params)
     if not stable:
         return ResultRow(*head, None, None, stable=False), None
@@ -155,6 +267,37 @@ def evaluate_point(
     report = correlation_report(sectors, frame_p[1])
     row = ResultRow(*head, frame_p[0], frame_p[1], *report[:-1], report.classification.value)
     return row, sectors
+
+
+def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
+    """Rows of every grid point, each equal to ``run_point`` on that point.
+
+    ``state_kind`` is 'ground' or 'thermal' (``_state_temperature``).  A
+    stable point whose measures fault (``measures._measures``) raises the
+    ValueError that ``run_point`` raises there, with the first such point
+    named.
+    """
+    temperature = _state_temperature(state_kind, points.temperature)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # faults raised below
+        args, stable = _sector_args(points)
+        live = np.flatnonzero(stable)
+        frame_x, frame_p, passive = _sector_modes(*(a[live] for a in args))
+        sectors = _sector_covariance(frame_x, frame_p, passive, temperature[live])
+        fault, measures, classes = _sector_measures(sectors)
+    # the decision of measures.correlation_report, taken at every point
+    if fault.any():
+        i = int(np.argmax(fault > 0))
+        where = f" at {points.params(int(live[i]))}"
+        raise measure_error(int(fault[i]), where, float(frame_p[1][i]), float(sectors[3][i]))
+
+    cells = np.full((len(points), len(_CELLS)), np.nan)
+    cells[:, :_ECHO] = np.transpose(_echo(points, temperature))
+    # the measures of _sector_measures come in the order of the report's
+    # fields, which _CELLS follows
+    cells[live, _ECHO:] = np.transpose((frame_p[0], frame_p[1], *measures))
+    classification = np.full(len(points), -1, np.intp)
+    classification[live] = classes
+    return GridResult(cells, stable, classification)
 
 
 def run_point(

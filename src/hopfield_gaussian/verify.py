@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import SecondMoments, collective_rates, evolve_second_moments
-from .grid import GridResult, evaluate_grid
 from .measures import _STEERING_CLASSES, SteeringClass
 from .model import InstabilityError, hopfield, no_a2
 from .oracles import (
@@ -40,7 +39,14 @@ from .states import (
     steady_state_covariance,
     thermal_occupation,
 )
-from .sweep import diagonalize_params, grid_points, run_point, sweep_csv
+from .sweep import (
+    GridResult,
+    diagonalize_params,
+    evaluate_grid,
+    grid_points,
+    run_point,
+    sweep_csv,
+)
 
 __all__ = ["CheckResult", "CHECKS", "run_checks", "run_verification"]
 

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfield_gaussian import csvwriter, grid
-from hopfield_gaussian.grid import GridResult
+from hopfield_gaussian import csvwriter, sweep
 from hopfield_gaussian.measures import _STEERING_CLASSES, _steering_class_index
-from hopfield_gaussian.sweep import ResultRow
+from hopfield_gaussian.sweep import GridResult, ResultRow
 
-WIDTH = len(grid._CELLS)
+WIDTH = len(sweep._CELLS)
 
 
 def result_of(table: np.ndarray, stable: np.ndarray | None = None) -> GridResult:
@@ -40,7 +39,7 @@ def to_csv_text(table: np.ndarray, stable: np.ndarray, classes: np.ndarray) -> s
     route of single points, and the reference of the writer."""
     rows = [
         ResultRow(*cells, _STEERING_CLASSES[c].value) if ok
-        else ResultRow(*cells[:grid._ECHO], None, None, stable=False)
+        else ResultRow(*cells[:sweep._ECHO], None, None, stable=False)
         for cells, ok, c in zip(table.tolist(), stable.tolist(), classes.tolist())
     ]
     return "".join(row.to_csv() + "\n" for row in rows)
@@ -138,7 +137,7 @@ class TestCells:
 
 
 class TestRows:
-    @pytest.mark.parametrize("rows", [1, 2, 70, 127, 128, grid._WRITER_CHUNK + 1, 1000])
+    @pytest.mark.parametrize("rows", [1, 2, 70, 127, 128, sweep._WRITER_CHUNK + 1, 1000])
     def test_every_split_into_chunks(self, rows):
         table = random_bits(rows, rows * WIDTH).reshape(rows, WIDTH)
         stable = np.arange(rows) % 3 > 0
@@ -167,7 +166,7 @@ class TestRows:
         result = result_of(table, stable)
         assert result.csv_text() == to_csv_text(table, stable, result.classification)
 
-    @pytest.mark.parametrize("rows", [70, 127, 128, grid._WRITER_CHUNK + 1])
+    @pytest.mark.parametrize("rows", [70, 127, 128, sweep._WRITER_CHUNK + 1])
     def test_mixed_block_with_cells_left_to_format(self, rows):
         # every cell class that cell_words leaves alone, in stable rows, in
         # the echoed cells of unstable rows and past them, where a row's
@@ -181,7 +180,7 @@ class TestRows:
         result = result_of(table, stable)
         before = result.cells.copy()
         left = cell_words(result.cells.ravel())[1].reshape(rows, WIDTH)
-        assert left[stable].any() and left[~stable, :grid._ECHO].any()
+        assert left[stable].any() and left[~stable, :sweep._ECHO].any()
         text = result.csv_text()
         assert text == to_csv_text(before, stable, result.classification)
         assert result.csv_text() == text
@@ -215,12 +214,12 @@ class TestPrintedCells:
         sizes = counted_cell_words(monkeypatch)
         text = result.csv_text()
         k = int(stable.sum())
-        assert sizes == [rows * grid._ECHO + k * (WIDTH - grid._ECHO)]
+        assert sizes == [rows * sweep._ECHO + k * (WIDTH - sweep._ECHO)]
         assert text == to_csv_text(table, stable, result.classification)
         lines = text.splitlines()
         assert [line.endswith(",false") for line in lines] == (~stable).tolist()
         for line, ok in zip(lines, stable.tolist()):
-            assert ok or line.split(",")[grid._ECHO:] == [""] * (WIDTH - grid._ECHO + 1) + ["false"]
+            assert ok or line.split(",")[sweep._ECHO:] == [""] * (WIDTH - sweep._ECHO + 1) + ["false"]
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 5e-324, -1e-310,
                                        1e-296, 123456789012.5, 0.1234567890125, 999999999999.5])
@@ -230,9 +229,9 @@ class TestPrintedCells:
         rows = 129
         table = random_bits(5, rows * WIDTH).reshape(rows, WIDTH)
         stable = np.arange(rows) % 4 > 0
-        table[~stable, grid._ECHO:] = value
+        table[~stable, sweep._ECHO:] = value
         result = result_of(table, stable)
-        printed = np.concatenate((table[stable].ravel(), table[~stable, :grid._ECHO].ravel()))
+        printed = np.concatenate((table[stable].ravel(), table[~stable, :sweep._ECHO].ravel()))
         left = cell_words(printed)[1]
         formatted = []
         monkeypatch.setattr(csvwriter, "format", lambda x, spec: formatted.append(x) or
@@ -255,6 +254,6 @@ class TestPrintedCells:
         stable = rng.random(rows) >= share
         result = result_of(table, stable)
         before = table.copy()
-        text = csvwriter.write_rows(table, stable, result.classification, grid._ECHO)
+        text = csvwriter.write_rows(table, stable, result.classification, sweep._ECHO)
         assert text == to_csv_text(before, stable, result.classification)
         assert table.tobytes() == before.tobytes()

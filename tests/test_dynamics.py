@@ -315,6 +315,29 @@ class TestClosedFormPropagator:
         final = evolve_second_moments(initial, rates, basis, steps * dt, dt)
         assert final == _unpack(trajectory.moments[-1])
 
+    def test_final_state_is_the_last_time_alone_bit_for_bit(self):
+        # evolve_second_moments records the first and the last step; its
+        # final moments are those of a solve at the last time alone
+        rng = np.random.default_rng(23)
+        solved = 0
+        while solved < 240:
+            wa, l1, l2, dd = rng.uniform(0.3, 3.0), *rng.uniform(0.0, 0.5, 3)
+            params = hopfield(wa, 1.0, 3 * l1) if rng.random() < 0.5 else general(wa, 1.0, l1, l2, dd)
+            try:
+                basis = diagonalize_params(params)
+            except InstabilityError:
+                continue
+            env = Environment(rng.uniform(0.0, 1.0), *rng.uniform(1e-4, 0.2, 2))
+            rates = collective_rates(basis, env)
+            dt = rng.uniform(0.005, 1.0) / fastest_scale(rates, basis)
+            steps = int(rng.integers(1, 3001))
+            occupations, rest = rng.uniform(0.0, 3.0, 2), rng.uniform(-2.0, 2.0, (3, 2))
+            initial = SecondMoments(*occupations, *(complex(*v) for v in rest))
+            alone = dynamics._exact_moments(initial, rates, basis, np.array([steps * dt]))
+            final = evolve_second_moments(initial, rates, basis, steps * dt, dt)
+            assert _pack(final).tobytes() == _pack(_unpack(alone[0])).tobytes(), (params, env)
+            solved += 1
+
     @given(solves())
     def test_row_zero_is_the_initial_state_bit_for_bit(self, solve):
         basis, rates, initial, dt, steps, stride = solve

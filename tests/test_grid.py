@@ -9,8 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hopfield_gaussian import csvwriter, grid, sweep
-from hopfield_gaussian.grid import GridPoints, evaluate_grid
+from hopfield_gaussian import csvwriter, sweep
 from hopfield_gaussian.measures import (
     _STEERING_CLASSES,
     STEERING_THRESHOLD,
@@ -48,7 +47,13 @@ from hopfield_gaussian.states import (
     sector_matrix,
     steady_state_covariance,
 )
-from hopfield_gaussian.sweep import grid_points, run_point, spec_to_params
+from hopfield_gaussian.sweep import (
+    GridPoints,
+    evaluate_grid,
+    grid_points,
+    run_point,
+    spec_to_params,
+)
 
 # fixed before the kernel was written, from the measured deviations of a
 # prototype: the determinant formula for E_N loses about half its digits
@@ -354,6 +359,38 @@ class TestFaultParity:
             assert batched == scalar, values
 
 
+POSITIVE = st.one_of(st.floats(0.1, 10.0),
+                     st.floats(0.0, exclude_min=True, allow_infinity=False))
+NON_NEGATIVE = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, allow_infinity=False))
+
+
+class TestUncoupledPoints:
+    """At lambda1 = lambda2 = 0 both sector off-diagonals are exactly 0 and
+    the state is a product of the two modes: E_N, G_ab and G_ba are exactly
+    0, not the rounding of their logarithms, on both routes."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300)
+    @given(POSITIVE, POSITIVE, NON_NEGATIVE, NON_NEGATIVE, st.sampled_from(("ground", "thermal")))
+    @example(1.0, 1.0, 0.125, 0.0, "ground")  # E_N and G_ab were 2.2e-16
+    @example(0.5, 2.0, 0.4, 0.0, "ground")  # E_N was 6.7e-16 and G_ab 3.3e-16
+    def test_measures_are_zero_and_the_routes_agree_bit_for_bit(self, wa, wb, dd, temperature,
+                                                                 state):
+        params = ModelParams(wa, wb, 0.0, 0.0, dd)
+        try:
+            row = run_point(params, Environment(temperature), state)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as batched:
+                evaluate_grid(GridPoints([wa], [wb], [0.0], [0.0], [dd], [temperature]), state)
+            assert str(batched.value).replace(f" at {params}", "", 1) == str(exc)
+            return
+        result = evaluate_grid(GridPoints([wa], [wb], [0.0], [0.0], [dd], [temperature]), state)
+        assert row.stable and (row.e_n, row.g_ab, row.g_ba) == (0.0, 0.0, 0.0)
+        assert result.cells[0].tobytes() == np.array(row[:-2], float).tobytes()
+        assert _STEERING_CLASSES[result.classification[0]].value == row.classification
+        assert result.csv_text() == row.to_csv() + "\n"
+
+
 class TestSwapSymmetry:
     """At D = 0 the model is symmetric under a <-> b: swapping omega_a and
     omega_b swaps G_ab and G_ba, mu_a and mu_b, N_a and N_b, and keeps the
@@ -388,7 +425,7 @@ class TestSwapSymmetry:
         two = evaluate_grid(GridPoints(wb, wa, *rest), "thermal")
         stable = one.stable
         assert (two.stable == stable).all() and stable.sum() > 1000
-        for name in grid._CELLS:
+        for name in sweep._CELLS:
             x, y = getattr(one, name)[stable], getattr(two, self.SWAPPED.get(name, name))[stable]
             assert self.close(x, y).all(), name
         sure = self.decided(one.g_ab, one.g_ba) & self.decided(two.g_ab, two.g_ba) & stable
@@ -404,7 +441,7 @@ class TestSwapSymmetry:
             assert one.stable == two.stable, values
             if not one.stable:
                 continue
-            for name in grid._CELLS:
+            for name in sweep._CELLS:
                 x, y = getattr(one, name), getattr(two, self.SWAPPED.get(name, name))
                 assert self.close(x, y), (values, name)
             if self.decided(one.g_ab, one.g_ba) and self.decided(two.g_ab, two.g_ba):
@@ -702,11 +739,9 @@ class TestStackedPass:
     """The kernel takes both sector frames of a block in one (2, n) pass; on
     every kind of point its cells are the bits of ``run_point``'s row, but
     for the three logarithms, which ``np.log`` and ``math.log`` may round a
-    last bit apart (at (1, 1, 0, 0, 0.125) in the ground state, E_N is
-    2.220446049250313e-16 on the kernel and 2.2204460492503136e-16 on
-    ``run_point``, as before the frames were stacked)."""
+    last bit apart."""
 
-    LOGS = [grid._CELLS.index(name) for name in ("e_n", "g_ab", "g_ba")]
+    LOGS = [sweep._CELLS.index(name) for name in ("e_n", "g_ab", "g_ba")]
 
     @settings(max_examples=120)
     @given(st.lists(block_points(), min_size=1, max_size=24),
