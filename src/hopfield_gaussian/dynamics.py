@@ -212,7 +212,7 @@ def evolve_trajectory(
     """
     times = _recorded_times(t_final, _output_step(dt, rates, basis), stride)
     moments = _exact_moments(initial, rates, basis, times)
-    if (moments[:, :2].real < 0).any():
+    if moments[:, :2].real.min() < 0:
         raise ValueError("occupations must be non-negative")
     return Trajectory(times, moments)
 
