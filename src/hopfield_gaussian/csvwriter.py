@@ -86,25 +86,42 @@ TIE_MARGIN = 1e-3
 # negative cell
 _K0 = 330
 _SIGNED = 2 * _K0
-# 10^(11 - k), correctly rounded as float('1e..') is
-_SCALE = np.array([float(f"1e{11 - k}") if -297 <= k < 319 else np.nan for k in range(-_K0, _K0)])
 # the layouts of exponent k: fixed, the '.' after digit k + 1, for
 # 0 <= k < 12; '0.' and -k - 1 zeros before the digits for -4 <= k < 0;
 # otherwise one digit, '.', the rest and 'e' with the signed exponent
-_K = list(range(-_K0, _K0)) * 2
-_EXP_FORM = np.array([not -4 <= k < 12 for k in _K])
-_SPLIT = np.array([k + 1 if 0 <= k < 12 else 0 if -4 <= k < 0 else 1 for k in _K], np.intp)
-_POINT_ALL = np.array([-(-4 <= k < 0) for k in _K], np.intp)
-_PREFIXES = [
-    "-" * (i >= _SIGNED) + ("0." + "0" * (-k - 1) if -4 <= k < 0 else "")
-    for i, k in enumerate(_K)
-]
-_PREFIX = _words(_PREFIXES)
-_PREFIX_LEN = np.array([len(p) for p in _PREFIXES], np.intp)
+_K = np.tile(np.arange(-_K0, _K0), 2)
+_FIXED = (0 <= _K) & (_K < 12)
+_SMALL = (-4 <= _K) & (_K < 0)
+_NEGATIVE = np.arange(len(_K)) >= _SIGNED
+_EXP_FORM = ~(_FIXED | _SMALL)
+_SPLIT = np.where(_FIXED, _K + 1, np.where(_SMALL, 0, 1))
+_POINT_ALL = -_SMALL.astype(np.intp)
+# the prefix: '-' for a negative cell, then '0.' and the zeros for -4 <= k < 0
+_ZEROS = np.where(_SMALL, -_K, 0)  # 1 + the number of zeros after '0.'
+_PREFIX = _words(["", "0.", "0.0", "0.00", "0.000"]).take(_ZEROS)
+_PREFIX[_NEGATIVE] = _PREFIX[_NEGATIVE] << np.uint64(8) | np.uint64(ord("-"))
+_PREFIX_LEN = np.where(_SMALL, _ZEROS + 1, 0) + _NEGATIVE
 _PREFIX_BITS = (8 * _PREFIX_LEN).astype(np.uint64)
-_SUFFIXES = [f"e{k:+03d}" for k in _K]
-_SUFFIX = _words(_SUFFIXES)
-_SUFFIX_LEN = np.array([len(t) for t in _SUFFIXES], np.intp)
+# the suffix 'e', the sign and two or three digits of |k|: f"e{k:+03d}"
+_MAGNITUDE = np.abs(_K).astype(np.uint64)
+_HUNDREDS = _MAGNITUDE >= 100
+_ASCII = [_MAGNITUDE // np.uint64(p) % np.uint64(10) + np.uint64(ord("0")) for p in (100, 10, 1)]
+_SUFFIX = (
+    np.uint64(ord("e"))
+    | np.where(_K < 0, np.uint64(ord("-")), np.uint64(ord("+"))) << np.uint64(8)
+    | np.where(_HUNDREDS, _ASCII[0] | _ASCII[1] << np.uint64(8) | _ASCII[2] << np.uint64(16),
+               _ASCII[1] | _ASCII[2] << np.uint64(8)) << np.uint64(16)
+)
+_SUFFIX_LEN = 4 + _HUNDREDS.astype(np.intp)
+_SUFFIX_BITS = (8 * _SUFFIX_LEN).astype(np.uint64)
+# 10^(11 - k) for -297 <= k < 319, correctly rounded as float('1e..') is:
+# the texts '1e..' of the powers, laid out as cells are with the suffixes
+# above, and parsed by numpy, which rounds each as float() does
+_POWER = 11 - np.arange(-297, 319) + _K0  # the suffix of the power's exponent
+_POWER_TEXT = (np.uint64(ord("1")) | _SUFFIX[_POWER] << np.uint64(8)
+               | np.uint64(ord(" ")) << (_SUFFIX_BITS[_POWER] + np.uint64(8))).view(np.uint8)
+_SCALE = np.full(2 * _K0, np.nan)
+_SCALE[-297 + _K0:319 + _K0] = np.fromstring(_POWER_TEXT[_POWER_TEXT != 0].tobytes(), sep=" ")
 # split of the 12 digit bytes (8 low, 4 high) after byte q: the bytes
 # below q, and '.' at byte q
 _BELOW = [(1 << 8 * q) - 1 for q in range(13)]
@@ -115,11 +132,11 @@ _LOW_DOT = np.array([d & (2**64 - 1) for d in _DOT], np.uint64)
 _HIGH_DOT = np.array([d >> 64 for d in _DOT], np.uint64)
 # for a suffix at byte `at` of a slot: the shifts that move it into each
 # of the three words, and the bytes of each word below it
-_UP_BYTES = [[min(max(at - 8 * j, 0), 8) for j in range(3)] for at in range(_SLOT)]
-_UP = np.array(_UP_BYTES, np.uint64) * np.uint64(8)
-_DOWN = np.array([[min(max(8 * j - at, 0), 8) for j in range(3)] for at in range(_SLOT)],
-                 np.uint64) * np.uint64(8)
-_CLEAR = np.array([[(1 << 8 * b) - 1 for b in row] for row in _UP_BYTES], np.uint64)
+_AT = np.arange(_SLOT)[:, None] - np.arange(0, _SLOT, 8)  # at - 8 j
+_UP_BYTES = np.minimum(np.maximum(_AT, 0), 8).astype(np.uint64)
+_UP = _UP_BYTES * np.uint64(8)
+_DOWN = np.minimum(np.maximum(-_AT, 0), 8).astype(np.uint64) * np.uint64(8)
+_CLEAR = np.where(_UP_BYTES == 8, np.uint64(2**64 - 1), (np.uint64(1) << _UP) - np.uint64(1))
 
 
 def cell_words(x: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -146,8 +163,8 @@ def cell_words(x: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np.ndar
     d = np.rint(s)
     # log10 errs by less than an ulp, so k is within one of the exponent;
     # 12 digits rounding up to 10^12 carry into the exponent
-    off = np.nonzero((s < 1e11) | (d >= 1e12))
-    if off[0].size:
+    if s.min(initial=1e11) < 1e11 or d.max(initial=0.0) >= 1e12:
+        off = np.nonzero((s < 1e11) | (d >= 1e12))
         ko, so = k[off], s[off]
         ko += (so >= 1e12).astype(np.intp) - (so < 1e11)
         so = c[off] * _SCALE.take(ko)
@@ -157,7 +174,7 @@ def cell_words(x: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np.ndar
         ko += carry
         do[carry] = 1e11
         k[off], s[off], d[off] = ko, do, do  # their ties are decided
-    del c, off
+    del c
     s -= d
     np.abs(s, out=s)
     left |= s > 0.5 - TIE_MARGIN
@@ -247,7 +264,7 @@ _TAIL = np.array(
 _TAIL_END = np.array([len(t) - 1 for t in _TAILS], np.intp)
 # the bytes of a slot kept for each length: a cell and its separator, or a
 # tail through its newline
-_KEEP = np.array([[j <= n for j in range(_SLOT)] for n in range(_SLOT)]).view(np.uint64)
+_KEEP = (np.arange(_SLOT) <= np.arange(_SLOT)[:, None]).view(np.uint64)
 
 
 def write_rows(table: np.ndarray, stable: np.ndarray, classes: np.ndarray, echo: int) -> str:

@@ -17,7 +17,6 @@ steady-state covariances.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -129,18 +128,22 @@ def _unpack(v: np.ndarray) -> SecondMoments:
 
 def _recorded_times(t_final, dt, stride):
     """Times k * dt for k = 0, stride, 2 stride, ... and the last step
-    round(t_final / dt).  The rows are counted before anything is allocated."""
+    round(t_final / dt); a stride of None records the first and the last
+    only.  The rows are counted before anything is allocated."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if stride < 1:
+    if stride is not None and stride < 1:
         raise ValueError("stride must be at least 1")
     if not t_final > 0:  # NaN included; inf is counted below
         raise ValueError(f"t_final must be positive, got t_final={t_final}")
     ratio = t_final / dt
     if not math.isfinite(ratio):
+        if stride is None:
+            raise ValueError(f"t_final={t_final:g} and dt={dt:g} give no finite last step")
         rows = math.inf
     else:
         steps = max(1, round(ratio))
+        stride = stride or steps
         rows = 2 + (steps - 1) // stride
     if rows > MAX_TRAJECTORY_ROWS:
         raise ValueError(
@@ -182,9 +185,9 @@ def evolve_second_moments(
     dt: float | None = None,
 ) -> SecondMoments:
     """Exact moments at t = round(t_final / dt) * dt: the last row of
-    ``evolve_trajectory`` (default dt as there), whose stride records only
-    the first and the last step."""
-    trajectory = evolve_trajectory(initial, rates, basis, t_final, dt, sys.maxsize)
+    ``evolve_trajectory`` (default dt as there), which records only the
+    first and the last step."""
+    trajectory = evolve_trajectory(initial, rates, basis, t_final, dt, None)
     return _unpack(trajectory.moments[-1])
 
 
@@ -202,10 +205,11 @@ def evolve_trajectory(
     basis: PolaritonBasis,
     t_final: float,
     dt: float | None = None,
-    stride: int = 1,
+    stride: int | None = 1,
 ) -> Trajectory:
     """Exact moments at t = k * dt for k = 0, stride, 2 stride, ... and the
-    last step round(t_final / dt).
+    last step round(t_final / dt); a stride of None records k = 0 and the
+    last step only.
 
     dt is only the output time spacing; the default is 0.05 over the
     fastest branch frequency or rate.  Row 0 is the initial state.

@@ -128,20 +128,7 @@ def _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled=True):
     float has measures None and class -1.
     """
     if isinstance(i_ab, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            e_n = -np.log(2.0 * d_minus)
-            raw_ab, raw_ba = _steering_raw(i_a, i_b, i_ab)
-            purities = _purities(i_a, i_b, i_ab)
-        finite = np.isfinite([i_a, i_b, i_c, i_ab, disc_sq, e_n, raw_ab, raw_ba, *purities])
-        positive = (i_a > 0.0) & (i_b > 0.0) & (i_ab > 0.0)
-        measured = SINGULAR_TRANSPOSE * ~finite[5:].all(axis=0)  # 0 or 3
-        fault = np.where(
-            finite[:5].all(axis=0), np.where(positive, measured, SINGULAR_BLOCK), OVERFLOW
-        )
-        # where(v > 0, v, 0) is the float branch's clip, -0.0 included
-        e_n, g_ab, g_ba = (np.where(coupled & (v > 0.0), v, 0.0) for v in (e_n, raw_ab, raw_ba))
-        index = _steering_class_index(g_ab, g_ba)
-        return fault, (e_n, g_ab, g_ba, *purities, n_a, n_b), index
+        return _stacked_measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled)
     finite = math.isfinite
     if not (finite(i_a) and finite(i_b) and finite(i_c) and finite(i_ab) and finite(disc_sq)):
         return OVERFLOW, None, -1
@@ -163,6 +150,48 @@ def _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled=True):
     g_ba = raw_ba if coupled and raw_ba > 0.0 else 0.0
     index = _steering_class_index(g_ab, g_ba)
     return 0, (e_n, g_ab, g_ba, mu_a, mu_b, mu_ab, n_a, n_b), index
+
+
+# E_N = -ln(2 d~_-) and G = 0.5 ln(ratio): the factor of each row of logs
+_LOG_FACTORS = np.array([[-1.0], [0.5], [0.5]])
+
+
+def _stacked_measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled):
+    """``_measures`` of arrays, the measures as the rows of one (8, n) array.
+
+    The three logarithms are one ``np.log`` and the purities one division.
+    Where every measure is finite, every purity positive (so det A, det B
+    and det Gamma lie in (0, inf)) and det C disc^2 finite, no point has a
+    fault; only a block that fails this takes the per-point decision.
+    """
+    values = np.empty((8, len(i_ab)))
+    logs = values[:3]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        four = 4.0 * i_ab
+        np.multiply(2.0, d_minus, out=logs[0])
+        np.divide(i_a, four, out=logs[1])
+        np.divide(i_b, four, out=logs[2])
+        np.log(logs, out=logs)
+        logs *= _LOG_FACTORS
+        purities = values[3:6]
+        np.multiply(4.0, i_a, out=purities[0])
+        np.multiply(4.0, i_b, out=purities[1])
+        np.multiply(16.0, i_ab, out=purities[2])
+        np.divide(1.0, purities, out=purities)
+        values[6], values[7] = n_a, n_b
+        fine = (np.isfinite(values[:6]).all() and purities.min(initial=1.0) > 0.0
+                and np.isfinite(i_c * disc_sq).all())
+    if fine:
+        fault = np.zeros(len(i_ab), np.int8)
+    else:
+        finite = np.isfinite([i_a, i_b, i_c, i_ab, disc_sq]).all(axis=0)
+        positive = (i_a > 0.0) & (i_b > 0.0) & (i_ab > 0.0)
+        measured = SINGULAR_TRANSPOSE * ~np.isfinite(values[:6]).all(axis=0)  # 0 or 3
+        fault = np.where(finite, np.where(positive, measured, SINGULAR_BLOCK), OVERFLOW)
+    # v where v > 0 and the state is not a product, else 0: the float
+    # branch's clip, -0.0 and NaN included
+    logs[~((logs > 0.0) & coupled)] = 0.0
+    return fault, values, _steering_class_index(values[1], values[2])
 
 
 def measure_error(fault: int, where: str = "", omega_l: float = 0.0,

@@ -12,8 +12,8 @@ lambda1 + lambda2], [lambda1 + lambda2, omega_b]], T = V with lambda1 -
 lambda2 and no D (``_sector_modes``).  Sweeps and ``point`` build their
 covariances from the frames; ``diagonalize`` and the dynamics read the
 Bogoliubov coefficients off them (``_frame_coefficients``).  A point takes
-its two frames as floats; a sweep block takes the (T, V) and (V, T) frames
-of all its points in one (2, n) array pass of ``_sector_frame``.
+its two frames as floats (``_sector_frame``); a sweep block takes the (T, V)
+and (V, T) frames of all its points in one array pass (``_stacked_frames``).
 """
 from __future__ import annotations
 
@@ -145,22 +145,33 @@ def _mixing_angle(wa, wb, lam, dd, wu, wl):
     return 0.5 * math.atan2(sin2t, cos2t)
 
 
+# rows (V, T) of the stacked determinants: omega_a + 4D and omega_a + 0 D =
+# omega_a, lambda1 + lambda2 and lambda1 + (-lambda2) = lambda1 - lambda2,
+# the float route's operations on every element
+_FOUR_VT = np.array([[4.0], [0.0]])
+_SIGN_VT = np.array([[1.0], [-1.0]])
+
+
 def _stability_determinants(wa, wb, l1, l2, dd):
-    """(det V, det T), stable iff both are positive; floats or arrays.
+    """(det V, det T), stable iff both are positive; floats, or arrays as
+    the rows of one (2, n) array.
 
     Within rounding of zero both come from the exact inputs: an exact decision.
     So do both where a product overflows, and p - q = inf - inf is NaN.
     """
+    if isinstance(wa, np.ndarray):
+        s = l1 + _SIGN_VT * l2
+        p, q = (wa + _FOUR_VT * dd) * wb, s * s
+        dets = p - q
+        far = abs(dets) > _DET_FILTER * (p + q) + _DET_FLOOR
+        if not far.all():
+            for i in np.flatnonzero(~far.all(0)).tolist():
+                dets[:, i] = _stability_determinants(wa[i], wb[i], l1[i], l2[i], dd[i])
+        return dets
     t12 = l1 - l2
     pv, qv, pt, qt = (wa + 4.0 * dd) * wb, (l1 + l2) * (l1 + l2), wa * wb, t12 * t12
-    far = ((abs(pv - qv) > _DET_FILTER * (pv + qv) + _DET_FLOOR)
-           & (abs(pt - qt) > _DET_FILTER * (pt + qt) + _DET_FLOOR))
-    if isinstance(wa, np.ndarray):
-        det_v, det_t = pv - qv, pt - qt
-        for i in np.flatnonzero(~far).tolist():
-            det_v[i], det_t[i] = _stability_determinants(wa[i], wb[i], l1[i], l2[i], dd[i])
-        return det_v, det_t
-    if far:
+    if (abs(pv - qv) > _DET_FILTER * (pv + qv) + _DET_FLOOR
+            and abs(pt - qt) > _DET_FILTER * (pt + qt) + _DET_FLOOR):
         return pv - qv, pt - qt
     from fractions import Fraction  # 8 ms to import, and needed only here
     wa, wb, l1, l2, dd = map(Fraction, (wa, wb, l1, l2, dd))
@@ -183,53 +194,86 @@ def _where(cond, a, b):
 
 
 def _sector_frame(a, b, det_a, det_ab):
-    """(omega_U, omega_L, u_U, A^1/2, det A) of the sector pair (A, B), as (11, 12, 22).
+    """((omega_U, omega_L), u_U, A^1/2, det A) of the sector pair (A, B), each
+    matrix as (11, 12, 22); floats.
 
     A^1/2 B A^1/2 = R diag(omega_U^2, omega_L^2) R^T, omega_L^2 = det A det B /
     omega_U^2; R's first column u_U and A^1/2 = (A + sqrt(det A) I) / sqrt(tr A
     + 2 sqrt(det A)) take no difference of nearly equal terms.
     """
-    xp = np if isinstance(det_a, np.ndarray) else math
-    s = xp.sqrt(det_a)
-    tau = xp.sqrt(a[0] + a[2] + 2.0 * s)
+    s = math.sqrt(det_a)
+    tau = math.sqrt(a[0] + a[2] + 2.0 * s)
     r11, r12, r22 = root = ((a[0] + s) / tau, a[1] / tau, (a[2] + s) / tau)
     m11, m12, m21, m22 = (r11 * b[0] + r12 * b[1], r11 * b[1] + r12 * b[2],
                           r12 * b[0] + r22 * b[1], r12 * b[1] + r22 * b[2])
     s11, s12, s22 = m11 * r11 + m12 * r12, m11 * r12 + m12 * r22, m21 * r12 + m22 * r22
     half_gap = 0.5 * (s11 - s22)
-    h = xp.sqrt(half_gap * half_gap + s12 * s12)
+    h = math.sqrt(half_gap * half_gap + s12 * s12)
     wu_sq = 0.5 * (s11 + s22) + h
-    if xp is math and not wu_sq:
+    if not wu_sq:
         # S underflowed to 0: the frame is lost, NaN as numpy's 0 / 0 gives
-        return 0.0, math.nan, (math.nan, math.nan), root, det_a
+        return (0.0, math.nan), (math.nan, math.nan), root, det_a
     # any R serves where S = c I, c > 0: take the identity
     flat = (h == 0.0) & (wu_sq > 0.0)
     half_gap, h = half_gap + flat, h + flat
     # u_U is (g, s12) or (s12, g) over its norm sqrt(2 h g)
     g = h + abs(half_gap)
-    norm, first = xp.sqrt(2.0 * h * g), half_gap >= 0.0
-    u = _where(first, g, s12) / norm, _where(first, s12, g) / norm
-    return xp.sqrt(wu_sq), xp.sqrt(det_ab / wu_sq), u, root, det_a
+    norm = math.sqrt(2.0 * h * g)
+    u1, u2 = (g, s12) if half_gap >= 0.0 else (s12, g)
+    return (math.sqrt(wu_sq), math.sqrt(det_ab / wu_sq)), (u1 / norm, u2 / norm), root, det_a
+
+
+def _stacked_frames(a, b, det_a, det_ab):
+    """``_sector_frame`` of two sector pairs (A, B) of n points as one pass:
+    ``a`` and ``b`` are (3, 2, n), the entries (11, 12, 22) of A and of B in
+    frames 0 and 1.  Every element takes the float route's operations; each
+    pair, triple or product of 2x2 matrices is one array along the first
+    axis."""
+    s = np.sqrt(det_a)
+    tau = np.sqrt(a[0] + a[2] + 2.0 * s)
+    root = a.copy()
+    root[0::2] += s
+    root /= tau
+    # M = R B and S = M R, each entry a sum of two products of stacked rows:
+    # m[i, j] = r_i b_j + r_(i+1) b_(j+1), s[i, j] = m[i, 0] r_j + m[i, 1] r_(j+1)
+    m = root[:2, None] * b[:2] + root[1:, None] * b[1:]
+    s = m[:, 0, None] * root[:2] + m[:, 1, None] * root[1:]
+    s11, s12, s22 = s[0, 0], s[0, 1], s[1, 1]
+    half_gap = 0.5 * (s11 - s22)
+    h = np.sqrt(half_gap * half_gap + s12 * s12)
+    wu_sq = 0.5 * (s11 + s22) + h
+    # as on floats; adding 0 where no point is flat would change only the
+    # sign of a zero half_gap, which neither its abs nor its sign test reads
+    flat = h == 0.0
+    if flat.any():
+        flat &= wu_sq > 0.0
+        half_gap, h = half_gap + flat, h + flat
+    g = h + abs(half_gap)
+    pair = np.array((g, s12))
+    u = np.where(half_gap >= 0.0, pair, pair[::-1]) / np.sqrt(2.0 * h * g)
+    return np.sqrt(np.array((wu_sq, det_ab / wu_sq))), u, root, det_a
 
 
 def _sector_modes(wa, wb, l1, l2, dd, det_v, det_t):
     """Frames (T, V) for Gamma_xx and (V, T) for Gamma_pp, and whether V = T.
 
     With forward roots only, both stay well conditioned next to either edge.
-    The point's frequencies are those of (V, T); floats or arrays.  On
-    arrays both frames are one (2, n) pass of ``_sector_frame``, which runs
-    the same operations on every element: the first frame returned is that
-    stacked pair (row 0 the (T, V) frame, row 1 the (V, T) frame), and the
-    second is its row 1.
+    The point's frequencies are those of (V, T).  A frame is (w, u, root,
+    det A): the frequency pair, u_U and A^1/2 of ``_sector_frame``.  On
+    arrays both frames are one pass of ``_stacked_frames``: the first frame
+    returned is that stacked pair, whose pairs and triples are arrays with
+    the frame on axis 1 (0 the (T, V) frame, 1 the (V, T) frame) and the
+    point on the last axis, and the second is its frame 1.
     """
     det = det_v * det_t
     passive = (l2 == 0.0) & (dd == 0.0)
     if isinstance(det, np.ndarray):
-        # A holds T in row 0 and V in row 1; B is A with its rows swapped
-        a11, a12, a22, det_a = np.array(
-            (wa, wa + 4.0 * dd, l1 - l2, l1 + l2, wb, wb, det_t, det_v)
-        ).reshape(4, 2, -1)
-        frames = _sector_frame((a11, a12, a22), (a11[::-1], a12[::-1], a22), det_a, det)
+        # A holds T in frame 0 and V in frame 1, B the other; one contiguous
+        # array, since numpy loops over reversed views run slower
+        wv, lt, lv = wa + 4.0 * dd, l1 - l2, l1 + l2
+        ab = np.array((wa, wv, lt, lv, wb, wb, wv, wa, lv, lt, wb, wb, det_t, det_v))
+        ab = ab.reshape(7, 2, -1)
+        frames = _stacked_frames(ab[:3], ab[3:6], ab[6], det)
         return frames, _frame_row(frames, 1), passive
     v, t = (wa + 4.0 * dd, l1 + l2, wb), (wa, l1 - l2, wb)
     return _sector_frame(t, v, det_t, det), _sector_frame(v, t, det_v, det), passive
@@ -237,13 +281,17 @@ def _sector_modes(wa, wb, l1, l2, dd, det_v, det_t):
 
 def _frame_row(frames, k):
     """Frame k of a stacked pair of frames, as views."""
-    wu, wl, (u1, u2), root, det_a = frames
-    return wu[k], wl[k], (u1[k], u2[k]), tuple(r[k] for r in root), det_a[k]
+    w, u, root, det_a = frames
+    return w[:, k], u[:, k], root[:, k], det_a[k]
 
 
 def _frame_vectors(u, root):
-    """(A^1/2 u_U, A^1/2 u_L) of a frame's u_U and A^1/2, u_L = (-u2, u1)."""
+    """(A^1/2 u_U, A^1/2 u_L) of a frame's u_U and A^1/2, u_L = (-u2, u1);
+    floats, or stacked arrays as pairs along the first axis."""
     (u1, u2), (r11, r12, r22) = u, root
+    if isinstance(u1, np.ndarray):
+        # rows i of root[:2] and root[1:] are (r11, r12) and (r12, r22)
+        return root[:2] * u1 + root[1:] * u2, root[1:] * u1 - root[:2] * u2
     return ((r11 * u1 + r12 * u2, r12 * u1 + r22 * u2),
             (r12 * u1 - r11 * u2, r22 * u1 - r12 * u2))
 
@@ -272,7 +320,7 @@ def _frame_coefficients(frame_x, passive):
     pairing of the two frames' branches, whose u_U is arbitrary at a
     degenerate spectrum.  Where V = T, X = P = R and y = z = 0 exactly.
     """
-    wu, wl, (u1, u2), root, det_t = frame_x
+    (wu, wl), (u1, u2), root, det_t = frame_x
     if passive:
         return _positive_lead((u1, u2, 0.0, 0.0)), _positive_lead((0.0 - u2, u1, 0.0, 0.0))
     s_u, s_l = math.sqrt(wu), math.sqrt(wl)

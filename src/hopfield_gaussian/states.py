@@ -96,16 +96,20 @@ def _by_math(fn, *args) -> np.ndarray:
 
 
 def _bose(omega, temperature):
-    """``thermal_occupation`` of a float, or elementwise of arrays, at
-    temperatures known to be non-negative.  An omega that underflows to 0
-    gives inf at T > 0 on both, which the measures stage reports."""
+    """``thermal_occupation`` of a float, or elementwise of arrays (the
+    temperature's along omega's last axis), at temperatures known to be
+    non-negative.  An omega that underflows to 0 gives inf at T > 0 on both,
+    which the measures stage reports."""
     if isinstance(omega, np.ndarray):
-        occupation = np.zeros_like(omega)
-        hot = np.flatnonzero(temperature > 0.0)
-        with np.errstate(over="ignore"):  # inf, as Python's float division gives
-            x = omega[hot] / temperature[hot]
-        live = x <= 700.0
-        occupation[hot[live]] = 1.0 / _by_math(math.expm1, x[live])
+        occupation = np.zeros(omega.shape)
+        hot = temperature > 0.0
+        if hot.any():
+            with np.errstate(over="ignore"):  # inf, as Python's float division gives
+                x = omega[..., hot] / temperature[hot]
+            live = x <= 700.0
+            x[live] = 1.0 / _by_math(math.expm1, x[live])
+            x[~live] = 0.0
+            occupation[..., hot] = x
         return occupation
     if temperature == 0.0:
         return 0.0
@@ -118,18 +122,16 @@ def _bose(omega, temperature):
 
 
 def _weights(frame, c_u, c_l):
-    """(c_U / omega_U, c_L / omega_L) of a frame, c >= 1/2.  A float omega
+    """(c_U / omega_U, c_L / omega_L) of a float frame, c >= 1/2.  An omega
     of 0 (an underflow) gives inf, as numpy's division does, where Python's
     raises: the measures stage then reports the fault the kernel reports."""
-    wu, wl = frame[:2]
-    if isinstance(wu, np.ndarray):
-        return c_u / wu, c_l / wl
+    wu, wl = frame[0]
     return (c_u / wu if wu else math.inf), (c_l / wl if wl else math.inf)
 
 
 def _sector_block(frame, w_u, w_l):
-    """(11, 12, 22) of sum_j w_j (A^1/2 u_j)(A^1/2 u_j)^T of one frame."""
-    (y1, y2), (z1, z2) = _frame_vectors(*frame[2:4])
+    """(11, 12, 22) of sum_j w_j (A^1/2 u_j)(A^1/2 u_j)^T of one float frame."""
+    (y1, y2), (z1, z2) = _frame_vectors(*frame[1:3])
     return (w_u * y1 * y1 + w_l * z1 * z1, w_u * y1 * y2 + w_l * z1 * z2,
             w_u * y2 * y2 + w_l * z2 * z2)
 
@@ -141,37 +143,43 @@ def _sector_covariance(frame_x, frame_p, passive, temperature):
     Where V = T both are R diag(c_U, c_L) R^T = c_U I + (c_L - c_U) u_L u_L^T,
     so a number-conserving ground state is the vacuum exactly.  A float point
     computes only the form its V = T flag selects.  Arrays compute both, with
-    frame_x the stacked (2, n) pair of frames of ``_sector_modes``: one pass
-    of ``_bose`` over c_U and c_L, and one of ``_weights`` and
-    ``_sector_block`` over both frames.
+    frame_x the stacked pair of frames of ``_sector_modes``
+    (``_stacked_covariance``).
     """
     if isinstance(passive, np.ndarray):
-        return _stacked_covariance(frame_x, frame_p, passive, temperature)
-    c_u, c_l = 0.5 + _bose(frame_p[0], temperature), 0.5 + _bose(frame_p[1], temperature)
-    (u1, u2), d = frame_p[2], c_l - c_u
+        return _stacked_covariance(frame_x, temperature, passive)
+    c_u, c_l = 0.5 + _bose(frame_p[0][0], temperature), 0.5 + _bose(frame_p[0][1], temperature)
+    (u1, u2), d = frame_p[1], c_l - c_u
     same = c_u + d * u2 * u2, -d * u1 * u2, c_u + d * u1 * u1
     if passive:
         return same, same, c_u, c_l, c_u * c_l
     w_u, w_l = _weights(frame_x, c_u, c_l)
     gxx = _sector_block(frame_x, w_u, w_l)
     gpp = _sector_block(frame_p, *_weights(frame_p, c_u, c_l))
-    det_xx = frame_x[4] * w_u * w_l  # det T c_U c_L / (omega_U omega_L)
+    det_xx = frame_x[3] * w_u * w_l  # det T c_U c_L / (omega_U omega_L)
     return gxx, gpp, c_u, c_l, det_xx
 
 
-def _stacked_covariance(frames, frame_p, passive, temperature):
-    """``_sector_covariance`` of arrays: each stage runs once on the rows of
-    both frames, the same operations as the float route on every element."""
-    omega = np.concatenate(frame_p[:2])
-    c_u, c_l = (0.5 + _bose(omega, np.concatenate((temperature, temperature)))).reshape(2, -1)
-    (u1, u2), d = frame_p[2], c_l - c_u
-    same = c_u + d * u2 * u2, -d * u1 * u2, c_u + d * u1 * u1
-    w_u, w_l = _weights(frames, c_u, c_l)
-    # rows (Gamma_xx, Gamma_pp) of each entry
-    blocks = (np.where(passive, s, b) for s, b in zip(same, _sector_block(frames, w_u, w_l)))
-    gxx, gpp = zip(*blocks)
-    det_xx = np.where(passive, c_u * c_l, frames[4][0] * w_u[0] * w_l[0])
-    return gxx, gpp, c_u, c_l, det_xx
+def _stacked_covariance(frames, temperature, passive):
+    """``_sector_covariance`` of arrays, one pass over both frames: the
+    weights (c_j / omega_j of each frame) and the three entries of both
+    blocks are each one array, Gamma_xx and Gamma_pp (3, n) views of the
+    blocks.  Every element takes the float route's operations."""
+    w, u, root, det_a = frames
+    c_u, c_l = c = 0.5 + _bose(w[:, 1], temperature)
+    weights = c[:, None] / w
+    y, z = _frame_vectors(u, root)
+    # products [i, j] = w_U y_i y_j + w_L z_i z_j; (11, 12, 22) are [0, 0], [0, 1], [1, 1]
+    wy, wz = weights[0] * y, weights[1] * z
+    products = wy[:, None] * y + wz[:, None] * z
+    blocks = products[(0, 0, 1), (0, 1, 1)]
+    det_xx = det_a[0] * weights[0, 0] * weights[1, 0]
+    if passive.any():  # a V = T point takes the form of its float route
+        (u1, u2), d = u[:, 1], c_l - c_u
+        same = np.array((c_u + d * u2 * u2, -d * u1 * u2, c_u + d * u1 * u1))
+        blocks = np.where(passive, same[:, None], blocks)
+        det_xx = np.where(passive, c_u * c_l, det_xx)
+    return blocks[:, 0], blocks[:, 1], c_u, c_l, det_xx
 
 
 def sector_matrix(sectors) -> CovarianceMatrix:

@@ -42,7 +42,8 @@ empty.  Why the writer's cells are exact is in the ``csvwriter`` docstring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -131,31 +132,37 @@ _STABLE_ROW = ",".join([_CELL] * len(_CELLS) + ["%s", "true"])
 _UNSTABLE_TAIL = "," * (len(_CELLS) - _ECHO + 2) + "false"
 
 
-@dataclass(frozen=True)
 class GridPoints:
-    """Model parameters and temperature of each grid point, as float arrays."""
+    """Model parameters and temperature of each grid point: ``table`` holds
+    one float64 row per field (omega_a, omega_b, lambda1, lambda2, diamag,
+    temperature) and one column per point, and each field reads its row."""
 
-    omega_a: np.ndarray
-    omega_b: np.ndarray
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    diamag: np.ndarray
-    temperature: np.ndarray
+    __slots__ = ("table",)
 
-    def __post_init__(self):
+    def __init__(self, omega_a, omega_b, lambda1, lambda2, diamag, temperature):
         # the kernel computes in float64, as the scalar route does
-        for f in fields(self):
-            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), float))
+        self.table = np.array((omega_a, omega_b, lambda1, lambda2, diamag, temperature), float)
+
+    omega_a, omega_b, lambda1, lambda2, diamag, temperature = (
+        property(lambda self, i=i: self.table[i]) for i in range(6)
+    )
+
+    @classmethod
+    def of_table(cls, table: np.ndarray) -> GridPoints:
+        """The points whose (6, n) float64 ``table`` is given, not copied."""
+        points = cls.__new__(cls)
+        points.table = table
+        return points
 
     def __len__(self) -> int:
-        return len(self.omega_a)
+        return self.table.shape[1]
 
     def chunk(self, start: int, stop: int) -> GridPoints:
-        """The contiguous run of points [start, stop)."""
-        return GridPoints(*(getattr(self, f.name)[start:stop] for f in fields(self)))
+        """The contiguous run of points [start, stop), a view."""
+        return GridPoints.of_table(self.table[:, start:stop])
 
     def params(self, i: int) -> ModelParams:
-        return ModelParams(*(float(getattr(self, f.name)[i]) for f in fields(self)[:5]))
+        return ModelParams(*self.table[:5, i].tolist())
 
 
 @dataclass(frozen=True)
@@ -241,7 +248,7 @@ def diagonalize_params(params: ModelParams) -> PolaritonBasis:
         raise InstabilityError()
     wa, wb, l1, l2, dd, *_ = args
     frame_x, frame_p, passive = _sector_modes(*args)
-    wu, wl = frame_p[:2]
+    wu, wl = frame_p[0]
     split = l1 == l2 > 0.0 and wu - wl >= DEGENERACY_TOL * wb
     theta = _mixing_angle(wa, wb, l1, dd, wu, wl) if split else None
     return PolaritonBasis(wu, wl, *_frame_coefficients(frame_x, passive), theta)
@@ -264,8 +271,8 @@ def evaluate_point(
         return ResultRow(*head, None, None, stable=False), None
     frame_x, frame_p, passive = _sector_modes(*args)
     sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
-    report = correlation_report(sectors, frame_p[1])
-    row = ResultRow(*head, frame_p[0], frame_p[1], *report[:-1], report.classification.value)
+    report = correlation_report(sectors, frame_p[0][1])
+    row = ResultRow(*head, *frame_p[0], *report[:-1], report.classification.value)
     return row, sectors
 
 
@@ -275,28 +282,37 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
     ``state_kind`` is 'ground' or 'thermal' (``_state_temperature``).  A
     stable point whose measures fault (``measures._measures``) raises the
     ValueError that ``run_point`` raises there, with the first such point
-    named.
+    named.  Where every point is stable the stages take the block as it is;
+    otherwise they take its stable points.
     """
     temperature = _state_temperature(state_kind, points.temperature)
+    cells = np.empty((len(points), len(_CELLS)))
+    columns = cells.T  # one row per cell of _CELLS
+    columns[:_ECHO] = _echo(points, temperature)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # faults raised below
         args, stable = _sector_args(points)
-        live = np.flatnonzero(stable)
-        frame_x, frame_p, passive = _sector_modes(*(a[live] for a in args))
-        sectors = _sector_covariance(frame_x, frame_p, passive, temperature[live])
+        every = bool(stable.all())
+        live = slice(None) if every else stable
+        if not every:
+            args, temperature = tuple(a[live] for a in args), temperature[live]
+        frame_x, frame_p, passive = _sector_modes(*args)
+        sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
         fault, measures, classes = _sector_measures(sectors)
     # the decision of measures.correlation_report, taken at every point
     if fault.any():
         i = int(np.argmax(fault > 0))
-        where = f" at {points.params(int(live[i]))}"
-        raise measure_error(int(fault[i]), where, float(frame_p[1][i]), float(sectors[3][i]))
+        where = f" at {points.params(int(np.flatnonzero(stable)[i]))}"
+        raise measure_error(int(fault[i]), where, float(frame_p[0][1][i]), float(sectors[3][i]))
 
-    cells = np.full((len(points), len(_CELLS)), np.nan)
-    cells[:, :_ECHO] = np.transpose(_echo(points, temperature))
     # the measures of _sector_measures come in the order of the report's
     # fields, which _CELLS follows
-    cells[live, _ECHO:] = np.transpose((frame_p[0], frame_p[1], *measures))
-    classification = np.full(len(points), -1, np.intp)
-    classification[live] = classes
+    classification = classes
+    if not every:
+        columns[_ECHO:, ~stable] = np.nan
+        classification = np.full(len(points), -1, np.intp)
+        classification[live] = classes
+    columns[_ECHO:_ECHO + 2, live] = frame_p[0]
+    columns[_ECHO + 2:, live] = measures
     return GridResult(cells, stable, classification)
 
 
@@ -371,6 +387,14 @@ def spec_to_params(spec: SweepSpec, point: dict) -> tuple[ModelParams, float]:
     return params, float(values.get("T", 0.0))
 
 
+# the row of GridPoints.table that each swept or fixed input sets, and its
+# default; "lambda" sets lambda1 and is then driven into the coupling terms
+_INPUT_ROWS = {"wa": (0, 1.0), "wb": (1, 1.0), "lambda": (2, 0.0), "T": (5, 0.0)}
+# x > 0 is x >= the smallest subnormal: the lower bound of each row, each
+# read with >=, and NaN fails it
+_LOWER = np.array([[5e-324], [5e-324], [0.0], [0.0], [0.0], [0.0]])
+
+
 def grid_points(spec: SweepSpec, env: Environment) -> GridPoints:
     """Resolved parameters of every grid point, in row-major order.
 
@@ -379,40 +403,38 @@ def grid_points(spec: SweepSpec, env: Environment) -> GridPoints:
     their message and its axis values before any point is computed.
     """
     values = [np.asarray(axis.values, dtype=float) for axis in spec.axes]
-    names = [axis.name for axis in spec.axes]
-    swept = dict(zip(names, np.meshgrid(*values, indexing="ij")))
-    size = int(np.prod([len(v) for v in values]))
-
-    def column(name: str, default: float) -> np.ndarray:
-        if name in swept:
-            return swept[name].ravel()
+    shape = tuple(map(len, values))
+    table = np.empty((6, math.prod(shape)))
+    for name, (row, default) in _INPUT_ROWS.items():
         value = spec.fixed.get(name)
-        return np.full(size, default if value is None else float(value))
-
-    wa, wb, temperature = column("wa", 1.0), column("wb", 1.0), column("T", 0.0)
-    l1, l2 = (
-        np.broadcast_to(v, (size,)).copy()
-        for v in _driven_terms(column("lambda", 0.0), spec.coupling)
-    )
-    valid = (wa > 0) & (wb > 0) & (l1 >= 0) & (l2 >= 0) & (temperature >= 0)
+        table[row] = default if value is None else float(value)
+    for k, (axis, v) in enumerate(zip(spec.axes, values)):
+        # axis k varies along dimension k of the row-major grid
+        along = [1] * len(shape)
+        along[k] = -1
+        table[_INPUT_ROWS[axis.name][0]].reshape(shape)[...] = v.reshape(along)
+    wa, wb, l1, l2, diamag, _ = table
+    mixed, squeezed = _driven_terms(l1, spec.coupling)
+    l2[...] = squeezed
+    l1[...] = mixed
     if spec.diamag_mode == "auto":
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            diamag = natural_diamag(l1, wb)
-        valid &= l1 == l2
+            diamag[...] = natural_diamag(l1, wb)
     else:
-        value = 0.0 if spec.diamag_mode == "zero" else float(spec.diamag_mode)
-        diamag = np.full(size, value)
-    valid &= (diamag >= 0) & np.isfinite([wa, wb, l1, l2, diamag, temperature]).all(0)
-    bad = np.flatnonzero(~valid)
-    if bad.size:
-        point = {name: swept[name].flat[bad[0]].item() for name in names}
+        diamag[...] = 0.0 if spec.diamag_mode == "zero" else float(spec.diamag_mode)
+    valid = ((table >= _LOWER) & (table < math.inf)).all(0)
+    if spec.diamag_mode == "auto":
+        valid &= l1 == l2
+    if not valid.all():
+        at = np.unravel_index(np.flatnonzero(~valid)[0], shape)
+        point = {axis.name: v[i].item() for axis, v, i in zip(spec.axes, values, at)}
         try:
             _, temp = spec_to_params(spec, point)
             Environment(temp, env.gamma_a, env.gamma_b)
         except ValueError as exc:
             raise ValueError(f"{exc} at grid point {point}") from None
         raise ValueError(f"invalid grid point {point}")
-    return GridPoints(wa, wb, l1, l2, diamag, temperature)
+    return GridPoints.of_table(table)
 
 
 # points per kernel call.  Every preset (at most 2,925 points) is one call,

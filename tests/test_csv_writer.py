@@ -96,6 +96,49 @@ class TestTables:
             assert sig_at.tolist() == [n and n + 4 * i for n in significant]
 
 
+    def test_exponent_tables_equal_their_comprehensions(self):
+        # the tables by exponent k and by slot byte, as Python loops built
+        # them one entry at a time, each a reference for its array build
+        def words(texts):
+            return [int.from_bytes(t.encode("ascii"), "little") for t in texts]
+
+        k0, signed, slot = csvwriter._K0, csvwriter._SIGNED, csvwriter._SLOT
+        ks = list(range(-k0, k0)) * 2
+        prefixes = [
+            "-" * (i >= signed) + ("0." + "0" * (-k - 1) if -4 <= k < 0 else "")
+            for i, k in enumerate(ks)
+        ]
+        suffixes = [f"e{k:+03d}" for k in ks]
+        up = [[min(max(at - 8 * j, 0), 8) for j in range(3)] for at in range(slot)]
+        references = {
+            "_SCALE": [float(f"1e{11 - k}") if -297 <= k < 319 else math.nan
+                       for k in range(-k0, k0)],
+            "_EXP_FORM": [not -4 <= k < 12 for k in ks],
+            "_SPLIT": [k + 1 if 0 <= k < 12 else 0 if -4 <= k < 0 else 1 for k in ks],
+            "_POINT_ALL": [-(-4 <= k < 0) for k in ks],
+            "_PREFIX": words(prefixes),
+            "_PREFIX_LEN": [len(t) for t in prefixes],
+            "_PREFIX_BITS": [8 * len(t) for t in prefixes],
+            "_SUFFIX": words(suffixes),
+            "_SUFFIX_LEN": [len(t) for t in suffixes],
+            "_UP": [[8 * b for b in row] for row in up],
+            "_DOWN": [[8 * min(max(8 * j - at, 0), 8) for j in range(3)] for at in range(slot)],
+            "_CLEAR": [[(1 << 8 * b) - 1 for b in row] for row in up],
+            "_KEEP": np.array([[j <= n for j in range(slot)] for n in range(slot)]).view(
+                np.uint64).tolist(),
+        }
+        dtypes = {"_SCALE": np.float64, "_EXP_FORM": np.bool_, "_SPLIT": np.intp,
+                  "_POINT_ALL": np.intp, "_PREFIX_LEN": np.intp, "_SUFFIX_LEN": np.intp}
+        for name, reference in references.items():
+            table = getattr(csvwriter, name)
+            assert table.dtype == dtypes.get(name, np.uint64), name
+            if name == "_SCALE":  # bit for bit, NaN past the range included
+                reference = np.array(reference)
+                assert table.tobytes() == reference.tobytes(), name
+            else:
+                assert table.tolist() == reference, name
+
+
 class TestCells:
     @pytest.mark.parametrize("x", EDGES)
     def test_edges(self, x):

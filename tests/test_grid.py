@@ -488,7 +488,7 @@ def _sector_state(wa, wb, l1, l2, dd, temperature):
         return None
     frame_x, frame_p, passive = _sector_modes(wa, wb, l1, l2, dd, det_v, det_t)
     sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
-    return frame_p[:2], sectors, sector_matrix(sectors).entries
+    return frame_p[0], sectors, sector_matrix(sectors).entries
 
 
 def _numeric_basis(point):
@@ -637,7 +637,8 @@ class TestSectorRouteAgainstOracles:
     @example(list(EDGE_EXAMPLES))
     def test_float_and_stacked_inputs_agree_bit_for_bit(self, points):
         def leaves(tree, k=None):
-            if isinstance(tree, (tuple, list)):
+            # a stacked array holds its pairs and triples along the first axis
+            if isinstance(tree, (tuple, list)) or np.ndim(tree) > 1:
                 return [leaf for branch in tree for leaf in leaves(branch, k)]
             return [np.float64(tree if k is None else tree[k]).tobytes()]
 
@@ -646,7 +647,7 @@ class TestSectorRouteAgainstOracles:
         ok = (det_v > 0.0) & (det_t > 0.0)
         frames = _sector_modes(*(a[ok] for a in (wa, wb, l1, l2, dd)), det_v[ok], det_t[ok])
         sectors = _sector_covariance(*frames, temperature[ok])
-        # the first frame of arrays is the (2, n) pair of both; its row 1 is the second
+        # the first frame of arrays is the stacked pair of both; its frame 1 is the second
         pair = _frame_row(frames[0], 0), _frame_row(frames[0], 1)
         assert leaves(pair[1]) == leaves(frames[1])
         stacked = ((*pair, frames[2]), sectors, _sector_invariants(*sectors))
@@ -786,6 +787,41 @@ class TestStackedPass:
             assert rows[i] == ref._replace(e_n=cells[6], g_ab=cells[7], g_ba=cells[8]).to_csv()
 
 
+class TestAllStableBlocks:
+    """A block whose points are all stable skips the gather of its stable
+    points; its rows are those the same points get among unstable ones."""
+
+    @settings(max_examples=100)
+    @given(st.lists(block_points(), min_size=2, max_size=24), st.randoms(use_true_random=False),
+           st.sampled_from(("ground", "thermal")))
+    def test_rows_equal_the_rows_among_unstable_points(self, points, rng, state):
+        def stable(point):
+            det_v, det_t = _stability_determinants(*point[:5])
+            return det_v > 0.0 and det_t > 0.0
+
+        alone = [p for p in points if stable(p)]
+        others = [p for p in points if not stable(p)]
+        assume(alone and others)
+        mixed = [*alone, *others]
+        rng.shuffle(mixed)
+        # the stable points in their own order, the unstable ones interleaved
+        order = iter(alone)
+        mixed = [next(order) if stable(p) else p for p in mixed]
+        try:
+            result = evaluate_grid(GridPoints(*zip(*alone)), state)
+        except ValueError as exc:
+            # the first faulty stable point is the first one of both blocks
+            with pytest.raises(ValueError) as among:
+                evaluate_grid(GridPoints(*zip(*mixed)), state)
+            assert str(among.value) == str(exc)
+            return
+        assert result.stable.all()
+        rows = evaluate_grid(GridPoints(*zip(*mixed)), state).csv_text().splitlines()
+        assert result.csv_text().splitlines() == [
+            row for row, p in zip(rows, mixed) if stable(p)
+        ]
+
+
 class TestChunks:
     @given(grid_specs(), st.lists(st.floats(0.0, 1.0), max_size=4))
     def test_rows_equal_concatenated_rows_of_any_contiguous_split(self, spec, cuts):
@@ -814,7 +850,7 @@ class TestChunks:
 class TestGridPoints:
     def test_integer_arrays_are_read_as_floats(self):
         points = GridPoints(*map(np.array, ([1.2], [1], [0.3], [0.3], [0], [1])))
-        assert all(getattr(points, f.name).dtype == np.float64 for f in fields(points))
+        assert points.table.dtype == np.float64 and points.omega_b.tolist() == [1.0]
         row = evaluate_grid(points, "thermal").csv_text().splitlines()[0]
         ref = run_point(ModelParams(1.2, 1, 0.3, 0.3, 0), Environment(1), "thermal")
         assert row == ref.to_csv()

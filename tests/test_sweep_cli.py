@@ -358,6 +358,25 @@ class TestSweep:
         assert flags.count("false") > 100 and flags.count("true") > 100
         assert text == whole
 
+    # one block of every size that can cut a grid: single points, a few,
+    # all but the last point, and the whole grid as one block
+    @pytest.mark.parametrize("block", [lambda n: 1, lambda n: 7, lambda n: n - 1, lambda n: n],
+                             ids=["1", "7", "n-1", "n"])
+    def test_block_boundaries_keep_the_one_block_bytes(self, block, monkeypatch):
+        # D = 0: points with lambda past sqrt(wa wb) / 2 are unstable rows
+        spec = SweepSpec(
+            "custom",
+            (Axis.linspace("wa", 0.2, 2.0, 9), Axis.linspace("lambda", 0.05, 1.6, 13)),
+            {"wb": 1.0, "T": 0.2}, diamag_mode="zero", state="thermal",
+        )
+        whole = sweep_csv(spec)
+        n = len(whole.splitlines()) - 1
+        assert n == 117 < sweep._BLOCK_POINTS
+        flags = [row.rsplit(",", 1)[1] for row in whole.splitlines()[1:]]
+        assert flags.count("false") > 10 and flags.count("true") > 10
+        monkeypatch.setattr(sweep, "_BLOCK_POINTS", block(n))
+        assert sweep_csv(spec) == whole
+
     def test_fig6_steering_direction_flips_at_balance_frequency(self):
         spec = resolve_scenario("fig6")
         balance = resonant_balance_frequency(0.25, 1.0)  # 0.8828
@@ -888,6 +907,13 @@ class TestRuntimeImports:
         writer = "hopfield_gaussian.csvwriter" in modules
         assert writer == (argv[0] == "sweep")
         assert not modules & {"hopfield_gaussian.oracles", "hopfield_gaussian.verify"}
+
+    def test_preset_sweep_takes_no_exact_decision(self):
+        # no preset point lies within rounding of the stability edge, so a
+        # float filter that missed would send whole blocks through Fraction
+        modules = loaded_modules("sweep", "--scenario", "fig6")
+        assert "fractions" not in modules
+        assert "hopfield_gaussian.csvwriter" in modules
 
     def test_verify_loads_the_oracles(self):
         assert "hopfield_gaussian.oracles" in loaded_modules("verify", "--check", "7")
