@@ -237,8 +237,10 @@ def cell_words(x: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np.ndar
     del lo, hi, shift
     np.add(_PREFIX_LEN.take(k), body, out=lengths)
 
-    exp = np.nonzero(_EXP_FORM.take(k))
-    if exp[0].size:
+    # flat indices first: np.nonzero of a 2-d mask costs several times more
+    exp = np.flatnonzero(_EXP_FORM.take(k))
+    if exp.size:
+        exp = np.unravel_index(exp, k.shape)
         # 'e' and the exponent at byte `at`, over the digits there
         ke, at = k[exp], lengths[exp]
         suffix = _SUFFIX.take(ke)[:, None] << _UP.take(at, axis=0)
@@ -294,8 +296,9 @@ def write_rows(table: np.ndarray, stable: np.ndarray, classes: np.ndarray, echo:
         slots.view(_CELL)[:, :width, 0][printed] = words.view(_CELL)[:, 0]
         lengths[:, :width][printed] = sizes
         lengths[~stable, echo:width] = 0
-    rows, cols = np.nonzero(left)
-    if rows.size:
+    at = np.flatnonzero(left)
+    if at.size:
+        rows, cols = np.unravel_index(at, left.shape)
         texts = [format(x, ".12g") for x in table[rows, cols].tolist()]
         slots[rows, cols] = np.array(texts, "S24").view("<u8").reshape(-1, 3)
         lengths[rows, cols] = [len(t) for t in texts]

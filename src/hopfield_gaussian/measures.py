@@ -83,19 +83,42 @@ def _sector_invariants(gxx, gpp, c_u, c_l, det_xx):
     d~_+- are the singular values of F^T G, Gamma_xx = F F^T, P Gamma_pp P =
     G G^T (Cholesky), free of differences of nearly equal terms.
     """
-    sqrt = np.sqrt if isinstance(c_u, np.ndarray) else math.sqrt
-    nu, root_det = c_u * c_l, sqrt(det_xx)
+    if isinstance(c_u, np.ndarray):
+        return _stacked_invariants(gxx, gpp, c_u, c_l, det_xx)
+    nu, root_det = c_u * c_l, math.sqrt(det_xx)
     i_a, i_b, i_c = gxx[0] * gpp[0], gxx[2] * gpp[2], gxx[1] * gpp[1]
-    if sqrt is math.sqrt and not (root_det > 0.0 and i_a > 0.0):
+    if not (root_det > 0.0 and i_a > 0.0):
         # a float division by zero raises where numpy's gives inf or NaN:
         # either way the discriminant is not finite, an overflow fault
         return i_a, i_b, i_c, nu * nu, math.nan, math.nan, math.nan
     # F^T G times sqrt(det A)
     k11, k12, k21, k22 = i_a - i_c, gxx[1] * nu / root_det, -gpp[1] * root_det, nu
-    q = sqrt((k11 + k22) * (k11 + k22) + (k12 - k21) * (k12 - k21))
-    r = sqrt((k11 - k22) * (k11 - k22) + (k12 + k21) * (k12 + k21))
-    d_plus = 0.5 * (q + r) / sqrt(i_a)
+    q = math.sqrt((k11 + k22) * (k11 + k22) + (k12 - k21) * (k12 - k21))
+    r = math.sqrt((k11 - k22) * (k11 - k22) + (k12 + k21) * (k12 + k21))
+    d_plus = 0.5 * (q + r) / math.sqrt(i_a)
     # (q r / det A)^2 = (d~_+^2 - d~_-^2)^2 = delta~^2 - 4 det Gamma
+    disc = q * r / i_a
+    return i_a, i_b, i_c, nu * nu, disc * disc, nu / d_plus, d_plus
+
+
+def _stacked_invariants(gxx, gpp, c_u, c_l, det_xx):
+    """``_sector_invariants`` of arrays, (3, n) blocks: the products of the
+    block entries are one product, and q, r one pass over two stacked
+    pairs.  With P = (k11, k12) and Q = (k22, -k21) = (nu, Gpp_ab sqrt(det
+    Gamma_xx)), (k11 + k22, k12 - k21) is P + Q and (k11 - k22, k12 + k21)
+    is P - Q, each entry the float route's sum."""
+    nu, root_det = c_u * c_l, np.sqrt(det_xx)
+    i_a, i_c, i_b = gxx * gpp
+    p_q = np.empty((2, 2, len(nu)))
+    np.subtract(i_a, i_c, out=p_q[0, 0])
+    np.multiply(gxx[1], nu, out=p_q[0, 1])
+    p_q[0, 1] /= root_det
+    p_q[1, 0] = nu
+    np.multiply(gpp[1], root_det, out=p_q[1, 1])
+    sums = np.array((p_q[0] + p_q[1], p_q[0] - p_q[1]))
+    sums *= sums
+    q, r = np.sqrt(sums[:, 0] + sums[:, 1])
+    d_plus = 0.5 * (q + r) / np.sqrt(i_a)
     disc = q * r / i_a
     return i_a, i_b, i_c, nu * nu, disc * disc, nu / d_plus, d_plus
 
@@ -106,9 +129,10 @@ def classify_steering(g_ab: float, g_ba: float) -> SteeringClass:
     return _STEERING_CLASSES[_steering_class_index(g_ab, g_ba)]
 
 
-def _occupations(xa, pa, xb, pb):
-    """(N_a, N_b) from the four quadrature variances; floats or arrays."""
-    return 0.5 * (xa + pa - 1.0), 0.5 * (xb + pb - 1.0)
+def _occupation(x, p):
+    """N = (x + p - 1) / 2 of a mode from its two quadrature variances;
+    floats or arrays, the modes a and b as rows of stacked arrays."""
+    return 0.5 * (x + p - 1.0)
 
 
 # faults of ``_measures``, each with its message in ``measure_error``
@@ -218,7 +242,10 @@ def _sector_measures(sectors):
     product of its two modes."""
     gxx, gpp = sectors[:2]
     i_a, i_b, i_c, i_ab, disc_sq, d_minus, _ = _sector_invariants(*sectors)
-    n_a, n_b = _occupations(gxx[0], gpp[0], gxx[2], gpp[2])
+    if isinstance(i_ab, np.ndarray):
+        n_a, n_b = _occupation(gxx[0::2], gpp[0::2])
+    else:
+        n_a, n_b = _occupation(gxx[0], gpp[0]), _occupation(gxx[2], gpp[2])
     coupled = (gxx[1] != 0.0) | (gpp[1] != 0.0)
     return _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled)
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measures import _STEERING_CLASSES, CorrelationReport, _measures, _occupations, measure_error
+from .measures import _STEERING_CLASSES, CorrelationReport, _measures, _occupation, measure_error
 from .model import (
     DEGENERACY_TOL,
     InstabilityError,
@@ -409,7 +409,8 @@ def _checked_measures(gamma: CovarianceMatrix):
         ).tolist()
         i_ab = float(np.linalg.det(gamma.entries))
     disc_sq, d_minus, d_plus = _partial_transpose_pair(i_a, i_b, i_c, i_ab)
-    n_a, n_b = _occupations(*gamma.entries.diagonal().tolist())
+    xa, pa, xb, pb = gamma.entries.diagonal().tolist()
+    n_a, n_b = _occupation(xa, pa), _occupation(xb, pb)
     fault, values, index = _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b)
     if fault:
         raise measure_error(fault)

@@ -101,15 +101,22 @@ def _bose(omega, temperature):
     non-negative.  An omega that underflows to 0 gives inf at T > 0 on both,
     which the measures stage reports."""
     if isinstance(omega, np.ndarray):
-        occupation = np.zeros(omega.shape)
         hot = temperature > 0.0
-        if hot.any():
-            with np.errstate(over="ignore"):  # inf, as Python's float division gives
-                x = omega[..., hot] / temperature[hot]
-            live = x <= 700.0
+        if not hot.any():
+            return np.zeros(omega.shape)
+        every = hot.all()
+        with np.errstate(over="ignore"):  # inf, as Python's float division gives
+            x = omega / temperature if every else omega[..., hot] / temperature[hot]
+        live = x <= 700.0
+        if live.all():
+            x = 1.0 / _by_math(math.expm1, x.ravel()).reshape(x.shape)
+        else:
             x[live] = 1.0 / _by_math(math.expm1, x[live])
             x[~live] = 0.0
-            occupation[..., hot] = x
+        if every:
+            return x
+        occupation = np.zeros(omega.shape)
+        occupation[..., hot] = x
         return occupation
     if temperature == 0.0:
         return 0.0
@@ -167,6 +174,14 @@ def _stacked_covariance(frames, temperature, passive):
     blocks.  Every element takes the float route's operations."""
     w, u, root, det_a = frames
     c_u, c_l = c = 0.5 + _bose(w[:, 1], temperature)
+    # a V = T point takes the form of its float route; a block computes only
+    # the forms its points take
+    passive_points = np.count_nonzero(passive)
+    if passive_points:
+        (u1, u2), d = u[:, 1], c_l - c_u
+        same = np.array((c_u + d * u2 * u2, -d * u1 * u2, c_u + d * u1 * u1))
+        if passive_points == len(passive):
+            return same, same, c_u, c_l, c_u * c_l
     weights = c[:, None] / w
     y, z = _frame_vectors(u, root)
     # products [i, j] = w_U y_i y_j + w_L z_i z_j; (11, 12, 22) are [0, 0], [0, 1], [1, 1]
@@ -174,9 +189,7 @@ def _stacked_covariance(frames, temperature, passive):
     products = wy[:, None] * y + wz[:, None] * z
     blocks = products[(0, 0, 1), (0, 1, 1)]
     det_xx = det_a[0] * weights[0, 0] * weights[1, 0]
-    if passive.any():  # a V = T point takes the form of its float route
-        (u1, u2), d = u[:, 1], c_l - c_u
-        same = np.array((c_u + d * u2 * u2, -d * u1 * u2, c_u + d * u1 * u1))
+    if passive_points:
         blocks = np.where(passive, same[:, None], blocks)
         det_xx = np.where(passive, c_u * c_l, det_xx)
     return blocks[:, 0], blocks[:, 1], c_u, c_l, det_xx

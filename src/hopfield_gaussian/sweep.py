@@ -135,23 +135,25 @@ _UNSTABLE_TAIL = "," * (len(_CELLS) - _ECHO + 2) + "false"
 class GridPoints:
     """Model parameters and temperature of each grid point: ``table`` holds
     one float64 row per field (omega_a, omega_b, lambda1, lambda2, diamag,
-    temperature) and one column per point, and each field reads its row."""
+    temperature) and one column per point, and each field is a view of its
+    row."""
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "omega_a", "omega_b", "lambda1", "lambda2", "diamag", "temperature")
 
     def __init__(self, omega_a, omega_b, lambda1, lambda2, diamag, temperature):
         # the kernel computes in float64, as the scalar route does
-        self.table = np.array((omega_a, omega_b, lambda1, lambda2, diamag, temperature), float)
+        self._set(np.array((omega_a, omega_b, lambda1, lambda2, diamag, temperature), float))
 
-    omega_a, omega_b, lambda1, lambda2, diamag, temperature = (
-        property(lambda self, i=i: self.table[i]) for i in range(6)
-    )
+    def _set(self, table: np.ndarray) -> None:
+        self.table = table
+        (self.omega_a, self.omega_b, self.lambda1, self.lambda2, self.diamag,
+         self.temperature) = table
 
     @classmethod
     def of_table(cls, table: np.ndarray) -> GridPoints:
         """The points whose (6, n) float64 ``table`` is given, not copied."""
         points = cls.__new__(cls)
-        points.table = table
+        points._set(table)
         return points
 
     def __len__(self) -> int:
