@@ -186,7 +186,8 @@ def _stacked_measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled):
     The three logarithms are one ``np.log`` and the purities one division.
     Where every measure is finite, every purity positive (so det A, det B
     and det Gamma lie in (0, inf)) and det C disc^2 finite, no point has a
-    fault; only a block that fails this takes the per-point decision.
+    fault: one sum and one minimum decide it for the block, and only a
+    block that fails them takes the per-point decision.
     """
     values = np.empty((8, len(i_ab)))
     logs = values[:3]
@@ -203,8 +204,10 @@ def _stacked_measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled):
         np.multiply(16.0, i_ab, out=purities[2])
         np.divide(1.0, purities, out=purities)
         values[6], values[7] = n_a, n_b
-        fine = (np.isfinite(values[:6]).all() and purities.min(initial=1.0) > 0.0
-                and np.isfinite(i_c * disc_sq).all())
+        # a sum is finite only where every term is: a NaN, an inf or a sum
+        # that overflows sends the block to the per-point decision
+        fine = (math.isfinite(values[:6].sum() + i_c @ disc_sq)
+                and purities.min(initial=1.0) > 0.0)
     if fine:
         fault = np.zeros(len(i_ab), np.int8)
     else:
