@@ -7,7 +7,7 @@ diagonal in the polariton basis with coth weights, n + 1/2 per branch
 (n = 0 for the ground state).  Sweeps and ``point`` build it as Gamma_xx
 ⊕ Gamma_pp from the x-p sector frames (``_sector_covariance``), on floats
 and on arrays alike; a sweep block takes both frames of all its points in
-one (2, n) pass (``_stacked_covariance``).  A frequency that underflows to
+one pass (``_stacked_covariance``).  A frequency that underflows to
 0 gives an infinite weight on both, which the measures stage reports as an
 overflow.  Only ``point --dump-cov`` assembles the 4x4 matrix
 (``sector_matrix``), from the sectors whose measures ``point`` has

@@ -23,14 +23,16 @@ the determinants, so an unstable point is a row, not a raised and caught
 same floating-point operations as on floats.  Both shapes take each rule
 of a row from one place: the state's temperature (``_state_temperature``),
 the stage arguments and the stability decision (``_sector_args``), and the
-echoed cells (``_echo``).  The kernel takes the (T, V) frame of Gamma_xx
-and the (V, T) frame of Gamma_pp of every point as one (2, n) pass, so
-that ``_sector_frame``, ``_bose``, ``_weights`` and ``_sector_block`` each
-run once per block.  Its measures stage is the checked one of
-``run_point``: the kernel keeps no check or message of its own, and raises
-``measures.measure_error`` for the first point with a fault.  Each point's
-result depends on that point alone, so any contiguous split of a grid
-yields the same rows; ``sweep_csv``'s blocks rely on this.
+echoed cells (``_echo``).  A block's cost is mostly a fixed count of numpy
+calls, so the array stages take the (T, V) frame of Gamma_xx and the
+(V, T) frame of Gamma_pp of every point in one pass, and stack each pair,
+triple or 2x2 product of a formula into one array, one numpy call where
+the float route makes two to four; a block with no unstable point skips
+the gather of its stable points.  Its measures stage is the checked one
+of ``run_point``: the kernel keeps no check or message of its own, and
+raises ``measures.measure_error`` for the first point with a fault.  Each
+point's result depends on that point alone, so any contiguous split of a
+grid yields the same rows; ``sweep_csv``'s blocks rely on this.
 
 ``GridResult`` holds a block's rows as one float table, ``cells``, which
 ``csv_text`` prints with every cell as format(x, '.12g'), the cell of
@@ -202,7 +204,7 @@ class GridResult:
 
 
 # rows per writer call: a block is cut into near-equal parts of at most
-# this many.  A call has a fixed cost of about 120 us (one row), and its
+# this many.  A call has a fixed cost of about 70 us (one row), and its
 # temporaries peak at 1,391 bytes per row on 1,024 all-stable fig3a rows and
 # at 1,258 on 1,024 rows of which 704 are unstable, whose measure cells are
 # never formatted (tracemalloc): 1.4 MB that stay in a core's 2 MB L2 cache;
@@ -440,12 +442,12 @@ def grid_points(spec: SweepSpec, env: Environment) -> GridPoints:
 
 
 # points per kernel call.  Every preset (at most 2,925 points) is one call,
-# since each call has a fixed cost of 330-440 us (a one-point call, best of
-# 900, on a 2-core box).  The blocks bound the temporaries of the kernel and
-# of the CSV writer on larger grids: traced with tracemalloc on a 4,096-point
-# block (64 x 64 points over the fig3a extent), they peak at 550 bytes per
-# point in the kernel and 500 in GridResult.csv_text, the block's text (197
-# bytes per point) included
+# since each call has a fixed cost of about 160 us, and its text 70 us more
+# (a one-point block, best of 3,000, on a 2-core box).  The blocks bound the
+# temporaries of the kernel and of the CSV writer on larger grids: traced
+# with tracemalloc on a 4,096-point block (64 x 64 points over the fig3a
+# extent), they peak at 660 bytes per point in the kernel and 500 in
+# GridResult.csv_text, the block's text (197 bytes per point) included
 _BLOCK_POINTS = 4096
 
 
