@@ -54,13 +54,14 @@ def _steering_class_index(g_ab, g_ba):
 
 
 def _steering_raw(i_a, i_b, i_ab):
-    """(G_ab, G_ba) before clipping, 0.5 ln(det A / 4 det Gamma); floats or arrays."""
-    log = np.log if isinstance(i_ab, np.ndarray) else math.log
-    return 0.5 * log(i_a / (4.0 * i_ab)), 0.5 * log(i_b / (4.0 * i_ab))
+    """(G_ab, G_ba) before clipping, 0.5 ln(det A / 4 det Gamma); floats
+    (``_stacked_measures`` takes them for arrays)."""
+    return 0.5 * math.log(i_a / (4.0 * i_ab)), 0.5 * math.log(i_b / (4.0 * i_ab))
 
 
 def _purities(i_a, i_b, i_ab):
-    """(mu_a, mu_b, mu_ab) = 1/(4 det A), 1/(4 det B), 1/(16 det Gamma); floats or arrays."""
+    """(mu_a, mu_b, mu_ab) = 1/(4 det A), 1/(4 det B), 1/(16 det Gamma);
+    floats (``_stacked_measures`` takes them for arrays)."""
     return 1.0 / (4.0 * i_a), 1.0 / (4.0 * i_b), 1.0 / (16.0 * i_ab)
 
 
@@ -183,7 +184,9 @@ _LOG_FACTORS = np.array([[-1.0], [0.5], [0.5]])
 def _stacked_measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled):
     """``_measures`` of arrays, the measures as the rows of one (8, n) array.
 
-    The three logarithms are one ``np.log`` and the purities one division.
+    The operations of the float route on every element, E_N and those of
+    ``_steering_raw`` and ``_purities`` among them: the three logarithms
+    are one ``np.log`` and the purities one division.
     Where every measure is finite, every purity positive (so det A, det B
     and det Gamma lie in (0, inf)) and det C disc^2 finite, no point has a
     fault: one sum and one minimum decide it for the block, and only a

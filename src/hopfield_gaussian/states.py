@@ -101,22 +101,14 @@ def _bose(omega, temperature):
     non-negative.  An omega that underflows to 0 gives inf at T > 0 on both,
     which the measures stage reports."""
     if isinstance(omega, np.ndarray):
-        hot = temperature > 0.0
-        if not hot.any():
-            return np.zeros(omega.shape)
-        every = hot.all()
-        with np.errstate(over="ignore"):  # inf, as Python's float division gives
-            x = omega / temperature if every else omega[..., hot] / temperature[hot]
-        live = x <= 700.0
-        if live.all():
-            x = 1.0 / _by_math(math.expm1, x.ravel()).reshape(x.shape)
-        else:
-            x[live] = 1.0 / _by_math(math.expm1, x[live])
-            x[~live] = 0.0
-        if every:
-            return x
         occupation = np.zeros(omega.shape)
-        occupation[..., hot] = x
+        if temperature.any():  # a ground state is all zeros
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                # inf where it overflows, as Python's float division gives,
+                # and +-inf or NaN at T = +-0, past |x| = 700 as below
+                x = omega / temperature
+            live = abs(x) <= 700.0
+            occupation[live] = 1.0 / _by_math(math.expm1, x[live])
         return occupation
     if temperature == 0.0:
         return 0.0
