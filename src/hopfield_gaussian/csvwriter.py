@@ -1,21 +1,25 @@
 """The rows of ``sweep.GridResult`` written by array operations.
 
 ``write_rows`` prints a table of float cells as CSV rows in which each cell
-is format(x, '.12g'), with a Python call only for the few cells that the
-array operations leave alone.  ``cell_words`` lays out
-each cell in a slot of three little-endian uint64 words, which hold the
-longest cell ('-1.23456789012e-308') and its separator:
+is format(x, '.12g').  ``cell_words`` lays out by array operations the
+cells of fixed notation, +0 and every x in [1e-4, 999999999999.5), each in
+a slot of three little-endian uint64 words; every other cell (negative,
+-0.0, below 1e-4 or from 999999999999.5 up, inf and nan) it leaves to
+format(), as it does near ties.  On every preset that is 0.2% of the
+printed cells, and no preset prints a negative cell.  A slot also holds
+the longest text of format() ('-1.23456789012e-308') and its separator.
+The layout of a cell:
 
-- The exponent k comes from log10 |x|; s = |x| 10^(11 - k) from a table of
+- The exponent k comes from log10 x; s = x 10^(11 - k) from a table of
   correctly rounded powers of ten, one fix-up of k where s falls outside
   [1e11, 1e12), and the 12 digits d = rint(s), carrying into k at 10^12.
+  As x < 999999999999.5 rounds to at most 12 nines, -4 <= k < 12.
 - The digits come from three 4-digit groups of d through a 10,000-entry
   table of ASCII words, their count without trailing zeros from a second.
-- Each layout is a few shifts and ors on whole arrays: fixed notation with
-  the '.' after digit k + 1 (0 <= k < 12), '0.' and -k - 1 zeros before the
-  digits (-4 <= k < 0), or the exponent form with 'e' and the exponent.
-  The two rare branches (a k off by one, the exponent form) work on the
-  indices of their cells only.
+- Each layout is a few shifts and ors on whole arrays: the '.' after digit
+  k + 1 (0 <= k < 12), or '0.' and -k - 1 zeros before the digits
+  (-4 <= k < 0).  The rare fix-up of k works on the indices of its cells
+  only.
 
 ``write_rows`` formats only the cells it prints, in one ``cell_words``
 call: the whole table where every row is stable, and otherwise a compact
@@ -29,16 +33,14 @@ points never build its tables.
 
 Every cell of the array operations is exact, format()'s own:
 
-- The digits are the integer nearest s = |x| 10^(11 - k).  The computed s
+- The digits are the integer nearest s = x 10^(11 - k).  The computed s
   carries two roundings, of the correctly rounded power of ten and of the
   product, so its relative error is below 2^-52 and, as s < 10^12, its
   absolute error below 2.3e-4.  rint(s) is thus the rounding of the exact
   s, as format() rounds it, unless the exact fraction lies within 2.3e-4
   of 1/2.
 - A cell whose computed fraction lies within ``TIE_MARGIN`` = 1e-3 of 1/2
-  is printed with format(); the margin is four times that error.  So are
-  inf, nan and every nonzero |x| below 1e-295 (past the power table),
-  subnormals among them.  On the presets that is 0.13% of the cells.
+  is printed with format(); the margin is four times that error.
 - The exponent k is checked, not trusted: a k that puts s outside [1e11,
   1e12) is moved by one and s taken again, and 12 digits that round to
   10^12 carry into k, as the exact rounding does.
@@ -74,54 +76,29 @@ _SIGNIFICANT = np.max(np.arange(1, 5, dtype=np.uint8)[:, None] * (_DIGITS != 0),
 _SIG_AT = np.where(_SIGNIFICANT > 0, _SIGNIFICANT + np.arange(0, 12, 4, dtype=np.uint8)[:, None],
                    np.uint8(0))
 
-# |x| in [_TINY, DBL_MAX] has 10^(11 - k) in the table for every exponent
-# k within one of floor(log10 |x|); 0 is exact as well, and every other
-# cell (smaller |x|, subnormals among them, inf and nan) is left to format()
-_TINY = 1e-295
-_HUGE = np.finfo(float).max
+# the cells of fixed notation; +0 is exact as well, and every other cell
+# (negative, -0.0, outside this range, inf and nan) is left to format().
+# The top is the largest float below 999999999999.5, which rounds to 1e12
+_LOW = 1e-4
+_TOP = np.nextafter(999999999999.5, 0.0)
 # s carries two roundings, an error below 2.3e-4: a fraction of s this
 # close to 1/2 may round either way, so format() decides
 TIE_MARGIN = 1e-3
-# tables by exponent k sit at k + _K0, and at k + _K0 + _SIGNED for a
-# negative cell
-_K0 = 330
-_SIGNED = 2 * _K0
-# the layouts of exponent k: fixed, the '.' after digit k + 1, for
-# 0 <= k < 12; '0.' and -k - 1 zeros before the digits for -4 <= k < 0;
-# otherwise one digit, '.', the rest and 'e' with the signed exponent
-_K = np.tile(np.arange(-_K0, _K0), 2)
-_FIXED = (0 <= _K) & (_K < 12)
-_SMALL = (-4 <= _K) & (_K < 0)
-_NEGATIVE = np.arange(len(_K)) >= _SIGNED
-_EXP_FORM = ~(_FIXED | _SMALL)
-_SPLIT = np.where(_FIXED, _K + 1, np.where(_SMALL, 0, 1))
+# tables by exponent k sit at k + _K0, for -5 <= k < 12: the cells take
+# -4 <= k < 12, and k = -5 serves a log10 that errs below -4
+_K0 = 5
+_K = np.arange(-_K0, 12)
+# the layouts of exponent k: the '.' after digit k + 1 for 0 <= k < 12;
+# '0.' and -k - 1 zeros before the digits for k < 0
+_SMALL = _K < 0
+_SPLIT = np.where(_SMALL, 0, _K + 1)
 _POINT_ALL = -_SMALL.astype(np.intp)
-# the prefix: '-' for a negative cell, then '0.' and the zeros for -4 <= k < 0
 _ZEROS = np.where(_SMALL, -_K, 0)  # 1 + the number of zeros after '0.'
-_PREFIX = _words(["", "0.", "0.0", "0.00", "0.000"]).take(_ZEROS)
-_PREFIX[_NEGATIVE] = _PREFIX[_NEGATIVE] << np.uint64(8) | np.uint64(ord("-"))
-_PREFIX_LEN = np.where(_SMALL, _ZEROS + 1, 0) + _NEGATIVE
+_PREFIX = _words(["", "0.", "0.0", "0.00", "0.000", "0.0000"]).take(_ZEROS)
+_PREFIX_LEN = np.where(_SMALL, _ZEROS + 1, 0)
 _PREFIX_BITS = (8 * _PREFIX_LEN).astype(np.uint64)
-# the suffix 'e', the sign and two or three digits of |k|: f"e{k:+03d}"
-_MAGNITUDE = np.abs(_K).astype(np.uint64)
-_HUNDREDS = _MAGNITUDE >= 100
-_ASCII = [_MAGNITUDE // np.uint64(p) % np.uint64(10) + np.uint64(ord("0")) for p in (100, 10, 1)]
-_SUFFIX = (
-    np.uint64(ord("e"))
-    | np.where(_K < 0, np.uint64(ord("-")), np.uint64(ord("+"))) << np.uint64(8)
-    | np.where(_HUNDREDS, _ASCII[0] | _ASCII[1] << np.uint64(8) | _ASCII[2] << np.uint64(16),
-               _ASCII[1] | _ASCII[2] << np.uint64(8)) << np.uint64(16)
-)
-_SUFFIX_LEN = 4 + _HUNDREDS.astype(np.intp)
-_SUFFIX_BITS = (8 * _SUFFIX_LEN).astype(np.uint64)
-# 10^(11 - k) for -297 <= k < 319, correctly rounded as float('1e..') is:
-# the texts '1e..' of the powers, laid out as cells are with the suffixes
-# above, and parsed by numpy, which rounds each as float() does
-_POWER = 11 - np.arange(-297, 319) + _K0  # the suffix of the power's exponent
-_POWER_TEXT = (np.uint64(ord("1")) | _SUFFIX[_POWER] << np.uint64(8)
-               | np.uint64(ord(" ")) << (_SUFFIX_BITS[_POWER] + np.uint64(8))).view(np.uint8)
-_SCALE = np.full(2 * _K0, np.nan)
-_SCALE[-297 + _K0:319 + _K0] = np.fromstring(_POWER_TEXT[_POWER_TEXT != 0].tobytes(), sep=" ")
+# 10^(11 - k), correctly rounded
+_SCALE = np.array([float(f"1e{11 - k}") for k in _K.tolist()])
 # split of the 12 digit bytes (8 low, 4 high) after byte q: the bytes
 # below q, and '.' at byte q
 _BELOW = [(1 << 8 * q) - 1 for q in range(13)]
@@ -130,13 +107,6 @@ _HIGH_BELOW = np.array([m >> 64 for m in _BELOW], np.uint64)
 _DOT = [ord(".") << 8 * q for q in range(13)]
 _LOW_DOT = np.array([d & (2**64 - 1) for d in _DOT], np.uint64)
 _HIGH_DOT = np.array([d >> 64 for d in _DOT], np.uint64)
-# for a suffix at byte `at` of a slot: the shifts that move it into each
-# of the three words, and the bytes of each word below it
-_AT = np.arange(_SLOT)[:, None] - np.arange(0, _SLOT, 8)  # at - 8 j
-_UP_BYTES = np.minimum(np.maximum(_AT, 0), 8).astype(np.uint64)
-_UP = _UP_BYTES * np.uint64(8)
-_DOWN = np.minimum(np.maximum(-_AT, 0), 8).astype(np.uint64) * np.uint64(8)
-_CLEAR = np.where(_UP_BYTES == 8, np.uint64(2**64 - 1), (np.uint64(1) << _UP) - np.uint64(1))
 
 
 def cell_words(x: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -145,16 +115,15 @@ def cell_words(x: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np.ndar
     Writes each cell's three words (bytes 0-7, 8-15 and 16-23, little
     endian) to the last axis of ``words`` and its length to ``lengths``;
     bytes at and past the length are unspecified.  Returns the mask of the
-    cells left to format(): near ties, subnormals, |x| < 1e-295, inf and nan.
+    cells left to format(): every cell but +0 and those in [1e-4,
+    999999999999.5), and near ties.
     """
-    a = np.abs(x)
-    zero = a == 0.0
-    # nan and inf to the range of the tables
-    c = np.fmax(a, _TINY)
-    np.fmin(c, _HUGE, out=c)
-    left = c != a
+    zero = x.view(np.int64) == 0  # +0 only: -0.0 has its sign bit set
+    # negative cells, nan and the rest outside [_LOW, _TOP] move, so are left
+    c = np.fmax(x, _LOW)
+    np.fmin(c, _TOP, out=c)
+    left = c != x
     left ^= zero
-    del a
     s = np.log10(c)
     s += _K0  # positive, so truncation is the floor
     k = s.astype(np.intp)
@@ -181,10 +150,7 @@ def cell_words(x: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np.ndar
     del s
     k[zero] = _K0
     d[zero] = 0.0
-    negative = np.signbit(x)
-    if negative.any():
-        k += _SIGNED * negative
-    del zero, negative
+    del zero
 
     # the 12 digits in three groups of four: bytes 0-7 in lo, 8-11 in hi
     rest = d.astype(np.int64)
@@ -201,8 +167,8 @@ def cell_words(x: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np.ndar
     np.maximum(body, _SIG_AT[2].take(rest), out=body)
     del group, rest
 
-    # '.' after digit q: k + 1 when fixed, 1 in exponent form, and past the
-    # last significant digit (so not shown) after '0.'
+    # '.' after digit q: k + 1 when k >= 0, and past the last significant
+    # digit (so not shown) after '0.'
     q = _POINT_ALL.take(k)
     q &= body
     np.maximum(q, _SPLIT.take(k), out=q)
@@ -234,22 +200,7 @@ def cell_words(x: np.ndarray, words: np.ndarray, lengths: np.ndarray) -> np.ndar
     lo >>= shift
     w1 |= lo
     w0 |= _PREFIX.take(k)
-    del lo, hi, shift
     np.add(_PREFIX_LEN.take(k), body, out=lengths)
-
-    # flat indices first: np.nonzero of a 2-d mask costs several times more
-    exp = np.flatnonzero(_EXP_FORM.take(k))
-    if exp.size:
-        exp = np.unravel_index(exp, k.shape)
-        # 'e' and the exponent at byte `at`, over the digits there
-        ke, at = k[exp], lengths[exp]
-        suffix = _SUFFIX.take(ke)[:, None] << _UP.take(at, axis=0)
-        suffix >>= _DOWN.take(at, axis=0)
-        cell = words[exp]
-        cell &= _CLEAR.take(at, axis=0)
-        cell |= suffix
-        words[exp] = cell
-        lengths[exp] = at + _SUFFIX_LEN.take(ke)
     return left
 
 

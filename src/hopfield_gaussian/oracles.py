@@ -10,7 +10,7 @@ another route here:
   closed forms to the product rule, to the solver and to
   ``critical_coupling``; the tests pin ``sweep.diagonalize_params`` and
   the sector frequencies to the solver (``test_model.TestFrameBasis``,
-  ``test_grid.TestSectorRouteAgainstOracles``).
+  ``test_sweep_kernel.TestSectorRouteAgainstOracles``).
 - ``thermal_covariance_closed``: check 4 pins it to T diag(n + 1/2) T^T
   of ``hopfield_basis`` (``states.steady_state_covariance``), and the
   tests pin the sector covariance to both.

@@ -588,7 +588,7 @@ class TestCli:
 
     def test_point_next_to_the_edge_is_a_stable_row(self, capsys):
         # within one rounding of lambda_C = 1/2, the same row as the sweep
-        # kernel's; test_grid pins its cells to 50-digit mpmath
+        # kernel's; test_sweep_kernel pins its cells to 50-digit mpmath
         lam, temp = "0.49999999999999994", "0.7720568085913025"
         argv = ["point", "--lambda", lam, "--diamag", "zero", "--temp", temp,
                 "--state", "thermal"]
