@@ -16,6 +16,7 @@ steady-state covariances.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,6 +40,14 @@ __all__ = [
 MAX_TRAJECTORY_ROWS = 10**7  # rows one solve may record, checked before allocating
 
 
+def _require_finite(record, names) -> None:
+    """Reject a NaN or infinite field of ``record``, complex ones included."""
+    for name in names:
+        value = getattr(record, name)
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RateSet:
     """Collective absorption (up) and emission (down) rates per branch."""
@@ -49,6 +58,7 @@ class RateSet:
     down_lower: float
 
     def __post_init__(self):
+        _require_finite(self, ("up_upper", "down_upper", "up_lower", "down_lower"))
         for r in (self.up_upper, self.down_upper, self.up_lower, self.down_lower):
             if r < 0:
                 raise ValueError("rates must be non-negative")
@@ -71,6 +81,7 @@ class SecondMoments:
     cross: complex = 0.0
 
     def __post_init__(self):
+        _require_finite(self, ("occ_upper", "occ_lower", "sq_upper", "sq_lower", "cross"))
         if self.occ_upper < 0 or self.occ_lower < 0:
             raise ValueError("occupations must be non-negative")
 
@@ -162,18 +173,22 @@ def _exact_moments(initial, rates, basis, times):
 
     Only the occupations have a drive b, and it is real.  The drive is
     added first, as +0 in the other columns, so that the -0 which e^{a t}
-    times 0 can give comes out +0.  At t = 0 this is y0 bit for bit.
+    times 0 can give comes out +0.  At t = 0 this is y0 bit for bit, with
+    -0 as +0.
     """
-    t = times[:, None]
-    decay = np.array([rates.decay_upper(), rates.decay_lower()])
-    with np.errstate(invalid="ignore"):  # 0/0 on a branch with no decay
-        relax = np.where(decay == 0, t, np.expm1(-decay * t) / -decay)
     moments = np.zeros((len(times), 5), dtype=complex)
-    moments[:, :2] = relax * (rates.up_upper, rates.up_lower)
-    y0 = _pack(initial)
-    if y0.any():  # from vacuum e^{a t} y0 is 0
+    drive = moments.real
+    for j, up, decay in ((0, rates.up_upper, rates.decay_upper()),
+                         (1, rates.up_lower, rates.decay_lower())):
+        if decay == 0:
+            drive[:, j] = times * up
+        else:
+            drive[:, j] = np.expm1(-decay * times) / -decay * up
+    # from vacuum (signed zeros included, which test false) e^{a t} y0 is 0
+    if (initial.occ_upper or initial.occ_lower
+            or initial.sq_upper or initial.sq_lower or initial.cross):
         drift = _moment_drift(rates, basis.omega_upper, basis.omega_lower)
-        moments += np.exp(t * drift) * y0
+        moments += np.exp(times[:, None] * drift) * _pack(initial)
     return moments
 
 
@@ -223,18 +238,28 @@ def evolve_trajectory(
 
 TRAJECTORY_HEADER = "t,occ_U,occ_L,re_sq_U,im_sq_U,re_sq_L,im_sq_L,re_cross,im_cross"
 
+# Rows per '%' in trajectory_rows.  On a 100,001-row trajectory (2-core x86
+# VM, best of 7) blocks of 1,024 and 4,096 rows format about 1.0 us a row,
+# blocks of 64 and 256 rows 1.4-1.5 us, one '%' over all rows 1.3 us and one
+# per row 1.4-1.8 us.  The tracemalloc peak is 20.6 MB for any block size
+# from 64 to 4,096, 28.7 MB with one '%' over all rows and 34.0 MB per row.
+_FORMAT_BLOCK_ROWS = 1024
+
 
 def trajectory_rows(trajectory: Trajectory) -> list[str]:
     """One CSV row per recorded time, in the columns of TRAJECTORY_HEADER.
 
     A column whose cells are bit-identical in every row (the squeezing and
     cross moments from vacuum are all +0) is formatted once, into the '%'
-    row template; the rest go through one '%' per row.
+    row template.  The varying cells of up to ``_FORMAT_BLOCK_ROWS`` rows
+    go through one '%' on that template repeated with newlines, which is
+    then split into rows.
     """
     times, moments = trajectory
-    if not len(times):
+    n = len(times)
+    if not n:
         return []
-    table = np.empty((len(times), 9))
+    table = np.empty((n, 9))
     table[:, 0] = times
     table[:, 1:3] = moments[:, :2].real
     table[:, 3::2] = moments[:, 2:].real
@@ -243,4 +268,13 @@ def trajectory_rows(trajectory: Trajectory) -> list[str]:
     varies = (bits != bits[0]).any(axis=0)
     template = ",".join(_CELL if v else format(x, VALUE_FORMAT)
                         for v, x in zip(varies.tolist(), table[0].tolist()))
-    return [template % row for row in map(tuple, table[:, varies].tolist())]
+    cells = table[:, varies]
+    step = min(n, _FORMAT_BLOCK_ROWS)
+    block_template = "\n".join([template] * step)
+    rows = []
+    for start in range(0, n, step):
+        block = cells[start:start + step]
+        if len(block) < step:  # the last block is shorter
+            block_template = "\n".join([template] * len(block))
+        rows += (block_template % tuple(block.ravel().tolist())).split("\n")
+    return rows

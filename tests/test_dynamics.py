@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -398,6 +399,10 @@ class TestClosedFormPropagator:
         trajectory = evolve_trajectory(start, rates, b, 30.0, 0.01, stride=300)
         assert_exact(trajectory, start, rates, b)
         assert trajectory.moments[-1, 1] == pytest.approx(0.7 + 0.02 * 30.0, rel=1e-14)
+        # bit for bit y0 + up t, the drive first and e^{0 t} y0 = y0 after it
+        occ_lower = trajectory.moments[:, 1]
+        assert occ_lower.real.tobytes() == (trajectory.times * 0.02 + 0.7).tobytes()
+        assert not occ_lower.imag.any()
 
     def test_dark_branch_matches_the_exact_solution(self):
         # resonant D = 0 with equal slopes: the lower branch decouples
@@ -420,6 +425,17 @@ class TestClosedFormPropagator:
         )
         for row in trajectory_rows(with_final):
             assert row.split(",")[3:] == ["0"] * 6  # "-0" would fail too
+
+    @given(solves())
+    def test_a_start_of_signed_zeros_is_the_vacuum_bit_for_bit(self, solve):
+        basis, rates, _, dt, steps, stride = solve
+        zeros = SecondMoments(-0.0, -0.0, -0j, -0j, -0j)
+        vacuum = evolve_trajectory(SecondMoments.vacuum(), rates, basis, steps * dt, dt, stride)
+        signed = evolve_trajectory(zeros, rates, basis, steps * dt, dt, stride)
+        assert signed.moments.tobytes() == vacuum.moments.tobytes()
+        assert trajectory_rows(signed) == trajectory_rows(vacuum)
+        final = evolve_second_moments(zeros, rates, basis, steps * dt, dt)
+        assert _pack(final).tobytes() == vacuum.moments[-1].tobytes()
 
     def test_ten_million_steps_reach_the_fixed_point(self):
         b = hopfield_basis(hopfield(1, 1, 0.5))
@@ -487,6 +503,43 @@ class TestTrajectorySize:
             evolve_trajectory(SecondMoments.vacuum(), rates, basis, t_final)
         with pytest.raises(ValueError, match=message):
             evolve_second_moments(SecondMoments.vacuum(), rates, basis, t_final)
+
+
+MOMENT_FIELDS = ["occ_upper", "occ_lower", "sq_upper", "sq_lower", "cross"]
+RATE_FIELDS = ["up_upper", "down_upper", "up_lower", "down_lower"]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite moment or rate is rejected where it is built, and
+    the message names the field."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("field", MOMENT_FIELDS)
+    def test_second_moments(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {bad!r}$"):
+            SecondMoments(**{"occ_upper": 0.5, "occ_lower": 0.5, field: bad})
+
+    @pytest.mark.parametrize(
+        "bad", [complex(0.5, math.nan), complex(math.inf, 0.0), complex(0.0, -math.inf)], ids=repr
+    )
+    @pytest.mark.parametrize("field", MOMENT_FIELDS[2:])
+    def test_complex_moments(self, field, bad):
+        message = rf"^{field} must be finite, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            SecondMoments(0.5, 0.5, **{field: bad})
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("field", RATE_FIELDS)
+    def test_rates(self, field, bad):
+        rates = dict.fromkeys(RATE_FIELDS, 0.01) | {field: bad}
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {bad!r}$"):
+            RateSet(**rates)
+
+    def test_finite_extremes_are_accepted(self):
+        big = 1.7976931348623157e308
+        SecondMoments(big, 5e-324, complex(-big, big), -0j, complex(5e-324, -5e-324))
+        RateSet(big, big, 0.0, 5e-324)
 
 
 def reference_rows(trajectory: Trajectory) -> list[str]:
@@ -589,6 +642,29 @@ class TestTrajectoryRows:
         assert rows == reference_rows(trajectory)
         for j, cells in columns.items():
             assert [row.split(",")[j] for row in rows] == [format(x, VALUE_FORMAT) for x in cells]
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "twice plus one"])
+    def test_block_edges_format_as_each_cell_would(self, extra):
+        block = dynamics._FORMAT_BLOCK_ROWS
+        n = 2 * block + 1 if extra == "twice plus one" else block + extra
+        rng = np.random.default_rng(n)
+        table = np.empty((n, 9))
+        table[:, 0] = np.arange(n) * 0.125
+        table[:, 1] = rng.uniform(0.0, 3.0, n)  # varies
+        table[:, 2] = 0.25  # constant
+        table[:, 3] = rng.choice([0.0, -0.0], n)  # signed zeros
+        table[:, 4] = -0.0  # constant -0
+        table[:, 5] = rng.choice(SPECIAL_FLOATS, n)
+        table[:, 6] = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        table[:, 7:] = 0.0
+        trajectory = table_trajectory(table)
+        assert trajectory_rows(trajectory) == reference_rows(trajectory)
+        # only the time varies: every other cell comes from the template
+        table[:, 1:] = table[0, 1:]
+        trajectory = table_trajectory(table)
+        rows = trajectory_rows(trajectory)
+        assert rows == reference_rows(trajectory)
+        assert len(rows) == n and len(set(row.partition(",")[2] for row in rows)) == 1
 
     def test_two_rows_where_every_column_is_constant(self):
         table = np.array([[-0.0, 0.1, math.nan, 0.0, -0.0, math.inf, 1e16, 5e-324, -2.5]] * 2)
