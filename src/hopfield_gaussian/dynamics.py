@@ -238,11 +238,12 @@ def evolve_trajectory(
 
 TRAJECTORY_HEADER = "t,occ_U,occ_L,re_sq_U,im_sq_U,re_sq_L,im_sq_L,re_cross,im_cross"
 
-# Rows per '%' in trajectory_rows.  On a 100,001-row trajectory (2-core x86
-# VM, best of 7) blocks of 1,024 and 4,096 rows format about 1.0 us a row,
-# blocks of 64 and 256 rows 1.4-1.5 us, one '%' over all rows 1.3 us and one
-# per row 1.4-1.8 us.  The tracemalloc peak is 20.6 MB for any block size
-# from 64 to 4,096, 28.7 MB with one '%' over all rows and 34.0 MB per row.
+# Rows per '%' in trajectory_rows, which bounds the memory of a long run.
+# On a 100,001-row trajectory (2-core x86 VM, best of 7) the tracemalloc peak
+# is 20.6 MB for any block size from 64 to 4,096 rows, 28-29 MB with one '%'
+# over all rows and 34.0 MB with one per row; the time, 1.0-1.6 us a row,
+# does not depend on the block size beyond the spread between runs.  At 1,024
+# rows the block's template join (16 us) is under 2% of its '%' (1.2 ms).
 _FORMAT_BLOCK_ROWS = 1024
 
 
@@ -269,12 +270,8 @@ def trajectory_rows(trajectory: Trajectory) -> list[str]:
     template = ",".join(_CELL if v else format(x, VALUE_FORMAT)
                         for v, x in zip(varies.tolist(), table[0].tolist()))
     cells = table[:, varies]
-    step = min(n, _FORMAT_BLOCK_ROWS)
-    block_template = "\n".join([template] * step)
     rows = []
-    for start in range(0, n, step):
-        block = cells[start:start + step]
-        if len(block) < step:  # the last block is shorter
-            block_template = "\n".join([template] * len(block))
-        rows += (block_template % tuple(block.ravel().tolist())).split("\n")
+    for start in range(0, n, _FORMAT_BLOCK_ROWS):
+        block = cells[start:start + _FORMAT_BLOCK_ROWS]
+        rows += ("\n".join([template] * len(block)) % tuple(block.ravel().tolist())).split("\n")
     return rows
