@@ -16,7 +16,6 @@ steady-state covariances.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,7 +43,7 @@ def _require_finite(record, names) -> None:
     """Reject a NaN or infinite field of ``record``, complex ones included."""
     for name in names:
         value = getattr(record, name)
-        if not cmath.isfinite(value):
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
