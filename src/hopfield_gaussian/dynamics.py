@@ -229,7 +229,12 @@ def evolve_trajectory(
     fastest branch frequency or rate.  Row 0 is the initial state.
     """
     times = _recorded_times(t_final, _output_step(dt, rates, basis), stride)
-    moments = _exact_moments(initial, rates, basis, times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = _exact_moments(initial, rates, basis, times)
+    # a growing branch's moduli rise with t, so its last row overflows first
+    if not np.isfinite(moments[-1]).all():
+        name = "upper" if rates.decay_upper() <= rates.decay_lower() else "lower"
+        raise ValueError(f"the {name} branch grows past the float range by t = {times[-1]:g}")
     if moments[:, :2].real.min() < 0:
         raise ValueError("occupations must be non-negative")
     return Trajectory(times, moments)

@@ -41,7 +41,6 @@ SIGN_TOL = 1e-12
 # ulps (the roundings of products that underflow), of zero may be of either sign
 _DET_FILTER = 1e-15
 _DET_FLOOR = 1e-323
-_FLOAT_MAX = 1.7976931348623157e308
 
 
 class InstabilityError(ValueError):
@@ -156,8 +155,8 @@ def _stability_determinants(wa, wb, l1, l2, dd):
     """(det V, det T), stable iff both are positive; floats, or arrays as
     the rows of one (2, n) array.
 
-    Within rounding of zero both come from the exact inputs: an exact decision.
-    So do both where a product overflows, and p - q = inf - inf is NaN.
+    Where a float determinant is within rounding of zero, or NaN (inf - inf
+    past the largest float), both come from ``_exact_determinants``.
     """
     if isinstance(wa, np.ndarray):
         s = l1 + _SIGN_VT * l2
@@ -166,26 +165,31 @@ def _stability_determinants(wa, wb, l1, l2, dd):
         far = abs(dets) > _DET_FILTER * (p + q) + _DET_FLOOR
         if not far.all():
             for i in np.flatnonzero(~far.all(0)).tolist():
-                dets[:, i] = _stability_determinants(wa[i], wb[i], l1[i], l2[i], dd[i])
+                dets[:, i] = _exact_determinants(wa[i], wb[i], l1[i], l2[i], dd[i])
         return dets
     t12 = l1 - l2
     pv, qv, pt, qt = (wa + 4.0 * dd) * wb, (l1 + l2) * (l1 + l2), wa * wb, t12 * t12
     if (abs(pv - qv) > _DET_FILTER * (pv + qv) + _DET_FLOOR
             and abs(pt - qt) > _DET_FILTER * (pt + qt) + _DET_FLOOR):
         return pv - qv, pt - qt
-    from fractions import Fraction  # 8 ms to import, and needed only here
-    wa, wb, l1, l2, dd = map(Fraction, (wa, wb, l1, l2, dd))
-    dets = (wa + 4 * dd) * wb - (l1 + l2) ** 2, wa * wb - (l1 - l2) ** 2
-    return tuple(map(_signed_float, dets))
+    return _exact_determinants(wa, wb, l1, l2, dd)
 
 
-def _signed_float(d) -> float:
-    """float(d) of a Fraction, keeping its sign: +-inf past the largest float,
-    where float() raises, and +-ulp(0) where it would round to zero."""
-    if abs(d) > _FLOAT_MAX:
-        return math.inf if d > 0 else -math.inf
-    f = float(d)
-    return f if f or not d else math.copysign(math.ulp(0.0), d)
+def _exact_determinants(wa, wb, l1, l2, dd):
+    """(det V, det T) of the exact inputs, integers over q^2 with q the largest
+    of the inputs' power-of-two denominators, each rounded once by int true
+    division: +-inf past the largest float, +-ulp(0) where a nonzero one rounds to 0."""
+    ratios = [x.as_integer_ratio() for x in (wa, wb, l1, l2, dd)]
+    q = max(d for _, d in ratios)
+    wa, wb, l1, l2, dd = [n * (q // d) for n, d in ratios]
+    dets = []
+    for det in ((wa + 4 * dd) * wb - (l1 + l2) ** 2, wa * wb - (l1 - l2) ** 2):
+        sign = (det > 0) - (det < 0)
+        try:
+            dets.append(det / (q * q) or sign * math.ulp(0.0))
+        except OverflowError:
+            dets.append(sign * math.inf)
+    return tuple(dets)
 
 
 def _where(cond, a, b):

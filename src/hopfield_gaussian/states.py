@@ -83,18 +83,6 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return _bose(omega, temperature)
 
 
-def _by_math(fn, *args) -> np.ndarray:
-    """A scalar ``math`` function per element of equal-length arrays.
-
-    numpy's expm1 can differ from ``math``'s in the last bit, and the
-    determinant formula for E_N magnifies a last-bit change of a covariance
-    entry to about 1e-8 near a separable pure state; with ``math`` on every
-    element the grid kernel's covariances equal those of the scalar route
-    exactly.
-    """
-    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, len(args[0]))
-
-
 def _bose(omega, temperature):
     """``thermal_occupation`` of a float, or elementwise of arrays (the
     temperature's along omega's last axis), at temperatures known to be
@@ -108,7 +96,10 @@ def _bose(omega, temperature):
                 # and +-inf or NaN at T = +-0, past |x| = 700 as below
                 x = omega / temperature
             live = abs(x) <= 700.0
-            occupation[live] = 1.0 / _by_math(math.expm1, x[live])
+            # math.expm1 per element, as on floats: numpy's can differ in the last
+            # bit, which the determinant formula for E_N magnifies to about 1e-8
+            # near a separable pure state
+            occupation[live] = 1.0 / np.fromiter(map(math.expm1, x[live].tolist()), float)
         return occupation
     if temperature == 0.0:
         return 0.0

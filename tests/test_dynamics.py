@@ -505,6 +505,40 @@ class TestTrajectorySize:
             evolve_second_moments(SecondMoments.vacuum(), rates, basis, t_final)
 
 
+class TestGrowingBranch:
+    """A hand-built RateSet may absorb faster than it emits, which
+    ``collective_rates`` never gives: that branch grows without bound.
+    Where its moments pass the largest float, both solvers raise one
+    ValueError naming it, with no numpy warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("solve", [evolve_trajectory, evolve_second_moments])
+    @pytest.mark.parametrize(
+        "rates, start, name",
+        [
+            (RateSet(0.03, 0.01, 0.01, 0.03), SecondMoments.vacuum(), "upper"),
+            (RateSet(0.01, 0.03, 0.03, 0.01), SecondMoments(0.2, 0.7, 0.1j, 0.3, 0.2j), "lower"),
+            # a squeezing moment far past what the occupation allows overflows first
+            (RateSet(0.03, 0.01, 0.01, 0.03), SecondMoments(0.0, 0.0, 1e300), "upper"),
+        ],
+        ids=["upper-from-vacuum", "lower-from-a-squeezed-start", "upper-squeezing-first"],
+    )
+    def test_an_overflow_names_the_growing_branch(self, solve, rates, start, name):
+        # e^{0.02 t} passes the largest float near t = 35,500
+        basis = hopfield_basis(hopfield(1, 1, 0.5))
+        message = rf"^the {name} branch grows past the float range by t = 100000$"
+        with pytest.raises(ValueError, match=message):
+            solve(start, rates, basis, 1e5, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_growing_branch_within_the_float_range_is_solved(self):
+        basis = hopfield_basis(hopfield(1, 1, 0.5))
+        rates = RateSet(0.03, 0.01, 0.01, 0.03)
+        final = evolve_second_moments(SecondMoments.vacuum(), rates, basis, 1e4, 1.0)
+        # occ_U = up expm1(-decay t) / -decay, decay = -0.02
+        assert final.occ_upper == pytest.approx(0.03 * math.expm1(200.0) / 0.02, rel=1e-12)
+
+
 MOMENT_FIELDS = ["occ_upper", "occ_lower", "sq_upper", "sq_lower", "cross"]
 RATE_FIELDS = ["up_upper", "down_upper", "up_lower", "down_lower"]
 NON_FINITE = [math.nan, math.inf, -math.inf]

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from hopfield_gaussian.dynamics import collective_rates
 from hopfield_gaussian.model import (
+    _DET_FILTER,
+    _DET_FLOOR,
     InstabilityError,
     ModelParams,
+    _exact_determinants,
     _stability_determinants,
     general,
     hopfield,
@@ -157,6 +160,30 @@ def sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def rounded(d: Fraction) -> float:
+    """d correctly rounded to a float, with its sign kept: +-inf where it
+    rounds past the largest float, +-ulp(0) where a nonzero d rounds to 0."""
+    try:
+        f = float(d)
+    except OverflowError:
+        return math.inf if d > 0 else -math.inf
+    return f if f or not d else math.ulp(0.0) if d > 0 else -math.ulp(0.0)
+
+
+def expected_determinants(point) -> tuple[float, float]:
+    """The values ``_stability_determinants`` gives: the float p - q where
+    the filter trusts the signs of both, else the rounded exact values."""
+    wa, wb, l1, l2, dd = point
+    pairs = ((wa + 4.0 * dd) * wb, (l1 + l2) * (l1 + l2)), (wa * wb, (l1 - l2) * (l1 - l2))
+    if all(abs(p - q) > _DET_FILTER * (p + q) + _DET_FLOOR for p, q in pairs):
+        return tuple(p - q for p, q in pairs)
+    return tuple(map(rounded, exact_determinants(*point)))
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 FLOAT_MAX = 1.7976931348623157e308
 positive = st.floats(5e-324, FLOAT_MAX)
 non_negative = st.floats(0.0, FLOAT_MAX)
@@ -184,25 +211,38 @@ def stability_points(draw):
 class TestExactStability:
     """The signs of ``_stability_determinants`` are those of the exact
     determinants anywhere in the float range: where a product overflows, where
-    both underflow, and within rounding of an edge."""
+    both underflow, and within rounding of an edge.  Where the float filter
+    misses, its values are the exact determinants correctly rounded."""
 
     # a product past the largest float on both sides (inf - inf), and a
     # determinant below the smallest subnormal: scaled copies of
-    # (1, 1, 1/2, 0, 0), a stable point; and both products of det V
+    # (1, 1, 1/2, 0, 0), a stable point; both products of det V
     # underflowing, where their float difference of one subnormal ulp has
-    # the wrong sign
+    # the wrong sign; and an exact det V a quarter ulp past the largest
+    # float, which rounds to the largest float, not to inf
     NAMED = [(1e200, 1e200, 5e199, 0.0, 0.0), (1e-170, 1e-170, 5e-171, 0.0, 0.0),
              (4.9525104639851177e-138, 5.135678329444881e-181, 9.789312546799335e-160,
-              9.789312546799335e-160, 6.278506246869001e-139)]
+              9.789312546799335e-160, 6.278506246869001e-139),
+             (FLOAT_MAX, 2.0, 1.3407807929942597e154, 0.0, 2.4948003869184003e291)]
 
     @settings(max_examples=1000)
     @given(stability_points())
     @example(NAMED[0])
     @example(NAMED[1])
     @example(NAMED[2])
+    @example(NAMED[3])
     def test_signs_are_exact_on_floats(self, point):
         dets = _stability_determinants(*point)
         assert [sign(d) for d in dets] == [sign(d) for d in exact_determinants(*point)], point
+        assert all(map(same_bits, dets, expected_determinants(point))), point
+        exact = map(rounded, exact_determinants(*point))
+        assert all(map(same_bits, _exact_determinants(*point), exact)), point
+
+    def test_values_are_the_rounded_exact_determinants(self):
+        assert _stability_determinants(*self.NAMED[0]) == (math.inf, math.inf)
+        assert _stability_determinants(*self.NAMED[1]) == (math.ulp(0.0), math.ulp(0.0))
+        assert _stability_determinants(*self.NAMED[2])[0] == -math.ulp(0.0)
+        assert _stability_determinants(*self.NAMED[3])[0] == FLOAT_MAX
 
     @settings(max_examples=200)
     @given(st.lists(stability_points(), min_size=1, max_size=12))
@@ -216,6 +256,7 @@ class TestExactStability:
             # the float filter runs the same operations on each element
             assert np.float64(det_v[i]).tobytes() == np.float64(dets[0]).tobytes(), point
             assert np.float64(det_t[i]).tobytes() == np.float64(dets[1]).tobytes(), point
+            assert all(map(same_bits, (det_v[i], det_t[i]), expected_determinants(point))), point
 
 
 class TestCriticalCoupling:

@@ -885,9 +885,9 @@ def loaded_modules(*argv) -> set:
 
 class TestRuntimeImports:
     """The package runs on numpy alone, single points never build the CSV
-    writer's tables, ordinary points never import ``fractions``, which
-    only the exact stability decision next to the edge needs, and only
-    ``verify`` loads ``oracles``."""
+    writer's tables, no command imports ``fractions`` (the exact stability
+    decision next to the edge takes plain integers), and only ``verify``
+    loads ``oracles``."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -897,6 +897,10 @@ class TestRuntimeImports:
             ["dynamics", "--lambda", "0.5", "--temp", "0.25", "--t-final", "5"],
             # every sweep block, even of two rows, takes the array CSV writer
             ["sweep", "--scenario", "custom", "--axis", "lambda:0.1:0.5:2"],
+            # det T = 0 exactly, and lambda = 0.5 on the edge: exact decisions
+            pytest.param(["point", "--lambda1", "1", "--lambda2", "0", "--diamag",
+                          "0.2551133598784275"], id="edge-point"),
+            pytest.param(["sweep", "--scenario", "fig5", "--diamag", "zero"], id="edge-sweep"),
         ],
         ids=lambda argv: argv[0],
     )
@@ -909,16 +913,11 @@ class TestRuntimeImports:
         assert not modules & {"hopfield_gaussian.oracles", "hopfield_gaussian.verify"}
 
     def test_preset_sweep_takes_no_exact_decision(self):
-        # no preset point lies within rounding of the stability edge, so a
-        # float filter that missed would send whole blocks through Fraction
+        # no fig6 point lies within rounding of the stability edge; the figure
+        # script's fig5_no_diamag variant has lambda = 0.5 on it (edge-sweep)
         modules = loaded_modules("sweep", "--scenario", "fig6")
         assert "fractions" not in modules
         assert "hopfield_gaussian.csvwriter" in modules
 
     def test_verify_loads_the_oracles(self):
         assert "hopfield_gaussian.oracles" in loaded_modules("verify", "--check", "7")
-
-    def test_edge_point_takes_the_exact_decision(self):
-        # det T = 0 exactly: the probe sees the import that ordinary points skip
-        argv = ["point", "--lambda1", "1", "--lambda2", "0", "--diamag", "0.2551133598784275"]
-        assert "fractions" in loaded_modules(*argv)

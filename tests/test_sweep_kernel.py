@@ -331,8 +331,8 @@ class TestFaultParity:
 
     @pytest.mark.filterwarnings("error")
     def test_exact_decision_past_the_float_range_is_infinite(self):
-        # the Fraction determinants are about -1e600, past float(); both
-        # routes take the point for unstable
+        # the exact determinants are about -1e600, past the largest float:
+        # both round to -inf, and both routes take the point for unstable
         point = (1e-160, 0.5, 0.5, 1e300, 1.0)
         assert _stability_determinants(*point) == (-math.inf, -math.inf)
         row = run_point(ModelParams(*point), None, "ground")
