@@ -226,15 +226,18 @@ def evolve_trajectory(
     last step only.
 
     dt is only the output time spacing; the default is 0.05 over the
-    fastest branch frequency or rate.  Row 0 is the initial state.
+    fastest branch frequency or rate.  Row 0 is the initial state.  A branch
+    that grows past the float range by the last step raises ValueError.
     """
     times = _recorded_times(t_final, _output_step(dt, rates, basis), stride)
-    with np.errstate(over="ignore", invalid="ignore"):
+    if rates.decay_upper() > 0.0 < rates.decay_lower():
         moments = _exact_moments(initial, rates, basis, times)
-    # a growing branch's moduli rise with t, so its last row overflows first
-    if not np.isfinite(moments[-1]).all():
-        name = "upper" if rates.decay_upper() <= rates.decay_lower() else "lower"
-        raise ValueError(f"the {name} branch grows past the float range by t = {times[-1]:g}")
+    else:  # a branch that does not decay may grow with t: its last row overflows first
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments = _exact_moments(initial, rates, basis, times)
+        if not np.isfinite(moments[-1]).all():
+            name = "upper" if rates.decay_upper() <= rates.decay_lower() else "lower"
+            raise ValueError(f"the {name} branch grows past the float range by t = {times[-1]:g}")
     if moments[:, :2].real.min() < 0:
         raise ValueError("occupations must be non-negative")
     return Trajectory(times, moments)

@@ -153,11 +153,9 @@ _SIGN_VT = np.array([[1.0], [-1.0]])
 
 def _stability_determinants(wa, wb, l1, l2, dd):
     """(det V, det T), stable iff both are positive; floats, or arrays as
-    the rows of one (2, n) array.
-
-    Where a float determinant is within rounding of zero, or NaN (inf - inf
-    past the largest float), both come from ``_exact_determinants``.
-    """
+    the rows of one (2, n) array.  Where a float determinant is within rounding
+    of zero, or NaN (inf - inf past the largest float), both are exact values
+    (``_exact_determinants``)."""
     if isinstance(wa, np.ndarray):
         s = l1 + _SIGN_VT * l2
         p, q = (wa + _FOUR_VT * dd) * wb, s * s

@@ -96,9 +96,8 @@ def _bose(omega, temperature):
                 # and +-inf or NaN at T = +-0, past |x| = 700 as below
                 x = omega / temperature
             live = abs(x) <= 700.0
-            # math.expm1 per element, as on floats: numpy's can differ in the last
-            # bit, which the determinant formula for E_N magnifies to about 1e-8
-            # near a separable pure state
+            # math.expm1 per element, as on floats: numpy's can differ in the last bit,
+            # which E_N's determinant formula magnifies to 1e-8 near separable pure states
             occupation[live] = 1.0 / np.fromiter(map(math.expm1, x[live].tolist()), float)
         return occupation
     if temperature == 0.0:
