@@ -218,8 +218,8 @@ class TestExactStability:
     # determinant below the smallest subnormal: scaled copies of
     # (1, 1, 1/2, 0, 0), a stable point; both products of det V
     # underflowing, where their float difference of one subnormal ulp has
-    # the wrong sign; and an exact det V a quarter ulp past the largest
-    # float, which rounds to the largest float, not to inf
+    # the wrong sign; and an exact det V 2^919 past the largest float, under
+    # half its ulp (2^970), which rounds to the largest float, not to inf
     NAMED = [(1e200, 1e200, 5e199, 0.0, 0.0), (1e-170, 1e-170, 5e-171, 0.0, 0.0),
              (4.9525104639851177e-138, 5.135678329444881e-181, 9.789312546799335e-160,
               9.789312546799335e-160, 6.278506246869001e-139),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfield_gaussian import cli, oracles, states, sweep
+from hopfield_gaussian import cli, model, oracles, states, sweep
 from hopfield_gaussian.measures import SteeringClass
 from hopfield_gaussian.model import InstabilityError, ModelParams, hopfield, no_a2
 from hopfield_gaussian.oracles import resonant_balance_frequency
@@ -912,12 +912,19 @@ class TestRuntimeImports:
         assert writer == (argv[0] == "sweep")
         assert not modules & {"hopfield_gaussian.oracles", "hopfield_gaussian.verify"}
 
-    def test_preset_sweep_takes_no_exact_decision(self):
+    def test_preset_sweep_takes_no_exact_decision(self, monkeypatch):
         # no fig6 point lies within rounding of the stability edge; the figure
         # script's fig5_no_diamag variant has lambda = 0.5 on it (edge-sweep)
         modules = loaded_modules("sweep", "--scenario", "fig6")
         assert "fractions" not in modules
         assert "hopfield_gaussian.csvwriter" in modules
+        decided, exact = [], model._exact_determinants
+        monkeypatch.setattr(model, "_exact_determinants", lambda *p: decided.append(p) or exact(*p))
+        sweep_csv(resolve_scenario("fig6"))
+        assert decided == []
+        fig5 = resolve_scenario("fig5")
+        sweep_csv(SweepSpec("fig5", fig5.axes, fig5.fixed, diamag_mode="zero", state="thermal"))
+        assert decided == [(1.0, 1.0, 0.5, 0.5, 0.0)]
 
     def test_verify_loads_the_oracles(self):
         assert "hopfield_gaussian.oracles" in loaded_modules("verify", "--check", "7")
