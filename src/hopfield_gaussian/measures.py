@@ -4,7 +4,8 @@ All measures reduce to the four determinant invariants of the block
 partition Gamma = [[A, C^T], [C, B]] and the partial-transpose symplectic
 eigenvalues d~_-, d~_+.  Sweeps and ``point`` take them from the x-p
 sectors of the state (``_sector_invariants``), in closed forms free of
-differences of nearly equal terms.
+differences of nearly equal terms, each formula one expression for floats
+and arrays.
 
 One checked stage, ``_measures``, gives every measure and the steering
 class of a point (``correlation_report``), a grid (``sweep.evaluate_grid``)
@@ -78,48 +79,27 @@ class CorrelationReport(NamedTuple):
 
 
 def _sector_invariants(gxx, gpp, c_u, c_l, det_xx):
-    """(det A, det B, det C, det Gamma, discriminant, d~_-, d~_+) of Gamma_xx ⊕ Gamma_pp.
+    """(det A, det B, det C, det Gamma, discriminant, d~_-, d~_+) of Gamma_xx ⊕ Gamma_pp;
+    floats or arrays, each formula one expression for both.
 
     det A = Gxx_aa Gpp_aa, det C = Gxx_ab Gpp_ab, det Gamma = (c_U c_L)^2;
     d~_+- are the singular values of F^T G, Gamma_xx = F F^T, P Gamma_pp P =
     G G^T (Cholesky), free of differences of nearly equal terms.
     """
-    if isinstance(c_u, np.ndarray):
-        return _stacked_invariants(gxx, gpp, c_u, c_l, det_xx)
-    nu, root_det = c_u * c_l, math.sqrt(det_xx)
+    floats = not isinstance(c_u, np.ndarray)
+    sqrt = math.sqrt if floats else np.sqrt
+    nu, root_det = c_u * c_l, sqrt(det_xx)
     i_a, i_b, i_c = gxx[0] * gpp[0], gxx[2] * gpp[2], gxx[1] * gpp[1]
-    if not (root_det > 0.0 and i_a > 0.0):
+    if floats and not (root_det > 0.0 and i_a > 0.0):
         # a float division by zero raises where numpy's gives inf or NaN:
         # either way the discriminant is not finite, an overflow fault
         return i_a, i_b, i_c, nu * nu, math.nan, math.nan, math.nan
     # F^T G times sqrt(det A)
     k11, k12, k21, k22 = i_a - i_c, gxx[1] * nu / root_det, -gpp[1] * root_det, nu
-    q = math.sqrt((k11 + k22) * (k11 + k22) + (k12 - k21) * (k12 - k21))
-    r = math.sqrt((k11 - k22) * (k11 - k22) + (k12 + k21) * (k12 + k21))
-    d_plus = 0.5 * (q + r) / math.sqrt(i_a)
+    q = sqrt((k11 + k22) * (k11 + k22) + (k12 - k21) * (k12 - k21))
+    r = sqrt((k11 - k22) * (k11 - k22) + (k12 + k21) * (k12 + k21))
+    d_plus = 0.5 * (q + r) / sqrt(i_a)
     # (q r / det A)^2 = (d~_+^2 - d~_-^2)^2 = delta~^2 - 4 det Gamma
-    disc = q * r / i_a
-    return i_a, i_b, i_c, nu * nu, disc * disc, nu / d_plus, d_plus
-
-
-def _stacked_invariants(gxx, gpp, c_u, c_l, det_xx):
-    """``_sector_invariants`` of arrays, (3, n) blocks: the products of the
-    block entries are one product, and q, r one pass over two stacked
-    pairs.  With P = (k11, k12) and Q = (k22, -k21) = (nu, Gpp_ab sqrt(det
-    Gamma_xx)), (k11 + k22, k12 - k21) is P + Q and (k11 - k22, k12 + k21)
-    is P - Q, each entry the float route's sum."""
-    nu, root_det = c_u * c_l, np.sqrt(det_xx)
-    i_a, i_c, i_b = gxx * gpp
-    p_q = np.empty((2, 2, len(nu)))
-    np.subtract(i_a, i_c, out=p_q[0, 0])
-    np.multiply(gxx[1], nu, out=p_q[0, 1])
-    p_q[0, 1] /= root_det
-    p_q[1, 0] = nu
-    np.multiply(gpp[1], root_det, out=p_q[1, 1])
-    sums = np.array((p_q[0] + p_q[1], p_q[0] - p_q[1]))
-    sums *= sums
-    q, r = np.sqrt(sums[:, 0] + sums[:, 1])
-    d_plus = 0.5 * (q + r) / np.sqrt(i_a)
     disc = q * r / i_a
     return i_a, i_b, i_c, nu * nu, disc * disc, nu / d_plus, d_plus
 
@@ -132,7 +112,7 @@ def classify_steering(g_ab: float, g_ba: float) -> SteeringClass:
 
 def _occupation(x, p):
     """N = (x + p - 1) / 2 of a mode from its two quadrature variances;
-    floats or arrays, the modes a and b as rows of stacked arrays."""
+    floats or arrays."""
     return 0.5 * (x + p - 1.0)
 
 
@@ -183,6 +163,8 @@ _LOG_FACTORS = np.array([[-1.0], [0.5], [0.5]])
 
 def _stacked_measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled):
     """``_measures`` of arrays, the measures as the rows of one (8, n) array.
+    A form of its own, for arrays decide faults after ``np.log``, where
+    floats must decide them before ``math.log`` raises.
 
     The operations of the float route on every element, E_N and those of
     ``_steering_raw`` and ``_purities`` among them: the three logarithms
@@ -248,10 +230,7 @@ def _sector_measures(sectors):
     product of its two modes."""
     gxx, gpp = sectors[:2]
     i_a, i_b, i_c, i_ab, disc_sq, d_minus, _ = _sector_invariants(*sectors)
-    if isinstance(i_ab, np.ndarray):
-        n_a, n_b = _occupation(gxx[0::2], gpp[0::2])
-    else:
-        n_a, n_b = _occupation(gxx[0], gpp[0]), _occupation(gxx[2], gpp[2])
+    n_a, n_b = _occupation(gxx[0], gpp[0]), _occupation(gxx[2], gpp[2])
     coupled = (gxx[1] != 0.0) | (gpp[1] != 0.0)
     return _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled)
 

@@ -12,8 +12,9 @@ lambda1 + lambda2], [lambda1 + lambda2, omega_b]], T = V with lambda1 -
 lambda2 and no D (``_sector_modes``).  Sweeps and ``point`` build their
 covariances from the frames; ``diagonalize`` and the dynamics read the
 Bogoliubov coefficients off them (``_frame_coefficients``).  A point takes
-its two frames as floats (``_sector_frame``); a sweep block takes the (T, V)
-and (V, T) frames of all its points in one array pass (``_stacked_frames``).
+its two frames as floats (``_sector_frame``); a sweep block runs the same
+formulas once over the (2, n) arrays of the (T, V) and (V, T) frames of all
+its points.
 """
 from __future__ import annotations
 
@@ -144,33 +145,21 @@ def _mixing_angle(wa, wb, lam, dd, wu, wl):
     return 0.5 * math.atan2(sin2t, cos2t)
 
 
-# rows (V, T) of the stacked determinants: omega_a + 4D and omega_a + 0 D =
-# omega_a, lambda1 + lambda2 and lambda1 + (-lambda2) = lambda1 - lambda2,
-# the float route's operations on every element
-_FOUR_VT = np.array([[4.0], [0.0]])
-_SIGN_VT = np.array([[1.0], [-1.0]])
-
-
 def _stability_determinants(wa, wb, l1, l2, dd):
-    """(det V, det T), stable iff both are positive; floats, or arrays as
-    the rows of one (2, n) array.  Where a float determinant is within rounding
+    """(det V, det T), stable iff both are positive; floats or arrays, each
+    formula one expression for both.  Where a determinant is within rounding
     of zero, or NaN (inf - inf past the largest float), both are exact values
     (``_exact_determinants``)."""
-    if isinstance(wa, np.ndarray):
-        s = l1 + _SIGN_VT * l2
-        p, q = (wa + _FOUR_VT * dd) * wb, s * s
-        dets = p - q
-        far = abs(dets) > _DET_FILTER * (p + q) + _DET_FLOOR
-        if not far.all():
-            for i in np.flatnonzero(~far.all(0)).tolist():
-                dets[:, i] = _exact_determinants(wa[i], wb[i], l1[i], l2[i], dd[i])
-        return dets
-    t12 = l1 - l2
-    pv, qv, pt, qt = (wa + 4.0 * dd) * wb, (l1 + l2) * (l1 + l2), wa * wb, t12 * t12
-    if (abs(pv - qv) > _DET_FILTER * (pv + qv) + _DET_FLOOR
-            and abs(pt - qt) > _DET_FILTER * (pt + qt) + _DET_FLOOR):
-        return pv - qv, pt - qt
-    return _exact_determinants(wa, wb, l1, l2, dd)
+    lv, lt = l1 + l2, l1 - l2
+    pv, qv, pt, qt = (wa + 4.0 * dd) * wb, lv * lv, wa * wb, lt * lt
+    det_v, det_t = pv - qv, pt - qt
+    far = ((abs(det_v) > _DET_FILTER * (pv + qv) + _DET_FLOOR)
+           & (abs(det_t) > _DET_FILTER * (pt + qt) + _DET_FLOOR))
+    if isinstance(far, np.ndarray):
+        for i in np.flatnonzero(~far).tolist():
+            det_v[i], det_t[i] = _exact_determinants(wa[i], wb[i], l1[i], l2[i], dd[i])
+        return det_v, det_t
+    return (det_v, det_t) if far else _exact_determinants(wa, wb, l1, l2, dd)
 
 
 def _exact_determinants(wa, wb, l1, l2, dd):
@@ -195,65 +184,43 @@ def _where(cond, a, b):
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
-def _sector_frame(a, b, det_a, det_ab):
+def _sector_frame(a, b, det_a, det_ab, sqrt=math.sqrt):
     """((omega_U, omega_L), u_U, A^1/2, det A) of the sector pair (A, B), each
-    matrix as (11, 12, 22); floats.
+    matrix as (11, 12, 22): floats, or with ``sqrt=np.sqrt`` arrays, each
+    formula one expression for both shapes.
 
     A^1/2 B A^1/2 = R diag(omega_U^2, omega_L^2) R^T, omega_L^2 = det A det B /
     omega_U^2; R's first column u_U and A^1/2 = (A + sqrt(det A) I) / sqrt(tr A
-    + 2 sqrt(det A)) take no difference of nearly equal terms.
+    + 2 sqrt(det A)) take no difference of nearly equal terms.  Only u_U's
+    choice takes a form per shape: ``np.where`` of arrays, a conditional
+    expression of floats, which must also catch a lost frame before its
+    division by zero raises where numpy's gives inf or NaN.
     """
-    s = math.sqrt(det_a)
-    tau = math.sqrt(a[0] + a[2] + 2.0 * s)
+    s = sqrt(det_a)
+    tau = sqrt(a[0] + a[2] + 2.0 * s)
     r11, r12, r22 = root = ((a[0] + s) / tau, a[1] / tau, (a[2] + s) / tau)
     m11, m12, m21, m22 = (r11 * b[0] + r12 * b[1], r11 * b[1] + r12 * b[2],
                           r12 * b[0] + r22 * b[1], r12 * b[1] + r22 * b[2])
     s11, s12, s22 = m11 * r11 + m12 * r12, m11 * r12 + m12 * r22, m21 * r12 + m22 * r22
     half_gap = 0.5 * (s11 - s22)
-    h = math.sqrt(half_gap * half_gap + s12 * s12)
+    h = sqrt(half_gap * half_gap + s12 * s12)
     wu_sq = 0.5 * (s11 + s22) + h
-    if not wu_sq:
-        # S underflowed to 0: the frame is lost, NaN as numpy's 0 / 0 gives
-        return (0.0, math.nan), (math.nan, math.nan), root, det_a
-    # any R serves where S = c I, c > 0: take the identity
+    # any R serves where S = c I, c > 0: take the identity.  Adding 0 where S
+    # is not flat changes only the sign of a zero half_gap, which neither
+    # its abs nor its sign test reads
     flat = (h == 0.0) & (wu_sq > 0.0)
     half_gap, h = half_gap + flat, h + flat
     # u_U is (g, s12) or (s12, g) over its norm sqrt(2 h g)
     g = h + abs(half_gap)
-    norm = math.sqrt(2.0 * h * g)
-    u1, u2 = (g, s12) if half_gap >= 0.0 else (s12, g)
-    return (math.sqrt(wu_sq), math.sqrt(det_ab / wu_sq)), (u1 / norm, u2 / norm), root, det_a
-
-
-def _stacked_frames(a, b, det_a, det_ab):
-    """``_sector_frame`` of two sector pairs (A, B) of n points as one pass:
-    ``a`` and ``b`` are (3, 2, n), the entries (11, 12, 22) of A and of B in
-    frames 0 and 1.  Every element takes the float route's operations; each
-    pair, triple or product of 2x2 matrices is one array along the first
-    axis."""
-    s = np.sqrt(det_a)
-    tau = np.sqrt(a[0] + a[2] + 2.0 * s)
-    root = a.copy()
-    root[0::2] += s
-    root /= tau
-    # M = R B and S = M R, each entry a sum of two products of stacked rows:
-    # m[i, j] = r_i b_j + r_(i+1) b_(j+1), s[i, j] = m[i, 0] r_j + m[i, 1] r_(j+1)
-    m = root[:2, None] * b[:2] + root[1:, None] * b[1:]
-    s = m[:, 0, None] * root[:2] + m[:, 1, None] * root[1:]
-    s11, s12, s22 = s[0, 0], s[0, 1], s[1, 1]
-    half_gap = 0.5 * (s11 - s22)
-    h = np.sqrt(half_gap * half_gap + s12 * s12)
-    wu_sq = 0.5 * (s11 + s22) + h
-    # as on floats; adding 0 where no point is flat would change only the
-    # sign of a zero half_gap, which neither its abs nor its sign test reads
-    flat = h == 0.0
-    if flat.any():
-        flat &= wu_sq > 0.0
-        half_gap, h = half_gap + flat, h + flat
-    g = h + abs(half_gap)
-    pair = np.array((g, s12))
-    u = np.where(half_gap >= 0.0, pair, pair[::-1]) / np.sqrt(2.0 * h * g)
-    return np.sqrt(np.array((wu_sq, det_ab / wu_sq))), u, root, det_a
+    norm = sqrt(2.0 * h * g)
+    if sqrt is np.sqrt:
+        u1, u2 = np.where(half_gap >= 0.0, (g, s12), (s12, g))
+    elif wu_sq:
+        u1, u2 = (g, s12) if half_gap >= 0.0 else (s12, g)
+    else:
+        # S underflowed to 0: the frame is lost, NaN as numpy's 0 / 0 gives
+        return (0.0, math.nan), (math.nan, math.nan), root, det_a
+    return (sqrt(wu_sq), sqrt(det_ab / wu_sq)), (u1 / norm, u2 / norm), root, det_a
 
 
 def _sector_modes(wa, wb, l1, l2, dd, det_v, det_t):
@@ -262,10 +229,10 @@ def _sector_modes(wa, wb, l1, l2, dd, det_v, det_t):
     With forward roots only, both stay well conditioned next to either edge.
     The point's frequencies are those of (V, T).  A frame is (w, u, root,
     det A): the frequency pair, u_U and A^1/2 of ``_sector_frame``.  On
-    arrays both frames are one pass of ``_stacked_frames``: the first frame
-    returned is that stacked pair, whose pairs and triples are arrays with
-    the frame on axis 1 (0 the (T, V) frame, 1 the (V, T) frame) and the
-    point on the last axis, and the second is its frame 1.
+    arrays both frames are one pass of ``_sector_frame`` over (2, n)
+    arrays, frame 0 the (T, V) frame and frame 1 the (V, T) frame, point on
+    the last axis: the first frame returned is that pair of frames, and the
+    second its frame 1 (``_frame_row``).
     """
     det = det_v * det_t
     passive = (l2 == 0.0) & (dd == 0.0)
@@ -275,25 +242,22 @@ def _sector_modes(wa, wb, l1, l2, dd, det_v, det_t):
         wv, lt, lv = wa + 4.0 * dd, l1 - l2, l1 + l2
         ab = np.array((wa, wv, lt, lv, wb, wb, wv, wa, lv, lt, wb, wb, det_t, det_v))
         ab = ab.reshape(7, 2, -1)
-        frames = _stacked_frames(ab[:3], ab[3:6], ab[6], det)
+        frames = _sector_frame(ab[:3], ab[3:6], ab[6], det, np.sqrt)
         return frames, _frame_row(frames, 1), passive
     v, t = (wa + 4.0 * dd, l1 + l2, wb), (wa, l1 - l2, wb)
     return _sector_frame(t, v, det_t, det), _sector_frame(v, t, det_v, det), passive
 
 
 def _frame_row(frames, k):
-    """Frame k of a stacked pair of frames, as views."""
-    w, u, root, det_a = frames
-    return w[:, k], u[:, k], root[:, k], det_a[k]
+    """Frame k of a pair of frames of arrays, as tuples of views."""
+    (wu, wl), (u1, u2), (r11, r12, r22), det_a = frames
+    return (wu[k], wl[k]), (u1[k], u2[k]), (r11[k], r12[k], r22[k]), det_a[k]
 
 
 def _frame_vectors(u, root):
     """(A^1/2 u_U, A^1/2 u_L) of a frame's u_U and A^1/2, u_L = (-u2, u1);
-    floats, or stacked arrays as pairs along the first axis."""
+    floats or arrays."""
     (u1, u2), (r11, r12, r22) = u, root
-    if isinstance(u1, np.ndarray):
-        # rows i of root[:2] and root[1:] are (r11, r12) and (r12, r22)
-        return root[:2] * u1 + root[1:] * u2, root[1:] * u1 - root[:2] * u2
     return ((r11 * u1 + r12 * u2, r12 * u1 + r22 * u2),
             (r12 * u1 - r11 * u2, r22 * u1 - r12 * u2))
 

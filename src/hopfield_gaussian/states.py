@@ -6,10 +6,10 @@ variance 1/2.  The steady state of the common-bath master equation is
 diagonal in the polariton basis with coth weights, n + 1/2 per branch
 (n = 0 for the ground state).  Sweeps and ``point`` build it as Gamma_xx
 ⊕ Gamma_pp from the x-p sector frames (``_sector_covariance``), on floats
-and on arrays alike; a sweep block takes both frames of all its points in
-one pass (``_stacked_covariance``).  A frequency that underflows to
-0 gives an infinite weight on both, which the measures stage reports as an
-overflow.  Only ``point --dump-cov`` assembles the 4x4 matrix
+and on arrays alike; on a sweep block each formula runs once over both
+frames' (2, n) arrays (``_stacked_covariance``).  A frequency that
+underflows to 0 gives an infinite weight on both, which the measures stage
+reports as an overflow.  Only ``point --dump-cov`` assembles the 4x4 matrix
 (``sector_matrix``), from the sectors whose measures ``point`` has
 checked; ``format_covariance`` writes its text format and
 ``parse_covariance`` reads it.
@@ -87,7 +87,10 @@ def _bose(omega, temperature):
     """``thermal_occupation`` of a float, or elementwise of arrays (the
     temperature's along omega's last axis), at temperatures known to be
     non-negative.  An omega that underflows to 0 gives inf at T > 0 on both,
-    which the measures stage reports."""
+    which the measures stage reports.  Arrays keep a form of their own, for
+    they call ``math.expm1`` per element: numpy's can differ in the last bit,
+    which E_N's determinant formula magnifies to 1e-8 near separable pure
+    states."""
     if isinstance(omega, np.ndarray):
         occupation = np.zeros(omega.shape)
         if temperature.any():  # a ground state is all zeros
@@ -96,8 +99,6 @@ def _bose(omega, temperature):
                 # and +-inf or NaN at T = +-0, past |x| = 700 as below
                 x = omega / temperature
             live = abs(x) <= 700.0
-            # math.expm1 per element, as on floats: numpy's can differ in the last bit,
-            # which E_N's determinant formula magnifies to 1e-8 near separable pure states
             occupation[live] = 1.0 / np.fromiter(map(math.expm1, x[live].tolist()), float)
         return occupation
     if temperature == 0.0:
@@ -119,7 +120,8 @@ def _weights(frame, c_u, c_l):
 
 
 def _sector_block(frame, w_u, w_l):
-    """(11, 12, 22) of sum_j w_j (A^1/2 u_j)(A^1/2 u_j)^T of one float frame."""
+    """(11, 12, 22) of sum_j w_j (A^1/2 u_j)(A^1/2 u_j)^T of a frame, floats
+    or arrays."""
     (y1, y2), (z1, z2) = _frame_vectors(*frame[1:3])
     return (w_u * y1 * y1 + w_l * z1 * z1, w_u * y1 * y2 + w_l * z1 * z2,
             w_u * y2 * y2 + w_l * z2 * z2)
@@ -131,9 +133,8 @@ def _sector_covariance(frame_x, frame_p, passive, temperature):
     A block is sum_j (c_j / omega_j) (A^1/2 u_j)(A^1/2 u_j)^T, c_j = 1/2 + n_j.
     Where V = T both are R diag(c_U, c_L) R^T = c_U I + (c_L - c_U) u_L u_L^T,
     so a number-conserving ground state is the vacuum exactly.  A float point
-    computes only the form its V = T flag selects.  Arrays compute both, with
-    frame_x the stacked pair of frames of ``_sector_modes``
-    (``_stacked_covariance``).
+    computes only the form its V = T flag selects.  Arrays take frame_x as
+    the pair of frames of ``_sector_modes`` (``_stacked_covariance``).
     """
     if isinstance(passive, np.ndarray):
         return _stacked_covariance(frame_x, temperature, passive)
@@ -150,31 +151,28 @@ def _sector_covariance(frame_x, frame_p, passive, temperature):
 
 
 def _stacked_covariance(frames, temperature, passive):
-    """``_sector_covariance`` of arrays, one pass over both frames: the
-    weights (c_j / omega_j of each frame) and the three entries of both
-    blocks are each one array, Gamma_xx and Gamma_pp (3, n) views of the
-    blocks.  Every element takes the float route's operations."""
-    w, u, root, det_a = frames
-    c_u, c_l = c = 0.5 + _bose(w[:, 1], temperature)
+    """``_sector_covariance`` of arrays: both blocks of every point are one
+    ``_sector_block`` over the pair of frames.  Only c_U, c_L (of frame 1),
+    the V = T form (at all, no or some points) and the split of the (2, n)
+    blocks into Gamma_xx and Gamma_pp differ from floats."""
+    (wu, wl), (u1, u2), _, det_a = frames
+    c_u, c_l = 0.5 + _bose(np.array((wu[1], wl[1])), temperature)
     # a V = T point takes the form of its float route; a block computes only
     # the forms its points take
     passive_points = np.count_nonzero(passive)
     if passive_points:
-        (u1, u2), d = u[:, 1], c_l - c_u
+        u1, u2, d = u1[1], u2[1], c_l - c_u
         same = np.array((c_u + d * u2 * u2, -d * u1 * u2, c_u + d * u1 * u1))
         if passive_points == len(passive):
             return same, same, c_u, c_l, c_u * c_l
-    weights = c[:, None] / w
-    y, z = _frame_vectors(u, root)
-    # products [i, j] = w_U y_i y_j + w_L z_i z_j; (11, 12, 22) are [0, 0], [0, 1], [1, 1]
-    wy, wz = weights[0] * y, weights[1] * z
-    products = wy[:, None] * y + wz[:, None] * z
-    blocks = products[(0, 0, 1), (0, 1, 1)]
-    det_xx = det_a[0] * weights[0, 0] * weights[1, 0]
+    w_u, w_l = c_u / wu, c_l / wl
+    blocks = _sector_block(frames, w_u, w_l)
+    det_xx = det_a[0] * w_u[0] * w_l[0]
     if passive_points:
         blocks = np.where(passive, same[:, None], blocks)
         det_xx = np.where(passive, c_u * c_l, det_xx)
-    return blocks[:, 0], blocks[:, 1], c_u, c_l, det_xx
+    gxx, gpp = zip(*blocks)
+    return gxx, gpp, c_u, c_l, det_xx
 
 
 def sector_matrix(sectors) -> CovarianceMatrix:

@@ -24,13 +24,12 @@ same floating-point operations as on floats.  Both shapes take each rule
 of a row from one place: the state's temperature (``_state_temperature``),
 the stage arguments and the stability decision (``_sector_args``), and the
 echoed cells (``_echo``).  A block's cost is mostly a fixed count of numpy
-calls, so the array stages take the (T, V) frame of Gamma_xx and the
-(V, T) frame of Gamma_pp of every point in one pass, and stack each pair,
-triple or 2x2 product of a formula into one array, one numpy call where
-the float route makes two to four; a block with no unstable point skips
-the gather of its stable points.  Its measures stage is the checked one
-of ``run_point``: the kernel keeps no check or message of its own, and
-raises ``measures.measure_error`` for the first point with a fault.  Each
+calls, so each stage formula runs once over the (2, n) arrays of both
+frames of every point, the (T, V) frame of Gamma_xx and the (V, T) frame
+of Gamma_pp; a block with no unstable point skips the gather of its
+stable points.  Its measures stage is the checked one of ``run_point``:
+the kernel keeps no check or message of its own, and raises
+``measures.measure_error`` for the first point with a fault.  Each
 point's result depends on that point alone, so any contiguous split of a
 grid yields the same rows; ``sweep_csv``'s blocks rely on this.
 
@@ -442,11 +441,11 @@ def grid_points(spec: SweepSpec, env: Environment) -> GridPoints:
 
 
 # points per kernel call.  Every preset (at most 2,925 points) is one call,
-# since each call has a fixed cost of about 160 us, and its text 70 us more
+# since each call has a fixed cost of about 170 us, and its text 80 us more
 # (a one-point block, best of 3,000, on a 2-core box).  The blocks bound the
 # temporaries of the kernel and of the CSV writer on larger grids: traced
 # with tracemalloc on a 4,096-point block (64 x 64 points over the fig3a
-# extent), they peak at 660 bytes per point in the kernel and 500 in
+# extent), they peak at 647 bytes per point in the kernel and 496 in
 # GridResult.csv_text, the block's text (197 bytes per point) included
 _BLOCK_POINTS = 4096
 

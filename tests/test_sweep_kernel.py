@@ -563,6 +563,15 @@ EDGE_EXAMPLES = (
     (1.0, 1.0, 0.0, 0.9999999999999999, 0.0, 0.0),  # both determinants 2.2e-16
     (1.0, 1.0, 0.0, 1.0000000000000002, 0.0, 0.3),  # both -4.4e-16
 )
+# the rare shapes of an array block: V = T (lambda2 = D = 0) and V != T points
+# in one block, S = I flat at lambda = 0, and a block whose every point has V = T
+MIXED_BLOCK = (
+    (1.0, 1.0, 0.0, 0.0, 0.0, 0.25),  # V = T and S = I
+    (1.0, 1.0, 0.0, 0.3, 0.0, 0.25),
+    (1.0, 1.0, 0.3, 0.0, 0.0, 0.25),  # V = T
+    (0.5, 2.0, 0.4, 0.2, 0.3, 0.0),
+)
+PASSIVE_BLOCK = (MIXED_BLOCK[0], MIXED_BLOCK[2])
 
 
 class TestSectorRouteAgainstOracles:
@@ -635,6 +644,8 @@ class TestSectorRouteAgainstOracles:
 
     @given(st.lists(sector_points(), min_size=1, max_size=8))
     @example(list(EDGE_EXAMPLES))
+    @example(list(MIXED_BLOCK))
+    @example(list(PASSIVE_BLOCK))
     def test_float_and_stacked_inputs_agree_bit_for_bit(self, points):
         def leaves(tree, k=None):
             # a stacked array holds its pairs and triples along the first axis
