@@ -441,7 +441,7 @@ def grid_points(spec: SweepSpec, env: Environment) -> GridPoints:
 
 
 # points per kernel call.  Every preset (at most 2,925 points) is one call,
-# since each call has a fixed cost of about 170 us, and its text 80 us more
+# since each call has a fixed cost of 150-170 us, and its text 70-80 us more
 # (a one-point block, best of 3,000, on a 2-core box).  The blocks bound the
 # temporaries of the kernel and of the CSV writer on larger grids: traced
 # with tracemalloc on a 4,096-point block (64 x 64 points over the fig3a

@@ -658,7 +658,7 @@ class TestSectorRouteAgainstOracles:
         ok = (det_v > 0.0) & (det_t > 0.0)
         frames = _sector_modes(*(a[ok] for a in (wa, wb, l1, l2, dd)), det_v[ok], det_t[ok])
         sectors = _sector_covariance(*frames, temperature[ok])
-        # the first frame of arrays is the stacked pair of both; its frame 1 is the second
+        # the first frame of arrays is the pair of both frames; its frame 1 is the second
         pair = _frame_row(frames[0], 0), _frame_row(frames[0], 1)
         assert leaves(pair[1]) == leaves(frames[1])
         stacked = ((*pair, frames[2]), sectors, _sector_invariants(*sectors))
