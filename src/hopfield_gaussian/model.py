@@ -29,7 +29,6 @@ __all__ = [
     "PolaritonBasis",
     "hopfield",
     "natural_diamag",
-    "no_a2",
     "general",
 ]
 
@@ -75,13 +74,6 @@ class ModelParams:
         if self.diamag < 0:
             raise ValueError("diamagnetic coefficient must be non-negative")
 
-    @property
-    def coupling(self) -> float:
-        """The one coupling strength of the lambda1 = lambda2 family."""
-        if self.lambda1 != self.lambda2:
-            raise ValueError("lambda1 != lambda2: no single coupling strength")
-        return self.lambda1
-
 
 def natural_diamag(lam, omega_b):
     """Diamagnetic weight lambda^2/omega_b of light coupled to natural matter."""
@@ -91,11 +83,6 @@ def natural_diamag(lam, omega_b):
 def hopfield(omega_a: float, omega_b: float, lam: float) -> ModelParams:
     """Light-matter parameters with the natural diamagnetic weight lambda^2/omega_b."""
     return ModelParams(omega_a, omega_b, lam, lam, natural_diamag(lam, omega_b))
-
-
-def no_a2(omega_a: float, omega_b: float, lam: float) -> ModelParams:
-    """Same bilinear coupling but with the diamagnetic term dropped."""
-    return ModelParams(omega_a, omega_b, lam, lam, 0.0)
 
 
 def general(

@@ -24,6 +24,9 @@ another route here:
   spectra.
 - ``resonant_balance_frequency``: check 7 pins it to the purities
   (``matrix_report``) of the closed-form thermal state.
+
+``no_a2`` (the family without D) and ``single_coupling`` (its one
+coupling) serve only these routes, ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ from .states import CovarianceMatrix, _coth_weight
 __all__ = [
     "DegenerateSpectrumError",
     "UnphysicalStateError",
+    "no_a2",
+    "single_coupling",
     "critical_coupling",
     "build_dynamical_matrix",
     "polariton_frequencies",
@@ -89,6 +94,19 @@ class UnphysicalStateError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Normal modes.
+
+
+def no_a2(omega_a: float, omega_b: float, lam: float) -> ModelParams:
+    """The lambda1 = lambda2 coupling of ``model.hopfield`` without the
+    diamagnetic term."""
+    return ModelParams(omega_a, omega_b, lam, lam, 0.0)
+
+
+def single_coupling(params: ModelParams) -> float:
+    """The one coupling strength of the lambda1 = lambda2 family."""
+    if params.lambda1 != params.lambda2:
+        raise ValueError("lambda1 != lambda2: no single coupling strength")
+    return params.lambda1
 
 
 def critical_coupling(omega_a: float, omega_b: float) -> float:
@@ -139,12 +157,11 @@ def _closed_frequencies(wa, wb, lam, dd):
 
 def polariton_frequencies(params: ModelParams) -> tuple[float, float]:
     """Closed-form normal-mode frequencies (omega_U, omega_L), lambda1 = lambda2."""
-    product, wu, wl = _closed_frequencies(
-        params.omega_a, params.omega_b, params.coupling, params.diamag
-    )
+    lam = single_coupling(params)
+    product, wu, wl = _closed_frequencies(params.omega_a, params.omega_b, lam, params.diamag)
     if product <= 0.0:
         raise InstabilityError(
-            f"lower branch unstable: lambda={params.coupling:g} exceeds the "
+            f"lower branch unstable: lambda={lam:g} exceeds the "
             f"critical coupling for diamag={params.diamag:g}"
         )
     return wu, wl
@@ -182,7 +199,7 @@ def hopfield_basis(params: ModelParams) -> PolaritonBasis:
             "polariton branches coincide; coefficients are not defined"
         )
     theta, upper, lower = _closed_coefficients(
-        params.omega_a, params.omega_b, params.coupling, params.diamag, wu, wl
+        params.omega_a, params.omega_b, single_coupling(params), params.diamag, wu, wl
     )
     return PolaritonBasis(wu, wl, upper, lower, theta)
 
@@ -311,7 +328,7 @@ def ground_state_covariance_closed(params: ModelParams) -> CovarianceMatrix:
     familiar (omega_a + omega_b) / 2(omega_U + omega_L) pattern.
     """
     wu, wl = polariton_frequencies(params)
-    wa, wb, lam = params.omega_a, params.omega_b, params.coupling
+    wa, wb, lam = params.omega_a, params.omega_b, single_coupling(params)
     shifted = wa * wa + 4.0 * params.diamag * wa
     s, prod = wu + wl, wu * wl
     g = np.zeros((4, 4))
@@ -333,7 +350,7 @@ def thermal_covariance_closed(params: ModelParams, temperature: float) -> Covari
     wu, wl = polariton_frequencies(params)
     if wu - wl < DEGENERACY_TOL * params.omega_b:
         raise DegenerateSpectrumError("branch splitting vanishes in the denominators")
-    wa, wb, lam = params.omega_a, params.omega_b, params.coupling
+    wa, wb, lam = params.omega_a, params.omega_b, single_coupling(params)
     cu = _coth_weight(wu, temperature)
     cl = _coth_weight(wl, temperature)
     wu2, wl2, wb2 = wu * wu, wl * wl, wb * wb
@@ -448,7 +465,7 @@ def _zeta(params: ModelParams, wu: float, wl: float) -> float:
 def ground_state_log_negativity_closed(params: ModelParams) -> float:
     """Closed-form ground-state entanglement of the single-coupling family."""
     wu, wl = polariton_frequencies(params)
-    wa, wb, lam = params.omega_a, params.omega_b, params.coupling
+    wa, wb, lam = params.omega_a, params.omega_b, single_coupling(params)
     two_d = abs(2.0 * lam * math.sqrt(wa * wb) - math.sqrt(_zeta(params, wu, wl))) / (
         (wu + wl) * math.sqrt(wu * wl)
     )
@@ -458,7 +475,7 @@ def ground_state_log_negativity_closed(params: ModelParams) -> float:
 def ground_state_steering_closed(params: ModelParams) -> float:
     """Closed-form ground-state steering, identical in both directions."""
     wu, wl = polariton_frequencies(params)
-    wa, wb, lam = params.omega_a, params.omega_b, params.coupling
+    wa, wb, lam = params.omega_a, params.omega_b, single_coupling(params)
     zeta = _zeta(params, wu, wl)
     ratio = wu * wl * (wu + wl) ** 2 * zeta / (zeta - 4.0 * lam * lam * wa * wb) ** 2
     return max(0.0, 0.5 * math.log(ratio))

@@ -2,12 +2,13 @@
 
 Quadratures are ordered canonically, (x_a, p_a, x_b, p_b) in the bare
 basis and (x_U, p_U, x_L, p_L) in the polariton basis, with the vacuum at
-variance 1/2.  The steady state of the common-bath master equation is
-diagonal in the polariton basis with coth weights, n + 1/2 per branch
-(n = 0 for the ground state).  Sweeps and ``point`` build it as Gamma_xx
-⊕ Gamma_pp from the x-p sector frames (``_sector_covariance``), on floats
-and on arrays alike; on a sweep block each formula runs once over both
-frames' (2, n) arrays (``_stacked_covariance``).  A frequency that
+variance 1/2.  A state diagonal in the polariton basis is fixed by its
+symplectic eigenvalues c_j = n_j + 1/2, which the caller computes;
+``_thermal_spectrum`` gives those of the common-bath steady state (n_j
+the Bose numbers, 0 in the ground state).  Sweeps and ``point`` build it
+as Gamma_xx ⊕ Gamma_pp from the x-p sector frames (``_sector_covariance``),
+on floats and arrays alike; on a sweep block each formula runs once over
+both frames' (2, n) arrays (``_stacked_covariance``).  A frequency that
 underflows to 0 gives an infinite weight on both, which the measures stage
 reports as an overflow.  Only ``point --dump-cov`` assembles the 4x4 matrix
 (``sector_matrix``), from the sectors whose measures ``point`` has
@@ -111,6 +112,15 @@ def _bose(omega, temperature):
     return 1.0 / math.expm1(x) if x > 0.0 else math.inf
 
 
+def _thermal_spectrum(omegas, temperature):
+    """(c_U, c_L) = 1/2 + ``_bose`` of (omega_U, omega_L): the symplectic
+    eigenvalues of the common-bath steady state at T >= 0, 1/2 at T = 0 (the
+    ground state); two floats, or the rows of one (2, n) array."""
+    if isinstance(temperature, np.ndarray):
+        return 0.5 + _bose(np.array(omegas), temperature)
+    return 0.5 + _bose(omegas[0], temperature), 0.5 + _bose(omegas[1], temperature)
+
+
 def _weights(frame, c_u, c_l):
     """(c_U / omega_U, c_L / omega_L) of a float frame, c >= 1/2.  An omega
     of 0 (an underflow) gives inf, as numpy's division does, where Python's
@@ -127,18 +137,18 @@ def _sector_block(frame, w_u, w_l):
             w_u * y2 * y2 + w_l * z2 * z2)
 
 
-def _sector_covariance(frame_x, frame_p, passive, temperature):
-    """(Gamma_xx, Gamma_pp, c_U, c_L, det Gamma_xx) from ``model._sector_modes``.
+def _sector_covariance(frame_x, frame_p, passive, c_u, c_l):
+    """(Gamma_xx, Gamma_pp, c_U, c_L, det Gamma_xx) of the state with symplectic
+    eigenvalues c_U, c_L >= 1/2, from ``model._sector_modes``.
 
-    A block is sum_j (c_j / omega_j) (A^1/2 u_j)(A^1/2 u_j)^T, c_j = 1/2 + n_j.
-    Where V = T both are R diag(c_U, c_L) R^T = c_U I + (c_L - c_U) u_L u_L^T,
-    so a number-conserving ground state is the vacuum exactly.  A float point
+    A block is sum_j (c_j / omega_j) (A^1/2 u_j)(A^1/2 u_j)^T.  Where V = T
+    both are R diag(c_U, c_L) R^T = c_U I + (c_L - c_U) u_L u_L^T, so a
+    number-conserving ground state is the vacuum exactly.  A float point
     computes only the form its V = T flag selects.  Arrays take frame_x as
     the pair of frames of ``_sector_modes`` (``_stacked_covariance``).
     """
     if isinstance(passive, np.ndarray):
-        return _stacked_covariance(frame_x, temperature, passive)
-    c_u, c_l = 0.5 + _bose(frame_p[0][0], temperature), 0.5 + _bose(frame_p[0][1], temperature)
+        return _stacked_covariance(frame_x, passive, c_u, c_l)
     (u1, u2), d = frame_p[1], c_l - c_u
     same = c_u + d * u2 * u2, -d * u1 * u2, c_u + d * u1 * u1
     if passive:
@@ -150,13 +160,12 @@ def _sector_covariance(frame_x, frame_p, passive, temperature):
     return gxx, gpp, c_u, c_l, det_xx
 
 
-def _stacked_covariance(frames, temperature, passive):
+def _stacked_covariance(frames, passive, c_u, c_l):
     """``_sector_covariance`` of arrays: both blocks of every point are one
-    ``_sector_block`` over the pair of frames.  Only c_U, c_L (of frame 1),
-    the V = T form (at all, no or some points) and the split of the (2, n)
-    blocks into Gamma_xx and Gamma_pp differ from floats."""
+    ``_sector_block`` over the pair of frames.  Only the V = T form (at all,
+    no or some points) and the split of the (2, n) blocks into Gamma_xx and
+    Gamma_pp differ from floats."""
     (wu, wl), (u1, u2), _, det_a = frames
-    c_u, c_l = 0.5 + _bose(np.array((wu[1], wl[1])), temperature)
     # a V = T point takes the form of its float route; a block computes only
     # the forms its points take
     passive_points = np.count_nonzero(passive)

@@ -9,7 +9,8 @@ runs.  A point is stable when det V and det T of its x and p sectors are
 positive; an unstable point becomes a row with empty measure fields and
 stable=false.  Every stable point takes one route, the x-p sector stages
 ``model._sector_modes``, ``states._sector_covariance`` and
-``measures._sector_measures``.
+``measures._sector_measures``, the covariance stage fed the state's
+symplectic eigenvalues by ``states._thermal_spectrum``.
 
 ``evaluate_point`` is that route for one point on floats, and the
 reference the kernel is tested against; its row is ``run_point``'s, and
@@ -64,7 +65,7 @@ from .model import (
     natural_diamag,
 )
 from .scenarios import FULL, MIX_ONLY, SQUEEZE_ONLY, SweepSpec
-from .states import _CELL, Environment, _sector_covariance
+from .states import _CELL, Environment, _sector_covariance, _thermal_spectrum
 # not used here: the benchmark's traced run wraps these by name on this module,
 # until ROADMAP item 1 points its spans at the sector stages and deletes this
 from .states import ground_state_covariance_generic, steady_state_covariance  # noqa: F401
@@ -273,7 +274,8 @@ def evaluate_point(
     if not stable:
         return ResultRow(*head, None, None, stable=False), None
     frame_x, frame_p, passive = _sector_modes(*args)
-    sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
+    spectrum = _thermal_spectrum(frame_p[0], temperature)
+    sectors = _sector_covariance(frame_x, frame_p, passive, *spectrum)
     report = correlation_report(sectors, frame_p[0][1])
     row = ResultRow(*head, *frame_p[0], *report[:-1], report.classification.value)
     return row, sectors
@@ -299,7 +301,8 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
         if not every:
             args, temperature = tuple(a[live] for a in args), temperature[live]
         frame_x, frame_p, passive = _sector_modes(*args)
-        sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
+        spectrum = _thermal_spectrum(frame_p[0], temperature)
+        sectors = _sector_covariance(frame_x, frame_p, passive, *spectrum)
         fault, measures, classes = _sector_measures(sectors)
     # the decision of measures.correlation_report, taken at every point
     if fault.any():

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import SecondMoments, collective_rates, evolve_second_moments
 from .measures import _STEERING_CLASSES, SteeringClass
-from .model import InstabilityError, hopfield, no_a2
+from .model import InstabilityError, hopfield
 from .oracles import (
     bogoliubov_diagonalize,
     critical_coupling,
@@ -26,6 +26,7 @@ from .oracles import (
     ground_state_steering_closed,
     hopfield_basis,
     matrix_report,
+    no_a2,
     polariton_frequencies,
     ppt_symplectic_eigenvalues,
     resonant_balance_frequency,

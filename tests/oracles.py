@@ -21,7 +21,11 @@ from hopfield_gaussian.model import (
     PolaritonBasis,
     _mixing_angle,
 )
-from hopfield_gaussian.oracles import DegenerateSpectrumError, polariton_frequencies
+from hopfield_gaussian.oracles import (
+    DegenerateSpectrumError,
+    polariton_frequencies,
+    single_coupling,
+)
 from hopfield_gaussian.states import CovarianceMatrix, _coth_weight, format_value
 from hopfield_gaussian.sweep import ResultRow
 
@@ -75,7 +79,7 @@ def no_a2_basis(params: ModelParams) -> PolaritonBasis:
     """
     if params.diamag != 0.0:
         raise ValueError("closed form requires diamag = 0")
-    lam = params.coupling
+    lam = single_coupling(params)
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
     wu, wl = polariton_frequencies(params)  # raises InstabilityError at lam >= lam_C
@@ -143,7 +147,7 @@ def no_a2_covariance_closed(params: ModelParams, temperature: float) -> Covarian
     """
     if params.diamag != 0.0:
         raise ValueError("closed form requires diamag = 0")
-    lam = params.coupling
+    lam = single_coupling(params)
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
     wu, wl = polariton_frequencies(params)

@@ -7,17 +7,23 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from hopfield_gaussian.model import InstabilityError, general, hopfield, no_a2
+from hopfield_gaussian.model import InstabilityError, ModelParams, _sector_modes, general, hopfield
 from hopfield_gaussian.oracles import (
     build_dynamical_matrix,
     hopfield_basis,
     matrix_report,
+    no_a2,
     resonant_balance_frequency,
     thermal_covariance_closed,
 )
-from hopfield_gaussian.sweep import diagonalize_params
+from hopfield_gaussian.sweep import _sector_args, diagonalize_params, evaluate_point
 from hopfield_gaussian import dynamics
-from hopfield_gaussian.states import VALUE_FORMAT, Environment, thermal_occupation
+from hopfield_gaussian.states import (
+    VALUE_FORMAT,
+    Environment,
+    _sector_covariance,
+    thermal_occupation,
+)
 from hopfield_gaussian.dynamics import (
     MAX_TRAJECTORY_ROWS,
     RateSet,
@@ -171,6 +177,31 @@ class TestEvolution:
         for dt in (1.0, 10.0):
             final = evolve_second_moments(start, r, b, 3 * dt, dt)
             assert_close(moment_vector(final), exact_moments(start, r, b, 3 * dt))
+
+    @pytest.mark.parametrize("family", ["hopfield", "no-diamag", "general"])
+    def test_relaxed_state_is_the_thermal_state(self, family):
+        # the occupations relaxed from vacuum to t = 50 / decay, fed to the
+        # covariance stage, build the thermal sectors of evaluate_point
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            wa, wb = rng.uniform(0.3, 3.0, 2)
+            temperature = rng.uniform(0.02, 1.0)
+            # lambda1 + lambda2 < sqrt(wa wb) is stable for any D
+            l1, l2 = rng.uniform(0.0, 0.45 * math.sqrt(wa * wb), 2)
+            params = {
+                "hopfield": hopfield(wa, wb, 2.0 * l1),
+                "no-diamag": no_a2(wa, wb, l1),
+                "general": ModelParams(wa, wb, l1, l2, rng.uniform(0.0, 0.5)),
+            }[family]
+            env = Environment(temperature, *rng.uniform(0.01, 0.1, 2))
+            basis = diagonalize_params(params)
+            rates = collective_rates(basis, env)
+            t_final = 50.0 / min(rates.decay_upper(), rates.decay_lower())
+            final = evolve_second_moments(SecondMoments.vacuum(), rates, basis, t_final)
+            frames = _sector_modes(*_sector_args(params)[0])
+            relaxed = _sector_covariance(*frames, 0.5 + final.occ_upper, 0.5 + final.occ_lower)
+            thermal = evaluate_point(params, env, "thermal")[1]
+            assert np.abs(np.subtract(relaxed[:2], thermal[:2])).max() <= 1e-12, params
 
     def test_relaxed_covariance_matches_closed_form_on_grid(self):
         # dynamics -> occupations -> quadrature map versus the direct

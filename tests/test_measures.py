@@ -14,7 +14,7 @@ from hopfield_gaussian.measures import (
     _steering_raw,
     classify_steering,
 )
-from hopfield_gaussian.model import hopfield, no_a2
+from hopfield_gaussian.model import hopfield
 from hopfield_gaussian.oracles import (
     UnphysicalStateError,
     _partial_transpose_pair,
@@ -25,6 +25,7 @@ from hopfield_gaussian.oracles import (
     hopfield_basis,
     is_physical,
     matrix_report,
+    no_a2,
     ppt_symplectic_eigenvalues,
     symplectic_eigenvalues,
     symplectic_form,

@@ -16,7 +16,6 @@ from hopfield_gaussian.model import (
     _stability_determinants,
     general,
     hopfield,
-    no_a2,
 )
 from hopfield_gaussian.oracles import (
     DegenerateSpectrumError,
@@ -25,7 +24,9 @@ from hopfield_gaussian.oracles import (
     build_dynamical_matrix,
     critical_coupling,
     hopfield_basis,
+    no_a2,
     polariton_frequencies,
+    single_coupling,
 )
 from hopfield_gaussian.states import Environment
 from hopfield_gaussian.sweep import diagonalize_params
@@ -54,7 +55,7 @@ class TestModelParams:
 
     def test_no_a2_constructor(self):
         p = no_a2(1.0, 1.0, 0.3)
-        assert p.diamag == 0.0 and p.coupling == 0.3
+        assert p.diamag == 0.0 and single_coupling(p) == 0.3
 
     @pytest.mark.parametrize(
         "kwargs",

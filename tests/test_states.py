@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfield_gaussian.model import general, hopfield, no_a2
+from hopfield_gaussian.model import general, hopfield
 from hopfield_gaussian.oracles import (
     DegenerateSpectrumError,
     bogoliubov_diagonalize,
@@ -13,6 +13,7 @@ from hopfield_gaussian.oracles import (
     ground_state_covariance_closed,
     hopfield_basis,
     is_physical,
+    no_a2,
     symplectic_form,
     thermal_covariance_closed,
 )

@@ -14,7 +14,9 @@ from hopfield_gaussian.measures import (
     _STEERING_CLASSES,
     STEERING_THRESHOLD,
     _sector_invariants,
+    _sector_measures,
     classify_steering,
+    correlation_report,
 )
 from hopfield_gaussian.model import (
     InstabilityError,
@@ -44,6 +46,7 @@ from hopfield_gaussian.scenarios import (
 from hopfield_gaussian.states import (
     Environment,
     _sector_covariance,
+    _thermal_spectrum,
     sector_matrix,
     steady_state_covariance,
 )
@@ -312,7 +315,7 @@ class TestFaultParity:
     ):
         values = [getattr(params, f.name) for f in fields(params)]
         frames = _sector_modes(*values, *_stability_determinants(*values))
-        c_lower = _sector_covariance(*frames, temperature)[3]
+        c_lower = _sector_covariance(*frames, *_thermal_spectrum(frames[1][0], temperature))[3]
         assert c_lower == c_l if c_l is not None else 0.5 < c_lower < math.inf
         with pytest.raises(ValueError, match="overflows") as scalar:
             run_point(params, Environment(temperature), "thermal")
@@ -487,7 +490,8 @@ def _sector_state(wa, wb, l1, l2, dd, temperature):
     if not (det_v > 0.0 and det_t > 0.0):
         return None
     frame_x, frame_p, passive = _sector_modes(wa, wb, l1, l2, dd, det_v, det_t)
-    sectors = _sector_covariance(frame_x, frame_p, passive, temperature)
+    sectors = _sector_covariance(
+        frame_x, frame_p, passive, *_thermal_spectrum(frame_p[0], temperature))
     return frame_p[0], sectors, sector_matrix(sectors).entries
 
 
@@ -657,11 +661,15 @@ class TestSectorRouteAgainstOracles:
         det_v, det_t = _stability_determinants(wa, wb, l1, l2, dd)
         ok = (det_v > 0.0) & (det_t > 0.0)
         frames = _sector_modes(*(a[ok] for a in (wa, wb, l1, l2, dd)), det_v[ok], det_t[ok])
-        sectors = _sector_covariance(*frames, temperature[ok])
+        spectrum = _thermal_spectrum(frames[1][0], temperature[ok])
+        sectors = _sector_covariance(*frames, *spectrum)
+        # the stage fed c = 1/2 builds the ground state of any temperature
+        ground = _sector_covariance(*frames, *np.full((2, len(spectrum[0])), 0.5))
         # the first frame of arrays is the pair of both frames; its frame 1 is the second
         pair = _frame_row(frames[0], 0), _frame_row(frames[0], 1)
         assert leaves(pair[1]) == leaves(frames[1])
-        stacked = ((*pair, frames[2]), sectors, _sector_invariants(*sectors))
+        stacked = ((*pair, frames[2]), spectrum, sectors, _sector_invariants(*sectors),
+                   ground, _sector_invariants(*ground))
         k = 0
         for i, point in enumerate(points):
             dets = _stability_determinants(*point[:5])
@@ -669,8 +677,11 @@ class TestSectorRouteAgainstOracles:
             if not ok[i]:
                 continue
             frames = _sector_modes(*point[:5], *dets)
-            sectors = _sector_covariance(*frames, point[5])
-            scalar = (frames, sectors, _sector_invariants(*sectors))
+            spectrum = _thermal_spectrum(frames[1][0], point[5])
+            sectors = _sector_covariance(*frames, *spectrum)
+            ground = _sector_covariance(*frames, 0.5, 0.5)
+            scalar = (frames, spectrum, sectors, _sector_invariants(*sectors),
+                      ground, _sector_invariants(*ground))
             assert leaves(scalar) == leaves(stacked, k), point
             k += 1
 
@@ -725,6 +736,44 @@ class TestSectorRouteAgainstOracles:
             row = run_point(ModelParams(1.0, 1.0, lam, lam, 0.0), None, "ground")
             ref = _mpmath_row(1.0, 1.0, lam, lam, 0.0, 0.0, dps=60)["e_n"]
             assert abs(row.e_n - ref) <= tol * ref, lam
+
+
+class TestSpectrumStage:
+    """The covariance stage builds the state whose symplectic eigenvalues it
+    is given: fed those of ``_thermal_spectrum`` it gives the thermal row of
+    ``run_point``, and fed c = 1/2 the ground row, bit for bit, on floats and
+    on a one-block grid."""
+
+    @staticmethod
+    def _fed_sectors(inputs, temperature, state):
+        """(sectors, omega_L) of a point, or of arrays, from the stage fed the
+        thermal spectrum or c = 1/2."""
+        frames = _sector_modes(*inputs, *_stability_determinants(*inputs))
+        if state == "thermal":
+            c = _thermal_spectrum(frames[1][0], temperature)
+        else:
+            c = np.full((2, len(temperature)), 0.5) if np.ndim(temperature) else (0.5, 0.5)
+        return _sector_covariance(*frames, *c), frames[1][0][1]
+
+    @given(st.lists(sector_points(), min_size=1, max_size=8),
+           st.sampled_from(("thermal", "ground")))
+    @example(list(MIXED_BLOCK), "thermal")
+    @example(list(MIXED_BLOCK), "ground")
+    def test_rows_of_the_fed_stage(self, points, state):
+        points = [p for p in points if _sector_state(*p) is not None]
+        assume(points)
+        table = np.array(points).T
+        sectors = self._fed_sectors(table[:5], table[5], state)[0]
+        fault, measures, classes = _sector_measures(sectors)
+        assume(not fault.any())
+        result = evaluate_grid(GridPoints(*table), state)
+        assert result.cells[:, 6:].tobytes() == np.array(measures).T.tobytes()
+        assert result.classification.tolist() == classes.tolist()
+        for point in points:
+            report = correlation_report(*self._fed_sectors(point[:5], point[5], state))
+            row = run_point(ModelParams(*point[:5]), Environment(point[5]), state)
+            assert np.array(row[6:14]).tobytes() == np.array(report[:-1]).tobytes(), point
+            assert row.classification == report.classification.value, point
 
 
 @st.composite
