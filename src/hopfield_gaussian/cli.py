@@ -185,13 +185,16 @@ def cmd_sweep(args) -> int:
         base = SweepSpec(scenario="custom", axes=axes)
     else:
         raise ValueError("a custom sweep needs at least one --axis")
+    axes = axes or base.axes
     given = {"wa": args.wa, "wb": args.wb, "lambda": args.lam, "T": args.temp}
+    for axis in axes:  # a swept input's flag is an error; a config value for it is skipped
+        flag = "temp" if axis.name == "T" else axis.name
+        if given.pop(axis.name, None) is not None and _CONFIG_FLAGS[flag] in args.explicit:
+            raise ValueError(f"sweep does not take --{flag}: {axis.name} is a swept axis")
     spec = dataclasses.replace(
-        base,
-        axes=axes or base.axes,
+        base, axes=axes, state=args.state or base.state,
         fixed={**base.fixed, **{k: float(v) for k, v in given.items() if v is not None}},
         diamag_mode=base.diamag_mode if args.diamag is None else args.diamag,
-        state=args.state or base.state,
         coupling=args.coupling or base.coupling,
     )
     _write(sweep_csv(spec, _environment(args)), args.output)
@@ -306,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    args.explicit = {dest for dest, value in vars(args).items() if value is not None}
     try:
         _apply_config(args)
         return args.func(args)

@@ -11,8 +11,9 @@ another route here:
   ``critical_coupling``; the tests pin ``sweep.diagonalize_params`` and
   the sector frequencies to the solver (``test_model.TestFrameBasis``,
   ``test_sweep_kernel.TestSectorRouteAgainstOracles``).
-- ``thermal_covariance_closed``: check 4 pins it to T diag(n + 1/2) T^T
-  of ``hopfield_basis`` (``states.steady_state_covariance``), and the
+- ``thermal_covariance_closed``: check 4 pins it to
+  ``steady_state_covariance`` of ``hopfield_basis``, the 4x4 route
+  T diag(n + 1/2) T^T from any basis (``quadrature_transform``), and the
   tests pin the sector covariance to both.
 - ``symplectic_invariants`` and ``matrix_report``, the invariants and the
   measures of any 4x4 matrix from its block determinants, with the
@@ -36,7 +37,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measures import _STEERING_CLASSES, CorrelationReport, _measures, _occupation, measure_error
+from .measures import (
+    _STEERING_CLASSES,
+    OVERFLOW,
+    CorrelationReport,
+    _measures,
+    _occupation,
+    measure_error,
+)
 from .model import (
     DEGENERACY_TOL,
     InstabilityError,
@@ -45,7 +53,7 @@ from .model import (
     _mixing_angle,
     _positive_lead,
 )
-from .states import CovarianceMatrix, _coth_weight
+from .states import CovarianceMatrix, thermal_occupation
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -61,6 +69,8 @@ __all__ = [
     "symplectic_spectrum",
     "symplectic_eigenvalues",
     "is_physical",
+    "quadrature_transform",
+    "steady_state_covariance",
     "ground_state_covariance_closed",
     "thermal_covariance_closed",
     "SymplecticInvariants",
@@ -318,6 +328,52 @@ def symplectic_eigenvalues(gamma: CovarianceMatrix) -> np.ndarray:
 
 def is_physical(gamma: CovarianceMatrix) -> bool:
     return symplectic_spectrum(gamma.entries.tolist())[0] >= 0.5 - PHYSICALITY_TOL
+
+
+# a1 and b1 of T diag(a1, a1, b1, b1) T^T are the symplectic eigenvalues of
+# the state, so det Gamma = (a1 b1)^2 overflows past a1 b1 = 1.3e154; past
+# this bound the product itself could overflow, and inf * 0 give NaN entries
+_MAX_WEIGHT_PRODUCT = 1e200
+
+
+def _coth_weight(omega: float, temperature: float) -> float:
+    """coth(omega / 2T) evaluated overflow-free as 1 + 2 N(omega)."""
+    return 1.0 + 2.0 * thermal_occupation(omega, temperature)
+
+
+def quadrature_transform(basis: PolaritonBasis) -> np.ndarray:
+    """Quadrature-space map assembled directly from the Bogoliubov coefficients.
+
+    x_a picks up (w - y) of each branch, p_a picks up (w + y), and the
+    matter rows the same with (x, z).  The result is symplectic because the
+    coefficients are Bogoliubov-orthonormal.
+    """
+    wu_, xu, yu, zu = basis.coeffs_upper
+    wl_, xl, yl, zl = basis.coeffs_lower
+    return np.array(
+        [
+            [wu_ - yu, 0.0, wl_ - yl, 0.0],
+            [0.0, wu_ + yu, 0.0, wl_ + yl],
+            [xu - zu, 0.0, xl - zl, 0.0],
+            [0.0, xu + zu, 0.0, xl + zl],
+        ]
+    )
+
+
+def steady_state_covariance(basis: PolaritonBasis, temperature: float) -> CovarianceMatrix:
+    """Generic bare-basis steady state: T diag(a1, a1, b1, b1) T^T of
+    ``quadrature_transform``, a1 and b1 the coth weights / 2 of the two
+    branches; at T = 0 the polariton vacuum (1/2) T T^T.
+
+    Works for every stable basis, including the general bilinear family
+    where no closed form is available.
+    """
+    a1 = 0.5 * _coth_weight(basis.omega_upper, temperature)
+    b1 = 0.5 * _coth_weight(basis.omega_lower, temperature)
+    if not a1 * b1 < _MAX_WEIGHT_PRODUCT:
+        raise measure_error(OVERFLOW, omega_l=basis.omega_lower, c_l=b1)
+    t = quadrature_transform(basis)
+    return CovarianceMatrix((t * np.array([a1, a1, b1, b1])) @ t.T)
 
 
 def ground_state_covariance_closed(params: ModelParams) -> CovarianceMatrix:

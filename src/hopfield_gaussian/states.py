@@ -13,7 +13,8 @@ underflows to 0 gives an infinite weight on both, which the measures stage
 reports as an overflow.  Only ``point --dump-cov`` assembles the 4x4 matrix
 (``sector_matrix``), from the sectors whose measures ``point`` has
 checked; ``format_covariance`` writes its text format and
-``parse_covariance`` reads it.
+``parse_covariance`` reads it.  The 4x4 route from a basis is
+``oracles.steady_state_covariance``, a second route for the tests.
 """
 
 from __future__ import annotations
@@ -23,16 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import OVERFLOW, measure_error
-from .model import PolaritonBasis, _frame_vectors
+from .model import _frame_vectors
 
 __all__ = [
     "CovarianceMatrix",
     "Environment",
     "thermal_occupation",
-    "quadrature_transform",
-    "ground_state_covariance_generic",
-    "steady_state_covariance",
     "sector_matrix",
     "format_covariance",
     "format_value",
@@ -190,67 +187,6 @@ def sector_matrix(sectors) -> CovarianceMatrix:
     (xa, xab, xb), (pa, pab, pb), *_ = sectors
     rows = [[xa, 0.0, xab, 0.0], [0.0, pa, 0.0, pab], [xab, 0.0, xb, 0.0], [0.0, pab, 0.0, pb]]
     return CovarianceMatrix(np.array(rows))
-
-
-# a1 and b1 of T diag(a1, a1, b1, b1) T^T are the symplectic eigenvalues of
-# the state, so det Gamma = (a1 b1)^2 overflows past a1 b1 = 1.3e154; past
-# this bound the product itself could overflow, and inf * 0 give NaN entries
-_MAX_WEIGHT_PRODUCT = 1e200
-
-
-def _coth_weight(omega: float, temperature: float) -> float:
-    """coth(omega / 2T) evaluated overflow-free as 1 + 2 N(omega)."""
-    return 1.0 + 2.0 * thermal_occupation(omega, temperature)
-
-
-# The 4x4 route T diag(n + 1/2) T^T from a basis, which no command runs:
-# ``verify`` and the tests pin the closed forms of ``oracles`` and the
-# sector route to it.
-
-
-def quadrature_transform(basis: PolaritonBasis) -> np.ndarray:
-    """Quadrature-space map assembled directly from the Bogoliubov coefficients.
-
-    x_a picks up (w - y) of each branch, p_a picks up (w + y), and the
-    matter rows the same with (x, z).  The result is symplectic because the
-    coefficients are Bogoliubov-orthonormal.
-    """
-    wu_, xu, yu, zu = basis.coeffs_upper
-    wl_, xl, yl, zl = basis.coeffs_lower
-    return np.array(
-        [
-            [wu_ - yu, 0.0, wl_ - yl, 0.0],
-            [0.0, wu_ + yu, 0.0, wl_ + yl],
-            [xu - zu, 0.0, xl - zl, 0.0],
-            [0.0, xu + zu, 0.0, xl + zl],
-        ]
-    )
-
-
-def _polariton_diagonal_state(
-    basis: PolaritonBasis, a1: float, b1: float
-) -> CovarianceMatrix:
-    """T diag(a1, a1, b1, b1) T^T."""
-    t = quadrature_transform(basis)
-    return CovarianceMatrix((t * np.array([a1, a1, b1, b1])) @ t.T)
-
-
-def ground_state_covariance_generic(basis: PolaritonBasis) -> CovarianceMatrix:
-    """Polariton vacuum pushed through the quadrature map: (1/2) T T^T."""
-    return _polariton_diagonal_state(basis, 0.5, 0.5)
-
-
-def steady_state_covariance(basis: PolaritonBasis, temperature: float) -> CovarianceMatrix:
-    """Generic bare-basis steady state: T diag(coth weights / 2) T^T.
-
-    Works for every stable basis, including the general bilinear family
-    where no closed form is available.
-    """
-    a1 = 0.5 * _coth_weight(basis.omega_upper, temperature)
-    b1 = 0.5 * _coth_weight(basis.omega_lower, temperature)
-    if not a1 * b1 < _MAX_WEIGHT_PRODUCT:
-        raise measure_error(OVERFLOW, omega_l=basis.omega_lower, c_l=b1)
-    return _polariton_diagonal_state(basis, a1, b1)
 
 
 # 12 significant digits: the one number format of every CSV and report

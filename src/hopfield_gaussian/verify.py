@@ -1,11 +1,12 @@
 """Self-verification: the package's acceptance checks.
 
 Checks 1-4, 6, 7 and 9 pin the second routes of ``oracles`` to each
-other and to ``states.steady_state_covariance``; checks 5, 8 and 10 run
-the command path.  Every check is deterministic (fixed seeds, fixed
-grids) and prints one line with its tolerance and the measured
-deviation, so two runs of the report are byte-identical.  Exit status is
-zero only if every check passes.
+other (check 4 the closed thermal covariance to the 4x4 route
+``oracles.steady_state_covariance``); checks 5, 8 and 10 run the command
+path.  Every check is deterministic (fixed seeds, fixed grids) and prints
+one line with its tolerance and the measured deviation, so two runs of
+the report are byte-identical.  Exit status is zero only if every check
+passes.
 """
 
 from __future__ import annotations
@@ -30,16 +31,12 @@ from .oracles import (
     polariton_frequencies,
     ppt_symplectic_eigenvalues,
     resonant_balance_frequency,
+    steady_state_covariance,
     symplectic_invariants,
     thermal_covariance_closed,
 )
 from .scenarios import Axis, SweepSpec, resolve_scenario
-from .states import (
-    CovarianceMatrix,
-    Environment,
-    steady_state_covariance,
-    thermal_occupation,
-)
+from .states import CovarianceMatrix, Environment, thermal_occupation
 from .sweep import (
     GridResult,
     diagonalize_params,

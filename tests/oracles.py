@@ -23,10 +23,11 @@ from hopfield_gaussian.model import (
 )
 from hopfield_gaussian.oracles import (
     DegenerateSpectrumError,
+    _coth_weight,
     polariton_frequencies,
     single_coupling,
 )
-from hopfield_gaussian.states import CovarianceMatrix, _coth_weight, format_value
+from hopfield_gaussian.states import CovarianceMatrix, format_value
 from hopfield_gaussian.sweep import ResultRow
 
 

@@ -203,40 +203,6 @@ class TestEvolution:
             thermal = evaluate_point(params, env, "thermal")[1]
             assert np.abs(np.subtract(relaxed[:2], thermal[:2])).max() <= 1e-12, params
 
-    def test_relaxed_covariance_matches_closed_form_on_grid(self):
-        # dynamics -> occupations -> quadrature map versus the direct
-        # coth closed form, across couplings, frequencies and temperatures
-        from hopfield_gaussian.states import quadrature_transform
-
-        for lam in (0.2, 0.8, 1.5):
-            for wa in (0.6, 1.0, 2.0):
-                for temperature in (0.1, 0.4):
-                    b = hopfield_basis(hopfield(wa, 1, lam))
-                    # pick slopes clear of the interference zero so the
-                    # relaxation time stays at desk scale
-                    for gamma_b in (0.07, 0.02, 0.2):
-                        r = collective_rates(b, Environment(temperature, 0.1, gamma_b))
-                        if min(r.decay_upper(), r.decay_lower()) > 5e-3:
-                            break
-                    t_final = 50.0 / min(r.decay_upper(), r.decay_lower())
-                    final = evolve_second_moments(
-                        SecondMoments.vacuum(), r, b, t_final
-                    )
-                    u = quadrature_transform(b)
-                    diag = np.diag(
-                        [
-                            2 * final.occ_upper + 1,
-                            2 * final.occ_upper + 1,
-                            2 * final.occ_lower + 1,
-                            2 * final.occ_lower + 1,
-                        ]
-                    )
-                    relaxed = 0.5 * u @ diag @ u.T
-                    closed = thermal_covariance_closed(
-                        hopfield(wa, 1, lam), temperature
-                    ).entries
-                    assert np.max(np.abs(relaxed - closed)) < 1e-8
-
     def test_trajectory_rows_format(self):
         b = hopfield_basis(hopfield(1, 1, 0.5))
         r = collective_rates(b, bright_env())

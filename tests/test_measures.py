@@ -29,10 +29,11 @@ from hopfield_gaussian.oracles import (
     ppt_symplectic_eigenvalues,
     symplectic_eigenvalues,
     symplectic_form,
+    steady_state_covariance,
     symplectic_invariants,
     thermal_covariance_closed,
 )
-from hopfield_gaussian.states import CovarianceMatrix, steady_state_covariance, thermal_occupation
+from hopfield_gaussian.states import CovarianceMatrix, thermal_occupation
 from oracles import (
     covariance_from_correlators,
     no_a2_basis,

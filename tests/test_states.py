@@ -14,6 +14,8 @@ from hopfield_gaussian.oracles import (
     hopfield_basis,
     is_physical,
     no_a2,
+    quadrature_transform,
+    steady_state_covariance,
     symplectic_form,
     thermal_covariance_closed,
 )
@@ -21,10 +23,7 @@ from hopfield_gaussian.states import (
     CovarianceMatrix,
     Environment,
     format_covariance,
-    ground_state_covariance_generic,
     parse_covariance,
-    quadrature_transform,
-    steady_state_covariance,
     thermal_occupation,
 )
 from oracles import no_a2_basis, no_a2_covariance_closed, polariton_to_bare_transform
@@ -97,8 +96,9 @@ class TestPolaritonThermalState:
 
     def test_vacuum_at_zero_temperature(self):
         b = hopfield_basis(hopfield(1, 1, 0.5))
-        g = steady_state_covariance(b, 0.0)
-        assert np.array_equal(g.entries, ground_state_covariance_generic(b).entries)
+        g, t = steady_state_covariance(b, 0.0), quadrature_transform(b)
+        # the polariton vacuum pushed through the quadrature map, (1/2) T T^T
+        assert np.array_equal(g.entries, CovarianceMatrix(0.5 * t @ t.T).entries)
         assert np.max(np.abs(polariton_covariance(b, g) - 0.5 * np.eye(4))) < 1e-14
 
     def test_branch_weights(self):
@@ -155,18 +155,18 @@ class TestGroundState:
     @given(stable_hopfield)
     def test_closed_equals_generic(self, p):
         closed = ground_state_covariance_closed(p).entries
-        generic = ground_state_covariance_generic(hopfield_basis(p)).entries
+        generic = steady_state_covariance(hopfield_basis(p), 0.0).entries
         assert np.max(np.abs(closed - generic)) < 1e-10
 
     @given(stable_no_a2)
     def test_closed_form_also_covers_zero_diamagnetic(self, p):
         closed = ground_state_covariance_closed(p).entries
-        generic = ground_state_covariance_generic(no_a2_basis(p)).entries
+        generic = steady_state_covariance(no_a2_basis(p), 0.0).entries
         assert np.max(np.abs(closed - generic)) < 1e-10
 
     def test_squeezing_only_has_cross_correlations(self):
         b = bogoliubov_diagonalize(general(1, 1, 0.0, 0.3, 0.0))
-        g = ground_state_covariance_generic(b)
+        g = steady_state_covariance(b, 0.0)
         # independent route: (a +- b)/sqrt(2) are two decoupled squeezed modes
         vxp = 0.5 * math.sqrt(0.7 / 1.3)
         vxm = 0.5 * math.sqrt(1.3 / 0.7)
@@ -175,9 +175,7 @@ class TestGroundState:
         assert g.entries[0, 0] == pytest.approx((vxp + vxm) / 2, abs=1e-12)
 
     def test_mixing_only_keeps_vacuum(self):
-        g = ground_state_covariance_generic(
-            bogoliubov_diagonalize(general(1, 1, 0.3, 0.0, 0.0))
-        )
+        g = steady_state_covariance(bogoliubov_diagonalize(general(1, 1, 0.3, 0.0, 0.0)), 0.0)
         assert np.max(np.abs(g.entries - 0.5 * np.eye(4))) < 1e-13
 
 

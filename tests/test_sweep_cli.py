@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import importlib.util
 import json
 import math
+import pkgutil
 import re
 import subprocess
 import sys
@@ -537,6 +539,29 @@ class TestCli:
         assert cells[1] == "2" and cells[3] == "0.5"
 
     @pytest.mark.parametrize(
+        "argv, flag, axis",
+        [
+            (["--scenario", "fig6", "--wa", "0.5"], "--wa", "wa"),
+            (["--scenario", "fig3b", "--temp", "0.7"], "--temp", "T"),
+            (["--scenario", "custom", "--axis", "lambda:0.1:0.5:3", "--lambda", "0.3"],
+             "--lambda", "lambda"),
+        ],
+    )
+    def test_flag_of_a_swept_axis_rejected(self, argv, flag, axis, tmp_path, capsys):
+        # the axis sets the input, so a flag for it would go unread
+        assert cli.main(["sweep", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: sweep does not take {flag}: {axis} is a swept axis\n"
+        # a config-file value for the axis is skipped, as a key the sweep does not take
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: float(argv[-1])}))
+        assert cli.main(["sweep", *argv[:-2], "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert cli.main(["sweep", *argv[:-2]]) == 0
+        assert capsys.readouterr().out == from_config
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["point", "--lambda", "nan"], "must be finite"),
@@ -803,11 +828,6 @@ COMMAND_POINTS = {
 }
 
 
-# the 4x4 route from a basis, which no command runs either
-_MATRIX_ROUTE = ("quadrature_transform", "ground_state_covariance_generic",
-                 "steady_state_covariance")
-
-
 class TestCommandPaths:
     @staticmethod
     def _forbid(monkeypatch, names):
@@ -823,9 +843,7 @@ class TestCommandPaths:
 
     @pytest.mark.parametrize("point", sorted(COMMAND_POINTS))
     def test_commands_run_no_oracle(self, point, monkeypatch, capsys):
-        self._forbid(
-            monkeypatch, (*oracles.__all__, *_MATRIX_ROUTE, "sector_matrix", "CovarianceMatrix")
-        )
+        self._forbid(monkeypatch, (*oracles.__all__, "sector_matrix", "CovarianceMatrix"))
         flags, sweep_flags = COMMAND_POINTS[point]
         env = ["--temp", "0.25"]
         for argv in (
@@ -839,7 +857,7 @@ class TestCommandPaths:
             assert out and err == "", argv
 
     def test_dump_cov_alone_builds_the_matrix(self, monkeypatch, capsys):
-        self._forbid(monkeypatch, (*oracles.__all__, *_MATRIX_ROUTE))
+        self._forbid(monkeypatch, oracles.__all__)
         built = []
         sector_matrix = states.sector_matrix
 
@@ -920,13 +938,22 @@ class TestRuntimeImports:
 
 
 # imports the benchmark's span table in a process of its own, whose sys.path
-# alone holds the benchmark's modules, and prints each target it cannot find
+# alone holds the benchmark's modules, and prints each target it cannot find,
+# whether ``oracles`` was loaded then, and the targets that no module defines
+# but that resolve on access, with what they resolve to
 _SPAN_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import spans
-print(json.dumps([f"{getattr(owner, '__name__', owner)}.{attr}"
-                  for owner, attr, *_ in spans.TARGETS if not hasattr(owner, attr)]))
+loaded = "hopfield_gaussian.oracles" in sys.modules
+missing, lazy = [], {}
+for owner, attr, *_ in spans.TARGETS:
+    if not hasattr(owner, attr):
+        missing.append(f"{getattr(owner, '__name__', owner)}.{attr}")
+    elif attr not in vars(owner):
+        fn = getattr(owner, attr)
+        lazy[f"{owner.__name__}.{attr}"] = f"{fn.__module__}.{fn.__name__}"
+print(json.dumps([missing, loaded, lazy]))
 """
 
 
@@ -937,4 +964,24 @@ def test_every_benchmark_span_target_resolves():
     proc = subprocess.run(
         [sys.executable, "-c", _SPAN_PROBE, str(bench)], capture_output=True, text=True, check=True
     )
-    assert json.loads(proc.stdout) == []
+    missing, loaded, lazy = json.loads(proc.stdout)
+    assert missing == []
+    # two covariance spans, which no command calls, resolve on sweep only when
+    # accessed, both to the 4x4 oracle route: importing loads no oracle
+    assert not loaded
+    assert len(lazy) == 2 and all(name.startswith("hopfield_gaussian.sweep.") for name in lazy)
+    assert set(lazy.values()) == {"hopfield_gaussian.oracles.steady_state_covariance"}
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_stage'"):
+        sweep.no_such_stage
+
+
+def test_every_exported_name_resolves():
+    # TestCommandPaths patches the names it forbids where hasattr finds them,
+    # so a stale name in an __all__ would pass it silently
+    package = Path(cli.__file__).parent
+    names = sorted(m.name for m in pkgutil.iter_modules([str(package)]) if m.name != "__main__")
+    modules = [importlib.import_module(f"hopfield_gaussian.{name}") for name in names]
+    exported = [m for m in modules if hasattr(m, "__all__")]
+    assert len(exported) >= 9
+    stale = {m.__name__: [n for n in m.__all__ if not hasattr(m, n)] for m in exported}
+    assert stale == dict.fromkeys(stale, [])

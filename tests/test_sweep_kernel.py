@@ -33,6 +33,7 @@ from hopfield_gaussian.oracles import (
     hopfield_basis,
     polariton_frequencies,
     ppt_symplectic_eigenvalues,
+    steady_state_covariance,
     symplectic_spectrum,
     thermal_covariance_closed,
 )
@@ -48,7 +49,6 @@ from hopfield_gaussian.states import (
     _sector_covariance,
     _thermal_spectrum,
     sector_matrix,
-    steady_state_covariance,
 )
 from hopfield_gaussian.sweep import (
     GridPoints,
