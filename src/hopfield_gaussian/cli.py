@@ -173,7 +173,7 @@ def _parse_axis(text: str) -> Axis:
 
 
 def cmd_sweep(args) -> int:
-    if args.lambda1 is not None or args.lambda2 is not None:
+    if {"lambda1", "lambda2"} & args.explicit:  # a config value for them is skipped
         raise ValueError(
             "sweep does not take --lambda1/--lambda2; set the coupling with "
             "--lambda (or a lambda axis) and the driven terms with --coupling"

@@ -211,11 +211,13 @@ class GridResult:
 
 
 # rows per writer call: a block is cut into near-equal parts of at most
-# this many.  A call has a fixed cost of about 70 us (one row), and its
-# temporaries peak at 1,391 bytes per row on 1,024 all-stable fig3a rows and
-# at 1,258 on 1,024 rows of which 704 are unstable, whose measure cells are
-# never formatted (tracemalloc): 1.4 MB that stay in a core's 2 MB L2 cache;
-# a whole 2,925-row block in one call is 30-40% slower
+# this many.  A call has a fixed cost of about 70 us (one row).  Past the
+# writer's kept buffers (480 bytes per row, and up to 448 more for the
+# compact run of a block with unstable rows), a call's temporaries peak at
+# 912 bytes per row on 1,024 all-stable fig3a rows and at 557 on 1,024 rows
+# of which 694 are unstable, whose measure cells are never formatted
+# (tracemalloc, second call): 1.4-1.5 MB in all, which stay in a core's
+# 2 MB L2 cache; a whole 2,925-row block in one call is 30-40% slower
 _WRITER_CHUNK = 1024
 
 
@@ -455,7 +457,7 @@ def grid_points(spec: SweepSpec, env: Environment) -> GridPoints:
 # (a one-point block, best of 3,000, on a 2-core box).  The blocks bound the
 # temporaries of the kernel and of the CSV writer on larger grids: traced
 # with tracemalloc on a 4,096-point block (64 x 64 points over the fig3a
-# extent), they peak at 647 bytes per point in the kernel and 496 in
+# extent), they peak at 647 bytes per point in the kernel and 394 in
 # GridResult.csv_text, the block's text (197 bytes per point) included
 _BLOCK_POINTS = 4096
 

@@ -1,7 +1,12 @@
 """The array CSV writer of ``GridResult`` against format(x, '.12g'), cell by cell."""
 
 import dataclasses
+import hashlib
 import math
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,3 +325,119 @@ class TestPrintedCells:
         text = csvwriter.write_rows(table, stable, result.classification, sweep._ECHO)
         assert text == to_csv_text(before, stable, result.classification)
         assert table.tobytes() == before.tobytes()
+
+
+def mixed_block(seed: int, rows: int = 480, unstable: int = 160):
+    """A seeded block of ordinary cells, ``unstable`` of its rows past the
+    stability edge: the (table, stable, classes) of one writer call."""
+    rng = np.random.default_rng(seed)
+    table = np.exp(rng.uniform(-8.0, 6.0, (rows, WIDTH)))
+    stable = np.ones(rows, bool)
+    stable[rng.choice(rows, unstable, replace=False)] = False
+    return table, stable, result_of(table, stable).classification
+
+
+def in_new_thread(work):
+    """``work()`` in a thread of its own, which starts with no kept buffers."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(work()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(out) == 1
+    return out[0]
+
+
+class TestKeptBuffers:
+    """``write_rows`` keeps its slot tables between calls, per thread; no
+    byte of an earlier call, or of another thread, reaches a row."""
+
+    def test_threads_write_their_own_rows(self):
+        tables = [mixed_block(1, 300, 100), mixed_block(2, 120, 0)]
+        tables[1][0][:] = 0.000123456789012  # every cell 17 bytes long
+        serial = [csvwriter.write_rows(*block, sweep._ECHO) for block in tables]
+        results = [[], []]
+        start = threading.Barrier(2)
+
+        def write(i):
+            start.wait(timeout=60)
+            for _ in range(50):
+                results[i].append(csvwriter.write_rows(*tables[i], sweep._ECHO))
+
+        threads = [threading.Thread(target=write, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i in range(2):
+            assert results[i] == [serial[i]] * 50
+
+    def test_long_cells_do_not_reach_a_later_block(self):
+        # slots and the compact run filled with 17-byte cells, then a
+        # smaller block of short cells and unstable rows
+        assert written([0.000123456789012]) == ["0.000123456789012"]
+        for stable in (np.ones(200, bool), np.arange(200) % 3 > 0):
+            table = np.full((200, WIDTH), 0.000123456789012)
+            csvwriter.write_rows(table, stable, result_of(table, stable).classification,
+                                 sweep._ECHO)
+        table = np.resize([0.5, 1.0, 0.0, 2.25, 10.0, 0.125], (90, WIDTH))
+        stable = np.arange(90) % 4 > 1
+        classes = result_of(table, stable).classification
+        rows = csvwriter.write_rows(table, stable, classes, sweep._ECHO).splitlines()
+        assert rows == to_csv_text(table, stable, classes).splitlines()
+
+    def test_presets_in_reverse_after_a_mixed_block(self):
+        digests = dict(line.split()[::-1] for line in (
+            Path(__file__).parent / "figure_data.sha256").read_text().splitlines())
+        jobs = {f"{name}.csv": spec for name, spec in scenarios.SCENARIOS.items()}
+        jobs["fig5_no_diamag.csv"] = dataclasses.replace(
+            scenarios.SCENARIOS["fig5"], diamag_mode="zero")
+        assert sorted(jobs) == sorted(digests)
+
+        def sweep_all():
+            csvwriter.write_rows(*mixed_block(3), sweep._ECHO)
+            return {name: hashlib.sha256(sweep.sweep_csv(jobs[name]).encode()).hexdigest()
+                    for name in sorted(jobs, reverse=True)}
+
+        assert in_new_thread(sweep_all) == digests
+
+    def test_second_call_peak(self):
+        # the slot tables are kept, so a second call on a 480-row block with
+        # 160 unstable rows allocates only its own temporaries (about
+        # 390 KB; 780 KB with fresh slot tables)
+        block = mixed_block(5)
+        csvwriter.write_rows(*block, sweep._ECHO)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            csvwriter.write_rows(*block, sweep._ECHO)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 450_000
+
+    def test_sweep_keeps_at_most_a_chunk(self):
+        # a 4,096-point block past the stability edge, written in four calls
+        # of 1,024 rows: the kept buffers hold slots and lengths (32 bytes a
+        # cell and tail) and the compact run's words and sizes (32 a cell)
+        spec = dataclasses.replace(
+            scenarios.SCENARIOS["fig3a"], diamag_mode="zero",
+            axes=(scenarios.Axis.linspace("wa", 0.1, 2.0, 64),
+                  scenarios.Axis.linspace("lambda", 0.02, 1.5, 64)))
+
+        def sweep_4096():
+            text = sweep.sweep_csv(spec)
+            return text, {name: b.nbytes for name, b in vars(csvwriter._STORE).items()}
+
+        text, kept = in_new_thread(sweep_4096)
+        assert text.count("false") > 1000 and len(text.splitlines()) == 4097
+        assert sorted(kept) == ["lengths", "sizes", "slots", "words"]
+        assert sum(kept.values()) <= sweep._WRITER_CHUNK * (2 * WIDTH + 1) * 32

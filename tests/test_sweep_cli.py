@@ -538,6 +538,24 @@ class TestCli:
         cells = from_config.read_text().splitlines()[1].split(",")
         assert cells[1] == "2" and cells[3] == "0.5"
 
+    def test_config_lambda1_lambda2_skipped_by_sweep(self, tmp_path, capsys):
+        # one file serves every subcommand: sweep skips the driven couplings
+        # that point reads, as it skips any key it does not take
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda1": 0.3, "lambda2": 0.1, "diamag": 0.2}))
+        assert cli.main(["point", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        base = ["sweep", "--scenario", "fig5"]
+        assert cli.main([*base, "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert cli.main([*base, "--diamag", "0.2"]) == 0
+        assert capsys.readouterr().out == from_config
+        # an explicit flag still names what sweep does not take
+        assert cli.main([*base, "--config", str(cfg), "--lambda1", "0.3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: sweep does not take --lambda1/--lambda2;")
+
     @pytest.mark.parametrize(
         "argv, flag, axis",
         [
