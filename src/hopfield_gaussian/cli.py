@@ -39,6 +39,9 @@ _CONFIG_FLAGS = {
     "gamma-a": "gamma_a",
     "gamma-b": "gamma_b",
 }
+# the coupling's two spellings: a config value of one gives way to an
+# explicit flag of the other
+_RIVALS = {"lam": {"lambda1", "lambda2"}, "lambda1": {"lam"}, "lambda2": {"lam"}}
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -61,10 +64,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON file of flag defaults")
 
 
-def _add_env_flags(p: argparse.ArgumentParser) -> None:
+def _add_temp_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temp", type=float, default=None, help="reservoir temperature")
-    p.add_argument("--gamma-a", type=float, default=None, help="cavity Ohmic slope")
-    p.add_argument("--gamma-b", type=float, default=None, help="matter Ohmic slope")
 
 
 def _add_output_flag(p: argparse.ArgumentParser) -> None:
@@ -89,7 +90,8 @@ def _apply_config(args) -> None:
 
     Every key must name a flag and every value be one the flag takes; a
     flag that this subcommand does not take is skipped, so one file serves
-    every subcommand."""
+    every subcommand, and so is a coupling whose other spelling
+    (--lambda, or --lambda1/--lambda2) was given."""
     path = getattr(args, "config", None)
     if not path:
         return
@@ -104,7 +106,8 @@ def _apply_config(args) -> None:
             raise ValueError(
                 f"config key {key!r} names no flag; the keys are {', '.join(_CONFIG_FLAGS)}")
         value, dest = _config_value(name, value), _CONFIG_FLAGS[name]
-        if hasattr(args, dest) and getattr(args, dest) is None:
+        rivals = _RIVALS.get(dest, set()) & args.explicit
+        if hasattr(args, dest) and getattr(args, dest) is None and not rivals:
             setattr(args, dest, value)
 
 
@@ -114,13 +117,16 @@ def _model_params(args) -> ModelParams:
     )
 
 
-def _environment(args) -> Environment:
-    slopes = {
-        name: float(value)
-        for name, value in (("gamma_a", args.gamma_a), ("gamma_b", args.gamma_b))
-        if value is not None
-    }
-    return Environment(float(args.temp or 0.0), **slopes)
+def _state_temp(args, state: str) -> float | None:
+    """The reservoir temperature of a steady state: --temp in the thermal
+    state.  The ground state is at T = 0, so it refuses an explicit --temp,
+    which would go unread, and skips a config file's."""
+    if state == "thermal":
+        return args.temp
+    if "temp" in args.explicit:
+        raise ValueError(
+            f"{args.command} does not take --temp in the ground state; give --state thermal")
+    return None
 
 
 def _write(text: str, path: str) -> None:
@@ -153,7 +159,8 @@ def cmd_diagonalize(args) -> int:
 
 
 def cmd_point(args) -> int:
-    row, sectors = evaluate_point(_model_params(args), _environment(args), args.state)
+    env = Environment(_state_temp(args, args.state) or 0.0)
+    row, sectors = evaluate_point(_model_params(args), env, args.state)
     if args.dump_cov is not None:
         if sectors is None:  # past the stability edge: a row, but no state
             raise InstabilityError()
@@ -185,19 +192,19 @@ def cmd_sweep(args) -> int:
         base = SweepSpec(scenario="custom", axes=axes)
     else:
         raise ValueError("a custom sweep needs at least one --axis")
-    axes = axes or base.axes
-    given = {"wa": args.wa, "wb": args.wb, "lambda": args.lam, "T": args.temp}
+    axes, state = axes or base.axes, args.state or base.state
+    given = {"wa": args.wa, "wb": args.wb, "lambda": args.lam, "T": _state_temp(args, state)}
     for axis in axes:  # a swept input's flag is an error; a config value for it is skipped
         flag = "temp" if axis.name == "T" else axis.name
         if given.pop(axis.name, None) is not None and _CONFIG_FLAGS[flag] in args.explicit:
             raise ValueError(f"sweep does not take --{flag}: {axis.name} is a swept axis")
     spec = dataclasses.replace(
-        base, axes=axes, state=args.state or base.state,
+        base, axes=axes, state=state,
         fixed={**base.fixed, **{k: float(v) for k, v in given.items() if v is not None}},
         diamag_mode=base.diamag_mode if args.diamag is None else args.diamag,
         coupling=args.coupling or base.coupling,
     )
-    _write(sweep_csv(spec, _environment(args)), args.output)
+    _write(sweep_csv(spec), args.output)
     return 0
 
 
@@ -205,9 +212,13 @@ def cmd_dynamics(args) -> int:
     for flag, value in (("--t-final", args.t_final), ("--dt", args.dt)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be a positive finite number, got {value}")
-    params = _model_params(args)
-    env = _environment(args)
-    basis = diagonalize_params(params)
+    slopes = {
+        name: value
+        for name, value in (("gamma_a", args.gamma_a), ("gamma_b", args.gamma_b))
+        if value is not None
+    }
+    env = Environment(args.temp or 0.0, **slopes)
+    basis = diagonalize_params(_model_params(args))
     rates = collective_rates(basis, env)
     trajectory = evolve_trajectory(
         SecondMoments.vacuum(),
@@ -244,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("point", help="correlation measures at one parameter point")
     _add_model_flags(p)
-    _add_env_flags(p)
+    _add_temp_flag(p)
     p.add_argument("--state", choices=("ground", "thermal"), default="ground")
     p.add_argument(
         "--dump-cov",
@@ -257,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid sweep producing CSV")
     _add_model_flags(p)
-    _add_env_flags(p)
+    _add_temp_flag(p)
     p.add_argument(
         "--scenario",
         default=None,
@@ -281,7 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dynamics", help="second-moment relaxation trajectory")
     _add_model_flags(p)
-    _add_env_flags(p)
+    _add_temp_flag(p)
+    # the slopes set how fast the modes relax, not the steady state they reach
+    p.add_argument("--gamma-a", type=float, default=None, help="cavity Ohmic slope")
+    p.add_argument("--gamma-b", type=float, default=None, help="matter Ohmic slope")
     p.add_argument("--t-final", type=float, default=50.0)
     p.add_argument(
         "--dt",

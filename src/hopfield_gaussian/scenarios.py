@@ -70,6 +70,9 @@ class SweepSpec:
         names = [ax.name for ax in self.axes]
         if len(set(names)) != len(names):
             raise ValueError("swept parameters must be distinct")
+        for name in self.fixed:  # a misspelt key would otherwise go unread
+            if name not in SWEEPABLE:
+                raise ValueError(f"cannot fix {name!r}; one of {SWEEPABLE}")
         _check_size("the sweep grid", math.prod(len(ax.values) for ax in self.axes))
         if self.state not in ("ground", "thermal"):
             raise ValueError("state must be 'ground' or 'thermal'")

@@ -410,12 +410,14 @@ _INPUT_ROWS = {"wa": (0, 1.0), "wb": (1, 1.0), "lambda": (2, 0.0), "T": (5, 0.0)
 _LOWER = np.array([[5e-324], [5e-324], [0.0], [0.0], [0.0], [0.0]])
 
 
-def grid_points(spec: SweepSpec, env: Environment) -> GridPoints:
+def grid_points(spec: SweepSpec) -> GridPoints:
     """Resolved parameters of every grid point, in row-major order.
 
-    Applies the rules of ``resolve_params`` elementwise.  The first point
-    that ``spec_to_params`` or ``Environment`` rejects is reported with
-    their message and its axis values before any point is computed.
+    Applies the rules of ``resolve_params`` elementwise; each point's
+    temperature is the spec's (its T axis or fixed value, 0 by default).
+    The first point that ``spec_to_params`` or ``Environment`` rejects is
+    reported with their message and its axis values before any point is
+    computed.
     """
     values = [np.asarray(axis.values, dtype=float) for axis in spec.axes]
     shape = tuple(map(len, values))
@@ -445,7 +447,7 @@ def grid_points(spec: SweepSpec, env: Environment) -> GridPoints:
         point = {axis.name: v[i].item() for axis, v, i in zip(spec.axes, values, at)}
         try:
             _, temp = spec_to_params(spec, point)
-            Environment(temp, env.gamma_a, env.gamma_b)
+            Environment(temp)
         except ValueError as exc:
             raise ValueError(f"{exc} at grid point {point}") from None
         raise ValueError(f"invalid grid point {point}")
@@ -465,10 +467,13 @@ _BLOCK_POINTS = 4096
 def sweep_csv(spec: SweepSpec, env: Environment | None = None) -> str:
     """Header plus rows, every line newline-terminated.
 
-    The kernel runs on contiguous blocks of ``_BLOCK_POINTS`` points, and
-    every point's row depends on that point alone.
+    A sweep's temperature is its spec's, and its state the steady state of
+    that temperature, which the damping slopes do not set: ``env`` is not
+    read (it is kept for callers that pass one).  The kernel runs on
+    contiguous blocks of ``_BLOCK_POINTS`` points, and every point's row
+    depends on that point alone.
     """
-    points = grid_points(spec, env or Environment(0.0))
+    points = grid_points(spec)
     blocks = (
         points.chunk(start, start + _BLOCK_POINTS)
         for start in range(0, len(points), _BLOCK_POINTS)

@@ -214,16 +214,16 @@ def check_purity_balance_frequency() -> CheckResult:
     )
 
 
-def _scenario_grid(spec: SweepSpec, env: Environment) -> GridResult:
+def _scenario_grid(spec: SweepSpec) -> GridResult:
     """Columns of a preset grid, through the kernel that writes its CSV."""
-    return evaluate_grid(grid_points(spec, env), spec.state)
+    return evaluate_grid(grid_points(spec), spec.state)
 
 
 def check_qualitative_trends() -> CheckResult:
     notes = []
 
     # (a) ground-state entanglement grows with coupling along every trace
-    rows_2a = _scenario_grid(resolve_scenario("fig2a"), Environment(0.0))
+    rows_2a = _scenario_grid(resolve_scenario("fig2a"))
     traces: dict[float, list[float]] = {}
     for wa, e_n in zip(rows_2a.wa.tolist(), rows_2a.e_n.tolist()):
         traces.setdefault(wa, []).append(e_n)
@@ -234,7 +234,7 @@ def check_qualitative_trends() -> CheckResult:
         notes.append("(a) entanglement not monotone in coupling")
 
     # (b) thermal entanglement never grows with temperature
-    rows_3b = _scenario_grid(resolve_scenario("fig3b"), Environment(0.0))
+    rows_3b = _scenario_grid(resolve_scenario("fig3b"))
     series: dict[float, list[float]] = {}
     for lam, e_n in zip(rows_3b.lam.tolist(), rows_3b.e_n.tolist()):
         series.setdefault(lam, []).append(e_n)
@@ -256,7 +256,7 @@ def check_qualitative_trends() -> CheckResult:
 
     # (d) without the diamagnetic term the resonant model never steers
     fig5_zero = replace(resolve_scenario("fig5"), diamag_mode="zero")
-    rows_5 = _scenario_grid(fig5_zero, Environment(0.25))
+    rows_5 = _scenario_grid(fig5_zero)
     no_way = all(
         _STEERING_CLASSES[c] is SteeringClass.NO_WAY
         for c in rows_5.classification[rows_5.stable].tolist()
@@ -346,9 +346,8 @@ def _determinism_spec() -> SweepSpec:
 
 
 def check_determinism() -> CheckResult:
-    env = Environment(0.25)
     spec = _determinism_spec()
-    sweep_ok = sweep_csv(spec, env) == sweep_csv(spec, env)
+    sweep_ok = sweep_csv(spec) == sweep_csv(spec)
 
     # re-running report checks must reproduce their lines byte for byte
     lines_ok = all(

@@ -12,7 +12,6 @@ import numpy as np
 
 from hopfield_gaussian.measures import _STEERING_CLASSES, SteeringClass
 from hopfield_gaussian.scenarios import SCENARIOS
-from hopfield_gaussian.states import Environment
 from hopfield_gaussian.sweep import evaluate_grid, grid_points
 
 
@@ -20,7 +19,7 @@ from hopfield_gaussian.sweep import evaluate_grid, grid_points
 def preset(name):
     """(rows of the preset as one ``GridResult``, its axis values)."""
     spec = SCENARIOS[name]
-    result = evaluate_grid(grid_points(spec, Environment(0.0)), spec.state)
+    result = evaluate_grid(grid_points(spec), spec.state)
     return result, tuple(np.array(axis.values) for axis in spec.axes)
 
 

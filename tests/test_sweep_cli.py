@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import importlib.util
@@ -419,6 +420,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             spec_to_params(spec, {"lambda": 0.1})
 
+    def test_misspelt_fixed_input_rejected(self):
+        # grid_points reads only the sweepable inputs, so "temp" would sweep at T = 0
+        with pytest.raises(ValueError, match=r"^cannot fix 'temp'; one of \('lambda',"):
+            SweepSpec("custom", (Axis("lambda", (0.1, 0.2)),), {"temp": 0.3})
+
 
 class TestCli:
     def test_point_row(self):
@@ -480,19 +486,90 @@ class TestCli:
         assert cells[0] == "0.5" and cells[1] == "1" and cells[3] == "0.25"
 
     def test_config_keys_and_values_in_any_form_its_flags_take(self, tmp_path, capsys):
-        # underscored keys, numeric strings and 'zero' for diamag; diagonalize
-        # skips the environment keys of the same file
+        # underscored keys, numeric strings and 'zero' for diamag, each read by
+        # the subcommands that take its flag; the others skip it, so the file
+        # serves every subcommand
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lambda1": "0.4", "lambda2": 0.2, "diamag": "zero",
                                    "temp": "0.25", "gamma_a": 2, "gamma-b": 0.5}))
-        assert cli.main(["point", "--config", str(cfg), "--state", "thermal"]) == 0
-        argv = ["point", "--lambda1", "0.4", "--lambda2", "0.2", "--diamag", "zero",
-                "--temp", "0.25", "--gamma-a", "2", "--gamma-b", "0.5", "--state", "thermal"]
+        model = ["--lambda1", "0.4", "--lambda2", "0.2", "--diamag", "zero", "--temp", "0.25"]
+        slopes = ["--gamma-a", "2", "--gamma-b", "0.5"]
+        dynamics = ["dynamics", "--t-final", "2"]
+        for argv, flags in (
+            (["point", "--state", "thermal"], model),
+            (["sweep", "--scenario", "fig5"], model[4:]),  # sweep skips lambda1/lambda2
+            (dynamics, [*model, *slopes]),
+        ):
+            assert cli.main([*argv, "--config", str(cfg)]) == 0, argv
+            from_config = capsys.readouterr().out
+            assert cli.main([*argv, *flags]) == 0
+            assert capsys.readouterr().out == from_config, argv
+        # dynamics reads the slopes: the default ones give other rows
+        assert cli.main([*dynamics, *model]) == 0
+        assert capsys.readouterr().out != from_config
+        assert cli.main(["diagonalize", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("omega_U = ")
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"lambda": 0.5}, ["--lambda1", "0.3", "--lambda2", "0.1", "--diamag", "0.1"]),
+            ({"lambda1": 0.3, "lambda2": 0.1}, ["--lambda", "0.4"]),
+        ],
+        ids=["lambda-in-file", "lambda1-lambda2-in-file"],
+    )
+    def test_explicit_coupling_beats_the_config_one(self, config, flags, tmp_path, capsys):
+        # a config coupling gives way to an explicit one of the other spelling
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["point", "--config", str(cfg), *flags]) == 0
+        from_config = capsys.readouterr().out
+        assert cli.main(["point", *flags]) == 0
+        assert capsys.readouterr().out == from_config
+        # a file that holds both spellings still fails
+        cfg.write_text(json.dumps({"lambda": 0.5, "lambda1": 0.3, "lambda2": 0.1}))
+        assert cli.main(["point", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: give either lambda or lambda1/lambda2, not both\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["point", "--lambda", "0.4", "--gamma-a", "7"],
+         ["sweep", "--scenario", "fig5", "--gamma-b", "3"]],
+        ids=["point", "sweep"],
+    )
+    def test_steady_state_commands_take_no_damping_slopes(self, argv, capsys):
+        # the common-bath steady state does not depend on the slopes, so
+        # only dynamics takes them
+        with pytest.raises(SystemExit) as refused:
+            cli.main(argv)
+        assert refused.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["point", "--lambda", "0.3"], ["point", "--lambda", "0.3", "--dump-cov", "-"],
+         ["sweep", "--scenario", "fig2a"],
+         ["sweep", "--scenario", "custom", "--axis", "lambda:0.1:0.2:2", "--state", "ground"]],
+        ids=["point", "point-dump-cov", "sweep-preset", "sweep-custom"],
+    )
+    def test_temp_in_the_ground_state_rejected(self, argv, tmp_path, capsys):
+        # the ground state is at T = 0, so --temp would go unread
+        assert cli.main([*argv, "--temp", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {argv[0]} does not take --temp in the ground state; "
+                       "give --state thermal\n")
+        # a config file's temp is skipped, as a key the command does not take
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"temp": -1}))
+        assert cli.main([*argv, "--config", str(cfg)]) == 0
         from_config = capsys.readouterr().out
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == from_config
-        assert cli.main(["diagonalize", "--config", str(cfg)]) == 0
-        assert capsys.readouterr().out.startswith("omega_U = ")
 
     @pytest.mark.parametrize(
         "config, message",
@@ -884,9 +961,61 @@ class TestCommandPaths:
             return sector_matrix(sectors)
 
         monkeypatch.setattr(cli, "sector_matrix", counted)
-        assert cli.main(["point", "--lambda", "0.5", "--temp", "0.25", "--dump-cov", "-"]) == 0
+        assert cli.main(["point", "--lambda", "0.5", "--dump-cov", "-"]) == 0
         assert capsys.readouterr().out.startswith("basis: bare\n")
         assert len(built) == 1
+
+
+def config_flags() -> list:
+    """(subcommand, dest, option) of each flag that a config file can set, for
+    every subcommand whose parser defines it."""
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, action.dest, action.option_strings[0])
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if action.dest in cli._CONFIG_FLAGS.values()
+    ]
+
+
+class TestEveryFlagIsRead:
+    """A flag that a subcommand takes changes its output, or is refused
+    with one error line, so a flag added without a reader fails here."""
+
+    # a fixed base command of each subcommand, set to no coupling so that
+    # either spelling of it can be added
+    BASES = {
+        "diagonalize": ["diagonalize", "--diamag", "0.3"],
+        "point": ["point", "--diamag", "0.3", "--state", "thermal"],
+        "sweep": ["sweep", "--scenario", "custom", "--axis", "wa:0.5:1:2", "--diamag", "0.3"],
+        "dynamics": ["dynamics", "--diamag", "0.3", "--temp", "0.25", "--t-final", "2"],
+    }
+    # a second valid value of each flag, set on top of the base command
+    VALUES = {"wa": "1.25", "wb": "0.75", "lam": "0.4", "lambda1": "0.3", "lambda2": "0.1",
+              "diamag": "0.25", "temp": "0.5", "gamma_a": "0.05", "gamma_b": "0.05"}
+    # the flags refused outright: sweep's driven couplings and its swept axis
+    REFUSED = {("sweep", "lambda1"), ("sweep", "lambda2"), ("sweep", "wa")}
+
+    def test_every_config_flag_has_a_value_and_a_base(self):
+        assert set(self.VALUES) == set(cli._CONFIG_FLAGS.values())
+        assert {command for command, _, _ in config_flags()} == set(self.BASES)
+
+    @pytest.mark.parametrize("command, dest, option", config_flags(),
+                             ids=lambda v: v if isinstance(v, str) else None)
+    def test_flag_changes_the_output_or_is_refused(self, command, dest, option, capsys):
+        base = self.BASES[command]
+        assert cli.main(base) == 0
+        before = capsys.readouterr().out
+        code = cli.main([*base, option, self.VALUES[dest]])
+        out, err = capsys.readouterr()
+        if (command, dest) in self.REFUSED:
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith(f"error: {command} does not take --") and option in err
+        else:
+            assert code == 0 and err == ""
+            assert out != before
 
 
 # runs one command and prints its exit code and the names of the loaded modules

@@ -175,10 +175,10 @@ class TestKernelAgainstScalarRoute:
             except ValueError as exc:
                 # the kernel names the first faulting point, with the same message
                 with pytest.raises(ValueError) as batched:
-                    evaluate_grid(grid_points(spec, ENV), spec.state)
+                    evaluate_grid(grid_points(spec), spec.state)
                 assert str(batched.value).replace(f" at {params}", "", 1) == str(exc)
                 return
-        result = evaluate_grid(grid_points(spec, ENV), spec.state)
+        result = evaluate_grid(grid_points(spec), spec.state)
         for i, (point, ref) in enumerate(zip(spec.grid(), refs)):
             where = f"point {point}"
             assert bool(result.stable[i]) == ref.stable, where
@@ -210,7 +210,7 @@ class TestKernelAgainstScalarRoute:
             assert wa * wb - (l1 - l2) ** 2 == 0
         row = run_point(edge, Environment(spec.fixed.get("T", 0.0)), spec.state)
         assert not row.stable
-        result = evaluate_grid(grid_points(spec, ENV), spec.state)
+        result = evaluate_grid(grid_points(spec), spec.state)
         assert result.stable.tolist() == [True, False]
         assert result.csv_text().splitlines()[1] == row.to_csv()
 
@@ -219,7 +219,7 @@ class TestKernelAgainstScalarRoute:
         edge, temperature = spec_to_params(spec, list(spec.grid())[1])
         row = run_point(edge, Environment(temperature), spec.state)
         assert row.stable
-        result = evaluate_grid(grid_points(spec, ENV), spec.state)
+        result = evaluate_grid(grid_points(spec), spec.state)
         assert result.csv_text().splitlines()[1] == row.to_csv()
         point = (edge.omega_a, edge.omega_b, edge.lambda1, edge.lambda2, edge.diamag)
         ref = _mpmath_row(*point, temperature)
@@ -238,7 +238,7 @@ class TestKernelAgainstScalarRoute:
              Axis("T", (0.0, 0.1234567890125, 0.25, 0.5, 1.0))),
             {"wa": 1.0, "wb": 1.25}, diamag_mode="zero", coupling=MIX_ONLY,
         )
-        points = grid_points(spec, ENV)
+        points = grid_points(spec)
         assert len(points) == 150
         result = evaluate_grid(points, "thermal")
         refs = []
@@ -885,7 +885,7 @@ class TestAllStableBlocks:
 class TestChunks:
     @given(grid_specs(), st.lists(st.floats(0.0, 1.0), max_size=4))
     def test_rows_equal_concatenated_rows_of_any_contiguous_split(self, spec, cuts):
-        points = grid_points(spec, ENV)
+        points = grid_points(spec)
         bounds = [0, *sorted(round(c * len(points)) for c in cuts), len(points)]
 
         def rows(chunks):
@@ -901,7 +901,7 @@ class TestChunks:
         axes = (Axis("wa", (0.5, 1.0, 2.0)), Axis("lambda", (0.3, 0.9)))
         spec = SweepSpec("custom", axes, {"wb": 1.0, "T": 0.2},
                          coupling=SQUEEZE_ONLY, diamag_mode=0.1)
-        points = grid_points(spec, ENV)
+        points = grid_points(spec)
         singles = [evaluate_grid(points.chunk(i, i + 1), "thermal").csv_text()
                    for i in range(len(points))]
         assert "".join(singles) == evaluate_grid(points, "thermal").csv_text()
@@ -920,7 +920,7 @@ class TestGridPoints:
         axes = (Axis("wa", (0.5, 2.0)), Axis("lambda", (0.1, 0.2, 0.3)))
         spec = SweepSpec("custom", axes, {"wb": 1.5, "T": 0.1},
                          coupling=SQUEEZE_ONLY, diamag_mode="0.05")
-        points = grid_points(spec, ENV)
+        points = grid_points(spec)
         for i, point in enumerate(spec.grid()):
             params, temperature = spec_to_params(spec, point)
             assert points.params(i) == params
@@ -959,6 +959,6 @@ class TestGridPoints:
         # the first bad point of a two-axis grid, past rows of good ones
         axes = (Axis("T", (0.1, 0.2, -1e-4)), Axis("lambda", (0.1, 0.2)))
         with pytest.raises(ValueError) as batched:
-            grid_points(SweepSpec("custom", axes, {}), ENV)
+            grid_points(SweepSpec("custom", axes, {}))
         assert str(batched.value) == (
             "temperature must be non-negative at grid point {'T': -0.0001, 'lambda': 0.1}")
