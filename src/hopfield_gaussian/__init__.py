@@ -10,7 +10,7 @@ second routes that ``verify`` checks them against.
 """
 
 from .model import InstabilityError, ModelParams, PolaritonBasis, hopfield
-from .states import CovarianceMatrix, Environment, thermal_occupation
+from .states import Environment, thermal_occupation
 from .measures import (
     CorrelationReport,
     SteeringClass,

@@ -24,7 +24,7 @@ from .dynamics import (
 )
 from .model import InstabilityError, ModelParams
 from .scenarios import Axis, SweepSpec, resolve_scenario, scenario_names
-from .states import Environment, format_covariance, format_value, sector_matrix
+from .states import Environment, format_covariance, format_value, sector_rows
 from .sweep import CSV_HEADER, diagonalize_params, evaluate_point, resolve_params, sweep_csv
 
 # config-file key -> the flag (argparse dest) it pre-sets
@@ -164,7 +164,7 @@ def cmd_point(args) -> int:
     if args.dump_cov is not None:
         if sectors is None:  # past the stability edge: a row, but no state
             raise InstabilityError()
-        _write(format_covariance(sector_matrix(sectors)), args.dump_cov)
+        _write(format_covariance(sector_rows(sectors)), args.dump_cov)
         if args.dump_cov == "-":
             return 0
     _write(CSV_HEADER + "\n" + row.to_csv() + "\n", args.output)
@@ -198,9 +198,11 @@ def cmd_sweep(args) -> int:
         flag = "temp" if axis.name == "T" else axis.name
         if given.pop(axis.name, None) is not None and _CONFIG_FLAGS[flag] in args.explicit:
             raise ValueError(f"sweep does not take --{flag}: {axis.name} is a swept axis")
+    # a thermal preset's fixed T gives way in the ground state, as a config file's does
+    fixed = {k: v for k, v in base.fixed.items() if k != "T" or state == "thermal"}
     spec = dataclasses.replace(
         base, axes=axes, state=state,
-        fixed={**base.fixed, **{k: float(v) for k, v in given.items() if v is not None}},
+        fixed={**fixed, **{k: float(v) for k, v in given.items() if v is not None}},
         diamag_mode=base.diamag_mode if args.diamag is None else args.diamag,
         coupling=args.coupling or base.coupling,
     )

@@ -2,7 +2,8 @@
 
 No command imports this module.  Each route here is independent of the
 x-p sector stages that every command runs, and is pinned to them or to
-another route here:
+another route here.  Every 4x4 route takes or gives a ``CovarianceMatrix``;
+``parse_covariance`` reads the text that ``point --dump-cov`` writes.
 
 - ``polariton_frequencies`` and ``hopfield_basis``, the closed forms of
   the lambda1 = lambda2 family, and ``bogoliubov_diagonalize``, a numeric
@@ -33,6 +34,7 @@ coupling) serve only these routes, ``verify`` and the tests.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,9 +55,11 @@ from .model import (
     _mixing_angle,
     _positive_lead,
 )
-from .states import CovarianceMatrix, thermal_occupation
+from .states import _HEADER, thermal_occupation
 
 __all__ = [
+    "CovarianceMatrix",
+    "parse_covariance",
     "DegenerateSpectrumError",
     "UnphysicalStateError",
     "no_a2",
@@ -100,6 +104,35 @@ class DegenerateSpectrumError(ValueError):
 
 class UnphysicalStateError(ValueError):
     """Covariance matrix violates the uncertainty bound."""
+
+
+@dataclass(frozen=True)
+class CovarianceMatrix:
+    """Symmetric 4x4 second-moment matrix of the bare quadratures."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.entries, dtype=float)
+        if m.shape != (4, 4):
+            raise ValueError("covariance matrix must be 4x4")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("covariance matrix entries must be finite")
+        m = 0.5 * (m + m.T)  # store an exactly symmetric matrix
+        m.setflags(write=False)
+        object.__setattr__(self, "entries", m)
+
+
+def parse_covariance(text: str) -> CovarianceMatrix:
+    """The matrix of ``states.format_covariance``'s text; any other header or
+    a non-finite entry is a ValueError."""
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    if len(lines) != 5 or not lines[0].startswith("basis:"):
+        raise ValueError("expected a basis line followed by four matrix rows")
+    if lines[0].split(":", 1)[1].strip() != "bare":
+        raise ValueError(f"expected the header {_HEADER!r}, got {lines[0].strip()!r}")
+    rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
+    return CovarianceMatrix(np.array(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,10 @@ class SweepSpec:
         _check_size("the sweep grid", math.prod(len(ax.values) for ax in self.axes))
         if self.state not in ("ground", "thermal"):
             raise ValueError("state must be 'ground' or 'thermal'")
+        # any other temperature would go unread
+        if self.state == "ground" and ("T" in names or self.fixed.get("T", 0.0) != 0.0):
+            raise ValueError("a ground-state sweep takes no T axis and no fixed T but 0: "
+                             "the ground state is at T = 0")
         if self.coupling not in (FULL, SQUEEZE_ONLY, MIX_ONLY):
             raise ValueError(f"unknown coupling structure {self.coupling!r}")
         if self.diamag_mode not in ("auto", "zero"):
@@ -84,17 +88,6 @@ class SweepSpec:
             except (TypeError, ValueError):
                 msg = "diamag_mode must be 'auto', 'zero' or a number"
                 raise ValueError(msg) from None
-
-    def grid(self):
-        """Row-major iteration over the axes, yielding parameter updates."""
-        if len(self.axes) == 1:
-            for v in self.axes[0].values:
-                yield {self.axes[0].name: v}
-        else:
-            outer, inner = self.axes
-            for vo in outer.values:
-                for vi in inner.values:
-                    yield {outer.name: vo, inner.name: vi}
 
 
 def _ground_coupling_sweep(name, description, coupling, diamag, wa_values=None):

@@ -5,16 +5,17 @@ basis and (x_U, p_U, x_L, p_L) in the polariton basis, with the vacuum at
 variance 1/2.  A state diagonal in the polariton basis is fixed by its
 symplectic eigenvalues c_j = n_j + 1/2, which the caller computes;
 ``_thermal_spectrum`` gives those of the common-bath steady state (n_j
-the Bose numbers, 0 in the ground state).  Sweeps and ``point`` build it
-as Gamma_xx ⊕ Gamma_pp from the x-p sector frames (``_sector_covariance``),
+the Bose numbers, 0 in the ground state).  Every command holds the state
+as Gamma_xx ⊕ Gamma_pp, the x-p sector blocks (``_sector_covariance``),
 on floats and arrays alike; on a sweep block each formula runs once over
 both frames' (2, n) arrays (``_stacked_covariance``).  A frequency that
 underflows to 0 gives an infinite weight on both, which the measures stage
-reports as an overflow.  Only ``point --dump-cov`` assembles the 4x4 matrix
-(``sector_matrix``), from the sectors whose measures ``point`` has
-checked; ``format_covariance`` writes its text format and
-``parse_covariance`` reads it.  The 4x4 route from a basis is
-``oracles.steady_state_covariance``, a second route for the tests.
+reports as an overflow.  ``point --dump-cov`` prints the sectors in the
+bare 4x4 layout (``sector_rows``), from sectors whose measures ``point``
+has checked, in the text format of ``format_covariance``.  The 4x4
+matrix type, its reader and the 4x4 route from a basis are second routes
+for ``verify`` and the tests (``oracles.CovarianceMatrix``,
+``oracles.parse_covariance``, ``oracles.steady_state_covariance``).
 """
 
 from __future__ import annotations
@@ -27,32 +28,13 @@ import numpy as np
 from .model import _frame_vectors
 
 __all__ = [
-    "CovarianceMatrix",
     "Environment",
     "thermal_occupation",
-    "sector_matrix",
+    "sector_rows",
     "format_covariance",
     "format_value",
     "VALUE_FORMAT",
-    "parse_covariance",
 ]
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Symmetric 4x4 second-moment matrix of the bare quadratures."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("covariance matrix must be 4x4")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("covariance matrix entries must be finite")
-        m = 0.5 * (m + m.T)  # store an exactly symmetric matrix
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
 
 
 @dataclass(frozen=True)
@@ -181,12 +163,12 @@ def _stacked_covariance(frames, passive, c_u, c_l):
     return gxx, gpp, c_u, c_l, det_xx
 
 
-def sector_matrix(sectors) -> CovarianceMatrix:
-    """The 4x4 covariance of ``_sector_covariance``, in (x_a, p_a, x_b, p_b) order;
-    ``point --dump-cov`` assembles it only from sectors whose measures are finite."""
+def sector_rows(sectors) -> list[list[float]]:
+    """The rows of the 4x4 covariance of ``_sector_covariance``, in (x_a, p_a,
+    x_b, p_b) order: the one place that lays the six sector entries out in
+    the bare basis.  Symmetric by construction."""
     (xa, xab, xb), (pa, pab, pb), *_ = sectors
-    rows = [[xa, 0.0, xab, 0.0], [0.0, pa, 0.0, pab], [xab, 0.0, xb, 0.0], [0.0, pab, 0.0, pb]]
-    return CovarianceMatrix(np.array(rows))
+    return [[xa, 0.0, xab, 0.0], [0.0, pa, 0.0, pab], [xab, 0.0, xb, 0.0], [0.0, pab, 0.0, pb]]
 
 
 # 12 significant digits: the one number format of every CSV and report
@@ -204,19 +186,10 @@ _CELL = "%" + VALUE_FORMAT
 _HEADER = "basis: bare"
 
 
-def format_covariance(gamma: CovarianceMatrix) -> str:
-    """Plain-text serialization: one basis-tag line, then 4 row-major rows."""
+def format_covariance(rows) -> str:
+    """Plain-text serialization of 4 rows of floats: one basis-tag line, then
+    the rows, each entry to 17 significant digits."""
     lines = [_HEADER]
-    for row in gamma.entries:
+    for row in rows:
         lines.append(" ".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
-
-
-def parse_covariance(text: str) -> CovarianceMatrix:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if len(lines) != 5 or not lines[0].startswith("basis:"):
-        raise ValueError("expected a basis line followed by four matrix rows")
-    if lines[0].split(":", 1)[1].strip() != "bare":
-        raise ValueError(f"expected the header {_HEADER!r}, got {lines[0].strip()!r}")
-    rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
-    return CovarianceMatrix(np.array(rows))

@@ -20,6 +20,7 @@ from .dynamics import SecondMoments, collective_rates, evolve_second_moments
 from .measures import _STEERING_CLASSES, SteeringClass
 from .model import InstabilityError, hopfield
 from .oracles import (
+    CovarianceMatrix,
     bogoliubov_diagonalize,
     critical_coupling,
     ground_state_covariance_closed,
@@ -36,7 +37,7 @@ from .oracles import (
     thermal_covariance_closed,
 )
 from .scenarios import Axis, SweepSpec, resolve_scenario
-from .states import CovarianceMatrix, Environment, thermal_occupation
+from .states import Environment, thermal_occupation
 from .sweep import (
     GridResult,
     diagonalize_params,

@@ -2,14 +2,15 @@
 
 Closed forms of the diamag = 0 model, the moment table of a
 branch-diagonal state, the common-bath generator over the bare-mode
-operators, the fixed point of the moment equations, and a CSV row
-formatted one cell at a time.  No command and no ``verify`` check runs
-them; the tests pin each to the command path or to
-``hopfield_gaussian.oracles``.
+operators, the fixed point of the moment equations, a CSV row formatted
+one cell at a time, and a sweep's grid points one at a time.  No command
+and no ``verify`` check runs them; the tests pin each to the command path
+or to ``hopfield_gaussian.oracles``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -22,13 +23,23 @@ from hopfield_gaussian.model import (
     _mixing_angle,
 )
 from hopfield_gaussian.oracles import (
+    CovarianceMatrix,
     DegenerateSpectrumError,
     _coth_weight,
     polariton_frequencies,
     single_coupling,
 )
-from hopfield_gaussian.states import CovarianceMatrix, format_value
+from hopfield_gaussian.scenarios import SweepSpec
+from hopfield_gaussian.states import format_value
 from hopfield_gaussian.sweep import ResultRow
+
+
+def grid(spec: SweepSpec) -> list[dict]:
+    """The axis values of each grid point of a sweep, in row-major order
+    (the first axis outermost), the order of ``sweep.grid_points``."""
+    names = [axis.name for axis in spec.axes]
+    return [dict(zip(names, values))
+            for values in itertools.product(*(axis.values for axis in spec.axes))]
 
 
 def row_csv(row: ResultRow) -> str:

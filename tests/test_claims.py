@@ -6,6 +6,7 @@ claim holds only in one.  Every preset is one kernel call
 (``sweep.evaluate_grid``), made once for the module.
 """
 
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -88,6 +89,37 @@ def test_correlations_stem_from_squeezing_interactions():
         assert (column("fig2d", field) == 1.0).all(), field
     e_n = column("fig2c", "e_n")
     assert len(e_n) == 90 and (e_n > 0.0).all()
+
+
+def test_resonant_one_way_steering_comes_from_the_diamagnetic_term():
+    """"The one-way EPR steering for resonant case can be effectively
+    controlled in the ultrastrong and deep strong coupling regimes which
+    originates from the asymmetry of subsystem and reservoir coupling induced
+    by the diamagnetic term." (fig5: omega_a = omega_b = 1, T = 0.25)
+
+    With the natural D, 68 of the 80 rows steer one way, b -> a (8 of them
+    at lambda <= 0.5), and none a -> b.  Without D, G_ab and G_ba agree bit
+    for bit on all 19 stable rows (lambda up to 0.475), every one no-way,
+    and the other 61 rows, from lambda = 1/2 on, are past the stability
+    edge.
+    """
+    (lam,) = preset("fig5")[1]
+    classes = preset("fig5")[0].classification
+    b_to_a = classes == _STEERING_CLASSES.index(SteeringClass.ONE_WAY_B_TO_A)
+    assert class_counts("fig5") == {
+        SteeringClass.NO_WAY: 12,
+        SteeringClass.ONE_WAY_A_TO_B: 0,
+        SteeringClass.ONE_WAY_B_TO_A: 68,
+        SteeringClass.TWO_WAY: 0,
+    }
+    assert np.count_nonzero(b_to_a & (lam <= 0.5)) == 8
+    spec = replace(SCENARIOS["fig5"], diamag_mode="zero")
+    no_d = evaluate_grid(grid_points(spec), spec.state)
+    stable = no_d.stable
+    # the stable rows are those below the critical coupling without D, 1/2
+    assert np.count_nonzero(stable) == 19 and np.array_equal(stable, lam < 0.5)
+    assert np.array_equal(no_d.g_ab[stable].view(np.uint64), no_d.g_ba[stable].view(np.uint64))
+    assert (no_d.classification[stable] == _STEERING_CLASSES.index(SteeringClass.NO_WAY)).all()
 
 
 def test_one_way_steering_for_the_nonresonant_case():

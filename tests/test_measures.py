@@ -16,6 +16,7 @@ from hopfield_gaussian.measures import (
 )
 from hopfield_gaussian.model import hopfield
 from hopfield_gaussian.oracles import (
+    CovarianceMatrix,
     UnphysicalStateError,
     _partial_transpose_pair,
     critical_coupling,
@@ -33,7 +34,7 @@ from hopfield_gaussian.oracles import (
     symplectic_invariants,
     thermal_covariance_closed,
 )
-from hopfield_gaussian.states import CovarianceMatrix, thermal_occupation
+from hopfield_gaussian.states import thermal_occupation
 from oracles import (
     covariance_from_correlators,
     no_a2_basis,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hopfield_gaussian.model import general, hopfield
 from hopfield_gaussian.oracles import (
+    CovarianceMatrix,
     DegenerateSpectrumError,
     bogoliubov_diagonalize,
     critical_coupling,
@@ -14,18 +15,13 @@ from hopfield_gaussian.oracles import (
     hopfield_basis,
     is_physical,
     no_a2,
+    parse_covariance,
     quadrature_transform,
     steady_state_covariance,
     symplectic_form,
     thermal_covariance_closed,
 )
-from hopfield_gaussian.states import (
-    CovarianceMatrix,
-    Environment,
-    format_covariance,
-    parse_covariance,
-    thermal_occupation,
-)
+from hopfield_gaussian.states import Environment, format_covariance, thermal_occupation
 from oracles import no_a2_basis, no_a2_covariance_closed, polariton_to_bare_transform
 
 stable_hopfield = st.builds(
@@ -249,18 +245,18 @@ class TestCovarianceContainer:
 
     def test_serialization_roundtrip(self):
         g = thermal_covariance_closed(hopfield(1.2, 1, 0.4), 0.3)
-        text = format_covariance(g)
+        text = format_covariance(g.entries)
         assert text.startswith("basis: bare\n")
         assert np.array_equal(parse_covariance(text).entries, g.entries)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_covariance("not a covariance")
-        text = format_covariance(CovarianceMatrix(0.5 * np.eye(4)))
+        text = format_covariance(0.5 * np.eye(4))
         with pytest.raises(ValueError, match="finite"):
             parse_covariance(text.replace("0.5", "nan", 1))
 
     def test_parse_accepts_only_the_bare_basis(self):
-        text = format_covariance(CovarianceMatrix(0.5 * np.eye(4)))
+        text = format_covariance(0.5 * np.eye(4))
         with pytest.raises(ValueError, match="basis: bare"):
             parse_covariance(text.replace("bare", "polariton"))

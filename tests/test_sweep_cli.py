@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 from hopfield_gaussian import cli, model, oracles, states, sweep
 from hopfield_gaussian.measures import SteeringClass
 from hopfield_gaussian.model import InstabilityError, ModelParams, hopfield
-from hopfield_gaussian.oracles import no_a2, resonant_balance_frequency
+from hopfield_gaussian.oracles import no_a2, parse_covariance, resonant_balance_frequency
 from hopfield_gaussian.scenarios import (
     SCENARIOS,
     Axis,
     SweepSpec,
     resolve_scenario,
 )
-from hopfield_gaussian.states import Environment, parse_covariance
+from hopfield_gaussian.states import Environment
 from hopfield_gaussian.sweep import (
     CSV_HEADER,
     ResultRow,
@@ -425,6 +425,14 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"^cannot fix 'temp'; one of \('lambda',"):
             SweepSpec("custom", (Axis("lambda", (0.1, 0.2)),), {"temp": 0.3})
 
+    def test_ground_state_takes_no_temperature(self):
+        # the ground state is at T = 0, so a T axis or another fixed T would go unread
+        lam = (Axis("lambda", (0.1, 0.2)),)
+        for axes, fixed in (((*lam, Axis("T", (0.1, 0.2))), {}), (lam, {"T": 0.5})):
+            with pytest.raises(ValueError, match="^a ground-state sweep takes no T axis"):
+                SweepSpec("custom", axes, fixed, state="ground")
+        assert SweepSpec("custom", lam, {"T": 0.0}, state="ground").fixed == {"T": 0.0}
+
 
 class TestCli:
     def test_point_row(self):
@@ -595,6 +603,17 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("preset", ["fig3b", "custom"])
+    def test_ground_sweep_with_a_t_axis_is_one_error_line(self, preset, capsys):
+        argv = ["sweep", "--scenario", preset, "--state", "ground"]
+        if preset == "custom":
+            argv += ["--axis", "T:0.1:0.5:3", "--lambda", "0.3"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: a ground-state sweep takes no T axis and no fixed T but 0: "
+                       "the ground state is at T = 0\n")
 
     def test_dump_cov_file_and_row_share_one_state(self, tmp_path, capsys):
         path = tmp_path / "cov.txt"
@@ -938,7 +957,7 @@ class TestCommandPaths:
 
     @pytest.mark.parametrize("point", sorted(COMMAND_POINTS))
     def test_commands_run_no_oracle(self, point, monkeypatch, capsys):
-        self._forbid(monkeypatch, (*oracles.__all__, "sector_matrix", "CovarianceMatrix"))
+        self._forbid(monkeypatch, oracles.__all__)
         flags, sweep_flags = COMMAND_POINTS[point]
         env = ["--temp", "0.25"]
         for argv in (
@@ -951,19 +970,37 @@ class TestCommandPaths:
             out, err = capsys.readouterr()
             assert out and err == "", argv
 
-    def test_dump_cov_alone_builds_the_matrix(self, monkeypatch, capsys):
+    def test_dump_cov_lays_out_the_sectors_once(self, monkeypatch, capsys):
+        # the dump prints the sectors as they are: no 4x4 matrix type, no oracle
+        assert {"CovarianceMatrix", "parse_covariance"} <= set(oracles.__all__)
         self._forbid(monkeypatch, oracles.__all__)
-        built = []
-        sector_matrix = states.sector_matrix
+        laid_out = []
+        sector_rows = states.sector_rows
 
         def counted(sectors):
-            built.append(sectors)
-            return sector_matrix(sectors)
+            laid_out.append(sectors)
+            return sector_rows(sectors)
 
-        monkeypatch.setattr(cli, "sector_matrix", counted)
+        monkeypatch.setattr(cli, "sector_rows", counted)
         assert cli.main(["point", "--lambda", "0.5", "--dump-cov", "-"]) == 0
         assert capsys.readouterr().out.startswith("basis: bare\n")
-        assert len(built) == 1
+        assert len(laid_out) == 1
+
+    def test_dump_is_the_sector_state(self, capsys):
+        # the squeeze-only point next to the edge whose dump the 4x4 oracle rejects:
+        # its own route loses the uncertainty bound within rounding (omega_L =
+        # 4.75e-17), while the sectors' symplectic eigenvalues are 1/2 by construction
+        flags = ["--wa", "0.25", "--wb", "1.026166230971984", "--lambda1", "0",
+                 "--lambda2", "0.5064993166263859", "--diamag", "0"]
+        assert cli.main(["point", *flags, "--dump-cov", "-"]) == 0
+        dumped = parse_covariance(capsys.readouterr().out).entries
+        params = ModelParams(0.25, 1.026166230971984, 0.0, 0.5064993166263859, 0.0)
+        row, sectors = evaluate_point(params, None, "ground")
+        assert row.stable and sectors[2:4] == (0.5, 0.5)
+        laid_out = np.array(states.sector_rows(sectors))
+        assert np.array_equal(dumped.view(np.uint64), laid_out.view(np.uint64))  # bit for bit
+        with pytest.raises(oracles.UnphysicalStateError, match="uncertainty bound"):
+            oracles.matrix_report(oracles.CovarianceMatrix(dumped))
 
 
 def config_flags() -> list:

@@ -27,6 +27,7 @@ from hopfield_gaussian.model import (
     natural_diamag,
 )
 from hopfield_gaussian.oracles import (
+    CovarianceMatrix,
     DegenerateSpectrumError,
     UnphysicalStateError,
     bogoliubov_diagonalize,
@@ -48,7 +49,7 @@ from hopfield_gaussian.states import (
     Environment,
     _sector_covariance,
     _thermal_spectrum,
-    sector_matrix,
+    sector_rows,
 )
 from hopfield_gaussian.sweep import (
     GridPoints,
@@ -57,6 +58,7 @@ from hopfield_gaussian.sweep import (
     run_point,
     spec_to_params,
 )
+from oracles import grid
 
 # fixed before the kernel was written, from the measured deviations of a
 # prototype: the determinant formula for E_N loses about half its digits
@@ -93,14 +95,16 @@ def grid_specs(draw):
     diamag = draw(st.sampled_from(modes))
     if diamag == "value":
         diamag = draw(st.floats(0.0, 0.5))
+    # the ground state is at T = 0: a ground spec fixes T = 0 and sweeps no T
+    state = "thermal" if "T" in names else draw(st.sampled_from(("ground", "thermal")))
     fixed = {"wa": 1.0, "wb": 1.0, "lambda": draw(st.floats(0.0, 1.2)),
-             "T": draw(st.floats(0.0, 1.0))}
+             "T": draw(st.floats(0.0, 1.0)) if state == "thermal" else 0.0}
     return SweepSpec(
         scenario="custom",
         axes=axes,
         fixed=fixed,
         diamag_mode=diamag,
-        state=draw(st.sampled_from(("ground", "thermal"))),
+        state=state,
         coupling=coupling,
     )
 
@@ -167,7 +171,7 @@ class TestKernelAgainstScalarRoute:
     @example(SINGULAR_AT_THE_EDGE)
     def test_every_point_matches_run_point(self, spec):
         refs = []
-        for point in spec.grid():
+        for point in grid(spec):
             params, temperature = spec_to_params(spec, point)
             env = Environment(temperature, ENV.gamma_a, ENV.gamma_b)
             try:
@@ -179,7 +183,7 @@ class TestKernelAgainstScalarRoute:
                 assert str(batched.value).replace(f" at {params}", "", 1) == str(exc)
                 return
         result = evaluate_grid(grid_points(spec), spec.state)
-        for i, (point, ref) in enumerate(zip(spec.grid(), refs)):
+        for i, (point, ref) in enumerate(zip(grid(spec), refs)):
             where = f"point {point}"
             assert bool(result.stable[i]) == ref.stable, where
             for name, value in (("lam", ref.lam), ("wa", ref.wa), ("wb", ref.wb),
@@ -203,7 +207,7 @@ class TestKernelAgainstScalarRoute:
 
     @pytest.mark.parametrize("spec", [SINGULAR_AT_THE_EDGE, SQUEEZED_TO_THE_EDGE])
     def test_det_t_zero_points_are_unstable_rows(self, spec):
-        edge, _ = spec_to_params(spec, list(spec.grid())[1])
+        edge, _ = spec_to_params(spec, grid(spec)[1])
         with mpmath.workdps(50):
             wa, wb, l1, l2 = map(mpmath.mpf, (edge.omega_a, edge.omega_b,
                                               edge.lambda1, edge.lambda2))
@@ -216,7 +220,7 @@ class TestKernelAgainstScalarRoute:
 
     @pytest.mark.parametrize("spec", FORMER_CLOSED_FORM_EDGES)
     def test_former_closed_form_edges_are_stable_rows(self, spec):
-        edge, temperature = spec_to_params(spec, list(spec.grid())[1])
+        edge, temperature = spec_to_params(spec, grid(spec)[1])
         row = run_point(edge, Environment(temperature), spec.state)
         assert row.stable
         result = evaluate_grid(grid_points(spec), spec.state)
@@ -242,7 +246,7 @@ class TestKernelAgainstScalarRoute:
         assert len(points) == 150
         result = evaluate_grid(points, "thermal")
         refs = []
-        for point in spec.grid():
+        for point in grid(spec):
             params, temperature = spec_to_params(spec, point)
             env = Environment(temperature, ENV.gamma_a, ENV.gamma_b)
             refs.append(run_point(params, env, "thermal").to_csv())
@@ -492,7 +496,7 @@ def _sector_state(wa, wb, l1, l2, dd, temperature):
     frame_x, frame_p, passive = _sector_modes(wa, wb, l1, l2, dd, det_v, det_t)
     sectors = _sector_covariance(
         frame_x, frame_p, passive, *_thermal_spectrum(frame_p[0], temperature))
-    return frame_p[0], sectors, sector_matrix(sectors).entries
+    return frame_p[0], sectors, CovarianceMatrix(sector_rows(sectors)).entries
 
 
 def _numeric_basis(point):
@@ -639,7 +643,7 @@ class TestSectorRouteAgainstOracles:
         assume(state is not None)
         (wu, wl), sectors, gamma = state
         try:
-            d_minus, d_plus = ppt_symplectic_eigenvalues(sector_matrix(sectors))
+            d_minus, d_plus = ppt_symplectic_eigenvalues(CovarianceMatrix(sector_rows(sectors)))
         except UnphysicalStateError:  # the oracle's check, on the rounded 4x4 matrix
             assume(False)
         pair = _sector_invariants(*sectors)[5:]
@@ -921,7 +925,7 @@ class TestGridPoints:
         spec = SweepSpec("custom", axes, {"wb": 1.5, "T": 0.1},
                          coupling=SQUEEZE_ONLY, diamag_mode="0.05")
         points = grid_points(spec)
-        for i, point in enumerate(spec.grid()):
+        for i, point in enumerate(grid(spec)):
             params, temperature = spec_to_params(spec, point)
             assert points.params(i) == params
             assert points.temperature[i] == temperature
@@ -942,7 +946,7 @@ class TestGridPoints:
     ):
         spec = SweepSpec("custom", (axis,), fixed, diamag_mode=diamag, coupling=coupling)
         with pytest.raises(ValueError) as scalar:
-            for point in spec.grid():
+            for point in grid(spec):
                 _, temperature = spec_to_params(spec, point)
                 Environment(temperature, ENV.gamma_a, ENV.gamma_b)
         assert message in str(scalar.value)
