@@ -26,23 +26,30 @@ call: the whole table where every row is stable, and otherwise a compact
 run of the echoed inputs of every row and the measures of the stable rows,
 whose slots are then scattered back; an unstable row's measure cells are
 never formatted and print empty.  It writes the printed cells that
-``cell_words`` leaves alone with format() into their slots, then the
-separator at each cell's length, and keeps each slot up to it with one
-boolean mask.  The module is imported on the first sweep block, so single
-points never build its tables.
+``cell_words`` leaves alone with format() into their slots.  Each slot
+prints its cell and a separator, or its tail through the newline, at the
+offset where the slots before it end: one integer-index assignment writes
+every slot whole, 24 bytes, into a view of the output whose items overlap
+(stride 1), in increasing offset order, so each slot's unused bytes are
+overwritten by the next slot's text; then each cell's separator goes in
+the byte before the next slot.  This relies on numpy applying a 1-D
+integer-index assignment in index order, which it does but does not
+document; ``tests/test_csv_writer.py`` pins it.  The module is imported on
+the first sweep block, so single points never build its tables.
 
-The slots and lengths, and the compact run's words and sizes, are views of
-four flat buffers that each thread keeps between calls (``_STORE``, a
-``threading.local``); a buffer grows only when a bigger block asks for it,
-and is never shrunk.  glibc would hand fresh arrays back to the OS after
-each call and fault them in again on the next: a benchmark round of the
-six 480-point ``general-coupling`` sweeps took a median of 704-727 minor
-page faults with them (seeds 5 and 131), and takes 0 with the kept
-buffers.  A sweep's writer calls, of at most ``sweep._WRITER_CHUNK`` =
-1,024 rows of 14 cells, keep at most 950 KB per thread.  Every byte of a
-slot that reaches the output is written by the call itself, so no earlier
-call's byte is printed, and the output is a new ``str``.  The writer is
-thread-safe but not reentrant within one thread.
+The slots and lengths, the compact run's words and sizes, and the output
+are views of five flat buffers that each thread keeps between calls
+(``_STORE``, a ``threading.local``); a buffer grows only when a bigger
+block asks for it, and is never shrunk.  glibc would hand fresh arrays
+back to the OS after each call and fault them in again on the next: a
+benchmark round of the six 480-point ``general-coupling`` sweeps took a
+median of 704-727 minor page faults with them (seeds 5 and 131), and takes
+0 with the kept buffers.  A sweep's writer calls, of at most
+``sweep._WRITER_CHUNK`` = 1,024 rows of 14 cells, keep at most 1.26 MB per
+thread: 928 bytes a row for the slots and the compact run, and up to 300
+for the output.  Every byte that reaches the output is written by the call
+itself, so no earlier call's byte is printed, and the output is a new
+``str``.  The writer is thread-safe but not reentrant within one thread.
 
 Every cell of the array operations is exact, format()'s own:
 
@@ -231,9 +238,6 @@ _TAIL = np.array(
     np.uint64,
 )
 _TAIL_END = np.array([len(t) - 1 for t in _TAILS], np.intp)
-# the bytes of a slot kept for each length: a cell and its separator, or a
-# tail through its newline
-_KEEP = (np.arange(_SLOT) <= np.arange(_SLOT)[:, None]).view(np.uint64)
 
 
 # each thread's flat buffers behind ``write_rows``' arrays, by name
@@ -260,10 +264,10 @@ def write_rows(table: np.ndarray, stable: np.ndarray, classes: np.ndarray, echo:
     are formatted, by one ``cell_words`` call, and those it leaves alone by
     format(): an unstable row's other cells are never read.
 
-    The slots, lengths, words and sizes are views of this thread's kept
-    buffers, which grow to the largest block written and stay: 928 bytes a
-    row of 14 cells at most, 950 KB for a chunk of 1,024 rows.  A call
-    must not start while another runs in the same thread.
+    The slots, lengths, words, sizes and output are views of this thread's
+    kept buffers, which grow to the largest block written and stay: 1,228
+    bytes a row of 14 cells at most, 1.26 MB for a chunk of 1,024 rows.  A
+    call must not start while another runs in the same thread.
     """
     n, width = table.shape
     slots = _kept("slots", (n, width + 1, 3), "<u8")
@@ -292,9 +296,20 @@ def write_rows(table: np.ndarray, stable: np.ndarray, classes: np.ndarray, echo:
     tail = np.where(stable, classes, len(_STEERING_CLASSES))
     _TAIL.take(tail, axis=0, out=slots[:, width])
     _TAIL_END.take(tail, out=lengths[:, width])
-    raw = slots.view(np.uint8)
-    ends = np.arange(0, raw.size, _SLOT).reshape(lengths.shape)[:, :width]
-    ends += lengths[:, :width]
-    raw.reshape(-1)[ends] = ord(",")
-    del ends
-    return raw[_KEEP.take(lengths, axis=0).view(bool)].tobytes().decode("ascii")
+    # the bytes each slot prints, a cell and its separator or a tail through
+    # its newline, start where the slots before it end
+    lengths += 1
+    at = lengths.cumsum()
+    if not at.size:
+        return ""
+    total = int(at[-1])
+    at -= lengths.reshape(-1)
+    # every slot whole, in increasing offset order, into an overlapping
+    # 24-byte view of the output: each slot's bytes past its text are
+    # overwritten by the next slot's, and the last slot's land past the end
+    out = _kept("out", (total + _SLOT,), np.uint8)
+    np.ndarray(total + 1, _CELL, out, strides=(1,))[at] = slots.view(_CELL).reshape(-1)
+    # each cell's separator, the byte before the next slot's start
+    at -= 1
+    out[at.reshape(lengths.shape)[:, 1:]] = ord(",")
+    return str(out[:total], "ascii")

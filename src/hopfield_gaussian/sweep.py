@@ -212,12 +212,14 @@ class GridResult:
 
 # rows per writer call: a block is cut into near-equal parts of at most
 # this many.  A call has a fixed cost of about 70 us (one row).  Past the
-# writer's kept buffers (480 bytes per row, and up to 448 more for the
-# compact run of a block with unstable rows), a call's temporaries peak at
-# 912 bytes per row on 1,024 all-stable fig3a rows and at 557 on 1,024 rows
-# of which 694 are unstable, whose measure cells are never formatted
-# (tracemalloc, second call): 1.4-1.5 MB in all, which stay in a core's
-# 2 MB L2 cache; a whole 2,925-row block in one call is 30-40% slower
+# writer's kept buffers (480 bytes per row, up to 448 more for the compact
+# run of a block with unstable rows, and the output, 180 bytes a fig3a
+# row), a call's temporaries peak at 911 bytes per row on 1,024 all-stable
+# fig3a rows, in ``cell_words``, and at 453-641 on the four 1,024-row calls
+# of a 4,096-point block past the stability edge (576-840 rows unstable,
+# whose measure cells are never formatted; tracemalloc, second call):
+# 1.6-1.7 MB in all, which stay in a core's 2 MB L2 cache; a whole
+# 2,925-row block in one call is 30-40% slower
 _WRITER_CHUNK = 1024
 
 

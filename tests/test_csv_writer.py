@@ -104,9 +104,9 @@ class TestTables:
 
 
     def test_exponent_tables_equal_their_comprehensions(self):
-        # the tables by exponent k and by slot length, as Python loops built
-        # them one entry at a time, each a reference for its array build
-        k0, slot = csvwriter._K0, csvwriter._SLOT
+        # the tables by exponent k, as Python loops built them one entry at
+        # a time, each a reference for its array build
+        k0 = csvwriter._K0
         ks = list(range(-k0, 12))
         prefixes = ["0." + "0" * (-k - 1) if k < 0 else "" for k in ks]
         references = {
@@ -116,8 +116,6 @@ class TestTables:
             "_PREFIX": [int.from_bytes(t.encode("ascii"), "little") for t in prefixes],
             "_PREFIX_LEN": [len(t) for t in prefixes],
             "_PREFIX_BITS": [8 * len(t) for t in prefixes],
-            "_KEEP": np.array([[j <= n for j in range(slot)] for n in range(slot)]).view(
-                np.uint64).tolist(),
         }
         dtypes = {"_SCALE": np.float64, "_SPLIT": np.intp, "_POINT_ALL": np.intp,
                   "_PREFIX_LEN": np.intp}
@@ -327,6 +325,75 @@ class TestPrintedCells:
         assert table.tobytes() == before.tobytes()
 
 
+# a cell of each printed length from 1 to 19 bytes; format()'s longest text,
+# '-1.23456789012e-308', has 19, and an unstable row's empty cells have 0
+BY_LENGTH = [float("123456789012"[:n]) for n in range(1, 13)] + [
+    1.23456789012, 0.123456789012, 0.0123456789012, 0.00123456789012, 0.000123456789012,
+    -0.000123456789012, -1.23456789012e-308]
+STABLE_MASKS = {
+    "all stable": lambda rows: np.ones(rows, bool),
+    "every third unstable": lambda rows: np.arange(rows) % 3 > 0,
+    "all unstable": lambda rows: np.zeros(rows, bool),
+}
+
+
+class TestOrderedScatter:
+    """``write_rows`` writes every slot whole, 24 bytes, at its byte offset
+    in the output with one integer-index assignment, so each slot's unused
+    bytes land where the next slot's text goes.  The rows are right only if
+    numpy applies the assignment in index order, which it does not document:
+    these tests pin it, on slots of every length next to each other."""
+
+    def test_numpy_assigns_overlapping_items_in_index_order(self):
+        slot = csvwriter._SLOT
+        rng = np.random.default_rng(37)
+        at = np.cumsum(rng.integers(1, slot + 1, 2000)) - 1
+        items = rng.integers(0, 256, (len(at), slot), dtype=np.uint8)
+        out = np.zeros(at[-1] + slot, np.uint8)
+        view = np.ndarray(at[-1] + 1, csvwriter._CELL, out, strides=(1,))
+        view[at] = items.view(csvwriter._CELL)[:, 0]
+        reference = bytearray(len(out))
+        for offset, item in zip(at.tolist(), items):
+            reference[offset:offset + slot] = item.tobytes()
+        assert out.tobytes() == bytes(reference)
+
+    @pytest.mark.parametrize("mask", STABLE_MASKS)
+    def test_every_length_next_to_every_length(self, mask):
+        # row (a, b) holds in column c the cell of index a c + b (mod 19),
+        # so each length sits before each other in some row; with unstable
+        # rows, runs of empty cells follow them
+        n = len(BY_LENGTH)
+        assert sorted(len(format(x, ".12g")) for x in BY_LENGTH) == list(range(1, 20))
+        a, b = np.divmod(np.arange(n * n), n)
+        table = np.take(BY_LENGTH, (a[:, None] * np.arange(WIDTH) + b[:, None]) % n)
+        assert_rows_match(table, STABLE_MASKS[mask](len(table)))
+
+    @pytest.mark.parametrize("mask", STABLE_MASKS)
+    def test_long_cells_next_to_empty_cells(self, mask):
+        table = np.full((90, WIDTH), 0.000123456789012)  # 17 bytes each
+        table[::4, ::3] = 0.0
+        assert_rows_match(table, STABLE_MASKS[mask](len(table)))
+
+    def test_no_rows_after_a_block(self):
+        # the kept buffers hold an earlier block's bytes, and a cumsum of no
+        # slots has no last offset
+        csvwriter.write_rows(*mixed_block(6), sweep._ECHO)
+        no_rows = csvwriter.write_rows(np.empty((0, WIDTH)), np.empty(0, bool),
+                                       np.empty(0, np.intp), sweep._ECHO)
+        assert no_rows == ""
+
+
+def assert_rows_match(table: np.ndarray, stable: np.ndarray) -> None:
+    """``write_rows`` of the block, and of each of its rows as a block of
+    one, against ``ResultRow.to_csv``."""
+    classes = result_of(table, stable).classification
+    reference = to_csv_text(table, stable, classes)
+    assert csvwriter.write_rows(table, stable, classes, sweep._ECHO) == reference
+    rows = [csvwriter.write_rows(table[i:i + 1], stable[i:i + 1], classes[i:i + 1], sweep._ECHO)
+            for i in range(len(table))]
+    assert rows == reference.splitlines(keepends=True)
+
+
 def mixed_block(seed: int, rows: int = 480, unstable: int = 160):
     """A seeded block of ordinary cells, ``unstable`` of its rows past the
     stability edge: the (table, stable, classes) of one writer call."""
@@ -427,7 +494,8 @@ class TestKeptBuffers:
     def test_sweep_keeps_at_most_a_chunk(self):
         # a 4,096-point block past the stability edge, written in four calls
         # of 1,024 rows: the kept buffers hold slots and lengths (32 bytes a
-        # cell and tail) and the compact run's words and sizes (32 a cell)
+        # cell and tail), the compact run's words and sizes (32 a cell) and
+        # the output of the longest call, with room for its last whole slot
         spec = dataclasses.replace(
             scenarios.SCENARIOS["fig3a"], diamag_mode="zero",
             axes=(scenarios.Axis.linspace("wa", 0.1, 2.0, 64),
@@ -439,5 +507,8 @@ class TestKeptBuffers:
 
         text, kept = in_new_thread(sweep_4096)
         assert text.count("false") > 1000 and len(text.splitlines()) == 4097
-        assert sorted(kept) == ["lengths", "sizes", "slots", "words"]
+        assert sorted(kept) == ["lengths", "out", "sizes", "slots", "words"]
+        rows = text.splitlines(keepends=True)[1:]
+        calls = [rows[i:i + sweep._WRITER_CHUNK] for i in range(0, len(rows), sweep._WRITER_CHUNK)]
+        assert kept.pop("out") == max(len("".join(c)) for c in calls) + csvwriter._SLOT
         assert sum(kept.values()) <= sweep._WRITER_CHUNK * (2 * WIDTH + 1) * 32
