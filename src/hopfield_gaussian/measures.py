@@ -8,9 +8,11 @@ differences of nearly equal terms, each formula one expression for floats
 and arrays.
 
 One checked stage, ``_measures``, gives every measure and the steering
-class of a point (``correlation_report``), a grid (``sweep.evaluate_grid``)
+class of a point (``sweep.evaluate_point``), a grid (``sweep.evaluate_grid``)
 or any 4x4 matrix (``oracles.matrix_report``), with a fault code where the
 numbers leave the float range; ``measure_error`` words each fault once.
+``correlation_report`` is that stage's report on one state given by its
+sectors, for library callers; no command calls it.
 """
 
 from __future__ import annotations

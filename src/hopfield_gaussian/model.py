@@ -53,7 +53,14 @@ class InstabilityError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+# A single point builds one of these per call, so the generated __init__
+# (one object.__setattr__ per field, then per-field checks) is replaced by
+# one that fills the instance __dict__ directly and admits the common case
+# with one chained range test: a float is finite and not negative exactly
+# where 0 <= x < inf, and NaN fails every comparison.  Only what that test
+# does not admit runs the checks of ``_refuse``, which word every refusal,
+# in their order.
+@dataclass(frozen=True, init=False)
 class ModelParams:
     """Hamiltonian parameters, all in units of omega_b."""
 
@@ -63,7 +70,23 @@ class ModelParams:
     lambda2: float
     diamag: float
 
-    def __post_init__(self):
+    def __init__(self, omega_a, omega_b, lambda1, lambda2, diamag):
+        state = self.__dict__
+        state["omega_a"] = omega_a
+        state["omega_b"] = omega_b
+        state["lambda1"] = lambda1
+        state["lambda2"] = lambda2
+        state["diamag"] = diamag
+        try:
+            if (0.0 < omega_a < math.inf and 0.0 < omega_b < math.inf
+                    and 0.0 <= lambda1 < math.inf and 0.0 <= lambda2 < math.inf
+                    and 0.0 <= diamag < math.inf):
+                return
+        except TypeError:  # not a number: math.isfinite words it below
+            pass
+        self._refuse()
+
+    def _refuse(self):
         values = (self.omega_a, self.omega_b, self.lambda1, self.lambda2, self.diamag)
         if not all(map(math.isfinite, values)):
             raise ValueError(f"model parameters must be finite, got {self}")

@@ -37,15 +37,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# the default damping slope of each mode
+_SLOPE = 0.01
+
+
+# Built once per point, with the handwritten __init__ of ``ModelParams``, for
+# the same reason: one chained range test admits the common case, and only
+# what it does not admit runs the checks of ``_refuse``.
+@dataclass(frozen=True, init=False)
 class Environment:
     """Common Ohmic reservoir: temperature and per-mode damping slopes."""
 
     temperature: float
-    gamma_a: float = 0.01
-    gamma_b: float = 0.01
+    gamma_a: float = _SLOPE
+    gamma_b: float = _SLOPE
 
-    def __post_init__(self):
+    def __init__(self, temperature, gamma_a=_SLOPE, gamma_b=_SLOPE):
+        state = self.__dict__
+        state["temperature"] = temperature
+        state["gamma_a"] = gamma_a
+        state["gamma_b"] = gamma_b
+        try:
+            if (0.0 <= temperature < math.inf and 0.0 < gamma_a < math.inf
+                    and 0.0 < gamma_b < math.inf):
+                return
+        except TypeError:  # not a number: math.isfinite words it below
+            pass
+        self._refuse()
+
+    def _refuse(self):
         if not all(map(math.isfinite, (self.temperature, self.gamma_a, self.gamma_b))):
             raise ValueError(f"environment values must be finite, got {self}")
         if self.temperature < 0:

@@ -28,11 +28,12 @@ echoed cells (``_echo``).  A block's cost is mostly a fixed count of numpy
 calls, so each stage formula runs once over the (2, n) arrays of both
 frames of every point, the (T, V) frame of Gamma_xx and the (V, T) frame
 of Gamma_pp; a block with no unstable point skips the gather of its
-stable points.  Its measures stage is the checked one of ``run_point``:
-the kernel keeps no check or message of its own, and raises
-``measures.measure_error`` for the first point with a fault.  Each
-point's result depends on that point alone, so any contiguous split of a
-grid yields the same rows; ``sweep_csv``'s blocks rely on this.
+stable points.  A point and a block decide their measures alike, by the
+fault code of ``measures._sector_measures``, worded by
+``measures.measure_error``; a block raises it for its first point with a
+fault.  Each point's result depends on that point alone, so any
+contiguous split of a grid yields the same rows; ``sweep_csv``'s blocks
+rely on this.
 
 ``GridResult`` holds a block's rows as one float table, ``cells``, which
 ``csv_text`` prints with every cell as format(x, '.12g'), the cell of
@@ -50,7 +51,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measures import _sector_measures, correlation_report, measure_error
+# ``correlation_report`` is imported for the traced benchmark alone, which
+# wraps it by this name; no command calls it.  ROADMAP item 1 deletes this,
+# with the module ``__getattr__`` below
+from .measures import _STEERING_CLASSES, _sector_measures, correlation_report, measure_error
 from .model import (
     DEGENERACY_TOL,
     InstabilityError,
@@ -139,6 +143,8 @@ _ECHO = 4
 _HEAD = ",".join([_CELL] * _ECHO)
 _STABLE_ROW = ",".join([_CELL] * len(_CELLS) + ["%s", "true"])
 _UNSTABLE_TAIL = "," * (len(_CELLS) - _ECHO + 2) + "false"
+# the class cell of each index of ``measures._STEERING_CLASSES``
+_CLASS_NAMES = tuple(c.value for c in _STEERING_CLASSES)
 
 
 class GridPoints:
@@ -277,7 +283,8 @@ def evaluate_point(
     The sectors are those of ``states._sector_covariance``, and None past the
     stability edge, where the row is flagged unstable: decided by the
     determinants alone, with no exception raised.  A stable point whose
-    measures fault raises the ValueError of ``correlation_report``.
+    measures fault (``measures._sector_measures``) raises the ValueError of
+    ``measures.measure_error``, as ``evaluate_grid`` does.
     """
     temperature = _state_temperature(state_kind, 0.0 if env is None else env.temperature)
     head = _echo(params, temperature)
@@ -287,9 +294,10 @@ def evaluate_point(
     frame_x, frame_p, passive = _sector_modes(*args)
     spectrum = _thermal_spectrum(frame_p[0], temperature)
     sectors = _sector_covariance(frame_x, frame_p, passive, *spectrum)
-    report = correlation_report(sectors, frame_p[0][1])
-    row = ResultRow(*head, *frame_p[0], *report[:-1], report.classification.value)
-    return row, sectors
+    fault, measures, index = _sector_measures(sectors)
+    if fault:
+        raise measure_error(fault, omega_l=frame_p[0][1], c_l=sectors[3])
+    return ResultRow(*head, *frame_p[0], *measures, _CLASS_NAMES[index]), sectors
 
 
 def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
@@ -315,7 +323,7 @@ def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
         spectrum = _thermal_spectrum(frame_p[0], temperature)
         sectors = _sector_covariance(frame_x, frame_p, passive, *spectrum)
         fault, measures, classes = _sector_measures(sectors)
-    # the decision of measures.correlation_report, taken at every point
+    # the decision of evaluate_point, taken at every point
     if fault.any():
         i = int(np.argmax(fault > 0))
         where = f" at {points.params(int(np.flatnonzero(stable)[i]))}"

@@ -3,13 +3,15 @@
 Closed forms of the diamag = 0 model, the moment table of a
 branch-diagonal state, the common-bath generator over the bare-mode
 operators, the fixed point of the moment equations, a CSV row formatted
-one cell at a time, and a sweep's grid points one at a time.  No command
+one cell at a time, a sweep's grid points one at a time, and the
+per-field input checks of ``ModelParams`` and ``Environment``.  No command
 and no ``verify`` check runs them; the tests pin each to the command path
 or to ``hopfield_gaussian.oracles``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -40,6 +42,40 @@ def grid(spec: SweepSpec) -> list[dict]:
     names = [axis.name for axis in spec.axes]
     return [dict(zip(names, values))
             for values in itertools.product(*(axis.values for axis in spec.axes))]
+
+
+def unchecked(cls, *values):
+    """An instance of the frozen dataclass ``cls`` with its fields set to
+    ``values`` in order and no check run: what ``model_params_check`` and
+    ``environment_check`` take, so that a refusal's repr is the type's own."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(zip((f.name for f in dataclasses.fields(cls)), values))
+    return obj
+
+
+def model_params_check(self) -> None:
+    """The checks of ``ModelParams``, one field at a time, as its generated
+    ``__init__`` ran them: the reference of its one-pass range test."""
+    values = (self.omega_a, self.omega_b, self.lambda1, self.lambda2, self.diamag)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"model parameters must be finite, got {self}")
+    if self.omega_a <= 0 or self.omega_b <= 0:
+        raise ValueError("mode frequencies must be positive")
+    if self.lambda1 < 0 or self.lambda2 < 0:
+        raise ValueError("coupling strengths must be non-negative")
+    if self.diamag < 0:
+        raise ValueError("diamagnetic coefficient must be non-negative")
+
+
+def environment_check(self) -> None:
+    """The checks of ``Environment``, one field at a time, as its generated
+    ``__init__`` ran them: the reference of its one-pass range test."""
+    if not all(map(math.isfinite, (self.temperature, self.gamma_a, self.gamma_b))):
+        raise ValueError(f"environment values must be finite, got {self}")
+    if self.temperature < 0:
+        raise ValueError("temperature must be non-negative")
+    if self.gamma_a <= 0 or self.gamma_b <= 0:
+        raise ValueError("damping slopes must be positive")
 
 
 def row_csv(row: ResultRow) -> str:
