@@ -87,19 +87,23 @@ def _bose(omega, temperature):
     """``thermal_occupation`` of a float, or elementwise of arrays (the
     temperature's along omega's last axis), at temperatures known to be
     non-negative.  An omega that underflows to 0 gives inf at T > 0 on both,
-    which the measures stage reports.  Arrays keep a form of their own, for
-    they call ``math.expm1`` per element: numpy's can differ in the last bit,
-    which E_N's determinant formula magnifies to 1e-8 near separable pure
-    states."""
+    which the measures stage reports.  Both take numpy's ``expm1``: numpy's
+    and ``math.expm1`` can differ in the last bit, which E_N's determinant
+    formula magnifies to 1e-8 near separable pure states, and numpy's of a
+    float is its array result bit for bit, so a point and its sweep row
+    share every occupation."""
     if isinstance(omega, np.ndarray):
-        occupation = np.zeros(omega.shape)
-        if temperature.any():  # a ground state is all zeros
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                # inf where it overflows, as Python's float division gives,
-                # and +-inf or NaN at T = +-0, past |x| = 700 as below
-                x = omega / temperature
-            live = abs(x) <= 700.0
-            occupation[live] = 1.0 / np.fromiter(map(math.expm1, x[live].tolist()), float)
+        if not temperature.any():  # a ground state is all zeros
+            return np.zeros(omega.shape)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # x is inf where omega / T overflows, as Python's float division
+            # gives, and an x that underflows to 0 gives inf, as on floats
+            x = omega / temperature
+            occupation = 1.0 / np.expm1(x)
+        # 0 past |x| = 700, at T = +-0 and for a NaN x, as on floats
+        live = abs(x) <= 700.0
+        if not live.all():
+            occupation[~live] = 0.0
         return occupation
     if temperature == 0.0:
         return 0.0
@@ -108,7 +112,7 @@ def _bose(omega, temperature):
     # a NaN x, and inf where x underflows to zero, as numpy's 1 / 0 gives
     if not x <= 700.0:
         return 0.0
-    return 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    return 1.0 / float(np.expm1(x)) if x > 0.0 else math.inf
 
 
 def _thermal_spectrum(omegas, temperature):

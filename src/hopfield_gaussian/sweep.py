@@ -232,12 +232,17 @@ _WRITER_CHUNK = 1024
 def _state_temperature(state_kind: str, temperature):
     """The temperature of the state: the reservoir's in the 'thermal'
     (common-bath steady) state, 0 in the 'ground' state (the polariton
-    vacuum); a float or an array."""
+    vacuum), which refuses a positive one as ``SweepSpec`` does; a float or
+    an array."""
     if state_kind == "thermal":
         return temperature
     if state_kind != "ground":
         raise ValueError("state_kind must be 'ground' or 'thermal'")
-    return np.zeros_like(temperature) if isinstance(temperature, np.ndarray) else 0.0
+    array = isinstance(temperature, np.ndarray)
+    if (temperature > 0.0).any() if array else temperature > 0.0:
+        raise ValueError("a ground state takes no temperature but 0: the ground state is at "
+                         "T = 0; give state_kind 'thermal'")
+    return np.zeros_like(temperature) if array else 0.0
 
 
 def _sector_args(p: ModelParams | GridPoints):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +22,7 @@ from hopfield_gaussian.oracles import (
     symplectic_form,
     thermal_covariance_closed,
 )
-from hopfield_gaussian.states import Environment, format_covariance, thermal_occupation
+from hopfield_gaussian.states import Environment, _bose, format_covariance, thermal_occupation
 from oracles import no_a2_basis, no_a2_covariance_closed, polariton_to_bare_transform
 
 stable_hopfield = st.builds(
@@ -67,6 +68,68 @@ class TestThermalOccupation:
             thermal_occupation(0.0, 0.1)
         with pytest.raises(ValueError):
             thermal_occupation(1.0, -0.1)
+
+
+def bose_draws(n, seed=41):
+    """(omega, T) of n points whose x = omega / T is log-uniform in [1e-6,
+    700], give or take the rounding of omega = x T."""
+    rng = np.random.default_rng(seed)
+    x = np.exp(rng.uniform(math.log(1e-6), math.log(700.0), n))
+    temperature = rng.uniform(0.05, 2.0, n)
+    return x * temperature, temperature
+
+
+def floats_bose(omega, temperature):
+    """``_bose`` of each point on the float route, as one array."""
+    return np.array([_bose(w, t) for w, t in zip(omega.tolist(), temperature.tolist())])
+
+
+class TestBoseRoutes:
+    """``states._bose`` takes numpy's expm1 on floats and on arrays, so a
+    point's occupations are those of its sweep row bit for bit, whatever
+    the length of the array that numpy's vector loop splits."""
+
+    def test_floats_and_arrays_agree_bit_for_bit(self):
+        omega, temperature = bose_draws(20_000)
+        rng = np.random.default_rng(43)
+        cuts = np.cumsum(rng.integers(1, 34, len(omega)))
+        cuts = cuts[cuts < len(omega)]
+        pieces = [_bose(w, t) for w, t in zip(np.split(omega, cuts), np.split(temperature, cuts))]
+        assert min(map(len, pieces)) == 1 and max(map(len, pieces)) == 33
+        expected = floats_bose(omega, temperature)
+        assert np.concatenate(pieces).tobytes() == expected.tobytes()
+        # a (2, n) block of two branches at the temperatures of its columns
+        block = omega[:2000].reshape(2, 1000)
+        stacked = np.concatenate([temperature[:1000], temperature[:1000]])
+        assert _bose(block, temperature[:1000]).tobytes() == floats_bose(
+            block.ravel(), stacked).reshape(2, 1000).tobytes()
+
+    def test_edges(self):
+        # x = 700, the float past it, an x that underflows to 0, T = 0, NaN
+        omega = np.array([700.0, np.nextafter(700.0, np.inf), 5e-324, 1.0, np.nan])
+        temperature = np.array([1.0, 1.0, 1e10, 0.0, 1.0])
+        expected = [float(1 / mpmath.expm1(700)), 0.0, math.inf, 0.0, 0.0]
+        assert _bose(omega, temperature).tolist() == expected
+        assert floats_bose(omega, temperature).tolist() == expected
+        # the ground state: every T is 0
+        assert _bose(omega[:3], np.zeros(3)).tolist() == [0.0] * 3
+
+    def test_within_two_ulp_of_mpmath(self):
+        omega, temperature = bose_draws(2000, seed=47)
+        x = omega / temperature
+        with mpmath.workdps(40):
+            exact = np.array([float(1 / mpmath.expm1(v)) if v <= 700.0 else 0.0
+                              for v in x.tolist()])
+        occupation = _bose(omega, temperature)
+        assert (np.abs(occupation - exact) <= 2 * np.spacing(exact)).all()
+
+    def test_no_route_calls_math_expm1(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("math.expm1 was called")
+
+        monkeypatch.setattr(math, "expm1", refuse)
+        omega, temperature = bose_draws(100)
+        assert _bose(omega, temperature).tobytes() == floats_bose(omega, temperature).tobytes()
 
 
 class TestEnvironment:

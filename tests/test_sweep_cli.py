@@ -110,13 +110,28 @@ class TestRunPoint:
             route(no_a2(1, 1, lam), Environment(0.25), "squeezed")
         assert type(caught.value) is ValueError
 
+    @pytest.mark.parametrize("lam", [0.5, 0.6])  # stable, unstable
+    def test_ground_state_refuses_a_positive_temperature(self, lam):
+        # as SweepSpec does: the ground state is at T = 0
+        message = "^a ground state takes no temperature but 0: the ground state is at T = 0"
+        params = no_a2(1, 1, lam)
+        with pytest.raises(ValueError, match=message):
+            run_point(params, Environment(0.3), "ground")
+        table = [[v, v] for v in (1.0, 1.0, lam, lam, 0.0)]
+        with pytest.raises(ValueError, match=message):
+            sweep.evaluate_grid(sweep.GridPoints(*table, [0.0, 0.3]), "ground")
+        # T = +-0 is the ground state's own temperature, echoed as 0
+        assert run_point(params, Environment(-0.0), "ground") == run_point(params, None, "ground")
+        rows = sweep.evaluate_grid(sweep.GridPoints(*table, [0.0, -0.0]), "ground").csv_text()
+        assert rows.splitlines() == [run_point(params, None, "ground").to_csv()] * 2
+
     def test_unstable_point_builds_no_exception(self, monkeypatch):
         def fail(self, *args):
             raise AssertionError("an InstabilityError was built")
 
         monkeypatch.setattr(InstabilityError, "__init__", fail)
-        params, env = no_a2(1, 1, 0.6), Environment(0.25)
-        for kind in ("ground", "thermal"):
+        params = no_a2(1, 1, 0.6)
+        for kind, env in (("ground", None), ("thermal", Environment(0.25))):
             assert run_point(params, env, kind).to_csv().endswith(",false")
             assert evaluate_point(params, env, kind)[1] is None
         # the patch is live: the raising route still builds one
@@ -157,6 +172,7 @@ class TestRunPointFloatRange:
     @example((1e-160, 0.5, 0.5, 1e300, 1.0), 0.0, "ground")
     @given(st.tuples(*[ANY_MAGNITUDE] * 5), ANY_MAGNITUDE, st.sampled_from(["ground", "thermal"]))
     def test_a_row_or_a_value_error(self, values, temperature, kind):
+        temperature = temperature if kind == "thermal" else 0.0  # the ground state is at T = 0
         try:
             row = run_point(ModelParams(*values), Environment(temperature), kind)
         except ValueError:

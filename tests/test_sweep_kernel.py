@@ -384,6 +384,7 @@ class TestUncoupledPoints:
     def test_measures_are_zero_and_the_routes_agree_bit_for_bit(self, wa, wb, dd, temperature,
                                                                  state):
         params = ModelParams(wa, wb, 0.0, 0.0, dd)
+        temperature = temperature if state == "thermal" else 0.0
         try:
             row = run_point(params, Environment(temperature), state)
         except ValueError as exc:
@@ -458,6 +459,13 @@ class TestSwapSymmetry:
 
 FREQUENCY = st.floats(0.2, 3.0)
 COUPLING = st.one_of(st.just(0.0), st.floats(1e-3, 1.6))
+
+
+def in_state(points, state):
+    """(wa, wb, lambda1, lambda2, D, T) points as drawn for ``state``: the
+    ground state is at T = 0, so its points take T = 0, as ``grid_specs``
+    fixes it."""
+    return list(points) if state == "thermal" else [(*p[:5], 0.0) for p in points]
 
 
 @st.composite
@@ -764,7 +772,7 @@ class TestSpectrumStage:
     @example(list(MIXED_BLOCK), "thermal")
     @example(list(MIXED_BLOCK), "ground")
     def test_rows_of_the_fed_stage(self, points, state):
-        points = [p for p in points if _sector_state(*p) is not None]
+        points = [p for p in in_state(points, state) if _sector_state(*p) is not None]
         assume(points)
         table = np.array(points).T
         sectors = self._fed_sectors(table[:5], table[5], state)[0]
@@ -817,6 +825,7 @@ class TestStackedPass:
             (params, temperature), at = faulty
             values = (*(getattr(params, f.name) for f in fields(params)), temperature)
             points = [*points[:at], values, *points[at:]]
+        points = in_state(points, state)
         refs = []
         for values in points:
             params = ModelParams(*values[:5])
@@ -859,6 +868,7 @@ class TestAllStableBlocks:
     @given(st.lists(block_points(), min_size=2, max_size=24), st.randoms(use_true_random=False),
            st.sampled_from(("ground", "thermal")))
     def test_rows_equal_the_rows_among_unstable_points(self, points, rng, state):
+        points = in_state(points, state)
         def stable(point):
             det_v, det_t = _stability_determinants(*point[:5])
             return det_v > 0.0 and det_t > 0.0
