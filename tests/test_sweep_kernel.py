@@ -869,6 +869,7 @@ class TestAllStableBlocks:
            st.sampled_from(("ground", "thermal")))
     def test_rows_equal_the_rows_among_unstable_points(self, points, rng, state):
         points = in_state(points, state)
+
         def stable(point):
             det_v, det_t = _stability_determinants(*point[:5])
             return det_v > 0.0 and det_t > 0.0
