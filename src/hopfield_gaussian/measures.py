@@ -11,6 +11,9 @@ One checked stage, ``_measures``, gives every measure and the steering
 class of a point (``sweep.evaluate_point``), a grid (``sweep.evaluate_grid``)
 or any 4x4 matrix (``oracles.matrix_report``), with a fault code where the
 numbers leave the float range; ``measure_error`` words each fault once.
+Floats and arrays run the same operations, the logarithms numpy's ``log``,
+whose result for a float is its result for an array element bit for bit:
+a point's measures are those of its sweep row.
 ``correlation_report`` is that stage's report on one state given by its
 sectors, for library callers; no command calls it.
 """
@@ -54,18 +57,6 @@ _STEERING_CLASSES = (
 def _steering_class_index(g_ab, g_ba):
     """Index into ``_STEERING_CLASSES``; floats or equal-length arrays."""
     return (g_ab > STEERING_THRESHOLD) + 2 * (g_ba > STEERING_THRESHOLD)
-
-
-def _steering_raw(i_a, i_b, i_ab):
-    """(G_ab, G_ba) before clipping, 0.5 ln(det A / 4 det Gamma); floats
-    (``_stacked_measures`` takes them for arrays)."""
-    return 0.5 * math.log(i_a / (4.0 * i_ab)), 0.5 * math.log(i_b / (4.0 * i_ab))
-
-
-def _purities(i_a, i_b, i_ab):
-    """(mu_a, mu_b, mu_ab) = 1/(4 det A), 1/(4 det B), 1/(16 det Gamma);
-    floats (``_stacked_measures`` takes them for arrays)."""
-    return 1.0 / (4.0 * i_a), 1.0 / (4.0 * i_b), 1.0 / (16.0 * i_ab)
 
 
 class CorrelationReport(NamedTuple):
@@ -131,8 +122,10 @@ def _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled=True):
     The fault is 0, or the first of: an invariant is not finite
     (``OVERFLOW``); det A, det B or det Gamma is not positive
     (``SINGULAR_BLOCK``); a measure is not finite, as where d~_- rounds to
-    zero (``SINGULAR_TRANSPOSE``).  Both branches decide alike; a faulty
-    float has measures None and class -1.
+    zero (``SINGULAR_TRANSPOSE``).  Both branches decide alike and give
+    the same bits, for the float branch writes out the operations of
+    ``_stacked_measures`` for one point; a faulty float has measures None
+    and class -1.
     """
     if isinstance(i_ab, np.ndarray):
         return _stacked_measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled)
@@ -141,13 +134,16 @@ def _measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled=True):
         return OVERFLOW, None, -1
     if not (i_a > 0.0 and i_b > 0.0 and i_ab > 0.0):
         return SINGULAR_BLOCK, None, -1
-    # math.log raises at zero, where np.log gives -inf: a ratio that
-    # underflows is the same fault as an infinite measure
-    if not (d_minus > 0.0 and min(i_a, i_b) / (4.0 * i_ab) > 0.0):
+    # the operations of ``_stacked_measures`` on one point.  np.log(0.0)
+    # warns where the arrays' errstate takes -inf: a ratio that underflows
+    # is the same fault as an infinite measure
+    four = 4.0 * i_ab
+    ratio_a, ratio_b = i_a / four, i_b / four
+    if not (d_minus > 0.0 and ratio_a > 0.0 and ratio_b > 0.0):
         return SINGULAR_TRANSPOSE, None, -1
-    e_n = -math.log(2.0 * d_minus)
-    raw_ab, raw_ba = _steering_raw(i_a, i_b, i_ab)
-    mu_a, mu_b, mu_ab = _purities(i_a, i_b, i_ab)
+    e_n = -float(np.log(2.0 * d_minus))
+    raw_ab, raw_ba = 0.5 * float(np.log(ratio_a)), 0.5 * float(np.log(ratio_b))
+    mu_a, mu_b, mu_ab = 1.0 / (4.0 * i_a), 1.0 / (4.0 * i_b), 1.0 / (16.0 * i_ab)
     if not (finite(e_n) and finite(raw_ab) and finite(raw_ba)
             and finite(mu_a) and finite(mu_b) and finite(mu_ab)):
         return SINGULAR_TRANSPOSE, None, -1
@@ -165,12 +161,10 @@ _LOG_FACTORS = np.array([[-1.0], [0.5], [0.5]])
 
 def _stacked_measures(i_a, i_b, i_c, i_ab, disc_sq, d_minus, n_a, n_b, coupled):
     """``_measures`` of arrays, the measures as the rows of one (8, n) array.
-    A form of its own, for arrays decide faults after ``np.log``, where
-    floats must decide them before ``math.log`` raises.
+    A form of its own, for arrays decide faults after ``np.log``.
 
-    The operations of the float route on every element, E_N and those of
-    ``_steering_raw`` and ``_purities`` among them: the three logarithms
-    are one ``np.log`` and the purities one division.
+    The operations of the float branch on every element: the three
+    logarithms are one ``np.log`` and the purities one division.
     Where every measure is finite, every purity positive (so det A, det B
     and det Gamma lie in (0, inf)) and det C disc^2 finite, no point has a
     fault: one sum and one minimum decide it for the block, and only a

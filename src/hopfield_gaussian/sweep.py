@@ -21,19 +21,20 @@ the determinants, so an unstable point is a row, not a raised and caught
 ``%`` with the row template.
 
 ``evaluate_grid`` runs the same stage functions on arrays, which run the
-same floating-point operations as on floats.  Both shapes take each rule
-of a row from one place: the state's temperature (``_state_temperature``),
-the stage arguments and the stability decision (``_sector_args``), and the
-echoed cells (``_echo``).  A block's cost is mostly a fixed count of numpy
-calls, so each stage formula runs once over the (2, n) arrays of both
-frames of every point, the (T, V) frame of Gamma_xx and the (V, T) frame
-of Gamma_pp; a block with no unstable point skips the gather of its
-stable points.  A point and a block decide their measures alike, by the
-fault code of ``measures._sector_measures``, worded by
-``measures.measure_error``; a block raises it for its first point with a
-fault.  Each point's result depends on that point alone, so any
-contiguous split of a grid yields the same rows; ``sweep_csv``'s blocks
-rely on this.
+same floating-point operations as on floats, numpy's ``expm1`` and
+``log`` among them, so every cell of a stable row is ``run_point``'s bit
+for bit.  Both shapes take each rule of a row from one place: the state's
+temperature (``_state_temperature``), the stage arguments and the
+stability decision (``_sector_args``), and the echoed cells (``_echo``).
+A block's cost is mostly a fixed count of numpy calls, so each stage
+formula runs once over the (2, n) arrays of both frames of every point,
+the (T, V) frame of Gamma_xx and the (V, T) frame of Gamma_pp; a block
+with no unstable point skips the gather of its stable points.  A point
+and a block decide their measures alike, by the fault code of
+``measures._sector_measures``, worded by ``measures.measure_error``; a
+block raises it for its first point with a fault.  Each point's result
+depends on that point alone, so any contiguous split of a grid yields
+the same rows; ``sweep_csv``'s blocks rely on this.
 
 ``GridResult`` holds a block's rows as one float table, ``cells``, which
 ``csv_text`` prints with every cell as format(x, '.12g'), the cell of
@@ -147,17 +148,44 @@ _UNSTABLE_TAIL = "," * (len(_CELLS) - _ECHO + 2) + "false"
 _CLASS_NAMES = tuple(c.value for c in _STEERING_CLASSES)
 
 
+# x > 0 is x >= the smallest subnormal: the lower bound of each row of a
+# ``GridPoints`` table, each read with >=, and NaN fails it
+_LOWER = np.array([[5e-324], [5e-324], [0.0], [0.0], [0.0], [0.0]])
+
+
+def _valid_columns(table: np.ndarray) -> np.ndarray:
+    """Whether ``ModelParams`` and ``Environment`` take each column of a
+    (6, n) ``GridPoints`` table: finite, with positive frequencies and the
+    other fields non-negative."""
+    return ((table >= _LOWER) & (table < math.inf)).all(0)
+
+
 class GridPoints:
     """Model parameters and temperature of each grid point: ``table`` holds
     one float64 row per field (omega_a, omega_b, lambda1, lambda2, diamag,
     temperature) and one column per point, and each field is a view of its
-    row."""
+    row.
+
+    The constructor refuses the first column that ``ModelParams`` or
+    ``Environment`` refuses, with their message and the column's index;
+    ``of_table`` and ``chunk`` take a table as it is.
+    """
 
     __slots__ = ("table", "omega_a", "omega_b", "lambda1", "lambda2", "diamag", "temperature")
 
     def __init__(self, omega_a, omega_b, lambda1, lambda2, diamag, temperature):
         # the kernel computes in float64, as the scalar route does
         self._set(np.array((omega_a, omega_b, lambda1, lambda2, diamag, temperature), float))
+        if self.table.ndim != 2:
+            raise ValueError("each field of GridPoints is a 1-D sequence, one value per point")
+        valid = _valid_columns(self.table)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            try:
+                self.params(i)
+                Environment(self.temperature[i].item())
+            except ValueError as exc:
+                raise ValueError(f"{exc} at column {i}") from None
 
     def _set(self, table: np.ndarray) -> None:
         self.table = table
@@ -306,7 +334,7 @@ def evaluate_point(
 
 
 def evaluate_grid(points: GridPoints, state_kind: str) -> GridResult:
-    """Rows of every grid point, each equal to ``run_point`` on that point.
+    """Rows of every grid point, each ``run_point``'s on that point, bit for bit.
 
     ``state_kind`` is 'ground' or 'thermal' (``_state_temperature``).  A
     stable point whose measures fault (``measures._measures``) raises the
@@ -420,9 +448,6 @@ def spec_to_params(spec: SweepSpec, point: dict) -> tuple[ModelParams, float]:
 # the row of GridPoints.table that each swept or fixed input sets, and its
 # default; "lambda" sets lambda1 and is then driven into the coupling terms
 _INPUT_ROWS = {"wa": (0, 1.0), "wb": (1, 1.0), "lambda": (2, 0.0), "T": (5, 0.0)}
-# x > 0 is x >= the smallest subnormal: the lower bound of each row, each
-# read with >=, and NaN fails it
-_LOWER = np.array([[5e-324], [5e-324], [0.0], [0.0], [0.0], [0.0]])
 
 
 def grid_points(spec: SweepSpec) -> GridPoints:
@@ -454,7 +479,7 @@ def grid_points(spec: SweepSpec) -> GridPoints:
             diamag[...] = natural_diamag(l1, wb)
     else:
         diamag[...] = 0.0 if spec.diamag_mode == "zero" else float(spec.diamag_mode)
-    valid = ((table >= _LOWER) & (table < math.inf)).all(0)
+    valid = _valid_columns(table)
     if spec.diamag_mode == "auto":
         valid &= l1 == l2
     if not valid.all():

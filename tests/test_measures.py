@@ -10,8 +10,6 @@ from hopfield_gaussian import oracles as hg_oracles
 from hopfield_gaussian.measures import (
     STEERING_THRESHOLD,
     SteeringClass,
-    _purities,
-    _steering_raw,
     classify_steering,
 )
 from hopfield_gaussian.model import hopfield
@@ -273,12 +271,12 @@ class TestSteering:
         assert rep.g_ab == 0.0 and rep.g_ba > 0.0
 
     def test_raw_values_exposed_for_diagnostics(self):
+        # G_ab before clipping, 0.5 ln(det A / 4 det Gamma), from the invariants
         inv = symplectic_invariants(VACUUM)
-        raw_ab, raw_ba = _steering_raw(inv.i_a, inv.i_b, inv.i_ab)
-        assert raw_ab == pytest.approx(0.0, abs=1e-14)
+        assert 0.5 * np.log(inv.i_a / (4.0 * inv.i_ab)) == pytest.approx(0.0, abs=1e-14)
         g = thermal_covariance_closed(hopfield(1, 1, 0.8), 0.25)
         inv = symplectic_invariants(g)
-        assert _steering_raw(inv.i_a, inv.i_b, inv.i_ab)[0] < 0.0  # clipped to 0 in the report
+        assert 0.5 * np.log(inv.i_a / (4.0 * inv.i_ab)) < 0.0  # clipped to 0 in the report
         assert matrix_report(g).g_ab == 0.0
 
 
@@ -354,10 +352,12 @@ class TestCorrelationReport:
     )
     def test_fields_equal_the_scalar_functions(self, gamma):
         rep, inv = matrix_report(gamma), symplectic_invariants(gamma)
-        assert rep.e_n == max(0.0, -math.log(2.0 * inv.d_minus))
-        raw_ab, raw_ba = _steering_raw(inv.i_a, inv.i_b, inv.i_ab)
+        assert rep.e_n == max(0.0, -float(np.log(2.0 * inv.d_minus)))
+        four = 4.0 * inv.i_ab
+        raw_ab, raw_ba = 0.5 * float(np.log(inv.i_a / four)), 0.5 * float(np.log(inv.i_b / four))
         assert (rep.g_ab, rep.g_ba) == (max(0.0, raw_ab), max(0.0, raw_ba))
-        assert (rep.mu_a, rep.mu_b, rep.mu_ab) == _purities(inv.i_a, inv.i_b, inv.i_ab)
+        assert (rep.mu_a, rep.mu_b, rep.mu_ab) == (
+            1.0 / (4.0 * inv.i_a), 1.0 / (4.0 * inv.i_b), 1.0 / (16.0 * inv.i_ab))
         g = gamma.entries
         assert rep.n_a == 0.5 * (g[0, 0] + g[1, 1] - 1.0)
         assert rep.n_b == 0.5 * (g[2, 2] + g[3, 3] - 1.0)
